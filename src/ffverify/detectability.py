@@ -17,7 +17,7 @@ from .errors import InputError
 from .graph import Edge
 from .hamiltonian import (FFHamiltonian, commutation_structure, ground_space,
                           spectral_gap_gamma)
-from .tolerances import DENSE_EIG_LIMIT, GROUND_TOL, PROJECTOR_TOL, UNIT_SV_TOL
+from .tolerances import GROUND_TOL, PROJECTOR_TOL, UNIT_SV_TOL
 
 
 def _bound_chain(energy: float, zeta: float, s: float, g_tilde: int, g: int) -> tuple[float, ...]:
@@ -45,14 +45,12 @@ class DLReport:
 
 
 def _product_norm_sq(h: FFHamiltonian, ordering: Sequence[Edge],
-                     basis: np.ndarray, dense_limit: int = DENSE_EIG_LIMIT) -> float:
+                     basis: np.ndarray) -> float:
     """||(1 - Q0) (1-P_1)...(1-P_q) (1 - Q0)||^2.
 
     Q0 commutes with every projector, so the inner complements collapse and
     only the two outer deflations remain.
     """
-    d = h.dim
-
     def deflate(v):
         return v - basis @ (basis.conj().T @ v)
 
@@ -68,11 +66,8 @@ def _product_norm_sq(h: FFHamiltonian, ordering: Sequence[Edge],
             v = v - h.apply_edge(e, v)
         return deflate(v)
 
-    if d <= dense_limit:
-        m = np.eye(d, dtype=complex)
-        cols = [apply_m(m[:, i]) for i in range(d)]
-        return float(linalg.operator_norm(np.column_stack(cols)) ** 2)
-    norm = linalg.product_operator_norm(apply_m, apply_m_adjoint, d, tol=1e-12)
+    norm = linalg.product_operator_norm(apply_m, apply_m_adjoint, h.dim, tol=1e-12,
+                                        dtype=np.result_type(h.dtype, basis.dtype))
     return norm * norm
 
 

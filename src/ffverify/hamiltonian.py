@@ -19,8 +19,8 @@ from . import linalg
 from .errors import DegenerateSpectrum, InputError, NotFrustrationFree, ResourceError
 from .graph import Edge, Hypergraph
 from .linalg import ApplyPlan, FullOperator, LocalOperator
-from .tolerances import (COMMUTE_TOL, DENSE_EIG_LIMIT, GROUND_TOL,
-                         PROJECTOR_TOL, UNIT_SV_TOL, max_dim)
+from .tolerances import (COMMUTE_TOL, GROUND_TOL, PROJECTOR_TOL, UNIT_SV_TOL,
+                         max_dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,13 +71,18 @@ class FFHamiltonian:
         return {e: linalg.make_plan(op.matrix, op.support, self.node_order, self.node_dims)
                 for e, op in self.projectors.items()}
 
+    @cached_property
+    def dtype(self) -> np.dtype:
+        """float64 when every projector is real to REAL_TOL, else complex128."""
+        return np.result_type(float, *{p.matrix.dtype for p in self._plans.values()})
+
     def apply_edge(self, e: Edge, vec: np.ndarray) -> np.ndarray:
         """P_e |vec> in the full space."""
         return self._plans[e](vec)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """H |vec> as a sum of local applications."""
-        out = np.zeros_like(vec, dtype=complex)
+        out = np.zeros(vec.shape, dtype=np.result_type(self.dtype, vec.dtype))
         for plan in self._plans.values():
             out += plan(vec)
         return out
@@ -117,44 +122,46 @@ class SpectralProfile:
                 raise InputError(f"profile chain violated: {chain}")
 
 
-def ground_space(h: FFHamiltonian, tol: float = GROUND_TOL,
-                 dense_limit: int = DENSE_EIG_LIMIT) -> tuple[int, np.ndarray]:
-    """Rank and orthonormal basis (dim x rank) of the zero-energy eigenspace."""
-    key = ("ground", tol, dense_limit)
-    if key in h._cache:
-        return h._cache[key]
-    result = _ground_space_uncached(h, tol, dense_limit)
-    h._cache[key] = result
-    return result
+def low_spectrum(h: FFHamiltonian,
+                 tol: float = GROUND_TOL) -> tuple[int, np.ndarray, float | None]:
+    """Ground rank, orthonormal ground basis (dim x rank) and gamma, the
+    smallest eigenvalue above the ground cluster, from one cached solve.
+
+    The number of lowest eigenpairs doubles until one lies above the cluster;
+    gamma is None when the cluster fills the whole space.
+    """
+    key = ("low", tol)
+    if key not in h._cache:
+        h._cache[key] = _low_spectrum_uncached(h, tol)
+    return h._cache[key]
 
 
-def _ground_space_uncached(h: FFHamiltonian, tol: float,
-                           dense_limit: int) -> tuple[int, np.ndarray]:
+def _low_spectrum_uncached(h: FFHamiltonian, tol: float) -> tuple[int, np.ndarray, float | None]:
     d = h.dim
     if not h.graph.edges:
-        return d, np.eye(d, dtype=complex)
-    if d <= dense_limit:
-        vals, vecs = linalg.eigh(h.dense())
-        rank = int(np.sum(vals < tol))
-        if rank == 0:
-            raise NotFrustrationFree(
-                f"smallest eigenvalue {vals[0]:.3e} is above tolerance {tol}")
-        return rank, vecs[:, :rank]
+        return d, np.eye(d), None
     if d > max_dim():
         raise ResourceError(
             f"dimension {d} exceeds FFV_MAX_DIM={max_dim()}; shrink the instance")
     k = 2
     while True:
-        vals, vecs = linalg.lowest_eigenpairs(h.apply, d, k=k, tol=1e-12)
+        vals, vecs = linalg.lowest_eigenpairs(h.apply, d, k=min(k, d), tol=1e-12,
+                                              dtype=h.dtype)
         if vals[0] >= tol:
             raise NotFrustrationFree(
                 f"smallest eigenvalue {vals[0]:.3e} is above tolerance {tol}")
-        if vals[-1] >= tol:
-            rank = int(np.sum(vals < tol))
-            return rank, vecs[:, :rank]
-        k = min(2 * k, d - 1)
-        if k >= d - 1:
-            raise ResourceError("ground space saturates the iterative eigensolver")
+        rank = int(np.sum(vals < tol))
+        if rank < len(vals):
+            return rank, vecs[:, :rank], float(vals[rank])
+        if k >= d:
+            return d, vecs, None
+        k *= 2
+
+
+def ground_space(h: FFHamiltonian, tol: float = GROUND_TOL) -> tuple[int, np.ndarray]:
+    """Rank and orthonormal basis (dim x rank) of the zero-energy eigenspace."""
+    rank, basis, _ = low_spectrum(h, tol)
+    return rank, basis
 
 
 def ground_projector(h: FFHamiltonian, tol: float = GROUND_TOL) -> tuple[FullOperator, int]:
@@ -166,45 +173,14 @@ def ground_projector(h: FFHamiltonian, tol: float = GROUND_TOL) -> tuple[FullOpe
     return FullOperator(q0, h.node_order, h.node_dims), rank
 
 
-def spectral_gap_gamma(h: FFHamiltonian, tol: float = GROUND_TOL,
-                       dense_limit: int = DENSE_EIG_LIMIT) -> float:
+def spectral_gap_gamma(h: FFHamiltonian, tol: float = GROUND_TOL) -> float:
     """Smallest eigenvalue of H above the ground cluster."""
-    key = ("gamma", tol, dense_limit)
-    if key in h._cache:
-        return h._cache[key]
-    result = _spectral_gap_uncached(h, tol, dense_limit)
-    h._cache[key] = result
-    return result
-
-
-def _spectral_gap_uncached(h: FFHamiltonian, tol: float, dense_limit: int) -> float:
     if not h.graph.edges:
         raise DegenerateSpectrum("H = 0 has no spectral gap")
-    d = h.dim
-    if d <= dense_limit:
-        vals, _ = linalg.eigh(h.dense())
-        if vals[0] >= tol:
-            raise NotFrustrationFree(
-                f"smallest eigenvalue {vals[0]:.3e} is above tolerance {tol}")
-        above = vals[vals >= tol]
-        if len(above) == 0:
-            raise DegenerateSpectrum("all eigenvalues sit in the ground cluster")
-        return float(above[0])
-    if d > max_dim():
-        raise ResourceError(
-            f"dimension {d} exceeds FFV_MAX_DIM={max_dim()}; shrink the instance")
-    k = 4
-    while True:
-        vals, _ = linalg.lowest_eigenpairs(h.apply, d, k=k, tol=1e-12)
-        if vals[0] >= tol:
-            raise NotFrustrationFree(
-                f"smallest eigenvalue {vals[0]:.3e} is above tolerance {tol}")
-        above = vals[vals >= tol]
-        if len(above) > 0:
-            return float(above[0])
-        k = min(2 * k, d - 1)
-        if k >= d - 1:
-            raise DegenerateSpectrum("all eigenvalues sit in the ground cluster")
+    _, _, gamma = low_spectrum(h, tol)
+    if gamma is None:
+        raise DegenerateSpectrum("all eigenvalues sit in the ground cluster")
+    return gamma
 
 
 def _pair_space(h: FFHamiltonian, e: Edge, f: Edge) -> tuple[np.ndarray, np.ndarray]:

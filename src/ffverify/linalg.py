@@ -1,21 +1,23 @@
-"""Complex linear algebra over labeled tensor-product spaces.
+"""Linear algebra over labeled tensor-product spaces.
 
-Dense operators are fine up to a few thousand dimensions; beyond that the
-matrix-free helpers (apply plans plus Krylov iteration) take over.
+Dense operators serve as validation oracles and for dimensions up to
+DENSE_EIG_LIMIT; above it every spectral solve is matrix-free (apply plans
+plus Lanczos iteration).  Operators whose local matrices are real to REAL_TOL
+are applied and solved in real arithmetic, complex ones in complex.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .errors import InputError
-from .tolerances import HERMITIAN_TOL
+from .errors import InputError, ResourceError
+from .tolerances import ARPACK_MAX_RESTARTS, DENSE_EIG_LIMIT, HERMITIAN_TOL, REAL_TOL
 
 NodeDims = Mapping[int, int]
 
@@ -96,9 +98,14 @@ class ApplyPlan:
     matrix: np.ndarray          # factors permuted so the axes are ascending
     axes: tuple[int, ...]       # ascending tensor axes the operator acts on
     shape: tuple[int, ...]      # full tensor shape
-    _contract_axes: tuple[tuple[int, ...], tuple[int, ...]] = field(repr=False, default=())
+    block: tuple[int, int, int] | None = None  # (left, d_e, right) for adjacent axes
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
+        if self.block is not None:
+            left, d_e, right = self.block
+            if right == 1:
+                return (vec.reshape(left, d_e) @ self.matrix.T).reshape(-1)
+            return np.matmul(self.matrix, vec.reshape(self.block)).reshape(-1)
         k = len(self.axes)
         sub = tuple(self.shape[a] for a in self.axes)
         t = vec.reshape(self.shape)
@@ -110,8 +117,13 @@ class ApplyPlan:
 
 def make_plan(matrix: np.ndarray, support: Sequence[int],
               node_order: Sequence[int], node_dims: NodeDims) -> ApplyPlan:
-    """Compile a local operator into an ApplyPlan for the given node order."""
+    """Compile a local operator into an ApplyPlan for the given node order.
+
+    A matrix that is real to REAL_TOL is stored real, so real vectors stay real.
+    """
     matrix = np.asarray(matrix, dtype=complex)
+    if np.abs(matrix.imag).max(initial=0.0) <= REAL_TOL:
+        matrix = matrix.real
     order = tuple(int(v) for v in node_order)
     support = tuple(int(v) for v in support)
     positions = {v: i for i, v in enumerate(order)}
@@ -127,18 +139,14 @@ def make_plan(matrix: np.ndarray, support: Sequence[int],
     k = len(dims)
     tensor = matrix.reshape(tuple(dims) * 2)
     tensor = tensor.transpose(tuple(perm) + tuple(k + i for i in perm))
-    new_dims = [dims[i] for i in perm]
-    compiled = np.ascontiguousarray(tensor.reshape(_dims_product(new_dims), -1))
+    d_e = _dims_product(dims)
+    compiled = np.ascontiguousarray(tensor.reshape(d_e, -1))
     shape = tuple(node_dims[v] for v in order)
-    return ApplyPlan(compiled, sorted_axes, shape)
-
-
-def plan_for(op: LocalOperator, node_order: Sequence[int],
-             node_dims: NodeDims | None = None) -> ApplyPlan:
-    dims = dict(op.node_dims)
-    if node_dims:
-        dims.update({int(k): int(v) for k, v in node_dims.items()})
-    return make_plan(op.matrix, op.support, node_order, dims)
+    block = None
+    if k and sorted_axes[-1] - sorted_axes[0] == k - 1:
+        first, last = sorted_axes[0], sorted_axes[-1]
+        block = (_dims_product(shape[:first]), d_e, _dims_product(shape[last + 1:]))
+    return ApplyPlan(compiled, sorted_axes, shape, block)
 
 
 def embed(op: LocalOperator, node_order: Sequence[int],
@@ -227,43 +235,64 @@ def is_projector(matrix: np.ndarray, tol: float = 1e-10) -> bool:
 # ---------------------------------------------------------------------------
 # matrix-free spectral helpers
 
-def lowest_eigenpairs(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
-                      k: int, tol: float = 0.0, seed: int = 7) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest eigenpairs of a Hermitian operator given by its action."""
-    op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec, dtype=complex)
+def _eigsh(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
+           which: str, tol: float, seed: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """k eigenpairs at the `which` end ("SA" or "LA") of a Hermitian operator
+    given by its action, eigenvalues ascending.
+
+    Up to DENSE_EIG_LIMIT the operator is materialized column by column and
+    diagonalized by LAPACK.  Above it ARPACK runs Lanczos in `dtype` (float64
+    takes the symmetric dsaupd path) within ARPACK_MAX_RESTARTS restarts;
+    running out of them is a ResourceError.
+    """
+    if dim <= DENSE_EIG_LIMIT:
+        matrix = np.column_stack([matvec(col) for col in np.eye(dim, dtype=dtype)])
+        vals, vecs = scipy.linalg.eigh((matrix + matrix.conj().T) / 2)
+        pick = slice(0, k) if which == "SA" else slice(max(dim - k, 0), dim)
+        return vals[pick], vecs[:, pick]
+    if k >= dim - 1:
+        raise ResourceError(
+            f"{k} eigenpairs of dimension {dim} saturate the iterative eigensolver")
+    op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec, dtype=dtype)
     v0 = np.random.default_rng(seed).standard_normal(dim)
-    vals, vecs = scipy.sparse.linalg.eigsh(
-        op, k=k, which="SA", tol=tol, v0=v0, maxiter=50 * dim)
+    try:
+        vals, vecs = scipy.sparse.linalg.eigsh(
+            op, k=k, which=which, tol=tol, v0=v0, maxiter=ARPACK_MAX_RESTARTS)
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise ResourceError(
+            f"Lanczos did not converge within {ARPACK_MAX_RESTARTS} restarts "
+            f"(d={dim}, k={k}, {len(exc.eigenvalues)} of {k} converged)") from exc
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 
 
-def largest_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
-                       tol: float = 0.0, seed: int = 7) -> float:
-    """Largest eigenvalue of a Hermitian operator given by its action."""
-    op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec, dtype=complex)
-    v0 = np.random.default_rng(seed).standard_normal(dim)
-    vals = scipy.sparse.linalg.eigsh(
-        op, k=1, which="LA", tol=tol, v0=v0, maxiter=50 * dim,
-        return_eigenvectors=False)
-    return float(vals[0])
+def lowest_eigenpairs(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
+                      k: int, tol: float = 0.0, seed: int = 7,
+                      dtype=complex) -> tuple[np.ndarray, np.ndarray]:
+    """k smallest eigenpairs of a Hermitian operator given by its action."""
+    return _eigsh(matvec, dim, k, "SA", tol, seed, dtype)
 
 
 def largest_eigenpair(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
-                      tol: float = 0.0, seed: int = 7) -> tuple[float, np.ndarray]:
-    op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec, dtype=complex)
-    v0 = np.random.default_rng(seed).standard_normal(dim)
-    vals, vecs = scipy.sparse.linalg.eigsh(
-        op, k=1, which="LA", tol=tol, v0=v0, maxiter=50 * dim)
+                      tol: float = 0.0, seed: int = 7,
+                      dtype=complex) -> tuple[float, np.ndarray]:
+    vals, vecs = _eigsh(matvec, dim, 1, "LA", tol, seed, dtype)
     return float(vals[0]), vecs[:, 0]
+
+
+def largest_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
+                       tol: float = 0.0, seed: int = 7, dtype=complex) -> float:
+    """Largest eigenvalue of a Hermitian operator given by its action."""
+    return largest_eigenpair(matvec, dim, tol, seed, dtype)[0]
 
 
 def product_operator_norm(apply_m: Callable[[np.ndarray], np.ndarray],
                           apply_m_adjoint: Callable[[np.ndarray], np.ndarray],
-                          dim: int, tol: float = 0.0, seed: int = 7) -> float:
+                          dim: int, tol: float = 0.0, seed: int = 7,
+                          dtype=complex) -> float:
     """Operator norm of M given the actions of M and M^dagger (via M^dagger M)."""
     def gram(v):
         return apply_m_adjoint(apply_m(v))
 
-    top = largest_eigenvalue(gram, dim, tol=tol, seed=seed)
+    top = largest_eigenvalue(gram, dim, tol=tol, seed=seed, dtype=dtype)
     return math.sqrt(max(top, 0.0))

@@ -21,7 +21,7 @@ from .errors import InputError, ResourceError
 from .graph import Edge, MatchingCover, max_degree, Hypergraph
 from .hamiltonian import FFHamiltonian, ground_space, spectral_profile
 from .linalg import ApplyPlan, FullOperator, LocalOperator
-from .tolerances import DENSE_EIG_LIMIT, GROUND_TOL, max_dim
+from .tolerances import GROUND_TOL, max_dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +62,11 @@ class Protocol:
         return {e: linalg.make_plan(op.matrix, e, h.node_order, h.node_dims)
                 for e, op in self.bond_ops.items()}
 
+    @cached_property
+    def dtype(self) -> np.dtype:
+        """float64 when every bond operator is real to REAL_TOL, else complex128."""
+        return np.result_type(float, *{p.matrix.dtype for p in self._plans.values()})
+
     def apply_test(self, matching: Sequence[Edge], vec: np.ndarray) -> np.ndarray:
         out = vec
         for e in matching:
@@ -69,7 +74,7 @@ class Protocol:
         return out
 
     def apply_omega(self, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(vec, dtype=complex)
+        out = np.zeros(vec.shape, dtype=np.result_type(self.dtype, vec.dtype))
         for m, p in zip(self.cover.matchings, self.cover.probabilities):
             out += p * self.apply_test(m, vec)
         return out
@@ -127,30 +132,26 @@ def spectral_gap_nu(omega: np.ndarray | FullOperator, q0: np.ndarray | FullOpera
     return 1.0 - linalg.operator_norm(comp @ om @ comp)
 
 
-def measured_gap(protocol: Protocol, tol: float = GROUND_TOL,
-                 dense_limit: int = DENSE_EIG_LIMIT) -> float:
-    """Exact spectral gap of the protocol's verification operator.
+def deflated_omega(protocol: Protocol, basis: np.ndarray):
+    """(1 - Q0) Omega (1 - Q0) as a matvec for the ground basis `basis`, and
+    the dtype it is solved in (real when Omega and the basis are)."""
+    adjoint = basis.conj().T
 
-    Dense at small dimension; Krylov iteration on the deflated operator above.
-    """
-    h = protocol.hamiltonian
-    d = h.dim
-    rank, basis = ground_space(h, tol)
-    if d <= dense_limit:
-        omega = verification_operator(protocol).matrix
-        q0 = basis @ basis.conj().T
-        return spectral_gap_nu(omega, q0)
-    if d > max_dim():
-        raise ResourceError(
-            f"dimension {d} exceeds FFV_MAX_DIM={max_dim()}; shrink the instance")
-
-    def deflated(v):
-        v = v - basis @ (basis.conj().T @ v)
+    def apply(v):
+        v = v - basis @ (adjoint @ v)
         v = protocol.apply_omega(v)
-        return v - basis @ (basis.conj().T @ v)
+        return v - basis @ (adjoint @ v)
 
-    top = linalg.largest_eigenvalue(deflated, d, tol=1e-12)
-    return 1.0 - top
+    return apply, np.result_type(protocol.dtype, basis.dtype)
+
+
+def measured_gap(protocol: Protocol, tol: float = GROUND_TOL) -> float:
+    """Exact spectral gap 1 - ||(1 - Q0) Omega (1 - Q0)|| of the protocol's
+    verification operator, by one solve of the deflated operator."""
+    h = protocol.hamiltonian
+    _, basis = ground_space(h, tol)  # refuses dimensions above FFV_MAX_DIM
+    apply, dtype = deflated_omega(protocol, basis)
+    return 1.0 - linalg.largest_eigenvalue(apply, h.dim, tol=1e-12, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------

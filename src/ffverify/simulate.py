@@ -19,8 +19,8 @@ from .aklt import bond_test_projector
 from .errors import InputError, ResourceError
 from .graph import Edge
 from .hamiltonian import ground_space
-from .protocol import Protocol, verification_operator
-from .tolerances import DENSE_EIG_LIMIT, GROUND_TOL, max_dim
+from .protocol import Protocol, deflated_omega
+from .tolerances import GROUND_TOL, max_dim
 
 NOISE_MODES = ("worst_case", "depolarizing", "coherent_rotation")
 
@@ -127,21 +127,9 @@ def prepare_state(protocol: Protocol, spec: NoiseSpec,
 
 
 def _top_excited_eigenvector(protocol: Protocol, basis: np.ndarray) -> np.ndarray:
-    h = protocol.hamiltonian
-    d = h.dim
-    if d <= DENSE_EIG_LIMIT:
-        omega = verification_operator(protocol).matrix
-        q0 = basis @ basis.conj().T
-        comp = np.eye(d) - q0
-        vals, vecs = linalg.eigh(comp @ omega @ comp)
-        return np.ascontiguousarray(vecs[:, -1])
-
-    def deflated(v):
-        v = v - basis @ (basis.conj().T @ v)
-        v = protocol.apply_omega(v)
-        return v - basis @ (basis.conj().T @ v)
-
-    _, vec = linalg.largest_eigenpair(deflated, d, tol=1e-12)
+    apply, dtype = deflated_omega(protocol, basis)
+    _, vec = linalg.largest_eigenpair(apply, protocol.hamiltonian.dim, tol=1e-12,
+                                      dtype=dtype)
     vec = vec - basis @ (basis.conj().T @ vec)
     return vec / np.linalg.norm(vec)
 

@@ -31,8 +31,15 @@ PROB_SUM_TOL = 1e-12
 # instances with Hilbert dimension above this are refused outright
 DEFAULT_MAX_DIM = 8192
 
-# dense eigendecomposition below this dimension, Krylov iteration above
-DENSE_EIG_LIMIT = 1500
+# operators whose local matrices have |Im| at most this run in real arithmetic
+REAL_TOL = 1e-14
+
+# dense eigendecomposition up to this dimension, Lanczos iteration above;
+# below it ARPACK is slower than LAPACK or fails to converge
+DENSE_EIG_LIMIT = 64
+
+# implicit restarts one ARPACK Lanczos solve may take before it gives up
+ARPACK_MAX_RESTARTS = 300
 
 
 def max_dim() -> int:

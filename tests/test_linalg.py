@@ -104,6 +104,28 @@ class TestApplyPlan:
             v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
             assert np.allclose(plan(v), dense @ v)
 
+    @pytest.mark.parametrize("support", [(0,), (1,), (2,), (0, 1), (1, 2), (0, 2), (2, 0)])
+    def test_real_matrix_keeps_real_vectors_real(self, support):
+        rng = np.random.default_rng(hash(support) % 2 ** 32 + 1)
+        dims = {0: 2, 1: 3, 2: 2}
+        op = random_local(rng, support, dims)
+        op = linalg.LocalOperator(op.matrix.real + 1e-15j, support, op.node_dims)
+        order = (0, 1, 2)
+        dense = linalg.embed(op, order, dims).matrix
+        plan = linalg.make_plan(op.matrix, support, order, dims)
+        assert plan.matrix.dtype == np.float64
+        v = rng.standard_normal(12)
+        out = plan(v)
+        assert out.dtype == np.float64
+        assert np.allclose(out, dense @ v)
+        w = v + 1j * rng.standard_normal(12)
+        assert np.allclose(plan(w), dense @ w)
+
+    def test_imaginary_part_above_tolerance_stays_complex(self):
+        m = np.diag([1.0, 1.0]) + 1e-12j * np.array([[0, 1], [-1, 0]])
+        plan = linalg.make_plan(m, (0,), (0,), {0: 2})
+        assert plan.matrix.dtype == np.complex128
+
 
 class TestEigh:
     def test_pauli_x(self):

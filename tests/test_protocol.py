@@ -88,8 +88,11 @@ class TestSpectralGapNu:
             proto.spectral_gap_nu(omega, q0)
 
     def test_measured_gap_iterative_matches_dense(self, chain4, chain4_protocol):
-        dense = proto.measured_gap(chain4_protocol)
-        iterative = proto.measured_gap(chain4_protocol, dense_limit=1)
+        vals, vecs = linalg.eigh(chain4.dense())
+        ground = vecs[:, vals < 1e-9]
+        omega = proto.verification_operator(chain4_protocol)
+        dense = proto.spectral_gap_nu(omega, ground @ ground.conj().T)
+        iterative = proto.measured_gap(chain4_protocol)
         assert abs(dense - iterative) < 1e-8
 
 
