@@ -18,7 +18,7 @@ from . import aklt, detectability, graph as graphs, hamiltonian as ham
 from . import protocol as proto
 from . import simulate as sims
 from .errors import InputError, InvariantViolation, ResourceError
-from .tolerances import max_dim
+from .tolerances import check_dim
 
 #: documented gap defaults for large lattices (finite-size gaps are never
 #: extrapolated; pass --gamma explicitly for anything else)
@@ -77,10 +77,7 @@ def _emit(args, rows: list[dict]) -> None:
 
 
 def _check_dim(h: ham.FFHamiltonian) -> None:
-    if h.dim > max_dim():
-        raise ResourceError(
-            f"Hilbert dimension {h.dim} exceeds FFV_MAX_DIM={max_dim()}; "
-            "use a smaller instance or raise the cap")
+    check_dim(h.dim, "Hilbert space")
 
 
 def cmd_gap(args) -> int:

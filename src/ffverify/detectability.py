@@ -17,7 +17,7 @@ from .errors import InputError
 from .graph import Edge
 from .hamiltonian import (FFHamiltonian, commutation_structure, ground_space,
                           spectral_gap_gamma)
-from .tolerances import GROUND_TOL, PROJECTOR_TOL, UNIT_SV_TOL
+from .tolerances import BOUND_CHECK_TOL, PROJECTOR_INEQ_TOL, PROJECTOR_TOL, UNIT_SV_TOL
 
 
 def _bound_chain(energy: float, zeta: float, s: float, g_tilde: int, g: int) -> tuple[float, ...]:
@@ -36,12 +36,19 @@ class DLReport:
     bounds: tuple[float, float, float, float]
     ordering: tuple[Edge, ...]
     gamma: float
-    tol: float = 1e-9
 
     @property
     def passed(self) -> bool:
         chain = (self.measured,) + self.bounds
-        return all(a <= b + self.tol for a, b in zip(chain, chain[1:]))
+        return all(a <= b + BOUND_CHECK_TOL for a, b in zip(chain, chain[1:]))
+
+
+def _complement_product(h: FFHamiltonian, edges: Sequence[Edge],
+                        vec: np.ndarray) -> np.ndarray:
+    """(1 - P_{e_k}) ... (1 - P_{e_1}) vec for edges e_1, ..., e_k."""
+    for e in edges:
+        vec = vec - h.apply_edge(e, vec)
+    return vec
 
 
 def _product_norm_sq(h: FFHamiltonian, ordering: Sequence[Edge],
@@ -51,33 +58,24 @@ def _product_norm_sq(h: FFHamiltonian, ordering: Sequence[Edge],
     Q0 commutes with every projector, so the inner complements collapse and
     only the two outer deflations remain.
     """
-    def deflate(v):
-        return v - basis @ (basis.conj().T @ v)
-
     def apply_m(v):
-        v = deflate(v)
-        for e in reversed(ordering):
-            v = v - h.apply_edge(e, v)
-        return deflate(v)
+        v = _complement_product(h, reversed(ordering), linalg.deflate(basis, v))
+        return linalg.deflate(basis, v)
 
     def apply_m_adjoint(v):
-        v = deflate(v)
-        for e in ordering:
-            v = v - h.apply_edge(e, v)
-        return deflate(v)
+        v = _complement_product(h, ordering, linalg.deflate(basis, v))
+        return linalg.deflate(basis, v)
 
-    norm = linalg.product_operator_norm(apply_m, apply_m_adjoint, h.dim, tol=1e-12,
+    norm = linalg.product_operator_norm(apply_m, apply_m_adjoint, h.dim,
                                         dtype=np.result_type(h.dtype, basis.dtype))
     return norm * norm
 
 
-def dl_norm_check(h: FFHamiltonian, ordering: Sequence[Edge] | None = None,
-                  tol: float = GROUND_TOL, gamma: float | None = None) -> DLReport:
+def dl_norm_check(h: FFHamiltonian, ordering: Sequence[Edge] | None = None) -> DLReport:
     """Product-norm bound check for a frustration-free Hamiltonian."""
     structure = commutation_structure(h, ordering)
-    if gamma is None:
-        gamma = spectral_gap_gamma(h, tol)
-    _, basis = ground_space(h, tol)
+    gamma = spectral_gap_gamma(h)
+    _, basis = ground_space(h)
     measured = _product_norm_sq(h, structure.ordering, basis)
     bounds = _bound_chain(gamma, structure.zeta, structure.s,
                           structure.g_tilde, structure.g)
@@ -93,31 +91,28 @@ class StateCheck:
     energy: float | None   # None when the product annihilates the state
     bounds: tuple[float, float, float, float]
     ordering: tuple[Edge, ...]
-    tol: float = 1e-9
 
     @property
     def passed(self) -> bool:
         if self.energy is None:
             return True  # vacuous: phi = 0
         chain = (self.phi_norm_sq,) + self.bounds
-        return all(a <= b + self.tol for a, b in zip(chain, chain[1:]))
+        return all(a <= b + BOUND_CHECK_TOL for a, b in zip(chain, chain[1:]))
 
 
 def dl_state_check(h: FFHamiltonian, ordering: Sequence[Edge] | None,
-                   psi: np.ndarray, tol: float = GROUND_TOL) -> StateCheck:
+                   psi: np.ndarray) -> StateCheck:
     """Apply (1-P_1)...(1-P_q) to a normalized state orthogonal to the ground
     space and compare the surviving weight with the energy-resolved bounds."""
     psi = np.asarray(psi, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise InputError("state must be normalized")
     structure = commutation_structure(h, ordering)
-    _, basis = ground_space(h, tol)
+    _, basis = ground_space(h)
     overlap = float(np.linalg.norm(basis.conj().T @ psi) ** 2)
     if overlap >= 1e-10:
         raise InputError(f"state has ground-space weight {overlap:.2e}")
-    phi = psi.copy()
-    for e in reversed(structure.ordering):
-        phi = phi - h.apply_edge(e, phi)
+    phi = _complement_product(h, reversed(structure.ordering), psi)
     norm_sq = float(np.real(np.vdot(phi, phi)))
     if norm_sq <= 1e-24:
         return StateCheck(phi_norm_sq=0.0, energy=None,
@@ -136,11 +131,10 @@ class PairCheck:
     lhs: float
     rhs: float
     s: float
-    tol: float = 1e-10
 
     @property
     def passed(self) -> bool:
-        return self.lhs <= self.rhs + self.tol
+        return self.lhs <= self.rhs + PROJECTOR_INEQ_TOL
 
 
 def _require_projector(m: np.ndarray, name: str) -> np.ndarray:
@@ -174,13 +168,12 @@ class UnionGapCheck:
     rhs: float              # (1 - ||product||) / (m (1 + ||product||))
     product_norm: float
     m: int
-    tol: float = 1e-10
 
     @property
     def passed(self) -> bool:
-        ok = self.gap >= self.rhs - self.tol
+        ok = self.gap >= self.rhs - PROJECTOR_INEQ_TOL
         if self.m == 2:
-            ok = ok and abs(self.gap - (1.0 - self.product_norm) / 2.0) <= self.tol
+            ok = ok and abs(self.gap - (1.0 - self.product_norm) / 2.0) <= PROJECTOR_INEQ_TOL
         return ok
 
 

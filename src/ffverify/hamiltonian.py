@@ -16,11 +16,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateSpectrum, InputError, NotFrustrationFree, ResourceError
+from .errors import DegenerateSpectrum, InputError, NotFrustrationFree
 from .graph import Edge, Hypergraph
 from .linalg import ApplyPlan, FullOperator, LocalOperator
-from .tolerances import (COMMUTE_TOL, GROUND_TOL, PROJECTOR_TOL, UNIT_SV_TOL,
-                         max_dim)
+from .tolerances import COMMUTE_TOL, GROUND_TOL, PROJECTOR_TOL, UNIT_SV_TOL, check_dim
+
+# best_zeta_ordering tries every permutation up to this many edges
+EXHAUSTIVE_ORDERING_EDGES = 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +58,6 @@ class FFHamiltonian:
             projs[e] = op
         object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "node_dims", dims)
-        object.__setattr__(self, "_cache", {})
 
     @property
     def node_order(self) -> tuple[int, ...]:
@@ -93,13 +94,49 @@ class FFHamiltonian:
     def dense(self) -> np.ndarray:
         """Dense matrix of H; refuses above the configured dimension cap."""
         d = self.dim
-        if d > max_dim():
-            raise ResourceError(
-                f"dense Hamiltonian of dimension {d} exceeds FFV_MAX_DIM={max_dim()}")
+        check_dim(d, "dense Hamiltonian")
         out = np.zeros((d, d), dtype=complex)
         for e in self.graph.edges:
             out += self.embedded(e).matrix
         return out
+
+    @cached_property
+    def _low_spectrum(self) -> tuple[int, np.ndarray, float | None]:
+        """The solve behind `low_spectrum`, run once per Hamiltonian."""
+        d = self.dim
+        check_dim(d, "low-spectrum solve")
+        if not any(op.matrix.any() for op in self.projectors.values()):
+            return d, np.eye(d), None
+        k = 2
+        while True:
+            vals, vecs = linalg.lowest_eigenpairs(self.apply, d, k=min(k, d), dtype=self.dtype)
+            if vals[0] >= GROUND_TOL:
+                raise NotFrustrationFree(
+                    f"smallest eigenvalue {vals[0]:.3e} is above tolerance {GROUND_TOL}")
+            rank = int(np.sum(vals < GROUND_TOL))
+            if rank < len(vals):
+                return rank, vecs[:, :rank], float(vals[rank])
+            if k >= d:
+                return d, vecs, None
+            k *= 2
+
+    @cached_property
+    def _pair_data(self) -> tuple[dict, dict]:
+        """Nonunit singular values and commutation flags for all adjacent pairs."""
+        edges = self.graph.edges
+        pair_s: dict[frozenset, float] = {}
+        noncomm: dict[Edge, list[Edge]] = {e: [] for e in edges}
+        for e, f in itertools.combinations(edges, 2):
+            if not set(e) & set(f):
+                continue  # disjoint supports commute exactly
+            a, b = _pair_space(self, e, f)
+            if linalg.commutator_norm(a, b) > COMMUTE_TOL:
+                noncomm[e].append(f)
+                noncomm[f].append(e)
+            svals = linalg.singular_values(a @ b)
+            below = svals[svals < 1.0 - UNIT_SV_TOL]
+            pair_s[frozenset((e, f))] = float(below[0]) if len(below) else 0.0
+        return pair_s, noncomm
 
 
 @dataclass(frozen=True)
@@ -122,64 +159,36 @@ class SpectralProfile:
                 raise InputError(f"profile chain violated: {chain}")
 
 
-def low_spectrum(h: FFHamiltonian,
-                 tol: float = GROUND_TOL) -> tuple[int, np.ndarray, float | None]:
+def low_spectrum(h: FFHamiltonian) -> tuple[int, np.ndarray, float | None]:
     """Ground rank, orthonormal ground basis (dim x rank) and gamma, the
-    smallest eigenvalue above the ground cluster, from one cached solve.
+    smallest eigenvalue above the ground cluster (eigenvalues below
+    GROUND_TOL), from one cached solve.
 
     The number of lowest eigenpairs doubles until one lies above the cluster;
-    gamma is None when the cluster fills the whole space.
+    gamma is None when the cluster fills the whole space, as it does for
+    H = 0 (no edges, or every projector zero).
     """
-    key = ("low", tol)
-    if key not in h._cache:
-        h._cache[key] = _low_spectrum_uncached(h, tol)
-    return h._cache[key]
+    return h._low_spectrum
 
 
-def _low_spectrum_uncached(h: FFHamiltonian, tol: float) -> tuple[int, np.ndarray, float | None]:
-    d = h.dim
-    if not h.graph.edges:
-        return d, np.eye(d), None
-    if d > max_dim():
-        raise ResourceError(
-            f"dimension {d} exceeds FFV_MAX_DIM={max_dim()}; shrink the instance")
-    k = 2
-    while True:
-        vals, vecs = linalg.lowest_eigenpairs(h.apply, d, k=min(k, d), tol=1e-12,
-                                              dtype=h.dtype)
-        if vals[0] >= tol:
-            raise NotFrustrationFree(
-                f"smallest eigenvalue {vals[0]:.3e} is above tolerance {tol}")
-        rank = int(np.sum(vals < tol))
-        if rank < len(vals):
-            return rank, vecs[:, :rank], float(vals[rank])
-        if k >= d:
-            return d, vecs, None
-        k *= 2
-
-
-def ground_space(h: FFHamiltonian, tol: float = GROUND_TOL) -> tuple[int, np.ndarray]:
+def ground_space(h: FFHamiltonian) -> tuple[int, np.ndarray]:
     """Rank and orthonormal basis (dim x rank) of the zero-energy eigenspace."""
-    rank, basis, _ = low_spectrum(h, tol)
+    rank, basis, _ = low_spectrum(h)
     return rank, basis
 
 
-def ground_projector(h: FFHamiltonian, tol: float = GROUND_TOL) -> tuple[FullOperator, int]:
+def ground_projector(h: FFHamiltonian) -> tuple[FullOperator, int]:
     """Projector onto the zero-energy eigenspace plus its rank."""
-    rank, basis = ground_space(h, tol)
-    if h.dim > max_dim():
-        raise ResourceError("dense ground projector exceeds the dimension cap")
+    rank, basis = ground_space(h)
     q0 = basis @ basis.conj().T
     return FullOperator(q0, h.node_order, h.node_dims), rank
 
 
-def spectral_gap_gamma(h: FFHamiltonian, tol: float = GROUND_TOL) -> float:
+def spectral_gap_gamma(h: FFHamiltonian) -> float:
     """Smallest eigenvalue of H above the ground cluster."""
-    if not h.graph.edges:
-        raise DegenerateSpectrum("H = 0 has no spectral gap")
-    _, _, gamma = low_spectrum(h, tol)
+    _, _, gamma = low_spectrum(h)
     if gamma is None:
-        raise DegenerateSpectrum("all eigenvalues sit in the ground cluster")
+        raise DegenerateSpectrum("no spectral gap: all eigenvalues sit in the ground cluster")
     return gamma
 
 
@@ -205,27 +214,6 @@ class CommutationStructure:
     noncommuting: dict[Edge, tuple[Edge, ...]]
 
 
-def _pair_data(h: FFHamiltonian) -> tuple[dict, dict]:
-    """Nonunit singular values and commutation flags for all adjacent pairs."""
-    if "pairs" in h._cache:
-        return h._cache["pairs"]
-    edges = h.graph.edges
-    pair_s: dict[frozenset, float] = {}
-    noncomm: dict[Edge, list[Edge]] = {e: [] for e in edges}
-    for e, f in itertools.combinations(edges, 2):
-        if not set(e) & set(f):
-            continue  # disjoint supports commute exactly
-        a, b = _pair_space(h, e, f)
-        if linalg.commutator_norm(a, b) > COMMUTE_TOL:
-            noncomm[e].append(f)
-            noncomm[f].append(e)
-        svals = linalg.singular_values(a @ b)
-        below = svals[svals < 1.0 - UNIT_SV_TOL]
-        pair_s[frozenset((e, f))] = float(below[0]) if len(below) else 0.0
-    h._cache["pairs"] = (pair_s, noncomm)
-    return pair_s, noncomm
-
-
 def commutation_structure(h: FFHamiltonian,
                           ordering: Sequence[Edge] | None = None) -> CommutationStructure:
     """Pairwise projector data on joint supports; no diagonalization of H.
@@ -241,7 +229,7 @@ def commutation_structure(h: FFHamiltonian,
     if sorted(ordering) != sorted(edges):
         raise InputError("ordering must be a permutation of the edge set")
 
-    pair_s, noncomm = _pair_data(h)
+    pair_s, noncomm = h._pair_data
     g = max((len(v) for v in noncomm.values()), default=0)
     s = 0.0
     for e, fs in noncomm.items():
@@ -267,28 +255,27 @@ def commutation_structure(h: FFHamiltonian,
 
 
 def spectral_profile(h: FFHamiltonian, ordering: Sequence[Edge] | None = None,
-                     tol: float = GROUND_TOL,
                      gamma: float | None = None) -> SpectralProfile:
     """Full scalar profile; gamma is diagonalized unless supplied by the caller."""
     structure = commutation_structure(h, ordering)
     if gamma is None:
-        gamma = spectral_gap_gamma(h, tol)
-    rank, _ = ground_space(h, tol)
+        gamma = spectral_gap_gamma(h)
+    rank, _ = ground_space(h)
     return SpectralProfile(gamma=float(gamma), ground_rank=rank, g=structure.g,
                            s=structure.s, g_tilde=structure.g_tilde,
                            zeta=structure.zeta, ordering=structure.ordering)
 
 
-def best_zeta_ordering(h: FFHamiltonian,
-                       exhaustive_limit: int = 7) -> tuple[tuple[Edge, ...], float]:
-    """Edge ordering minimizing zeta: exhaustive for small edge sets, greedy above."""
+def best_zeta_ordering(h: FFHamiltonian) -> tuple[tuple[Edge, ...], float]:
+    """Edge ordering minimizing zeta: exhaustive up to EXHAUSTIVE_ORDERING_EDGES
+    edges, greedy above."""
     structure = commutation_structure(h)
     edges = h.graph.edges
 
     def zeta_of(ordering):
         return commutation_structure(h, ordering).zeta
 
-    if len(edges) <= exhaustive_limit:
+    if len(edges) <= EXHAUSTIVE_ORDERING_EDGES:
         best = min(itertools.permutations(edges), key=zeta_of)
         return tuple(best), zeta_of(best)
     # greedy: place the edge with the most remaining noncommuting partners last

@@ -4,6 +4,10 @@ Dense operators serve as validation oracles and for dimensions up to
 DENSE_EIG_LIMIT; above it every spectral solve is matrix-free (apply plans
 plus Lanczos iteration).  Operators whose local matrices are real to REAL_TOL
 are applied and solved in real arithmetic, complex ones in complex.
+
+Every solve goes through `_eigsh`, which alone sets the solver policy
+(LANCZOS_TOL, a fixed start vector, ARPACK_MAX_RESTARTS, ARPACK failures as
+ResourceError); callers choose only the operator, k and the `dtype`.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .errors import InputError, ResourceError
-from .tolerances import ARPACK_MAX_RESTARTS, DENSE_EIG_LIMIT, HERMITIAN_TOL, REAL_TOL
+from .tolerances import (ARPACK_MAX_RESTARTS, DENSE_EIG_LIMIT, HERMITIAN_TOL,
+                         LANCZOS_TOL, REAL_TOL)
 
 NodeDims = Mapping[int, int]
 
@@ -235,15 +240,20 @@ def is_projector(matrix: np.ndarray, tol: float = 1e-10) -> bool:
 # ---------------------------------------------------------------------------
 # matrix-free spectral helpers
 
+def deflate(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """(1 - Q) vec for the projector Q onto the orthonormal columns of basis."""
+    return vec - basis @ (basis.conj().T @ vec)
+
+
 def _eigsh(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
-           which: str, tol: float, seed: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+           which: str, dtype) -> tuple[np.ndarray, np.ndarray]:
     """k eigenpairs at the `which` end ("SA" or "LA") of a Hermitian operator
     given by its action, eigenvalues ascending.
 
     Up to DENSE_EIG_LIMIT the operator is materialized column by column and
     diagonalized by LAPACK.  Above it ARPACK runs Lanczos in `dtype` (float64
     takes the symmetric dsaupd path) within ARPACK_MAX_RESTARTS restarts;
-    running out of them is a ResourceError.
+    running out of them, or any other ARPACK failure, is a ResourceError.
     """
     if dim <= DENSE_EIG_LIMIT:
         matrix = np.column_stack([matvec(col) for col in np.eye(dim, dtype=dtype)])
@@ -254,45 +264,44 @@ def _eigsh(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
         raise ResourceError(
             f"{k} eigenpairs of dimension {dim} saturate the iterative eigensolver")
     op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec, dtype=dtype)
-    v0 = np.random.default_rng(seed).standard_normal(dim)
+    v0 = np.random.default_rng(7).standard_normal(dim)  # fixed: reproducible solves
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
-            op, k=k, which=which, tol=tol, v0=v0, maxiter=ARPACK_MAX_RESTARTS)
+            op, k=k, which=which, tol=LANCZOS_TOL, v0=v0, maxiter=ARPACK_MAX_RESTARTS)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise ResourceError(
             f"Lanczos did not converge within {ARPACK_MAX_RESTARTS} restarts "
             f"(d={dim}, k={k}, {len(exc.eigenvalues)} of {k} converged)") from exc
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise ResourceError(f"Lanczos failed (d={dim}, k={k}): {exc}") from exc
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 
 
 def lowest_eigenpairs(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
-                      k: int, tol: float = 0.0, seed: int = 7,
-                      dtype=complex) -> tuple[np.ndarray, np.ndarray]:
+                      k: int, dtype=complex) -> tuple[np.ndarray, np.ndarray]:
     """k smallest eigenpairs of a Hermitian operator given by its action."""
-    return _eigsh(matvec, dim, k, "SA", tol, seed, dtype)
+    return _eigsh(matvec, dim, k, "SA", dtype)
 
 
 def largest_eigenpair(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
-                      tol: float = 0.0, seed: int = 7,
                       dtype=complex) -> tuple[float, np.ndarray]:
-    vals, vecs = _eigsh(matvec, dim, 1, "LA", tol, seed, dtype)
+    vals, vecs = _eigsh(matvec, dim, 1, "LA", dtype)
     return float(vals[0]), vecs[:, 0]
 
 
 def largest_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
-                       tol: float = 0.0, seed: int = 7, dtype=complex) -> float:
+                       dtype=complex) -> float:
     """Largest eigenvalue of a Hermitian operator given by its action."""
-    return largest_eigenpair(matvec, dim, tol, seed, dtype)[0]
+    return largest_eigenpair(matvec, dim, dtype)[0]
 
 
 def product_operator_norm(apply_m: Callable[[np.ndarray], np.ndarray],
                           apply_m_adjoint: Callable[[np.ndarray], np.ndarray],
-                          dim: int, tol: float = 0.0, seed: int = 7,
-                          dtype=complex) -> float:
+                          dim: int, dtype=complex) -> float:
     """Operator norm of M given the actions of M and M^dagger (via M^dagger M)."""
     def gram(v):
         return apply_m_adjoint(apply_m(v))
 
-    top = largest_eigenvalue(gram, dim, tol=tol, seed=seed, dtype=dtype)
+    top = largest_eigenvalue(gram, dim, dtype=dtype)
     return math.sqrt(max(top, 0.0))

@@ -17,11 +17,11 @@ import numpy as np
 from . import linalg
 from .aklt import BondOperator, DirectionDistribution, bond, bond_operator, \
     isotropic_bond_operator
-from .errors import InputError, ResourceError
+from .errors import InputError
 from .graph import Edge, MatchingCover, max_degree, Hypergraph
 from .hamiltonian import FFHamiltonian, ground_space, spectral_profile
 from .linalg import ApplyPlan, FullOperator, LocalOperator
-from .tolerances import GROUND_TOL, max_dim
+from .tolerances import BOUND_CHECK_TOL, check_dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +79,21 @@ class Protocol:
             out += p * self.apply_test(m, vec)
         return out
 
+    @cached_property
+    def _top_excited(self) -> tuple[float, np.ndarray]:
+        """One solve of (1 - Q0) Omega (1 - Q0) for its largest eigenpair, in
+        real arithmetic when Omega and the ground basis are real."""
+        h = self.hamiltonian
+        _, basis = ground_space(h)  # refuses dimensions above FFV_MAX_DIM
+
+        def deflated(v):
+            return linalg.deflate(basis, self.apply_omega(linalg.deflate(basis, v)))
+
+        lam, vec = linalg.largest_eigenpair(
+            deflated, h.dim, dtype=np.result_type(self.dtype, basis.dtype))
+        vec = linalg.deflate(basis, vec)
+        return lam, vec / np.linalg.norm(vec)
+
 
 def test_operator(protocol: Protocol, matching: Sequence[Edge]) -> FullOperator:
     """Dense product of the embedded bond operators of one matching.
@@ -97,8 +112,7 @@ def test_operator(protocol: Protocol, matching: Sequence[Edge]) -> FullOperator:
             raise InputError("edges do not form a matching")
         claimed.update(e)
     d = h.dim
-    if d > max_dim():
-        raise ResourceError(f"dense test operator of dimension {d} exceeds the cap")
+    check_dim(d, "dense test operator")
     out = np.eye(d, dtype=complex)
     for e in edges:
         local = LocalOperator(protocol.bond_ops[e].matrix, e,
@@ -111,8 +125,7 @@ def verification_operator(protocol: Protocol) -> FullOperator:
     """Dense probability-weighted average of the test operators."""
     h = protocol.hamiltonian
     d = h.dim
-    if d > max_dim():
-        raise ResourceError(f"dense verification operator of dimension {d} exceeds the cap")
+    check_dim(d, "dense verification operator")
     out = np.zeros((d, d), dtype=complex)
     for m, p in zip(protocol.cover.matchings, protocol.cover.probabilities):
         out += p * test_operator(protocol, m).matrix
@@ -132,26 +145,17 @@ def spectral_gap_nu(omega: np.ndarray | FullOperator, q0: np.ndarray | FullOpera
     return 1.0 - linalg.operator_norm(comp @ om @ comp)
 
 
-def deflated_omega(protocol: Protocol, basis: np.ndarray):
-    """(1 - Q0) Omega (1 - Q0) as a matvec for the ground basis `basis`, and
-    the dtype it is solved in (real when Omega and the basis are)."""
-    adjoint = basis.conj().T
-
-    def apply(v):
-        v = v - basis @ (adjoint @ v)
-        v = protocol.apply_omega(v)
-        return v - basis @ (adjoint @ v)
-
-    return apply, np.result_type(protocol.dtype, basis.dtype)
+def top_excited_pair(protocol: Protocol) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of (1 - Q0) Omega (1 - Q0) and its unit eigenvector
+    orthogonal to the ground space, from one cached solve per protocol."""
+    return protocol._top_excited
 
 
-def measured_gap(protocol: Protocol, tol: float = GROUND_TOL) -> float:
+def measured_gap(protocol: Protocol) -> float:
     """Exact spectral gap 1 - ||(1 - Q0) Omega (1 - Q0)|| of the protocol's
-    verification operator, by one solve of the deflated operator."""
-    h = protocol.hamiltonian
-    _, basis = ground_space(h, tol)  # refuses dimensions above FFV_MAX_DIM
-    apply, dtype = deflated_omega(protocol, basis)
-    return 1.0 - linalg.largest_eigenvalue(apply, h.dim, tol=1e-12, dtype=dtype)
+    verification operator."""
+    lam, _ = top_excited_pair(protocol)
+    return 1.0 - lam
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +251,10 @@ class GapReport:
 
     @property
     def passed(self) -> bool:
-        tol = 1e-9
         ok = True
         for bound in (self.thm1_strong, self.thm1_weak, self.thm2):
             if bound is not None:
-                ok = ok and self.nu_measured >= bound - tol
+                ok = ok and self.nu_measured >= bound - BOUND_CHECK_TOL
         return ok
 
     def to_dict(self) -> dict:
@@ -264,16 +267,15 @@ class GapReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def gap_report(protocol: Protocol, gamma: float | None = None,
-               profile=None, tol: float = GROUND_TOL) -> GapReport:
+def gap_report(protocol: Protocol, profile=None) -> GapReport:
     """Measure the protocol gap and evaluate the applicable bounds."""
     h = protocol.hamiltonian
     if profile is None:
-        profile = spectral_profile(h, tol=tol, gamma=gamma)
+        profile = spectral_profile(h)
     gamma = profile.gamma
     nu_e = protocol.nu_e
     m = len(protocol.cover)
-    nu = measured_gap(protocol, tol)
+    nu = measured_gap(protocol)
     if m >= 2:
         strong, weak = matching_gap_bounds(m, nu_e, gamma, profile.s, profile.g)
     else:

@@ -16,11 +16,11 @@ import numpy as np
 
 from . import linalg
 from .aklt import bond_test_projector
-from .errors import InputError, ResourceError
+from .errors import InputError
 from .graph import Edge
 from .hamiltonian import ground_space
-from .protocol import Protocol, deflated_omega
-from .tolerances import GROUND_TOL, max_dim
+from .protocol import Protocol, top_excited_pair
+from .tolerances import check_dim
 
 NOISE_MODES = ("worst_case", "depolarizing", "coherent_rotation")
 
@@ -55,8 +55,7 @@ class PreparedState:
     def matrix(self) -> np.ndarray:
         if self.dense is not None:
             return self.dense
-        if self.dim > max_dim():
-            raise ResourceError("dense state exceeds the dimension cap")
+        check_dim(self.dim, "dense state")
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for w, v in self.ensemble:
             out += w * np.outer(v, v.conj())
@@ -81,8 +80,7 @@ def _ground_density(basis: np.ndarray) -> tuple[tuple[float, np.ndarray], ...]:
     return tuple((1.0 / rank, np.ascontiguousarray(basis[:, i])) for i in range(rank))
 
 
-def prepare_state(protocol: Protocol, spec: NoiseSpec,
-                  tol: float = GROUND_TOL) -> PreparedState:
+def prepare_state(protocol: Protocol, spec: NoiseSpec) -> PreparedState:
     """Prepare a state with target-subspace weight 1 - epsilon.
 
     worst_case mixes the ground state with the top excited eigenvector of the
@@ -92,19 +90,18 @@ def prepare_state(protocol: Protocol, spec: NoiseSpec,
     """
     h = protocol.hamiltonian
     d = h.dim
-    _, basis = ground_space(h, tol)
+    _, basis = ground_space(h)
     eps = spec.epsilon
     if eps == 0:
         return PreparedState(d, _ground_density(basis), None)
 
     if spec.mode == "worst_case":
-        phi = _top_excited_eigenvector(protocol, basis)
+        _, phi = top_excited_pair(protocol)
         parts = tuple((w * (1.0 - eps), v) for w, v in _ground_density(basis))
         return PreparedState(d, parts + ((eps, phi),), None)
 
     if spec.mode == "depolarizing":
-        if d > max_dim():
-            raise ResourceError("dense depolarized state exceeds the dimension cap")
+        check_dim(d, "dense depolarized state")
         rank = basis.shape[1]
         # solve (1-w) + w * rank/d = 1 - eps for the mixing weight
         w = eps * d / (d - rank)
@@ -124,14 +121,6 @@ def prepare_state(protocol: Protocol, spec: NoiseSpec,
     theta = _solve_rotation_angle(infidelity, eps)
     v = _apply_rotation(h, generator, theta, psi)
     return PreparedState(d, ((1.0, v),), None)
-
-
-def _top_excited_eigenvector(protocol: Protocol, basis: np.ndarray) -> np.ndarray:
-    apply, dtype = deflated_omega(protocol, basis)
-    _, vec = linalg.largest_eigenpair(apply, protocol.hamiltonian.dim, tol=1e-12,
-                                      dtype=dtype)
-    vec = vec - basis @ (basis.conj().T @ vec)
-    return vec / np.linalg.norm(vec)
 
 
 def _first_node_generator(h) -> np.ndarray:

@@ -6,6 +6,8 @@ thresholds, collected here so every module classifies the same way.
 
 import os
 
+from .errors import InputError, ResourceError
+
 # Hermiticity / projector validation
 HERMITIAN_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
@@ -41,6 +43,15 @@ DENSE_EIG_LIMIT = 64
 # implicit restarts one ARPACK Lanczos solve may take before it gives up
 ARPACK_MAX_RESTARTS = 300
 
+# relative accuracy every Lanczos solve asks ARPACK for
+LANCZOS_TOL = 1e-12
+
+# slack of the bound checks (protocol gap, detectability-lemma chain)
+BOUND_CHECK_TOL = 1e-9
+
+# slack of the two-projector and union-gap inequalities
+PROJECTOR_INEQ_TOL = 1e-10
+
 
 def max_dim() -> int:
     """Hard cap on Hilbert-space dimension, overridable via FFV_MAX_DIM."""
@@ -50,7 +61,15 @@ def max_dim() -> int:
     try:
         parsed = int(value)
     except ValueError:
-        raise ValueError(f"FFV_MAX_DIM must be an integer, got {value!r}")
+        raise InputError(f"FFV_MAX_DIM must be an integer, got {value!r}") from None
     if parsed <= 0:
-        raise ValueError("FFV_MAX_DIM must be positive")
+        raise InputError(f"FFV_MAX_DIM must be positive, got {value!r}")
     return parsed
+
+
+def check_dim(d: int, what: str) -> None:
+    """Refuse `what` (e.g. "dense Hamiltonian") of dimension d above the cap."""
+    cap = max_dim()
+    if d > cap:
+        raise ResourceError(f"{what} of dimension {d} exceeds FFV_MAX_DIM={cap}; "
+                            "use a smaller instance or raise the cap")

@@ -67,6 +67,13 @@ class TestGap:
         assert code == 3
         assert "FFV_MAX_DIM" in err
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_malformed_cap(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("FFV_MAX_DIM", value)
+        code, _, err = run_cli(capsys, "gap", "--chain", "4", "--closed")
+        assert code == 2
+        assert "FFV_MAX_DIM" in err
+
     def test_custom_design_file(self, capsys, tmp_path):
         from ffverify import aklt
         path = tmp_path / "mu.json"

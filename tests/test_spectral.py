@@ -8,8 +8,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from ffverify import aklt, cli, detectability, graph as G, hamiltonian as ham, linalg
-from ffverify import protocol as proto
-from ffverify.errors import ResourceError
+from ffverify import protocol as proto, simulate as sim
+from ffverify.errors import DegenerateSpectrum, ResourceError
 from ffverify.linalg import LocalOperator
 from ffverify.tolerances import DENSE_EIG_LIMIT, GROUND_TOL
 
@@ -185,6 +185,26 @@ class TestOneSolve:
         assert rank == 1 and gamma > 0
         assert calls == [2]
 
+    def test_worst_case_state_then_nu_is_one_omega_call(self, icosahedron, monkeypatch):
+        h = aklt.aklt_hamiltonian(G.chain(5, closed=True))
+        protocol = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
+        assert h.dim == 243
+        ham.ground_space(h)  # the H solve
+        calls = []
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("k"))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+        state = sim.prepare_state(protocol, sim.NoiseSpec("worst_case", 0.1))
+        nu = proto.measured_gap(protocol)
+        assert calls == [1]
+        lam, phi = proto.top_excited_pair(protocol)
+        assert nu == 1.0 - lam
+        assert state.ensemble[-1][1] is phi
+
 
 class TestRestartBudget:
     def test_exhausted_budget_is_resource_error(self, monkeypatch):
@@ -199,3 +219,64 @@ class TestRestartBudget:
         err = capsys.readouterr().err
         assert code == 3
         assert "did not converge" in err
+
+
+class TestZeroHamiltonian:
+    """Every projector zero: H = 0 is refused as degenerate on both sides of
+    the dense floor, like an edgeless H, without a solve."""
+
+    @pytest.mark.parametrize("n, ground_rank", [(5, 1), (3, 3)], ids=["d243", "d27"])
+    def test_degenerate_spectrum(self, n, ground_rank):
+        h = ham.random_ff_instance(0, nodes=range(n), dims=[3] * n,
+                                   edges=tuple((i, i + 1) for i in range(n - 1)),
+                                   ground_rank=ground_rank)
+        assert not any(op.matrix.any() for op in h.projectors.values())
+        with pytest.raises(DegenerateSpectrum):
+            detectability.dl_norm_check(h)
+        rank, basis = ham.ground_space(h)
+        assert rank == h.dim and basis.shape == (h.dim, h.dim)
+
+    def test_arpack_error_is_resource_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackError(-9)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+        with pytest.raises(ResourceError, match=r"d=100, k=2"):
+            linalg.lowest_eigenpairs(lambda v: v, 100, 2, dtype=float)
+
+
+class TestDimensionCap:
+    """Under a lowered cap every dense entry point refuses with a message
+    naming FFV_MAX_DIM.  Solves the entry point does not itself own run
+    first, under the default cap, so each case reaches its own check."""
+
+    ENTRY_POINTS = {
+        "dense": lambda p, state: p.hamiltonian.dense(),
+        "ground_space": lambda p, state: ham.ground_space(
+            aklt.aklt_hamiltonian(G.chain(4, closed=True))),
+        "test_operator": lambda p, state: proto.test_operator(p, p.cover.matchings[0]),
+        "verification_operator": lambda p, state: proto.verification_operator(p),
+        "depolarizing_state": lambda p, state: sim.prepare_state(
+            p, sim.NoiseSpec("depolarizing", 0.1)),
+        "state_matrix": lambda p, state: state.matrix,
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_refused_naming_the_cap(self, entry, icosahedron, monkeypatch):
+        h = aklt.aklt_hamiltonian(G.chain(4, closed=True))
+        protocol = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
+        state = sim.prepare_state(protocol, sim.NoiseSpec("worst_case", 0.1))
+        monkeypatch.setenv("FFV_MAX_DIM", "50")
+        with pytest.raises(ResourceError, match="FFV_MAX_DIM=50"):
+            self.ENTRY_POINTS[entry](protocol, state)
+
+    def test_edgeless_refused_before_allocation(self, monkeypatch):
+        h = ham.FFHamiltonian(G.Hypergraph(tuple(range(6)), ()), {}, {v: 2 for v in range(6)})
+        monkeypatch.setenv("FFV_MAX_DIM", "50")
+
+        def no_eye(*args, **kwargs):
+            raise AssertionError("allocated before the cap check")
+
+        monkeypatch.setattr(np, "eye", no_eye)
+        with pytest.raises(ResourceError, match="dimension 64 exceeds FFV_MAX_DIM=50"):
+            ham.ground_space(h)
