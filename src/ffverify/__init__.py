@@ -11,7 +11,7 @@ from .graph import (Hypergraph, MatchingCover, chain, chromatic_index_bounds,
                     complete_graph, degree, disjointify, edge_coloring,
                     honeycomb_lattice, is_matching, max_degree, square_lattice,
                     trivial_cover)
-from .linalg import (FullOperator, LocalOperator, eigh, embed, operator_norm,
+from .linalg import (LocalOperator, eigh, embed, operator_norm,
                      second_largest_eigenvalue, singular_values)
 from .hamiltonian import (FFHamiltonian, SpectralProfile, best_zeta_ordering,
                           commutation_structure, ground_projector, ground_space,

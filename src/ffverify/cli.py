@@ -57,23 +57,27 @@ def _load_design(name: str | None) -> aklt.DirectionDistribution | None:
     return aklt.DirectionDistribution.from_file(name)
 
 
-def _design_order(mu) -> int | None:
-    """Effective (symmetrized) design order, which governs homogeneity."""
-    if mu is None:
-        return None
-    return aklt.design_order(mu)
+def _build_protocol(args, h: ham.FFHamiltonian, mu) -> proto.Protocol:
+    """The protocol the --coloring and --p flags pick, with bond operators from mu."""
+    g = h.graph
+    cover = graphs.trivial_cover(g) if args.coloring == "trivial" else graphs.edge_coloring(g)
+    if args.p == "proportional":
+        cover = cover.with_proportional_probabilities()
+    return proto.build_protocol(h, cover, mu)
 
 
-def _emit(args, rows: list[dict]) -> None:
-    if args.format == "csv":
-        text = proto.report_rows_to_csv(rows)
-    else:
-        text = proto.report_rows_to_json(rows)
+def _write(args, text: str) -> None:
+    """Write text to --out as it is, or to stdout ending in one newline."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _emit(args, rows: list[dict]) -> None:
+    to_text = proto.report_rows_to_csv if args.format == "csv" else proto.report_rows_to_json
+    _write(args, to_text(rows))
 
 
 def _check_dim(h: ham.FFHamiltonian) -> None:
@@ -85,7 +89,8 @@ def cmd_gap(args) -> int:
     h = aklt.aklt_hamiltonian(g)
     _check_dim(h)
     mu = _load_design(args.design)
-    order = _design_order(mu)
+    # the effective (symmetrized) design order governs homogeneity
+    order = None if mu is None else aklt.design_order(mu)
     spins = {aklt.bond(h, e).twice_se for e in g.edges}
     twice_se_max = max(spins)
     if order is not None and twice_se_max > order:
@@ -97,10 +102,7 @@ def cmd_gap(args) -> int:
         print(f"note: bond total spins vary across edges ({listed}); "
               "nu_E is the minimum bond gap", file=sys.stderr)
 
-    cover = graphs.trivial_cover(g) if args.coloring == "trivial" else graphs.edge_coloring(g)
-    if args.p == "proportional":
-        cover = cover.with_proportional_probabilities()
-    protocol = proto.build_protocol(h, cover, mu)
+    protocol = _build_protocol(args, h, mu)
     ordering = None
     if args.optimize_ordering:
         ordering, _ = ham.best_zeta_ordering(h)
@@ -108,9 +110,9 @@ def cmd_gap(args) -> int:
     report = proto.gap_report(protocol, profile=profile)
     row = report.to_dict()
     row["N"] = proto.sample_count(report.nu_measured, args.epsilon, args.delta)
-    if len(cover) >= 2:
+    if len(protocol.cover) >= 2:
         n_strong, n_weak = proto.sample_count_from_bounds(
-            len(cover), protocol.nu_e, args.epsilon, args.delta, profile.gamma,
+            len(protocol.cover), protocol.nu_e, args.epsilon, args.delta, profile.gamma,
             profile.s, profile.g)
         row["N_strong"], row["N_weak"] = n_strong, n_weak
     _emit(args, [row])
@@ -159,12 +161,7 @@ def cmd_compare(args) -> int:
         w.writerow(["n", "coloring_N", "HKSE_N", "BHSRE_N"])
         for r in rows:
             w.writerow([r["n"], r["coloring_N"], f"{r['HKSE_N']:.6e}", f"{r['BHSRE_N']:.6e}"])
-        text = buf.getvalue()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, buf.getvalue())
     else:
         _emit(args, rows)
     return 0
@@ -220,14 +217,9 @@ def cmd_check_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    g = _build_graph(args)
-    h = aklt.aklt_hamiltonian(g)
+    h = aklt.aklt_hamiltonian(_build_graph(args))
     _check_dim(h)
-    mu = _load_design(args.design)
-    cover = graphs.trivial_cover(g) if args.coloring == "trivial" else graphs.edge_coloring(g)
-    if args.p == "proportional":
-        cover = cover.with_proportional_probabilities()
-    protocol = proto.build_protocol(h, cover, mu)
+    protocol = _build_protocol(args, h, _load_design(args.design))
     spec = sims.NoiseSpec(args.noise, args.noise_epsilon)
     state = sims.prepare_state(protocol, spec)
 
@@ -251,11 +243,7 @@ def cmd_simulate(args) -> int:
             "per_run": json.loads(sims.runs_to_json(runs))["runs"],
         }
         text = json.dumps(out, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text)
+    _write(args, text)
     return 0
 
 

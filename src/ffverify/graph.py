@@ -110,10 +110,11 @@ def is_matching(g: Hypergraph, m: Iterable[Edge]) -> bool:
     for e in edges:
         if e not in known:
             raise InputError(f"{e} is not an edge of the graph")
-    return all(not (set(a) & set(b)) for a, b in combinations(edges, 2))
+    return _is_matching_standalone(edges)
 
 
 def _is_matching_standalone(edges: Sequence[Edge]) -> bool:
+    """True iff the edges are pairwise vertex-disjoint."""
     return all(not (set(a) & set(b)) for a, b in combinations(edges, 2))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import DegenerateSpectrum, InputError, NotFrustrationFree
 from .graph import Edge, Hypergraph
-from .linalg import ApplyPlan, FullOperator, LocalOperator
+from .linalg import ApplyPlan, LocalOperator
 from .tolerances import COMMUTE_TOL, GROUND_TOL, PROJECTOR_TOL, UNIT_SV_TOL, check_dim
 
 # best_zeta_ordering tries every permutation up to this many edges
@@ -88,7 +88,7 @@ class FFHamiltonian:
             out += plan(vec)
         return out
 
-    def embedded(self, e: Edge) -> FullOperator:
+    def embedded(self, e: Edge) -> np.ndarray:
         return linalg.embed(self.projectors[e], self.node_order, self.node_dims)
 
     def dense(self) -> np.ndarray:
@@ -97,7 +97,7 @@ class FFHamiltonian:
         check_dim(d, "dense Hamiltonian")
         out = np.zeros((d, d), dtype=complex)
         for e in self.graph.edges:
-            out += self.embedded(e).matrix
+            out += self.embedded(e)
         return out
 
     @cached_property
@@ -177,11 +177,10 @@ def ground_space(h: FFHamiltonian) -> tuple[int, np.ndarray]:
     return rank, basis
 
 
-def ground_projector(h: FFHamiltonian) -> tuple[FullOperator, int]:
-    """Projector onto the zero-energy eigenspace plus its rank."""
+def ground_projector(h: FFHamiltonian) -> tuple[np.ndarray, int]:
+    """Dense projector onto the zero-energy eigenspace plus its rank."""
     rank, basis = ground_space(h)
-    q0 = basis @ basis.conj().T
-    return FullOperator(q0, h.node_order, h.node_dims), rank
+    return basis @ basis.conj().T, rank
 
 
 def spectral_gap_gamma(h: FFHamiltonian) -> float:
@@ -196,9 +195,8 @@ def _pair_space(h: FFHamiltonian, e: Edge, f: Edge) -> tuple[np.ndarray, np.ndar
     """Both projectors embedded in the joint support space (small and dense)."""
     nodes = tuple(sorted(set(e) | set(f)))
     dims = {v: h.node_dims[v] for v in nodes}
-    a = linalg.embed(h.projectors[e], nodes, dims).matrix
-    b = linalg.embed(h.projectors[f], nodes, dims).matrix
-    return a, b
+    return (linalg.embed(h.projectors[e], nodes, dims),
+            linalg.embed(h.projectors[f], nodes, dims))
 
 
 @dataclass(frozen=True, eq=False)

@@ -71,32 +71,6 @@ class LocalOperator:
 
 
 @dataclass(frozen=True, eq=False)
-class FullOperator:
-    """Operator over the full ordered node list."""
-
-    matrix: np.ndarray
-    node_order: tuple[int, ...]
-    node_dims: dict[int, int]
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=complex)
-        order = tuple(int(v) for v in self.node_order)
-        dims = {int(k): int(v) for k, v in self.node_dims.items()}
-        expected = _dims_product([dims[v] for v in order])
-        if matrix.ndim != 2 or matrix.shape != (expected, expected):
-            raise InputError(
-                f"matrix shape {matrix.shape} does not match total dimension {expected}")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "node_order", order)
-        object.__setattr__(self, "node_dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class ApplyPlan:
     """Precompiled application of a local operator to full-space vectors."""
 
@@ -155,8 +129,9 @@ def make_plan(matrix: np.ndarray, support: Sequence[int],
 
 
 def embed(op: LocalOperator, node_order: Sequence[int],
-          node_dims: NodeDims | None = None) -> FullOperator:
-    """Tensor the operator with the identity on the remaining nodes.
+          node_dims: NodeDims | None = None) -> np.ndarray:
+    """Dense matrix of the operator tensored with the identity on the remaining
+    nodes, by kron: the independent oracle for `make_plan`.
 
     The result's tensor factors follow node_order.  Extra node dimensions not
     stored on the operator are taken from node_dims.
@@ -187,8 +162,7 @@ def embed(op: LocalOperator, node_order: Sequence[int],
     n = len(order)
     tensor = tensor.transpose(tuple(perm) + tuple(n + i for i in perm))
     total = _dims_product([dims[v] for v in order])
-    return FullOperator(tensor.reshape(total, total), order,
-                        {v: dims[v] for v in order})
+    return tensor.reshape(total, total)
 
 
 def eigh(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:

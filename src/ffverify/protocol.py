@@ -18,9 +18,9 @@ from . import linalg
 from .aklt import BondOperator, DirectionDistribution, bond, bond_operator, \
     isotropic_bond_operator
 from .errors import InputError
-from .graph import Edge, MatchingCover, max_degree, Hypergraph
+from .graph import Edge, MatchingCover, max_degree, Hypergraph, is_matching
 from .hamiltonian import FFHamiltonian, ground_space, spectral_profile
-from .linalg import ApplyPlan, FullOperator, LocalOperator
+from .linalg import ApplyPlan, LocalOperator
 from .tolerances import BOUND_CHECK_TOL, check_dim
 
 
@@ -95,7 +95,7 @@ class Protocol:
         return lam, vec / np.linalg.norm(vec)
 
 
-def test_operator(protocol: Protocol, matching: Sequence[Edge]) -> FullOperator:
+def test_operator(protocol: Protocol, matching: Sequence[Edge]) -> np.ndarray:
     """Dense product of the embedded bond operators of one matching.
 
     The supports are pairwise disjoint, so the factors commute and the order
@@ -103,39 +103,33 @@ def test_operator(protocol: Protocol, matching: Sequence[Edge]) -> FullOperator:
     """
     h = protocol.hamiltonian
     edges = [tuple(sorted(e)) for e in matching]
-    for e in edges:
-        if e not in set(h.graph.edges):
-            raise InputError(f"{e} is not an edge of the Hamiltonian")
-    claimed = set()
-    for e in edges:
-        if claimed & set(e):
-            raise InputError("edges do not form a matching")
-        claimed.update(e)
+    if not is_matching(h.graph, edges):  # raises on a non-edge
+        raise InputError("edges do not form a matching")
     d = h.dim
     check_dim(d, "dense test operator")
     out = np.eye(d, dtype=complex)
     for e in edges:
         local = LocalOperator(protocol.bond_ops[e].matrix, e,
                               {v: h.node_dims[v] for v in e})
-        out = linalg.embed(local, h.node_order, h.node_dims).matrix @ out
-    return FullOperator(out, h.node_order, h.node_dims)
+        out = linalg.embed(local, h.node_order, h.node_dims) @ out
+    return out
 
 
-def verification_operator(protocol: Protocol) -> FullOperator:
+def verification_operator(protocol: Protocol) -> np.ndarray:
     """Dense probability-weighted average of the test operators."""
     h = protocol.hamiltonian
     d = h.dim
     check_dim(d, "dense verification operator")
     out = np.zeros((d, d), dtype=complex)
     for m, p in zip(protocol.cover.matchings, protocol.cover.probabilities):
-        out += p * test_operator(protocol, m).matrix
-    return FullOperator(out, h.node_order, h.node_dims)
+        out += p * test_operator(protocol, m)
+    return out
 
 
-def spectral_gap_nu(omega: np.ndarray | FullOperator, q0: np.ndarray | FullOperator) -> float:
+def spectral_gap_nu(omega: np.ndarray, q0: np.ndarray) -> float:
     """nu = 1 - ||(1 - Q0) Omega (1 - Q0)|| for a dense verification operator."""
-    om = omega.matrix if isinstance(omega, FullOperator) else np.asarray(omega, dtype=complex)
-    q = q0.matrix if isinstance(q0, FullOperator) else np.asarray(q0, dtype=complex)
+    om = np.asarray(omega, dtype=complex)
+    q = np.asarray(q0, dtype=complex)
     if om.shape != q.shape:
         raise InputError("operator and projector dimensions differ")
     defect = linalg.operator_norm(om @ q - q)

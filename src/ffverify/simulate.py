@@ -1,9 +1,10 @@
 """Statistical simulation of the verification procedure.
 
-States are carried as low-rank ensembles when possible so single tests cost
-a handful of small tensor contractions.  Each test draws a matching, then one
-direction per bond; the test passes iff every bond test passes, and the joint
-pass probability is evaluated exactly before a single Bernoulli draw.
+States are carried as pure-state ensembles plus a weight on I/d, so single
+tests cost a handful of small tensor contractions and never a d x d matrix.
+Each test draws a matching, then one direction per bond; the test passes iff
+every bond test passes, and the joint pass probability is evaluated exactly
+before a single Bernoulli draw.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 from . import linalg
 from .aklt import bond_test_projector
 from .errors import InputError
-from .graph import Edge
 from .hamiltonian import ground_space
 from .protocol import Protocol, top_excited_pair
 from .tolerances import check_dim
@@ -41,37 +41,29 @@ class NoiseSpec:
 
 @dataclass(frozen=True, eq=False)
 class PreparedState:
-    """Density operator, optionally carried as a pure-state ensemble."""
+    """Density operator sum_i w_i |v_i><v_i| + white * I/dim: a pure-state
+    ensemble plus a weight on the maximally mixed state, so no production
+    path needs a dim x dim matrix."""
 
     dim: int
-    ensemble: tuple[tuple[float, np.ndarray], ...] | None
-    dense: np.ndarray | None
-
-    def __post_init__(self):
-        if self.ensemble is None and self.dense is None:
-            raise InputError("state needs an ensemble or a dense matrix")
+    ensemble: tuple[tuple[float, np.ndarray], ...]
+    white: float = 0.0
 
     @property
     def matrix(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense
+        """Dense density matrix, a test oracle; refuses above the cap."""
         check_dim(self.dim, "dense state")
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out = np.eye(self.dim, dtype=complex) * (self.white / self.dim)
         for w, v in self.ensemble:
             out += w * np.outer(v, v.conj())
         return out
 
-    def expectation(self, apply_op) -> float:
-        """tr(A sigma) for an operator given by its action on vectors."""
-        if self.ensemble is not None:
-            total = 0.0
-            for w, v in self.ensemble:
-                total += w * float(np.real(np.vdot(v, apply_op(v))))
-            return total
-        mat = self.matrix
-        total = 0.0
-        for i in range(self.dim):
-            total += float(np.real(apply_op(mat[:, i])[i]))
+    def expectation(self, apply_op, normalized_trace: float) -> float:
+        """tr(A sigma) for an operator given by its action on vectors and its
+        normalized trace tr(A)/dim, which the white-noise part contributes."""
+        total = self.white * normalized_trace
+        for w, v in self.ensemble:
+            total += w * float(np.real(np.vdot(v, apply_op(v))))
         return total
 
 
@@ -93,22 +85,21 @@ def prepare_state(protocol: Protocol, spec: NoiseSpec) -> PreparedState:
     _, basis = ground_space(h)
     eps = spec.epsilon
     if eps == 0:
-        return PreparedState(d, _ground_density(basis), None)
+        return PreparedState(d, _ground_density(basis))
 
     if spec.mode == "worst_case":
         _, phi = top_excited_pair(protocol)
         parts = tuple((w * (1.0 - eps), v) for w, v in _ground_density(basis))
-        return PreparedState(d, parts + ((eps, phi),), None)
+        return PreparedState(d, parts + ((eps, phi),))
 
     if spec.mode == "depolarizing":
-        check_dim(d, "dense depolarized state")
         rank = basis.shape[1]
         # solve (1-w) + w * rank/d = 1 - eps for the mixing weight
         w = eps * d / (d - rank)
         if not 0 <= w <= 1:
             raise InputError(f"infidelity {eps} unreachable by depolarizing noise")
-        rho = (1.0 - w) * (basis @ basis.conj().T) / rank + w * np.eye(d) / d
-        return PreparedState(d, None, rho)
+        parts = tuple((x * (1.0 - w), v) for x, v in _ground_density(basis))
+        return PreparedState(d, parts, white=w)
 
     # coherent_rotation: rotate the first node about x until the overlap drops
     psi = basis[:, 0]
@@ -120,7 +111,7 @@ def prepare_state(protocol: Protocol, spec: NoiseSpec) -> PreparedState:
 
     theta = _solve_rotation_angle(infidelity, eps)
     v = _apply_rotation(h, generator, theta, psi)
-    return PreparedState(d, ((1.0, v),), None)
+    return PreparedState(d, ((1.0, v),))
 
 
 def _first_node_generator(h) -> np.ndarray:
@@ -155,7 +146,15 @@ def acceptance_probability(protocol: Protocol, state: PreparedState) -> float:
     """Exact average pass probability tr(Omega sigma)."""
     if state.dim != protocol.hamiltonian.dim:
         raise InputError("state dimension does not match the protocol")
-    return state.expectation(protocol.apply_omega)
+    return state.expectation(protocol.apply_omega, _normalized_omega_trace(protocol))
+
+
+def _normalized_omega_trace(protocol: Protocol) -> float:
+    """tr(Omega)/d: each test's trace factorizes over its disjoint bonds, and
+    the nodes it leaves alone contribute a factor 1."""
+    ops = protocol.bond_ops
+    return sum(p * math.prod(ops[e].trace / ops[e].bond.dim for e in m)
+               for m, p in zip(protocol.cover.matchings, protocol.cover.probabilities))
 
 
 @dataclass(frozen=True)
@@ -184,7 +183,6 @@ class _TestSampler:
         self.state = state
         h = protocol.hamiltonian
         self.h = h
-        self._plan_cache: dict = {}
         self._prob_cache: dict = {}
         self.matchings = protocol.cover.matchings
         self.probabilities = np.asarray(protocol.cover.probabilities)
@@ -195,21 +193,9 @@ class _TestSampler:
             if op.distribution is not None:
                 self._cum_weights[e] = np.cumsum(op.distribution.weights)
 
-    def _test_plans(self, key, matching: Sequence[Edge], directions) -> list:
-        plans = self._plan_cache.get(key)
-        if plans is None:
-            h = self.h
-            plans = []
-            for e, r in zip(matching, directions):
-                b = self.protocol.bond_ops[e].bond
-                rmat = bond_test_projector(b, r)
-                plans.append(linalg.make_plan(rmat, e, h.node_order, h.node_dims))
-            if key is not None:
-                self._plan_cache[key] = plans
-        return plans
-
     def pass_probability(self, l: int, direction_indices=None, directions=None) -> float:
         matching = self.matchings[l]
+        key = None
         if direction_indices is not None:
             key = (l, tuple(direction_indices))
             cached = self._prob_cache.get(key)
@@ -217,16 +203,21 @@ class _TestSampler:
                 return cached
             directions = [self.protocol.bond_ops[e].distribution.points[i]
                           for e, i in zip(matching, direction_indices)]
-        else:
-            key = None
-        plans = self._test_plans(key, matching, directions)
+        h = self.h
+        plans = []
+        trace = 1.0  # tr(test)/d, a product over the disjoint bonds
+        for e, r in zip(matching, directions):
+            b = self.protocol.bond_ops[e].bond
+            rmat = bond_test_projector(b, r)
+            plans.append(linalg.make_plan(rmat, e, h.node_order, h.node_dims))
+            trace *= float(np.real(np.trace(rmat))) / b.dim
 
         def apply_all(v):
             for plan in plans:
                 v = plan(v)
             return v
 
-        q = self.state.expectation(apply_all)
+        q = self.state.expectation(apply_all, trace)
         q = min(max(q, 0.0), 1.0)
         if key is not None:
             self._prob_cache[key] = q
@@ -269,13 +260,12 @@ def _single_run(sampler: _TestSampler, rng: np.random.Generator, n_tests: int,
 
 
 def run_verification(protocol: Protocol, state: PreparedState, n_tests: int,
-                     seed: int, sampler: _TestSampler | None = None) -> RunResult:
+                     seed: int) -> RunResult:
     """One accept/reject run: N i.i.d. tests, accept iff all pass."""
     if n_tests < 1:
         raise InputError("need at least one test")
-    if sampler is None:
-        sampler = _TestSampler(protocol, state)
-    return _single_run(sampler, np.random.default_rng(seed), n_tests, seed)
+    return _single_run(_TestSampler(protocol, state), np.random.default_rng(seed),
+                       n_tests, seed)
 
 
 def run_many(protocol: Protocol, state: PreparedState, n_tests: int, runs: int,

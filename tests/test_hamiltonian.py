@@ -65,19 +65,19 @@ class TestGroundProjector:
         h = single_projector_hamiltonian()
         q0, rank = ham.ground_projector(h)
         assert rank == 1
-        assert np.allclose(q0.matrix, qubit_projector([1, 0]))
+        assert np.allclose(q0, qubit_projector([1, 0]))
 
     def test_annihilates_every_projector(self, chain4):
         q0, _ = ham.ground_projector(chain4)
         for e in chain4.graph.edges:
-            pe = chain4.embedded(e).matrix
-            assert linalg.operator_norm(pe @ q0.matrix) < 1e-9
+            pe = chain4.embedded(e)
+            assert linalg.operator_norm(pe @ q0) < 1e-9
 
     def test_commutes_with_every_projector(self, chain4):
         q0, _ = ham.ground_projector(chain4)
         for e in chain4.graph.edges:
-            pe = chain4.embedded(e).matrix
-            assert linalg.commutator_norm(pe, q0.matrix) < 1e-9
+            pe = chain4.embedded(e)
+            assert linalg.commutator_norm(pe, q0) < 1e-9
 
     def test_aklt_chain_unique_ground_state(self, chain4):
         _, rank = ham.ground_projector(chain4)
@@ -88,7 +88,7 @@ class TestGroundProjector:
         h = ham.FFHamiltonian(g, {}, {0: 2, 1: 2})
         q0, rank = ham.ground_projector(h)
         assert rank == 4
-        assert np.allclose(q0.matrix, np.eye(4))
+        assert np.allclose(q0, np.eye(4))
 
 
 class TestSpectralGap:

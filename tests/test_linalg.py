@@ -23,18 +23,18 @@ class TestEmbed:
     def test_identity_embeds_to_identity(self):
         op = linalg.LocalOperator(np.eye(2), (0,), {0: 2})
         full = linalg.embed(op, (0, 1, 2), {1: 3, 2: 2})
-        assert np.allclose(full.matrix, np.eye(12))
+        assert np.allclose(full, np.eye(12))
 
     def test_pauli_z_on_first_of_two_qubits(self):
         op = linalg.LocalOperator(PAULI_Z, (1,), {1: 2})
         full = linalg.embed(op, (1, 2), {2: 2})
-        assert np.allclose(full.matrix, np.kron(PAULI_Z, np.eye(2)))
+        assert np.allclose(full, np.kron(PAULI_Z, np.eye(2)))
 
     def test_disjoint_embeds_commute(self):
         rng = np.random.default_rng(0)
         dims = {0: 2, 1: 3, 2: 2}
-        a = linalg.embed(random_local(rng, (0,), dims), (0, 1, 2), dims).matrix
-        b = linalg.embed(random_local(rng, (2,), dims), (0, 1, 2), dims).matrix
+        a = linalg.embed(random_local(rng, (0,), dims), (0, 1, 2), dims)
+        b = linalg.embed(random_local(rng, (2,), dims), (0, 1, 2), dims)
         assert linalg.commutator_norm(a, b) < 1e-12
 
     def test_permuted_order_matches_kron_oracle(self):
@@ -42,10 +42,10 @@ class TestEmbed:
         dims = {0: 2, 1: 3}
         op = random_local(rng, (1,), dims)
         # order (1, 0): op acts on the first factor
-        left = linalg.embed(op, (1, 0), dims).matrix
+        left = linalg.embed(op, (1, 0), dims)
         assert np.allclose(left, np.kron(op.matrix, np.eye(2)))
         # order (0, 1): op acts on the second factor
-        right = linalg.embed(op, (0, 1), dims).matrix
+        right = linalg.embed(op, (0, 1), dims)
         assert np.allclose(right, np.kron(np.eye(2), op.matrix))
 
     def test_two_site_reversed_support(self):
@@ -54,7 +54,7 @@ class TestEmbed:
         mat = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         # support listed as (1, 0): first tensor factor of mat belongs to node 1
         op = linalg.LocalOperator(mat, (1, 0), dims)
-        full = linalg.embed(op, (0, 1), dims).matrix
+        full = linalg.embed(op, (0, 1), dims)
         swap = np.zeros((6, 6))
         for i in range(2):
             for j in range(3):
@@ -66,7 +66,7 @@ class TestEmbed:
         dims = {0: 3, 1: 2, 2: 2}
         herm = random_hermitian(rng, 3)
         op = linalg.LocalOperator(herm, (0,), dims)
-        full = linalg.embed(op, (0, 1, 2), dims).matrix
+        full = linalg.embed(op, (0, 1, 2), dims)
         small = np.sort(np.linalg.eigvalsh(herm))
         big = np.sort(np.linalg.eigvalsh(full))
         assert np.allclose(big, np.repeat(small, 4))
@@ -76,7 +76,7 @@ class TestEmbed:
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         psd = a @ a.conj().T
         op = linalg.LocalOperator(psd, (0, 1), {0: 2, 1: 2})
-        full = linalg.embed(op, (0, 1, 2), {2: 3}).matrix
+        full = linalg.embed(op, (0, 1, 2), {2: 3})
         assert linalg.hermiticity_defect(full) < 1e-12
         assert np.min(np.linalg.eigvalsh(full)) > -1e-12
 
@@ -98,7 +98,7 @@ class TestApplyPlan:
         dims = {0: 2, 1: 3, 2: 2}
         op = random_local(rng, support, dims)
         order = (0, 1, 2)
-        dense = linalg.embed(op, order, dims).matrix
+        dense = linalg.embed(op, order, dims)
         plan = linalg.make_plan(op.matrix, support, order, dims)
         for _ in range(3):
             v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
@@ -111,7 +111,7 @@ class TestApplyPlan:
         op = random_local(rng, support, dims)
         op = linalg.LocalOperator(op.matrix.real + 1e-15j, support, op.node_dims)
         order = (0, 1, 2)
-        dense = linalg.embed(op, order, dims).matrix
+        dense = linalg.embed(op, order, dims)
         plan = linalg.make_plan(op.matrix, support, order, dims)
         assert plan.matrix.dtype == np.float64
         v = rng.standard_normal(12)

@@ -18,13 +18,13 @@ class TestTestOperator:
         t = proto.test_operator(chain4_protocol, [e])
         local = linalg.LocalOperator(chain4_protocol.bond_ops[e].matrix, e,
                                      {0: 3, 1: 3})
-        expected = linalg.embed(local, chain4.node_order, chain4.node_dims).matrix
-        assert np.max(np.abs(t.matrix - expected)) < 1e-12
+        expected = linalg.embed(local, chain4.node_order, chain4.node_dims)
+        assert np.max(np.abs(t - expected)) < 1e-12
 
     def test_disjoint_pair_order_irrelevant(self, chain4_protocol):
         a = proto.test_operator(chain4_protocol, [(0, 1), (2, 3)])
         b = proto.test_operator(chain4_protocol, [(2, 3), (0, 1)])
-        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
+        assert np.max(np.abs(a - b)) < 1e-12
 
     def test_ground_state_passes(self, chain4, chain4_protocol):
         _, basis = ham.ground_space(chain4)
@@ -48,24 +48,24 @@ class TestVerificationOperator:
             (((0, 1), (2, 3)), ((1, 2), (0, 3))), (1.0, 0.0)),
             {e: aklt.bond_operator(aklt.bond(chain4, e), icosahedron)
              for e in chain4.graph.edges})
-        omega = proto.verification_operator(p).matrix
-        t = proto.test_operator(p, [(0, 1), (2, 3)]).matrix
+        omega = proto.verification_operator(p)
+        t = proto.test_operator(p, [(0, 1), (2, 3)])
         assert np.max(np.abs(omega - t)) < 1e-12
 
     def test_hermitian_and_contained_in_unit_interval(self, chain4_protocol):
-        omega = proto.verification_operator(chain4_protocol).matrix
+        omega = proto.verification_operator(chain4_protocol)
         assert linalg.hermiticity_defect(omega) < 1e-10
         vals, _ = linalg.eigh(omega)
         assert vals[0] > -1e-10 and vals[-1] < 1 + 1e-10
 
     def test_fixes_ground_space(self, chain4, chain4_protocol):
         q0, _ = ham.ground_projector(chain4)
-        omega = proto.verification_operator(chain4_protocol).matrix
-        assert linalg.operator_norm(omega @ q0.matrix - q0.matrix) < 1e-9
+        omega = proto.verification_operator(chain4_protocol)
+        assert linalg.operator_norm(omega @ q0 - q0) < 1e-9
 
     def test_apply_matches_dense(self, chain4, chain4_protocol):
         rng = np.random.default_rng(0)
-        omega = proto.verification_operator(chain4_protocol).matrix
+        omega = proto.verification_operator(chain4_protocol)
         v = rng.standard_normal(81) + 1j * rng.standard_normal(81)
         assert np.allclose(chain4_protocol.apply_omega(v), omega @ v)
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ffverify import graph as G, hamiltonian as ham, protocol as proto, simulate as sim
+from ffverify import aklt, graph as G, hamiltonian as ham, linalg, protocol as proto
+from ffverify import simulate as sim
 from ffverify.errors import InputError
 
 
@@ -76,16 +77,69 @@ class TestAcceptanceProbability:
         b = sim.prepare_state(chain4_protocol, sim.NoiseSpec("depolarizing", 0.1))
         pa = sim.acceptance_probability(chain4_protocol, a)
         pb = sim.acceptance_probability(chain4_protocol, b)
+        assert a.white == 0 and b.white > 0
         for lam in (0.25, 0.5, 0.75):
             mixed = sim.PreparedState(
-                a.dim, None, lam * a.matrix + (1 - lam) * b.matrix)
+                a.dim,
+                tuple((lam * w, v) for w, v in a.ensemble)
+                + tuple(((1 - lam) * w, v) for w, v in b.ensemble),
+                white=lam * a.white + (1 - lam) * b.white)
             pm = sim.acceptance_probability(chain4_protocol, mixed)
             assert abs(pm - (lam * pa + (1 - lam) * pb)) < 1e-10
 
     def test_dimension_mismatch(self, chain4_protocol):
         with pytest.raises(InputError):
             sim.acceptance_probability(chain4_protocol,
-                                       sim.PreparedState(4, None, np.eye(4) / 4))
+                                       sim.PreparedState(4, (), white=1.0))
+
+
+def dense_test(protocol, matching, directions) -> np.ndarray:
+    """Product of the embedded bond test projectors, built by kron."""
+    h = protocol.hamiltonian
+    out = np.eye(h.dim)
+    for e, r in zip(matching, directions):
+        r_e = aklt.bond_test_projector(protocol.bond_ops[e].bond, r)
+        local = linalg.LocalOperator(r_e, e, {v: h.node_dims[v] for v in e})
+        out = linalg.embed(local, h.node_order, h.node_dims) @ out
+    return out
+
+
+class TestDenseOracle:
+    """The matrix-free pass probabilities against tr(A sigma) from dense
+    operators and the dense density matrix."""
+
+    @pytest.fixture(scope="class", params=["icosahedron", "isotropic"])
+    def protocol(self, request, chain4, icosahedron):
+        mu = icosahedron if request.param == "icosahedron" else None
+        return proto.build_protocol(chain4, G.edge_coloring(chain4.graph), mu)
+
+    @pytest.mark.parametrize("mode", sim.NOISE_MODES)
+    def test_acceptance_probability(self, protocol, mode):
+        state = sim.prepare_state(protocol, sim.NoiseSpec(mode, 0.1))
+        omega = proto.verification_operator(protocol)
+        expected = float(np.real(np.trace(omega @ state.matrix)))
+        assert abs(sim.acceptance_probability(protocol, state) - expected) < 1e-12
+
+    @pytest.mark.parametrize("mode", sim.NOISE_MODES)
+    def test_pass_probability(self, protocol, mode):
+        state = sim.prepare_state(protocol, sim.NoiseSpec(mode, 0.1))
+        sampler = sim._TestSampler(protocol, state)
+        rng = np.random.default_rng(3)
+        for l, matching in enumerate(protocol.cover.matchings):
+            dist = protocol.bond_ops[matching[0]].distribution
+            if dist is None:  # isotropic: continuous directions, not memoized
+                directions = [v / np.linalg.norm(v)
+                              for v in rng.standard_normal((len(matching), 3))]
+                q = sampler.pass_probability(l, directions=directions)
+            else:
+                indices = tuple(int(i) for i in rng.integers(len(dist), size=len(matching)))
+                directions = [dist.points[i] for i in indices]
+                first = sampler.pass_probability(l, direction_indices=indices)
+                q = sampler.pass_probability(l, direction_indices=indices)
+                assert q == first and (l, indices) in sampler._prob_cache
+            t = dense_test(protocol, matching, directions)
+            expected = float(np.real(np.trace(t @ state.matrix)))
+            assert abs(q - expected) < 1e-12
 
 
 class TestRunVerification:

@@ -142,7 +142,7 @@ class TestProductNorm:
         comp = np.eye(h.dim) - q0
         product = comp.copy()
         for e in ordering:
-            product = product @ (np.eye(h.dim) - h.embedded(e).matrix)
+            product = product @ (np.eye(h.dim) - h.embedded(e))
         product = product @ comp
         expected = linalg.operator_norm(product) ** 2
         assert abs(detectability.dl_norm_check(h, ordering).measured - expected) < 1e-8
@@ -256,8 +256,6 @@ class TestDimensionCap:
             aklt.aklt_hamiltonian(G.chain(4, closed=True))),
         "test_operator": lambda p, state: proto.test_operator(p, p.cover.matchings[0]),
         "verification_operator": lambda p, state: proto.verification_operator(p),
-        "depolarizing_state": lambda p, state: sim.prepare_state(
-            p, sim.NoiseSpec("depolarizing", 0.1)),
         "state_matrix": lambda p, state: state.matrix,
     }
 
@@ -269,6 +267,19 @@ class TestDimensionCap:
         monkeypatch.setenv("FFV_MAX_DIM", "50")
         with pytest.raises(ResourceError, match="FFV_MAX_DIM=50"):
             self.ENTRY_POINTS[entry](protocol, state)
+
+    def test_depolarized_state_is_matrix_free(self, icosahedron, monkeypatch):
+        h = aklt.aklt_hamiltonian(G.chain(4, closed=True))
+        protocol = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
+        ham.ground_space(h)  # the H solve, under the default cap
+        omega = proto.verification_operator(protocol)
+        monkeypatch.setenv("FFV_MAX_DIM", "50")
+        state = sim.prepare_state(protocol, sim.NoiseSpec("depolarizing", 0.1))
+        exact = sim.acceptance_probability(protocol, state)
+        with pytest.raises(ResourceError, match="FFV_MAX_DIM=50"):
+            state.matrix
+        monkeypatch.delenv("FFV_MAX_DIM")
+        assert abs(exact - float(np.real(np.trace(omega @ state.matrix)))) < 1e-12
 
     def test_edgeless_refused_before_allocation(self, monkeypatch):
         h = ham.FFHamiltonian(G.Hypergraph(tuple(range(6)), ()), {}, {v: 2 for v in range(6)})
