@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .aklt import BondOperator, DirectionDistribution, bond, bond_operator, \
-    isotropic_bond_operator
+    bond_test_projector, isotropic_bond_operator
 from .errors import InputError
 from .graph import Edge, MatchingCover, max_degree, Hypergraph, is_matching
 from .hamiltonian import FFHamiltonian, ground_space, spectral_profile
@@ -66,6 +66,22 @@ class Protocol:
     def dtype(self) -> np.dtype:
         """float64 when every bond operator is real to REAL_TOL, else complex128."""
         return np.result_type(float, *{p.matrix.dtype for p in self._plans.values()})
+
+    def bond_test(self, e: Edge, direction) -> tuple[ApplyPlan, float]:
+        """The bond test along one direction on edge e: its apply plan and its
+        normalized trace tr(R)/d_e."""
+        h = self.hamiltonian
+        b = self.bond_ops[e].bond
+        r = bond_test_projector(b, direction)
+        return (linalg.make_plan(r, e, h.node_order, h.node_dims),
+                float(np.real(np.trace(r))) / b.dim)
+
+    @cached_property
+    def design_tests(self) -> dict[Edge, tuple[tuple[ApplyPlan, float], ...]]:
+        """bond_test at every support point of each finitely supported bond
+        distribution; state-independent, so built once per protocol."""
+        return {e: tuple(self.bond_test(e, r) for r in op.distribution.points)
+                for e, op in self.bond_ops.items() if op.distribution is not None}
 
     def apply_test(self, matching: Sequence[Edge], vec: np.ndarray) -> np.ndarray:
         out = vec

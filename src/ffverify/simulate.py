@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .aklt import bond_test_projector
 from .errors import InputError
 from .hamiltonian import ground_space
 from .protocol import Protocol, top_excited_pair
@@ -94,6 +93,9 @@ def prepare_state(protocol: Protocol, spec: NoiseSpec) -> PreparedState:
 
     if spec.mode == "depolarizing":
         rank = basis.shape[1]
+        if rank == d:
+            raise InputError("depolarizing noise cannot lower the fidelity: the "
+                             "ground space is the whole space (H = 0)")
         # solve (1-w) + w * rank/d = 1 - eps for the mixing weight
         w = eps * d / (d - rank)
         if not 0 <= w <= 1:
@@ -171,91 +173,141 @@ class RunResult:
             raise InputError("passed count out of range")
 
 
-class _TestSampler:
-    """Draws tests and evaluates exact per-test pass probabilities.
+# Tests are drawn in blocks: a run's first block is small because most runs
+# of a rejected state stop early, later blocks double up to the bound, which
+# keeps the per-block arrays small.
+FIRST_BLOCK = 64
+MAX_BLOCK = 4096
 
-    Pass probabilities for repeated (matching, direction) combinations are
-    memoized, which makes long runs on finitely supported distributions cheap.
+# a matching whose design combinations exceed this many entries is evaluated
+# test by test: its table would cost memory and would rarely be hit
+MEMO_TABLE_LIMIT = 1 << 20
+
+
+class _TestSampler:
+    """Draws blocks of tests and evaluates their exact pass probabilities.
+
+    A matching whose bonds all have finite direction distributions indexes its
+    tests by one mixed-radix key (first bond most significant) into a lazily
+    filled table of pass probabilities, NaN meaning not yet computed; blocks
+    of repeated tests then cost a handful of array operations.
     """
 
     def __init__(self, protocol: Protocol, state: PreparedState):
         self.protocol = protocol
         self.state = state
-        h = protocol.hamiltonian
-        self.h = h
-        self._prob_cache: dict = {}
         self.matchings = protocol.cover.matchings
-        self.probabilities = np.asarray(protocol.cover.probabilities)
-        # cumulative tables make the per-test draws cheap inner-loop work
-        self._cum_matching = np.cumsum(self.probabilities)
-        self._cum_weights = {}
-        for e, op in protocol.bond_ops.items():
-            if op.distribution is not None:
-                self._cum_weights[e] = np.cumsum(op.distribution.weights)
+        self._cum_matching = np.cumsum(protocol.cover.probabilities)
+        self._cum_weights = {e: np.cumsum(op.distribution.weights)
+                             for e, op in protocol.bond_ops.items()
+                             if op.distribution is not None}
+        self._radices = []
+        self._tables = []  # per matching: probability table, or None
+        for matching in self.matchings:
+            radices = tuple(len(self._cum_weights[e]) for e in matching
+                            if e in self._cum_weights)
+            size = math.prod(radices)
+            memo = len(radices) == len(matching) and size <= MEMO_TABLE_LIMIT
+            self._radices.append(radices)
+            self._tables.append(np.full(size, np.nan) if memo else None)
+        self.memoized = all(t is not None for t in self._tables)
+
+    def _cached(self, l: int, direction_indices) -> float | None:
+        """The memoized pass probability of one test, None when not memoized."""
+        table = self._tables[l]
+        if table is None:
+            return None
+        q = table[_mixed_radix(self._radices[l], direction_indices)]
+        return None if math.isnan(q) else float(q)
 
     def pass_probability(self, l: int, direction_indices=None, directions=None) -> float:
+        """Exact pass probability of the test of matching l along the given
+        direction indices (memoized) or continuous directions."""
         matching = self.matchings[l]
-        key = None
         if direction_indices is not None:
-            key = (l, tuple(direction_indices))
-            cached = self._prob_cache.get(key)
+            cached = self._cached(l, direction_indices)
             if cached is not None:
                 return cached
-            directions = [self.protocol.bond_ops[e].distribution.points[i]
-                          for e, i in zip(matching, direction_indices)]
-        h = self.h
-        plans = []
-        trace = 1.0  # tr(test)/d, a product over the disjoint bonds
-        for e, r in zip(matching, directions):
-            b = self.protocol.bond_ops[e].bond
-            rmat = bond_test_projector(b, r)
-            plans.append(linalg.make_plan(rmat, e, h.node_order, h.node_dims))
-            trace *= float(np.real(np.trace(rmat))) / b.dim
+            design = self.protocol.design_tests
+            tests = [design[e][i] for e, i in zip(matching, direction_indices)]
+        else:
+            tests = [self.protocol.bond_test(e, r) for e, r in zip(matching, directions)]
 
         def apply_all(v):
-            for plan in plans:
+            for plan, _ in tests:
                 v = plan(v)
             return v
 
-        q = self.state.expectation(apply_all, trace)
+        # tr(test)/d is a product over the disjoint bonds
+        q = self.state.expectation(apply_all, math.prod(t for _, t in tests))
         q = min(max(q, 0.0), 1.0)
-        if key is not None:
-            self._prob_cache[key] = q
+        if direction_indices is not None and self._tables[l] is not None:
+            self._tables[l][_mixed_radix(self._radices[l], direction_indices)] = q
         return q
 
-    def draw_test(self, rng: np.random.Generator) -> float:
-        """Draw one test and return its exact pass probability."""
-        l = int(np.searchsorted(self._cum_matching, rng.random(), side="right"))
-        l = min(l, len(self.matchings) - 1)
-        matching = self.matchings[l]
-        indices = []
-        directions = []
+    def draw_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw `size` i.i.d. tests and return their exact pass probabilities."""
+        ls = np.searchsorted(self._cum_matching, rng.random(size), side="right")
+        # clamp draws past a cumulative sum that ends just below 1
+        np.minimum(ls, len(self.matchings) - 1, out=ls)
+        q = np.empty(size)
+        for l, matching in enumerate(self.matchings):
+            idx = np.flatnonzero(ls == l)
+            if idx.size:
+                q[idx] = self._matching_block(l, matching, rng, idx.size)
+        return q
+
+    def _matching_block(self, l: int, matching, rng: np.random.Generator,
+                        count: int) -> np.ndarray:
+        draws = []  # per bond: direction indices, or unit vectors if isotropic
         for e in matching:
             cum = self._cum_weights.get(e)
-            if cum is None:  # isotropic bond: continuous draw, nothing to memoize
-                indices = None
-                v = rng.standard_normal(3)
-                directions.append(v / np.linalg.norm(v))
+            if cum is None:  # isotropic bond: continuous draws
+                v = rng.standard_normal((count, 3))
+                draws.append(v / np.linalg.norm(v, axis=1, keepdims=True))
             else:
-                i = min(int(np.searchsorted(cum, rng.random(), side="right")),
-                        len(cum) - 1)
-                directions.append(self.protocol.bond_ops[e].distribution.points[i])
-                if indices is not None:
-                    indices.append(i)
-        if indices is not None:
-            return self.pass_probability(l, direction_indices=tuple(indices))
-        return self.pass_probability(l, directions=directions)
+                i = np.searchsorted(cum, rng.random(count), side="right")
+                draws.append(np.minimum(i, len(cum) - 1))
+        table = self._tables[l]
+        if table is None:  # nothing to memoize: evaluate test by test
+            ops = self.protocol.bond_ops
+            directions = [ops[e].distribution.points[d] if e in self._cum_weights else d
+                          for e, d in zip(matching, draws)]
+            return np.array([self.pass_probability(l, directions=[d[t] for d in directions])
+                             for t in range(count)])
+        keys = _mixed_radix(self._radices[l], draws, np.zeros(count, dtype=np.int64))
+        q = table[keys]
+        missing = np.isnan(q)
+        if missing.any():
+            for key in np.unique(keys[missing]):
+                indices = np.unravel_index(key, self._radices[l])
+                self.pass_probability(l, direction_indices=tuple(int(i) for i in indices))
+            q = table[keys]
+        return q
+
+
+def _mixed_radix(radices, indices, key=0):
+    """Mixed-radix key of per-bond direction indices (scalars or arrays)."""
+    for r, i in zip(radices, indices):
+        key = key * r + i
+    return key
 
 
 def _single_run(sampler: _TestSampler, rng: np.random.Generator, n_tests: int,
                 seed: int) -> RunResult:
     passed = 0
-    for _ in range(n_tests):
-        q = sampler.draw_test(rng)
-        if rng.random() < q:
-            passed += 1
-        else:
-            return RunResult(n_tests=n_tests, n_passed=passed, accepted=False, seed=seed)
+    # a test outside the tables costs one exact evaluation, so runs that may
+    # draw one go test by test and evaluate none past the first failure
+    size, cap = (FIRST_BLOCK, MAX_BLOCK) if sampler.memoized else (1, 1)
+    while passed < n_tests:
+        size = min(size, n_tests - passed)
+        q = sampler.draw_block(rng, size)
+        failed = rng.random(size) >= q
+        if failed.any():
+            return RunResult(n_tests=n_tests, n_passed=passed + int(np.argmax(failed)),
+                             accepted=False, seed=seed)
+        passed += size
+        size = min(2 * size, cap)
     return RunResult(n_tests=n_tests, n_passed=passed, accepted=True, seed=seed)
 
 
@@ -286,9 +338,10 @@ def estimate_pass_rate(protocol: Protocol, state: PreparedState, n_draws: int,
     sampler = _TestSampler(protocol, state)
     rng = np.random.default_rng(seed)
     hits = 0
-    for _ in range(n_draws):
-        if rng.random() < sampler.draw_test(rng):
-            hits += 1
+    for start in range(0, n_draws, MAX_BLOCK):
+        size = min(MAX_BLOCK, n_draws - start)
+        q = sampler.draw_block(rng, size)
+        hits += int(np.count_nonzero(rng.random(size) < q))
     rate = hits / n_draws
     stderr = math.sqrt(max(rate * (1.0 - rate), 1e-12) / n_draws)
     return rate, stderr

@@ -59,6 +59,16 @@ class TestPrepareState:
         q0 = basis @ basis.conj().T
         assert abs(np.real(np.trace(q0 @ state.matrix)) - (1 - eps)) < 1e-10
 
+    def test_depolarizing_zero_hamiltonian(self, icosahedron):
+        g = G.chain(3)
+        dims = {0: 2, 1: 3, 2: 2}
+        zero = {e: linalg.LocalOperator(np.zeros((dims[e[0]] * dims[e[1]],) * 2), e,
+                                        {v: dims[v] for v in e}) for e in g.edges}
+        h = ham.FFHamiltonian(g, zero, dims)
+        p = proto.build_protocol(h, G.edge_coloring(g), icosahedron)
+        with pytest.raises(InputError, match="ground space is the whole space"):
+            sim.prepare_state(p, sim.NoiseSpec("depolarizing", 0.1))
+
     def test_coherent_rotation_is_pure(self, chain4_protocol):
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("coherent_rotation", 0.03))
         assert state.ensemble is not None and len(state.ensemble) == 1
@@ -135,8 +145,9 @@ class TestDenseOracle:
                 indices = tuple(int(i) for i in rng.integers(len(dist), size=len(matching)))
                 directions = [dist.points[i] for i in indices]
                 first = sampler.pass_probability(l, direction_indices=indices)
+                assert sampler._cached(l, indices) == first  # filled in the table
                 q = sampler.pass_probability(l, direction_indices=indices)
-                assert q == first and (l, indices) in sampler._prob_cache
+                assert q == first
             t = dense_test(protocol, matching, directions)
             expected = float(np.real(np.trace(t @ state.matrix)))
             assert abs(q - expected) < 1e-12
@@ -161,6 +172,12 @@ class TestRunVerification:
         a = sim.run_many(chain4_protocol, state, 50, runs=10, seed=9)
         b = sim.run_many(chain4_protocol, state, 50, runs=10, seed=9)
         assert a == b
+
+    def test_runs_are_independent_substreams(self, chain4_protocol):
+        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
+        five = sim.run_many(chain4_protocol, state, 200, runs=5, seed=9)
+        ten = sim.run_many(chain4_protocol, state, 200, runs=10, seed=9)
+        assert ten[:5] == five
 
     def test_monte_carlo_matches_exact(self, chain4_protocol):
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
@@ -189,6 +206,115 @@ class TestRunVerification:
     def test_result_validation(self):
         with pytest.raises(InputError):
             sim.RunResult(n_tests=5, n_passed=6, accepted=True, seed=0)
+
+
+def truncated_geometric(q: float, n: int) -> np.ndarray:
+    """P(n_passed = k), k = 0..n, for n i.i.d. tests passing with probability q
+    and a run that stops at its first failure."""
+    k = np.arange(n + 1)
+    return np.where(k < n, q ** k * (1 - q), q ** n)
+
+
+class TestExactLaw:
+    """n_passed per run against the truncated geometric law of i.i.d. tests."""
+
+    @pytest.fixture(scope="class")
+    def noisy(self, chain4_protocol):
+        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
+        return state, sim.acceptance_probability(chain4_protocol, state)
+
+    def test_histogram_chi_square(self, chain4_protocol, noisy):
+        import scipy.stats
+
+        state, q = noisy
+        assert abs(q - 0.98) < 1e-3
+        n, runs = 50, 2000
+        level = 1e-3  # significance fixed before the draw
+        results = sim.run_many(chain4_protocol, state, n, runs=runs, seed=424242)
+        observed = np.bincount([r.n_passed for r in results], minlength=n + 1)
+        expected = runs * truncated_geometric(q, n)
+        # merge neighbouring bins until every expected count is at least 5
+        obs_bins, exp_bins, o, e = [], [], 0, 0.0
+        for ob, ex in zip(observed, expected):
+            o, e = o + ob, e + ex
+            if e >= 5:
+                obs_bins.append(o)
+                exp_bins.append(e)
+                o, e = 0, 0.0
+        obs_bins[-1] += o
+        exp_bins[-1] += e
+        obs_bins, exp_bins = np.array(obs_bins), np.array(exp_bins)
+        assert exp_bins.min() >= 5 and len(exp_bins) > 10
+        stat = float(np.sum((obs_bins - exp_bins) ** 2 / exp_bins))
+        assert stat < scipy.stats.chi2.isf(level, len(exp_bins) - 1)
+
+    @pytest.mark.parametrize("n", [1, sim.FIRST_BLOCK, sim.FIRST_BLOCK + 1])
+    def test_block_edges(self, chain4_protocol, noisy, n):
+        state, q = noisy
+        results = sim.run_many(chain4_protocol, state, n, runs=400, seed=n)
+        for r in results:
+            assert 0 <= r.n_passed <= n and r.n_tests == n
+            assert r.accepted == (r.n_passed == n)
+        accepted = sum(r.accepted for r in results)
+        assert 0 < accepted < len(results)
+        # acceptance rate q^n within 4 sigma
+        p = q ** n
+        assert abs(accepted / len(results) - p) <= 4 * np.sqrt(p * (1 - p) / len(results))
+
+    def test_ground_state_block_edges(self, chain4_protocol):
+        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.0))
+        for n in (1, sim.FIRST_BLOCK, sim.FIRST_BLOCK + 1, 3 * sim.MAX_BLOCK + 1):
+            (r,) = sim.run_many(chain4_protocol, state, n, runs=1, seed=0)
+            assert r.accepted and r.n_passed == n
+
+
+class TestUnmemoizedTests:
+    """Tests outside the probability tables: isotropic bonds, and design bonds
+    whose combinations exceed MEMO_TABLE_LIMIT."""
+
+    def test_oversized_tables_evaluate_per_test(self, chain4_protocol, monkeypatch):
+        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
+        memo = sim.estimate_pass_rate(chain4_protocol, state, 1000, seed=8)
+        monkeypatch.setattr(sim, "MEMO_TABLE_LIMIT", 100)  # chain 4 tables hold 144
+        assert not sim._TestSampler(chain4_protocol, state).memoized
+        # the same draws, each evaluated exactly without a table
+        assert sim.estimate_pass_rate(chain4_protocol, state, 1000, seed=8) == memo
+
+    def test_runs_evaluate_no_test_past_a_failure(self, chain4, monkeypatch):
+        p = proto.build_protocol(chain4, G.edge_coloring(chain4.graph), None)
+        state = sim.prepare_state(p, sim.NoiseSpec("worst_case", 0.3))
+        calls = []
+        evaluate = sim._TestSampler.pass_probability
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(sim._TestSampler, "pass_probability", counting)
+        results = sim.run_many(p, state, 100, runs=4, seed=3)
+        assert not all(r.accepted for r in results)
+        assert len(calls) == sum(r.n_passed + (not r.accepted) for r in results)
+
+
+class TestBondTestsBuiltOnce:
+    def test_cli_simulate_projector_count(self, monkeypatch, capsys):
+        from ffverify import cli
+
+        calls = []
+        build = proto.bond_test_projector
+
+        def counting(b, direction):
+            calls.append(b.edge)
+            return build(b, direction)
+
+        # the sampler reaches bond test projectors only through the protocol
+        assert not hasattr(sim, "bond_test_projector")
+        monkeypatch.setattr(proto, "bond_test_projector", counting)
+        code = cli.main(["simulate", "--chain", "4", "--closed", "--runs", "50",
+                         "--pass-draws", "20000", "--noise-epsilon", "0.3"])
+        capsys.readouterr()
+        assert code == 0
+        assert 0 < len(calls) <= 48  # 4 edges x 12 icosahedron points
 
 
 class TestAggregate:
