@@ -11,12 +11,11 @@ from .graph import (Hypergraph, MatchingCover, chain, chromatic_index_bounds,
                     complete_graph, degree, disjointify, edge_coloring,
                     honeycomb_lattice, is_matching, max_degree, square_lattice,
                     trivial_cover)
-from .linalg import (LocalOperator, eigh, embed, operator_norm,
-                     second_largest_eigenvalue, singular_values)
+from .linalg import LocalOperator, eigh, embed, operator_norm, singular_values
 from .hamiltonian import (FFHamiltonian, SpectralProfile, best_zeta_ordering,
-                          commutation_structure, ground_projector, ground_space,
-                          load_hamiltonian, random_ff_instance, save_hamiltonian,
-                          spectral_gap_gamma, spectral_profile)
+                          commutation_structure, ground_space, load_hamiltonian,
+                          random_ff_instance, save_hamiltonian, spectral_gap_gamma,
+                          spectral_profile)
 from .detectability import (DLReport, dl_norm_check, dl_state_check,
                             projector_pair_check, union_gap_check)
 from .aklt import (Bond, BondOperator, DirectionDistribution, SpinValue,
@@ -27,8 +26,7 @@ from .aklt import (Bond, BondOperator, DirectionDistribution, SpinValue,
 from .protocol import (GapReport, Protocol, aklt_protocol_bounds, build_protocol,
                        coloring_gap_bound, competitor_costs, gap_factor,
                        gap_report, matching_gap_bounds, measured_gap,
-                       sample_count, sample_count_from_bounds, spectral_gap_nu,
-                       test_operator, verification_operator)
+                       sample_count, sample_count_from_bounds)
 from .simulate import (NoiseSpec, PreparedState, RunResult,
                        acceptance_probability, estimate_pass_rate, prepare_state,
                        run_many, run_verification)

@@ -20,7 +20,10 @@ from .errors import InputError
 from .graph import Hypergraph, Edge, degree
 from .hamiltonian import FFHamiltonian
 from .linalg import LocalOperator
-from .tolerances import (PROB_SUM_TOL, SPIN_CLUSTER_TOL, UNIT_VECTOR_TOL)
+from .tolerances import DESIGN_TOL, PROB_SUM_TOL, SPIN_CLUSTER_TOL, UNIT_VECTOR_TOL
+
+# design_order checks frame potentials up to this order
+MAX_DESIGN_ORDER = 20
 
 
 @dataclass(frozen=True)
@@ -123,10 +126,6 @@ class Bond:
     @property
     def twice_se(self) -> int:
         return self.twice_sj + self.twice_sk
-
-    @property
-    def total_spin(self) -> float:
-        return self.twice_se / 2.0
 
     @property
     def dim(self) -> int:
@@ -234,14 +233,14 @@ class DirectionDistribution:
     def from_json(cls, text: str) -> "DirectionDistribution":
         try:
             data = json.loads(text)
-            pts = data["points"]
+            pts = np.asarray(data["points"], dtype=float)
             w = data.get("weights")
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+            w = None if w is None else np.asarray(w, dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise InputError(f"malformed design JSON: {exc}") from exc
-        pts = np.asarray(pts, dtype=float)
         if w is None:
             return cls.uniform(pts)
-        return cls(pts, np.asarray(w, dtype=float))
+        return cls(pts, w)
 
     @classmethod
     def from_file(cls, path) -> "DirectionDistribution":
@@ -264,7 +263,7 @@ def frame_potential(mu: DirectionDistribution, t: int) -> float:
     return float(mu.weights @ (dots ** int(t)) @ mu.weights)
 
 
-def is_design(mu: DirectionDistribution, t: int, tol: float = 1e-9) -> bool:
+def is_design(mu: DirectionDistribution, t: int) -> bool:
     """Whether the symmetrized distribution is a spherical t-design.
 
     Checked via the even frame potentials F_k = 1/(k+1) for k <= t; odd
@@ -272,19 +271,20 @@ def is_design(mu: DirectionDistribution, t: int, tol: float = 1e-9) -> bool:
     """
     sym = symmetrize(mu)
     for k in range(2, int(t) + 1, 2):
-        if abs(frame_potential(sym, k) - 1.0 / (k + 1)) > tol:
+        if abs(frame_potential(sym, k) - 1.0 / (k + 1)) > DESIGN_TOL:
             return False
     return True
 
 
-def design_order(mu: DirectionDistribution, max_t: int = 20, tol: float = 1e-9) -> int:
-    """Largest t <= max_t for which the symmetrized distribution is a t-design."""
+def design_order(mu: DirectionDistribution) -> int:
+    """Largest t <= MAX_DESIGN_ORDER for which the symmetrized distribution is
+    a t-design."""
     order = 1
-    for k in range(2, max_t + 1, 2):
-        if abs(frame_potential(symmetrize(mu), k) - 1.0 / (k + 1)) > tol:
+    for k in range(2, MAX_DESIGN_ORDER + 1, 2):
+        if abs(frame_potential(symmetrize(mu), k) - 1.0 / (k + 1)) > DESIGN_TOL:
             break
         order = k + 1
-    return min(order, max_t)
+    return min(order, MAX_DESIGN_ORDER)
 
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -386,23 +386,6 @@ def overlap_trace(twice_se: int, c: float) -> float:
     return t - 3 + 2 * ((1 + c) / 2) ** t + 2 * ((1 - c) / 2) ** t
 
 
-def overlap_trace_binomial(twice_se: int, c: float) -> float:
-    """Even-power expansion of overlap_trace; equal by a binomial identity."""
-    if not -1.0 <= c <= 1.0:
-        raise InputError("cosine must lie in [-1, 1]")
-    t = twice_se
-    acc = sum(math.comb(t, 2 * j) * c ** (2 * j) for j in range(t // 2 + 1))
-    return t - 3 + 2.0 ** (2 - t) * acc
-
-
-def overlap_trace_matrix(b: Bond, r, s) -> float:
-    """Direct matrix evaluation of tr[(R_r - Q_e)(R_s - Q_e)]."""
-    q = b.ground_projector
-    a = bond_test_projector(b, r) - q
-    bm = bond_test_projector(b, s) - q
-    return float(np.real(np.trace(a @ bm)))
-
-
 def trace_floor(twice_se: int) -> float:
     """Lower bound on tr(Omega_e - Q_e)^2: (2S_e - 1)^2 / (2S_e + 1)."""
     t = twice_se
@@ -433,25 +416,25 @@ class BondDesignReport:
         return self.statements_agree and self.floor_holds
 
 
-def bond_design_report(b: Bond, mu: DirectionDistribution,
-                       tol: float = 1e-9) -> BondDesignReport:
-    """Evaluate the four equivalent optimality statements plus the trace floor."""
+def bond_design_report(b: Bond, mu: DirectionDistribution) -> BondDesignReport:
+    """Evaluate the four equivalent optimality statements plus the trace floor,
+    each to DESIGN_TOL."""
     op = bond_operator(b, mu)
     t = b.twice_se
     gap = op.gap
-    gap_max = abs(gap - isotropic_gap(t)) < tol
+    gap_max = abs(gap - isotropic_gap(t)) < DESIGN_TOL
 
     p = b.top_projector
     q = b.ground_projector
     closed = q + ((t - 1) / (t + 1)) * p
-    matches = linalg.operator_norm(op.matrix - closed) < tol
+    matches = linalg.operator_norm(op.matrix - closed) < DESIGN_TOL
 
     # best homogeneous fit: lambda = tr[(Omega - Q) P] / tr P
     o = op.matrix - q
     lam = float(np.real(np.trace(o @ p))) / float(np.real(np.trace(p)))
-    homogeneous = linalg.operator_norm(op.matrix - q - lam * p) < tol
+    homogeneous = linalg.operator_norm(op.matrix - q - lam * p) < DESIGN_TOL
 
-    design = is_design(mu, t, tol)
+    design = is_design(mu, t)
     trace_sq = float(np.real(np.trace(o @ o)))
     floor = trace_floor(t)
 
@@ -460,4 +443,4 @@ def bond_design_report(b: Bond, mu: DirectionDistribution,
         twice_se=t, gap=gap, gap_is_maximal=gap_max, matches_closed_form=matches,
         is_homogeneous=homogeneous, is_design=design, trace_sq=trace_sq,
         floor=floor, statements_agree=all(flags) or not any(flags),
-        floor_holds=trace_sq >= floor - tol)
+        floor_holds=trace_sq >= floor - DESIGN_TOL)

@@ -278,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gap", help="measure a protocol gap and its lower bounds")
     _add_graph_flags(p)
     _add_common_flags(p)
-    p.add_argument("--gamma", type=float, help="override the Hamiltonian gap "
-                   "instead of diagonalizing")
+    p.add_argument("--gamma", type=float, help="override the reported Hamiltonian "
+                   "gap gamma (H is still solved for its ground space)")
     p.add_argument("--optimize-ordering", action="store_true",
                    help="minimize the ordering-dependent zeta bound")
     p.set_defaults(func=cmd_gap)

@@ -17,7 +17,7 @@ from .errors import InputError
 from .graph import Edge
 from .hamiltonian import (FFHamiltonian, commutation_structure, ground_space,
                           spectral_gap_gamma)
-from .tolerances import BOUND_CHECK_TOL, PROJECTOR_INEQ_TOL, PROJECTOR_TOL, UNIT_SV_TOL
+from .tolerances import BOUND_CHECK_TOL, PROJECTOR_INEQ_TOL, UNIT_SV_TOL
 
 
 def _bound_chain(energy: float, zeta: float, s: float, g_tilde: int, g: int) -> tuple[float, ...]:
@@ -139,7 +139,7 @@ class PairCheck:
 
 def _require_projector(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if not linalg.is_projector(m, PROJECTOR_TOL):
+    if not linalg.is_projector(m):
         raise InputError(f"{name} is not a projector")
     return m
 

@@ -77,9 +77,11 @@ class Hypergraph:
     def from_json(cls, text: str) -> "Hypergraph":
         try:
             data = json.loads(text)
-            return cls(tuple(data["vertices"]), tuple(tuple(e) for e in data["edges"]))
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+            vertices = tuple(int(v) for v in data["vertices"])
+            edges = tuple(tuple(int(v) for v in e) for e in data["edges"])
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise InputError(f"malformed graph JSON: {exc}") from exc
+        return cls(vertices, edges)
 
     @classmethod
     def from_file(cls, path) -> "Hypergraph":
@@ -162,10 +164,6 @@ class MatchingCover:
 
     def covers(self, g: Hypergraph) -> bool:
         return self.edge_union == set(g.edges)
-
-    def with_uniform_probabilities(self) -> "MatchingCover":
-        m = len(self.matchings)
-        return MatchingCover(self.matchings, tuple(1.0 / m for _ in range(m)))
 
     def with_proportional_probabilities(self) -> "MatchingCover":
         """p_l = |M_l| / total, the weighting used by the coloring-protocol bound."""

@@ -1,8 +1,12 @@
 """Linear algebra over labeled tensor-product spaces.
 
-Dense operators serve as validation oracles and for dimensions up to
-DENSE_EIG_LIMIT; above it every spectral solve is matrix-free (apply plans
-plus Lanczos iteration).  Operators whose local matrices are real to REAL_TOL
+Local operators act on full-space vectors through compiled apply plans, and
+every spectral solve is matrix-free (Lanczos iteration) above
+DENSE_EIG_LIMIT; at or below it the operator is materialized from its action
+and diagonalized by LAPACK.  The dense helpers (`embed`, `eigh`, the norms)
+serve small local spaces, such as the joint support of two projectors;
+`embed` is also the kron oracle of `make_plan`.  Dense full-space oracles
+live with the tests.  Operators whose local matrices are real to REAL_TOL
 are applied and solved in real arithmetic, complex ones in complex.
 
 Every solve goes through `_eigsh`, which alone sets the solver policy
@@ -22,7 +26,7 @@ import scipy.sparse.linalg
 
 from .errors import InputError, ResourceError
 from .tolerances import (ARPACK_MAX_RESTARTS, DENSE_EIG_LIMIT, HERMITIAN_TOL,
-                         LANCZOS_TOL, REAL_TOL)
+                         LANCZOS_TOL, PROJECTOR_TOL, REAL_TOL)
 
 NodeDims = Mapping[int, int]
 
@@ -65,9 +69,6 @@ class LocalOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return hermiticity_defect(self.matrix) < tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,15 +166,16 @@ def embed(op: LocalOperator, node_order: Sequence[int],
     return tensor.reshape(total, total)
 
 
-def eigh(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix (to HERMITIAN_TOL), eigenvalues
+    ascending."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InputError("eigh needs a square matrix")
     if matrix.size == 0:
         raise InputError("eigh needs a nonempty matrix")
     defect = hermiticity_defect(matrix)
-    if defect > tol:
+    if defect > HERMITIAN_TOL:
         raise InputError(f"matrix is not Hermitian (defect {defect:.2e})")
     vals, vecs = scipy.linalg.eigh(matrix)
     return vals, vecs
@@ -192,23 +194,16 @@ def operator_norm(matrix: np.ndarray) -> float:
     return float(singular_values(matrix)[0])
 
 
-def second_largest_eigenvalue(matrix: np.ndarray) -> float:
-    """Second entry of the descending eigenvalue list (multiplicity counted)."""
-    vals, _ = eigh(matrix)
-    if len(vals) < 2:
-        raise InputError("need dimension >= 2")
-    return float(vals[-2])
-
-
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return operator_norm(a @ b - b @ a)
 
 
-def is_projector(matrix: np.ndarray, tol: float = 1e-10) -> bool:
+def is_projector(matrix: np.ndarray) -> bool:
+    """Hermitian and idempotent, each to PROJECTOR_TOL."""
     matrix = np.asarray(matrix, dtype=complex)
-    if hermiticity_defect(matrix) > tol:
+    if hermiticity_defect(matrix) > PROJECTOR_TOL:
         return False
-    return operator_norm(matrix @ matrix - matrix) < tol
+    return operator_norm(matrix @ matrix - matrix) < PROJECTOR_TOL
 
 
 # ---------------------------------------------------------------------------

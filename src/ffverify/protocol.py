@@ -18,10 +18,10 @@ from . import linalg
 from .aklt import BondOperator, DirectionDistribution, bond, bond_operator, \
     bond_test_projector, isotropic_bond_operator
 from .errors import InputError
-from .graph import Edge, MatchingCover, max_degree, Hypergraph, is_matching
+from .graph import Edge, MatchingCover, max_degree, Hypergraph
 from .hamiltonian import FFHamiltonian, ground_space, spectral_profile
-from .linalg import ApplyPlan, LocalOperator
-from .tolerances import BOUND_CHECK_TOL, check_dim
+from .linalg import ApplyPlan
+from .tolerances import BOUND_CHECK_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,50 +109,6 @@ class Protocol:
             deflated, h.dim, dtype=np.result_type(self.dtype, basis.dtype))
         vec = linalg.deflate(basis, vec)
         return lam, vec / np.linalg.norm(vec)
-
-
-def test_operator(protocol: Protocol, matching: Sequence[Edge]) -> np.ndarray:
-    """Dense product of the embedded bond operators of one matching.
-
-    The supports are pairwise disjoint, so the factors commute and the order
-    is immaterial; the ground space is left untouched.
-    """
-    h = protocol.hamiltonian
-    edges = [tuple(sorted(e)) for e in matching]
-    if not is_matching(h.graph, edges):  # raises on a non-edge
-        raise InputError("edges do not form a matching")
-    d = h.dim
-    check_dim(d, "dense test operator")
-    out = np.eye(d, dtype=complex)
-    for e in edges:
-        local = LocalOperator(protocol.bond_ops[e].matrix, e,
-                              {v: h.node_dims[v] for v in e})
-        out = linalg.embed(local, h.node_order, h.node_dims) @ out
-    return out
-
-
-def verification_operator(protocol: Protocol) -> np.ndarray:
-    """Dense probability-weighted average of the test operators."""
-    h = protocol.hamiltonian
-    d = h.dim
-    check_dim(d, "dense verification operator")
-    out = np.zeros((d, d), dtype=complex)
-    for m, p in zip(protocol.cover.matchings, protocol.cover.probabilities):
-        out += p * test_operator(protocol, m)
-    return out
-
-
-def spectral_gap_nu(omega: np.ndarray, q0: np.ndarray) -> float:
-    """nu = 1 - ||(1 - Q0) Omega (1 - Q0)|| for a dense verification operator."""
-    om = np.asarray(omega, dtype=complex)
-    q = np.asarray(q0, dtype=complex)
-    if om.shape != q.shape:
-        raise InputError("operator and projector dimensions differ")
-    defect = linalg.operator_norm(om @ q - q)
-    if defect > 1e-9:
-        raise InputError(f"Omega does not fix the target subspace ({defect:.2e})")
-    comp = np.eye(om.shape[0]) - q
-    return 1.0 - linalg.operator_norm(comp @ om @ comp)
 
 
 def top_excited_pair(protocol: Protocol) -> tuple[float, np.ndarray]:

@@ -19,7 +19,6 @@ from . import linalg
 from .errors import InputError
 from .hamiltonian import ground_space
 from .protocol import Protocol, top_excited_pair
-from .tolerances import check_dim
 
 NOISE_MODES = ("worst_case", "depolarizing", "coherent_rotation")
 
@@ -47,15 +46,6 @@ class PreparedState:
     dim: int
     ensemble: tuple[tuple[float, np.ndarray], ...]
     white: float = 0.0
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense density matrix, a test oracle; refuses above the cap."""
-        check_dim(self.dim, "dense state")
-        out = np.eye(self.dim, dtype=complex) * (self.white / self.dim)
-        for w, v in self.ensemble:
-            out += w * np.outer(v, v.conj())
-        return out
 
     def expectation(self, apply_op, normalized_trace: float) -> float:
         """tr(A sigma) for an operator given by its action on vectors and its

@@ -21,8 +21,8 @@ UNIT_SV_TOL = 1e-9
 # eigenvalues below this belong to the ground cluster
 GROUND_TOL = 1e-9
 
-# eigenvalue classification for {0, 1} spectra
-ZERO_ONE_TOL = 1e-10
+# frame-potential and bond-operator equalities of the design checks
+DESIGN_TOL = 1e-9
 
 # eigenvalue clustering when building total-spin subspace projectors
 SPIN_CLUSTER_TOL = 1e-8

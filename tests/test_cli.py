@@ -74,6 +74,19 @@ class TestGap:
         assert code == 2
         assert "FFV_MAX_DIM" in err
 
+    @pytest.mark.parametrize("flags, text", [
+        (["--chain", "4", "--closed", "--design"], '{"points": [[0, 0, "a"]]}'),
+        (["--chain", "4", "--closed", "--design"], '{"points": [[0, 0, 1], [1, 0]]}'),
+        (["--graph"], '{"vertices": ["a"], "edges": []}'),
+        (["--graph"], '{"vertices": [0, 1], "edges": [[0, "x"]]}'),
+    ], ids=["design-string", "design-ragged", "graph-vertex", "graph-edge"])
+    def test_malformed_numbers_in_json(self, capsys, tmp_path, flags, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "gap", *flags, str(path))
+        assert code == 2
+        assert "error:" in err
+
     def test_custom_design_file(self, capsys, tmp_path):
         from ffverify import aklt
         path = tmp_path / "mu.json"

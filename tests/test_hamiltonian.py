@@ -5,6 +5,8 @@ from ffverify import aklt, graph as G, hamiltonian as ham, linalg
 from ffverify.errors import (DegenerateSpectrum, InputError, NotFrustrationFree)
 from ffverify.linalg import LocalOperator
 
+import oracles
+
 
 def qubit_projector(vec):
     v = np.asarray(vec, dtype=complex)
@@ -60,33 +62,39 @@ class TestValidation:
             ham.ground_space(h)
 
 
+def ground_projector(h):
+    """Q0 and its rank from the production ground-space basis."""
+    rank, basis = ham.ground_space(h)
+    return basis @ basis.conj().T, rank
+
+
 class TestGroundProjector:
     def test_single_projector(self):
         h = single_projector_hamiltonian()
-        q0, rank = ham.ground_projector(h)
+        q0, rank = ground_projector(h)
         assert rank == 1
         assert np.allclose(q0, qubit_projector([1, 0]))
 
     def test_annihilates_every_projector(self, chain4):
-        q0, _ = ham.ground_projector(chain4)
-        for e in chain4.graph.edges:
-            pe = chain4.embedded(e)
+        q0, _ = ground_projector(chain4)
+        for e, op in chain4.projectors.items():
+            pe = oracles.embedded(chain4, op.matrix, e)
             assert linalg.operator_norm(pe @ q0) < 1e-9
 
     def test_commutes_with_every_projector(self, chain4):
-        q0, _ = ham.ground_projector(chain4)
-        for e in chain4.graph.edges:
-            pe = chain4.embedded(e)
+        q0, _ = ground_projector(chain4)
+        for e, op in chain4.projectors.items():
+            pe = oracles.embedded(chain4, op.matrix, e)
             assert linalg.commutator_norm(pe, q0) < 1e-9
 
     def test_aklt_chain_unique_ground_state(self, chain4):
-        _, rank = ham.ground_projector(chain4)
+        _, rank = ground_projector(chain4)
         assert rank == 1
 
     def test_empty_edge_set_gives_identity(self):
         g = G.Hypergraph((0, 1), ())
         h = ham.FFHamiltonian(g, {}, {0: 2, 1: 2})
-        q0, rank = ham.ground_projector(h)
+        q0, rank = ground_projector(h)
         assert rank == 4
         assert np.allclose(q0, np.eye(4))
 
@@ -115,7 +123,7 @@ class TestSpectralGap:
         assert abs(ham.spectral_gap_gamma(other) - gamma) < 1e-8
 
     def test_iterative_matches_dense(self, chain4):
-        vals, _ = linalg.eigh(chain4.dense())
+        vals, _ = linalg.eigh(oracles.hamiltonian(chain4))
         dense = vals[vals >= 1e-9][0]
         iterative = ham.spectral_gap_gamma(chain4)
         assert abs(dense - iterative) < 1e-7
@@ -196,7 +204,7 @@ class TestRandomInstance:
 
     def test_frustration_free(self):
         h = ham.random_ff_instance(3, (0, 1, 2), (2, 2, 2), ((0, 1), (1, 2)), 1)
-        vals, _ = linalg.eigh(h.dense())
+        vals, _ = linalg.eigh(oracles.hamiltonian(h))
         assert vals[0] < 1e-9
 
     def test_full_rank_forces_zero_projectors(self):

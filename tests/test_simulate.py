@@ -5,6 +5,8 @@ from ffverify import aklt, graph as G, hamiltonian as ham, linalg, protocol as p
 from ffverify import simulate as sim
 from ffverify.errors import InputError
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def chain4_protocol(chain4, icosahedron):
@@ -27,7 +29,7 @@ class TestPrepareState:
     def test_zero_epsilon_is_ground_state(self, chain4, chain4_protocol):
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.0))
         _, basis = ham.ground_space(chain4)
-        sigma = state.matrix
+        sigma = oracles.density_matrix(state)
         expected = np.outer(basis[:, 0], basis[:, 0].conj())
         assert np.max(np.abs(sigma - expected)) < 1e-10
 
@@ -35,7 +37,7 @@ class TestPrepareState:
     def test_density_matrix_and_fidelity(self, chain4, chain4_protocol, mode):
         eps = 0.07
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec(mode, eps))
-        sigma = state.matrix
+        sigma = oracles.density_matrix(state)
         assert abs(np.trace(sigma).real - 1) < 1e-10
         vals = np.linalg.eigvalsh(sigma)
         assert vals[0] > -1e-10
@@ -57,7 +59,7 @@ class TestPrepareState:
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("depolarizing", eps))
         _, basis = ham.ground_space(chain4)
         q0 = basis @ basis.conj().T
-        assert abs(np.real(np.trace(q0 @ state.matrix)) - (1 - eps)) < 1e-10
+        assert abs(np.real(np.trace(q0 @ oracles.density_matrix(state))) - (1 - eps)) < 1e-10
 
     def test_depolarizing_zero_hamiltonian(self, icosahedron):
         g = G.chain(3)
@@ -72,7 +74,7 @@ class TestPrepareState:
     def test_coherent_rotation_is_pure(self, chain4_protocol):
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("coherent_rotation", 0.03))
         assert state.ensemble is not None and len(state.ensemble) == 1
-        sigma = state.matrix
+        sigma = oracles.density_matrix(state)
         purity = float(np.real(np.trace(sigma @ sigma)))
         assert abs(purity - 1) < 1e-9
 
@@ -103,17 +105,6 @@ class TestAcceptanceProbability:
                                        sim.PreparedState(4, (), white=1.0))
 
 
-def dense_test(protocol, matching, directions) -> np.ndarray:
-    """Product of the embedded bond test projectors, built by kron."""
-    h = protocol.hamiltonian
-    out = np.eye(h.dim)
-    for e, r in zip(matching, directions):
-        r_e = aklt.bond_test_projector(protocol.bond_ops[e].bond, r)
-        local = linalg.LocalOperator(r_e, e, {v: h.node_dims[v] for v in e})
-        out = linalg.embed(local, h.node_order, h.node_dims) @ out
-    return out
-
-
 class TestDenseOracle:
     """The matrix-free pass probabilities against tr(A sigma) from dense
     operators and the dense density matrix."""
@@ -126,8 +117,8 @@ class TestDenseOracle:
     @pytest.mark.parametrize("mode", sim.NOISE_MODES)
     def test_acceptance_probability(self, protocol, mode):
         state = sim.prepare_state(protocol, sim.NoiseSpec(mode, 0.1))
-        omega = proto.verification_operator(protocol)
-        expected = float(np.real(np.trace(omega @ state.matrix)))
+        omega = oracles.omega(protocol)
+        expected = float(np.real(np.trace(omega @ oracles.density_matrix(state))))
         assert abs(sim.acceptance_probability(protocol, state) - expected) < 1e-12
 
     @pytest.mark.parametrize("mode", sim.NOISE_MODES)
@@ -148,8 +139,10 @@ class TestDenseOracle:
                 assert sampler._cached(l, indices) == first  # filled in the table
                 q = sampler.pass_probability(l, direction_indices=indices)
                 assert q == first
-            t = dense_test(protocol, matching, directions)
-            expected = float(np.real(np.trace(t @ state.matrix)))
+            t = oracles.local_product(protocol.hamiltonian, [
+                (aklt.bond_test_projector(protocol.bond_ops[e].bond, r), e)
+                for e, r in zip(matching, directions)])
+            expected = float(np.real(np.trace(t @ oracles.density_matrix(state))))
             assert abs(q - expected) < 1e-12
 
 

@@ -13,17 +13,13 @@ from ffverify.errors import DegenerateSpectrum, ResourceError
 from ffverify.linalg import LocalOperator
 from ffverify.tolerances import DENSE_EIG_LIMIT, GROUND_TOL
 
+import oracles
+
 
 def dense_low_spectrum(vals: np.ndarray) -> tuple[int, float]:
     """Ground rank and gamma from a full ascending eigenvalue list."""
     rank = int(np.sum(vals < GROUND_TOL))
     return rank, float(vals[rank])
-
-
-def ground_projector_oracle(h) -> np.ndarray:
-    vals, vecs = linalg.eigh(h.dense())
-    ground = vecs[:, vals < GROUND_TOL]
-    return ground @ ground.conj().T
 
 
 def open_spin_one_chain(n: int) -> ham.FFHamiltonian:
@@ -71,11 +67,10 @@ class TestClosedChainsReal:
         rank, basis, gamma = ham.low_spectrum(h)
         assert basis.dtype == np.float64
 
-        vals, vecs = linalg.eigh(h.dense())
+        vals, _ = linalg.eigh(oracles.hamiltonian(h))
         dense_rank, dense_gamma = dense_low_spectrum(vals)
-        ground = vecs[:, :dense_rank]
-        q0 = ground @ ground.conj().T
-        dense_nu = proto.spectral_gap_nu(proto.verification_operator(protocol), q0)
+        q0 = oracles.ground_projector(h)
+        dense_nu = oracles.nu(oracles.omega(protocol), q0)
         assert rank == dense_rank == 1
         assert abs(gamma - dense_gamma) < 1e-8
         assert np.max(np.abs(basis @ basis.T - q0)) < 1e-8
@@ -104,7 +99,7 @@ class TestOpenChainsDegenerate:
 
     def test_sector_oracle_matches_dense(self):
         h = open_spin_one_chain(5)
-        vals, _ = linalg.eigh(h.dense())
+        vals, _ = linalg.eigh(oracles.hamiltonian(h))
         assert np.allclose(sector_spectrum(h), vals, atol=1e-10)
 
 
@@ -123,11 +118,11 @@ class TestComplexInstance:
         assert h.dtype == np.complex128
         rank, basis, gamma = ham.low_spectrum(h)
         assert basis.dtype == np.complex128
-        vals, _ = linalg.eigh(h.dense())
+        vals, _ = linalg.eigh(oracles.hamiltonian(h))
         dense_rank, dense_gamma = dense_low_spectrum(vals)
         assert rank == dense_rank == 1
         assert abs(gamma - dense_gamma) < 1e-8
-        q0 = ground_projector_oracle(h)
+        q0 = oracles.ground_projector(h)
         assert np.max(np.abs(basis @ basis.conj().T - q0)) < 1e-8
 
 
@@ -138,12 +133,11 @@ class TestProductNorm:
     def test_dl_product_norm_matches_dense(self, make):
         h = make()
         ordering = h.graph.edges
-        q0 = ground_projector_oracle(h)
-        comp = np.eye(h.dim) - q0
-        product = comp.copy()
-        for e in ordering:
-            product = product @ (np.eye(h.dim) - h.embedded(e))
-        product = product @ comp
+        comp = np.eye(h.dim) - oracles.ground_projector(h)
+        # comp (1 - P_1) ... (1 - P_q) comp: the last factor acts first
+        product = comp @ oracles.local_product(
+            h, [(np.eye(h.projectors[e].dim) - h.projectors[e].matrix, e)
+                for e in reversed(ordering)]) @ comp
         expected = linalg.operator_norm(product) ** 2
         assert abs(detectability.dl_norm_check(h, ordering).measured - expected) < 1e-8
 
@@ -161,11 +155,11 @@ class TestAtTheFloor:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_arpack)
         rank, basis, gamma = ham.low_spectrum(h)
-        vals, _ = linalg.eigh(h.dense())
+        vals, _ = linalg.eigh(oracles.hamiltonian(h))
         dense_rank, dense_gamma = dense_low_spectrum(vals)
         assert rank == dense_rank == rank_expected
         assert abs(gamma - dense_gamma) < 1e-8
-        q0 = ground_projector_oracle(h)
+        q0 = oracles.ground_projector(h)
         assert np.max(np.abs(basis @ basis.conj().T - q0)) < 1e-8
 
 
@@ -246,40 +240,29 @@ class TestZeroHamiltonian:
 
 
 class TestDimensionCap:
-    """Under a lowered cap every dense entry point refuses with a message
-    naming FFV_MAX_DIM.  Solves the entry point does not itself own run
-    first, under the default cap, so each case reaches its own check."""
+    """Under a lowered cap the spectral entry points refuse with a message
+    naming FFV_MAX_DIM."""
 
     ENTRY_POINTS = {
-        "dense": lambda p, state: p.hamiltonian.dense(),
-        "ground_space": lambda p, state: ham.ground_space(
+        "ground_space": lambda: ham.ground_space(
             aklt.aklt_hamiltonian(G.chain(4, closed=True))),
-        "test_operator": lambda p, state: proto.test_operator(p, p.cover.matchings[0]),
-        "verification_operator": lambda p, state: proto.verification_operator(p),
-        "state_matrix": lambda p, state: state.matrix,
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-    def test_refused_naming_the_cap(self, entry, icosahedron, monkeypatch):
-        h = aklt.aklt_hamiltonian(G.chain(4, closed=True))
-        protocol = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
-        state = sim.prepare_state(protocol, sim.NoiseSpec("worst_case", 0.1))
+    def test_refused_naming_the_cap(self, entry, monkeypatch):
         monkeypatch.setenv("FFV_MAX_DIM", "50")
         with pytest.raises(ResourceError, match="FFV_MAX_DIM=50"):
-            self.ENTRY_POINTS[entry](protocol, state)
+            self.ENTRY_POINTS[entry]()
 
     def test_depolarized_state_is_matrix_free(self, icosahedron, monkeypatch):
         h = aklt.aklt_hamiltonian(G.chain(4, closed=True))
         protocol = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
         ham.ground_space(h)  # the H solve, under the default cap
-        omega = proto.verification_operator(protocol)
         monkeypatch.setenv("FFV_MAX_DIM", "50")
         state = sim.prepare_state(protocol, sim.NoiseSpec("depolarizing", 0.1))
         exact = sim.acceptance_probability(protocol, state)
-        with pytest.raises(ResourceError, match="FFV_MAX_DIM=50"):
-            state.matrix
-        monkeypatch.delenv("FFV_MAX_DIM")
-        assert abs(exact - float(np.real(np.trace(omega @ state.matrix)))) < 1e-12
+        expected = np.trace(oracles.omega(protocol) @ oracles.density_matrix(state))
+        assert abs(exact - float(np.real(expected))) < 1e-12
 
     def test_edgeless_refused_before_allocation(self, monkeypatch):
         h = ham.FFHamiltonian(G.Hypergraph(tuple(range(6)), ()), {}, {v: 2 for v in range(6)})
