@@ -103,10 +103,7 @@ def cmd_gap(args) -> int:
               "nu_E is the minimum bond gap", file=sys.stderr)
 
     protocol = _build_protocol(args, h, mu)
-    ordering = None
-    if args.optimize_ordering:
-        ordering, _ = ham.best_zeta_ordering(h)
-    profile = ham.spectral_profile(h, ordering=ordering, gamma=args.gamma)
+    profile = ham.spectral_profile(h, gamma=args.gamma)
     report = proto.gap_report(protocol, profile=profile)
     row = report.to_dict()
     row["N"] = proto.sample_count(report.nu_measured, args.epsilon, args.delta)
@@ -240,7 +237,7 @@ def cmd_simulate(args) -> int:
             "n_tests": n_tests,
             "delta": args.delta,
             **summary,
-            "per_run": json.loads(sims.runs_to_json(runs))["runs"],
+            "per_run": sims.run_records(runs),
         }
         text = json.dumps(out, indent=2, sort_keys=True)
     _write(args, text)
@@ -280,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--gamma", type=float, help="override the reported Hamiltonian "
                    "gap gamma (H is still solved for its ground space)")
-    p.add_argument("--optimize-ordering", action="store_true",
-                   help="minimize the ordering-dependent zeta bound")
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("samples", help="closed-form sample counts")

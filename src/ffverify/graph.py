@@ -8,6 +8,7 @@ after construction and every operation is pure.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -18,8 +19,19 @@ from .tolerances import PROB_SUM_TOL
 Edge = tuple[int, ...]
 
 
+def _label(v) -> int:
+    """A vertex label as an int; floats, strings and booleans are refused, not
+    converted."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise InputError(f"vertex label {v!r} is not an integer")
+
+
 def _normalize_edge(edge: Iterable[int]) -> Edge:
-    vs = tuple(sorted(set(int(v) for v in edge)))
+    vs = tuple(sorted(set(_label(v) for v in edge)))
     if not vs:
         raise InputError("edges must be nonempty")
     return vs
@@ -33,7 +45,7 @@ class Hypergraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        vertices = tuple(sorted(set(int(v) for v in self.vertices)))
+        vertices = tuple(sorted(set(_label(v) for v in self.vertices)))
         edges = tuple(_normalize_edge(e) for e in self.edges)
         vset = set(vertices)
         seen = set()
@@ -77,8 +89,8 @@ class Hypergraph:
     def from_json(cls, text: str) -> "Hypergraph":
         try:
             data = json.loads(text)
-            vertices = tuple(int(v) for v in data["vertices"])
-            edges = tuple(tuple(int(v) for v in e) for e in data["edges"])
+            vertices = tuple(data["vertices"])
+            edges = tuple(tuple(e) for e in data["edges"])
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise InputError(f"malformed graph JSON: {exc}") from exc
         return cls(vertices, edges)

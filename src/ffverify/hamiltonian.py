@@ -232,11 +232,11 @@ def commutation_structure(h: FFHamiltonian,
         pair_s=pair_s, noncommuting={e: tuple(v) for e, v in noncomm.items()})
 
 
-def spectral_profile(h: FFHamiltonian, ordering: Sequence[Edge] | None = None,
-                     gamma: float | None = None) -> SpectralProfile:
-    """Full scalar profile; a gamma supplied by the caller replaces the solved
-    one (the ground rank still comes from the solve)."""
-    structure = commutation_structure(h, ordering)
+def spectral_profile(h: FFHamiltonian, gamma: float | None = None) -> SpectralProfile:
+    """Full scalar profile under the graph's edge ordering; a gamma supplied by
+    the caller replaces the solved one (the ground rank still comes from the
+    solve)."""
+    structure = commutation_structure(h)
     if gamma is None:
         gamma = spectral_gap_gamma(h)
     rank, _ = ground_space(h)

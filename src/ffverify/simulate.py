@@ -9,13 +9,17 @@ before a single Bernoulli draw.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
+from .aklt import spin_operators
 from .errors import InputError
 from .hamiltonian import ground_space
 from .protocol import Protocol, top_excited_pair
@@ -107,23 +111,19 @@ def prepare_state(protocol: Protocol, spec: NoiseSpec) -> PreparedState:
 
 
 def _first_node_generator(h) -> np.ndarray:
-    from .aklt import spin_operators
-
     first = h.node_order[0]
     twice_s = h.node_dims[first] - 1
     return spin_operators(twice_s)[0]  # S_x on the first node
 
 
 def _apply_rotation(h, generator: np.ndarray, theta: float, psi: np.ndarray) -> np.ndarray:
-    import scipy.linalg
-
     u = scipy.linalg.expm(-1j * theta * generator)
     plan = linalg.make_plan(u, (h.node_order[0],), h.node_order, h.node_dims)
     return plan(psi)
 
 
 def _solve_rotation_angle(infidelity, eps: float) -> float:
-    import scipy.optimize
+    import scipy.optimize  # local: importing it would add ~0.2 s to every ffv start-up
 
     hi = 1e-3
     while infidelity(hi) < eps:
@@ -177,10 +177,13 @@ MEMO_TABLE_LIMIT = 1 << 20
 class _TestSampler:
     """Draws blocks of tests and evaluates their exact pass probabilities.
 
-    A matching whose bonds all have finite direction distributions indexes its
-    tests by one mixed-radix key (first bond most significant) into a lazily
-    filled table of pass probabilities, NaN meaning not yet computed; blocks
-    of repeated tests then cost a handful of array operations.
+    A test is one bond test (plan, tr(R)/d_e) per bond of its matching. Bonds
+    with a finite direction distribution draw support-point indices and reuse
+    the bond tests of `Protocol.design_tests`; isotropic bonds draw unit
+    vectors and build their bond tests per draw. A matching whose bonds all
+    draw indices keeps a table of pass probabilities indexed by them (one
+    axis per bond), lazily filled and NaN meaning not yet computed, so blocks
+    of repeated tests cost a handful of array operations.
     """
 
     def __init__(self, protocol: Protocol, state: PreparedState):
@@ -191,37 +194,18 @@ class _TestSampler:
         self._cum_weights = {e: np.cumsum(op.distribution.weights)
                              for e, op in protocol.bond_ops.items()
                              if op.distribution is not None}
-        self._radices = []
         self._tables = []  # per matching: probability table, or None
         for matching in self.matchings:
-            radices = tuple(len(self._cum_weights[e]) for e in matching
-                            if e in self._cum_weights)
-            size = math.prod(radices)
-            memo = len(radices) == len(matching) and size <= MEMO_TABLE_LIMIT
-            self._radices.append(radices)
-            self._tables.append(np.full(size, np.nan) if memo else None)
+            shape = tuple(len(self._cum_weights[e]) for e in matching
+                          if e in self._cum_weights)
+            # an empty matching has no draws to index a table by
+            memo = 0 < len(shape) == len(matching) and math.prod(shape) <= MEMO_TABLE_LIMIT
+            self._tables.append(np.full(shape, np.nan) if memo else None)
         self.memoized = all(t is not None for t in self._tables)
 
-    def _cached(self, l: int, direction_indices) -> float | None:
-        """The memoized pass probability of one test, None when not memoized."""
-        table = self._tables[l]
-        if table is None:
-            return None
-        q = table[_mixed_radix(self._radices[l], direction_indices)]
-        return None if math.isnan(q) else float(q)
-
-    def pass_probability(self, l: int, direction_indices=None, directions=None) -> float:
-        """Exact pass probability of the test of matching l along the given
-        direction indices (memoized) or continuous directions."""
-        matching = self.matchings[l]
-        if direction_indices is not None:
-            cached = self._cached(l, direction_indices)
-            if cached is not None:
-                return cached
-            design = self.protocol.design_tests
-            tests = [design[e][i] for e, i in zip(matching, direction_indices)]
-        else:
-            tests = [self.protocol.bond_test(e, r) for e, r in zip(matching, directions)]
+    def pass_probability(self, tests) -> float:
+        """Exact pass probability of one test, given as its bond tests
+        (plan, tr(R)/d_e) on disjoint bonds."""
 
         def apply_all(v):
             for plan, _ in tests:
@@ -230,10 +214,7 @@ class _TestSampler:
 
         # tr(test)/d is a product over the disjoint bonds
         q = self.state.expectation(apply_all, math.prod(t for _, t in tests))
-        q = min(max(q, 0.0), 1.0)
-        if direction_indices is not None and self._tables[l] is not None:
-            self._tables[l][_mixed_radix(self._radices[l], direction_indices)] = q
-        return q
+        return min(max(q, 0.0), 1.0)
 
     def draw_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw `size` i.i.d. tests and return their exact pass probabilities."""
@@ -258,29 +239,20 @@ class _TestSampler:
             else:
                 i = np.searchsorted(cum, rng.random(count), side="right")
                 draws.append(np.minimum(i, len(cum) - 1))
+        design = self.protocol.design_tests
         table = self._tables[l]
         if table is None:  # nothing to memoize: evaluate test by test
-            ops = self.protocol.bond_ops
-            directions = [ops[e].distribution.points[d] if e in self._cum_weights else d
-                          for e, d in zip(matching, draws)]
-            return np.array([self.pass_probability(l, directions=[d[t] for d in directions])
-                             for t in range(count)])
-        keys = _mixed_radix(self._radices[l], draws, np.zeros(count, dtype=np.int64))
-        q = table[keys]
+            return np.array([self.pass_probability(
+                [design[e][d[t]] if e in design else self.protocol.bond_test(e, d[t])
+                 for e, d in zip(matching, draws)]) for t in range(count)])
+        q = table[tuple(draws)]
         missing = np.isnan(q)
         if missing.any():
-            for key in np.unique(keys[missing]):
-                indices = np.unravel_index(key, self._radices[l])
-                self.pass_probability(l, direction_indices=tuple(int(i) for i in indices))
-            q = table[keys]
+            for key in np.unique(np.stack(draws)[:, missing], axis=1).T:
+                table[tuple(key)] = self.pass_probability(
+                    [design[e][i] for e, i in zip(matching, key)])
+            q = table[tuple(draws)]
         return q
-
-
-def _mixed_radix(radices, indices, key=0):
-    """Mixed-radix key of per-bond direction indices (scalars or arrays)."""
-    for r, i in zip(radices, indices):
-        key = key * r + i
-    return key
 
 
 def _single_run(sampler: _TestSampler, rng: np.random.Generator, n_tests: int,
@@ -356,9 +328,6 @@ RUN_COLUMNS = ("run", "n_tests", "n_passed", "accepted", "seed")
 
 def runs_to_csv(results: Sequence[RunResult]) -> str:
     """Per-run CSV with the documented column schema."""
-    import csv
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RUN_COLUMNS)
@@ -367,12 +336,8 @@ def runs_to_csv(results: Sequence[RunResult]) -> str:
     return buf.getvalue()
 
 
-def runs_to_json(results: Sequence[RunResult]) -> str:
-    """Per-run records plus the aggregate summary."""
-    import json
-
-    per_run = [{"run": i, "n_tests": r.n_tests, "n_passed": r.n_passed,
-                "accepted": r.accepted, "seed": r.seed}
-               for i, r in enumerate(results)]
-    return json.dumps({"runs": per_run, "aggregate": aggregate(results)},
-                      indent=2, sort_keys=True)
+def run_records(results: Sequence[RunResult]) -> list[dict]:
+    """Per-run records with the documented column names."""
+    return [{"run": i, "n_tests": r.n_tests, "n_passed": r.n_passed,
+             "accepted": r.accepted, "seed": r.seed}
+            for i, r in enumerate(results)]

@@ -6,6 +6,7 @@ from ffverify import simulate as sim
 from ffverify.errors import InputError
 
 import oracles
+from conftest import random_unit_vector
 
 
 @pytest.fixture(scope="module")
@@ -128,22 +129,71 @@ class TestDenseOracle:
         rng = np.random.default_rng(3)
         for l, matching in enumerate(protocol.cover.matchings):
             dist = protocol.bond_ops[matching[0]].distribution
-            if dist is None:  # isotropic: continuous directions, not memoized
+            if dist is None:  # isotropic: continuous directions, no table
                 directions = [v / np.linalg.norm(v)
                               for v in rng.standard_normal((len(matching), 3))]
-                q = sampler.pass_probability(l, directions=directions)
+                q = sampler.pass_probability([protocol.bond_test(e, r)
+                                              for e, r in zip(matching, directions)])
+                checked = [(directions, q)]
             else:
-                indices = tuple(int(i) for i in rng.integers(len(dist), size=len(matching)))
-                directions = [dist.points[i] for i in indices]
-                first = sampler.pass_probability(l, direction_indices=indices)
-                assert sampler._cached(l, indices) == first  # filled in the table
-                q = sampler.pass_probability(l, direction_indices=indices)
-                assert q == first
-            t = oracles.local_product(protocol.hamiltonian, [
-                (aklt.bond_test_projector(protocol.bond_ops[e].bond, r), e)
-                for e, r in zip(matching, directions)])
-            expected = float(np.real(np.trace(t @ oracles.density_matrix(state))))
-            assert abs(q - expected) < 1e-12
+                block = sampler._matching_block(l, matching, rng, 16)
+                table = sampler._tables[l]
+                filled = [tuple(i) for i in np.argwhere(~np.isnan(table))]
+                assert 0 < len(filled) <= 16  # the drawn tests, filled in the table
+                assert set(block) == {table[i] for i in filled}
+                checked = []
+                for indices in filled:
+                    q = sampler.pass_probability([protocol.design_tests[e][i]
+                                                  for e, i in zip(matching, indices)])
+                    assert table[indices] == q
+                    checked.append(([dist.points[i] for i in indices], q))
+            for directions, q in checked:
+                t = oracles.local_product(protocol.hamiltonian, [
+                    (aklt.bond_test_projector(protocol.bond_ops[e].bond, r), e)
+                    for e, r in zip(matching, directions)])
+                expected = float(np.real(np.trace(t @ oracles.density_matrix(state))))
+                assert abs(q - expected) < 1e-12
+
+
+class TestMixedMatching:
+    """Matchings that pair an icosahedron bond with an isotropic bond: untabled
+    tests mixing design bond tests with bond tests built per draw."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self, chain4, icosahedron):
+        cover = G.edge_coloring(chain4.graph)
+        assert all(len(m) == 2 for m in cover.matchings)
+        design_edges = {m[0] for m in cover.matchings}
+        ops = {}
+        for e in chain4.graph.edges:
+            b = aklt.bond(chain4, e)
+            ops[e] = (aklt.bond_operator(b, icosahedron) if e in design_edges
+                      else aklt.isotropic_bond_operator(b))
+        return proto.Protocol(chain4, cover, ops)
+
+    @pytest.fixture(scope="class")
+    def state(self, mixed):
+        return sim.prepare_state(mixed, sim.NoiseSpec("worst_case", 0.3))
+
+    def test_pass_probability(self, mixed, state, icosahedron):
+        sampler = sim._TestSampler(mixed, state)
+        assert not sampler.memoized
+        rng = np.random.default_rng(12)
+        density = oracles.density_matrix(state)
+        for e, f in mixed.cover.matchings:  # e carries the design, f is isotropic
+            for _ in range(3):
+                i = int(rng.integers(len(icosahedron)))
+                r = random_unit_vector(rng)
+                q = sampler.pass_probability([mixed.design_tests[e][i], mixed.bond_test(f, r)])
+                t = oracles.local_product(mixed.hamiltonian, [
+                    (aklt.bond_test_projector(mixed.bond_ops[e].bond, icosahedron.points[i]), e),
+                    (aklt.bond_test_projector(mixed.bond_ops[f].bond, r), f)])
+                assert abs(q - float(np.real(np.trace(t @ density)))) < 1e-12
+
+    def test_estimate_pass_rate(self, mixed, state):
+        exact = sim.acceptance_probability(mixed, state)
+        rate, stderr = sim.estimate_pass_rate(mixed, state, 3000, seed=13)
+        assert abs(rate - exact) < 4 * stderr
 
 
 class TestRunVerification:
@@ -273,6 +323,15 @@ class TestUnmemoizedTests:
         # the same draws, each evaluated exactly without a table
         assert sim.estimate_pass_rate(chain4_protocol, state, 1000, seed=8) == memo
 
+    def test_empty_matching(self, chain4, icosahedron):
+        # a cover may hold an empty matching: its test passes surely
+        cover = G.MatchingCover((((0, 1), (2, 3)), ((0, 3), (1, 2)), ()), (0.4, 0.4, 0.2))
+        p = proto.build_protocol(chain4, cover, icosahedron)
+        state = sim.prepare_state(p, sim.NoiseSpec("worst_case", 0.3))
+        exact = sim.acceptance_probability(p, state)
+        rate, stderr = sim.estimate_pass_rate(p, state, 2000, seed=4)
+        assert abs(rate - exact) < 4 * stderr
+
     def test_runs_evaluate_no_test_past_a_failure(self, chain4, monkeypatch):
         p = proto.build_protocol(chain4, G.edge_coloring(chain4.graph), None)
         state = sim.prepare_state(p, sim.NoiseSpec("worst_case", 0.3))
@@ -290,7 +349,11 @@ class TestUnmemoizedTests:
 
 
 class TestBondTestsBuiltOnce:
-    def test_cli_simulate_projector_count(self, monkeypatch, capsys):
+    """Design bond tests come from Protocol.design_tests, built once per
+    protocol, whether or not their matchings are tabled."""
+
+    @staticmethod
+    def projectors_built(monkeypatch, capsys, *flags) -> int:
         from ffverify import cli
 
         calls = []
@@ -303,11 +366,22 @@ class TestBondTestsBuiltOnce:
         # the sampler reaches bond test projectors only through the protocol
         assert not hasattr(sim, "bond_test_projector")
         monkeypatch.setattr(proto, "bond_test_projector", counting)
-        code = cli.main(["simulate", "--chain", "4", "--closed", "--runs", "50",
-                         "--pass-draws", "20000", "--noise-epsilon", "0.3"])
+        code = cli.main(["simulate", "--chain", "4", "--closed", "--noise-epsilon", "0.3",
+                         *flags])
         capsys.readouterr()
         assert code == 0
-        assert 0 < len(calls) <= 48  # 4 edges x 12 icosahedron points
+        return len(calls)
+
+    def test_cli_simulate_projector_count(self, monkeypatch, capsys):
+        built = self.projectors_built(monkeypatch, capsys, "--runs", "50",
+                                      "--pass-draws", "20000")
+        assert 0 < built <= 48  # 4 edges x 12 icosahedron points
+
+    def test_untabled_projector_count(self, monkeypatch, capsys):
+        monkeypatch.setattr(sim, "MEMO_TABLE_LIMIT", 100)  # chain 4 tables hold 144
+        built = self.projectors_built(monkeypatch, capsys, "--runs", "20",
+                                      "--pass-draws", "2000")
+        assert 0 < built <= 48
 
 
 class TestAggregate:
@@ -335,8 +409,9 @@ class TestRunSerialization:
         assert rows[1]["n_passed"] == "3"
 
     def test_json(self):
-        import json
-        results = [sim.RunResult(5, 5, True, 7)]
-        data = json.loads(sim.runs_to_json(results))
-        assert data["aggregate"]["acceptance_rate"] == 1.0
-        assert data["runs"][0]["seed"] == 7
+        results = [sim.RunResult(5, 5, True, 7), sim.RunResult(5, 2, False, 7)]
+        records = sim.run_records(results)
+        assert list(records[0]) == list(sim.RUN_COLUMNS)
+        assert records[0] == {"run": 0, "n_tests": 5, "n_passed": 5, "accepted": True,
+                              "seed": 7}
+        assert records[1]["run"] == 1 and records[1]["accepted"] is False
