@@ -103,15 +103,11 @@ def cmd_gap(args) -> int:
               "nu_E is the minimum bond gap", file=sys.stderr)
 
     protocol = _build_protocol(args, h, mu)
-    profile = ham.spectral_profile(h, gamma=args.gamma)
-    report = proto.gap_report(protocol, profile=profile)
-    row = report.to_dict()
-    row["N"] = proto.sample_count(report.nu_measured, args.epsilon, args.delta)
-    if len(protocol.cover) >= 2:
-        n_strong, n_weak = proto.sample_count_from_bounds(
-            len(protocol.cover), protocol.nu_e, args.epsilon, args.delta, profile.gamma,
-            profile.s, profile.g)
-        row["N_strong"], row["N_weak"] = n_strong, n_weak
+    row = proto.gap_report(protocol, gamma=args.gamma).to_dict()
+    row["N"] = proto.sample_count(row["nu_measured"], args.epsilon, args.delta)
+    if row["m"] >= 2:
+        row["N_strong"], row["N_weak"] = proto.sample_count_from_bounds(
+            row["m"], row["nu_E"], args.epsilon, args.delta, row["gamma"], row["s"], row["g"])
     _emit(args, [row])
     return 0
 
@@ -324,6 +320,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, least in (("tests", 1), ("runs", 0), ("instances", 0), ("n_step", 1)):
+            value = getattr(args, flag, None)  # count flags, each in one command
+            if value is not None and value < least:
+                raise InputError(f"--{flag.replace('_', '-')} must be at least {least}")
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -66,8 +66,7 @@ def _product_norm_sq(h: FFHamiltonian, ordering: Sequence[Edge],
         v = _complement_product(h, ordering, linalg.deflate(basis, v))
         return linalg.deflate(basis, v)
 
-    norm = linalg.product_operator_norm(apply_m, apply_m_adjoint, h.dim,
-                                        dtype=np.result_type(h.dtype, basis.dtype))
+    norm = linalg.product_operator_norm(apply_m, apply_m_adjoint, h.dim)
     return norm * norm
 
 

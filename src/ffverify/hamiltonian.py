@@ -93,18 +93,13 @@ class FFHamiltonian:
         check_dim(d, "low-spectrum solve")
         if not any(op.matrix.any() for op in self.projectors.values()):
             return d, np.eye(d), None
-        k = 2
-        while True:
-            vals, vecs = linalg.lowest_eigenpairs(self.apply, d, k=min(k, d), dtype=self.dtype)
-            if vals[0] >= GROUND_TOL:
-                raise NotFrustrationFree(
-                    f"smallest eigenvalue {vals[0]:.3e} is above tolerance {GROUND_TOL}")
-            rank = int(np.sum(vals < GROUND_TOL))
-            if rank < len(vals):
-                return rank, vecs[:, :rank], float(vals[rank])
-            if k >= d:
-                return d, vecs, None
-            k *= 2
+        vals, vecs = linalg.lowest_eigenpairs(self.apply, d, below=GROUND_TOL)
+        if vals[0] >= GROUND_TOL:
+            raise NotFrustrationFree(
+                f"smallest eigenvalue {vals[0]:.3e} is above tolerance {GROUND_TOL}")
+        rank = int(np.sum(vals < GROUND_TOL))
+        gamma = float(vals[rank]) if rank < len(vals) else None
+        return rank, vecs[:, :rank], gamma
 
     @cached_property
     def _pair_data(self) -> tuple[dict, dict]:
@@ -125,32 +120,12 @@ class FFHamiltonian:
         return pair_s, noncomm
 
 
-@dataclass(frozen=True)
-class SpectralProfile:
-    """Scalar data entering the norm bounds for one Hamiltonian."""
-
-    gamma: float
-    ground_rank: int
-    g: int
-    s: float
-    g_tilde: int
-    zeta: float
-    ordering: tuple[Edge, ...]
-
-    def __post_init__(self):
-        chain = (self.zeta, self.s ** 2 * self.g_tilde,
-                 self.s ** 2 * self.g ** 2, float(self.g ** 2))
-        for lo, hi in zip(chain, chain[1:]):
-            if lo > hi + 1e-12:
-                raise InputError(f"profile chain violated: {chain}")
-
-
 def low_spectrum(h: FFHamiltonian) -> tuple[int, np.ndarray, float | None]:
     """Ground rank, orthonormal ground basis (dim x rank) and gamma, the
     smallest eigenvalue above the ground cluster (eigenvalues below
     GROUND_TOL), from one cached solve.
 
-    The number of lowest eigenpairs doubles until one lies above the cluster;
+    `linalg.lowest_eigenpairs` returns the cluster and the pair just above it;
     gamma is None when the cluster fills the whole space, as it does for
     H = 0 (no edges, or every projector zero).
     """
@@ -191,6 +166,13 @@ class CommutationStructure:
     pair_s: dict[frozenset, float]
     noncommuting: dict[Edge, tuple[Edge, ...]]
 
+    def __post_init__(self):
+        # zeta <= s^2 g~ <= s^2 g^2 <= g^2 holds under every ordering
+        s2 = self.s ** 2
+        chain = (self.zeta, s2 * self.g_tilde, s2 * self.g ** 2, float(self.g ** 2))
+        if any(lo > hi + 1e-12 for lo, hi in zip(chain, chain[1:])):
+            raise InputError(f"profile chain violated: {chain}")
+
 
 def commutation_structure(h: FFHamiltonian,
                           ordering: Sequence[Edge] | None = None) -> CommutationStructure:
@@ -230,19 +212,6 @@ def commutation_structure(h: FFHamiltonian,
     return CommutationStructure(
         g=g, s=s, g_tilde=g_tilde, zeta=zeta, ordering=ordering,
         pair_s=pair_s, noncommuting={e: tuple(v) for e, v in noncomm.items()})
-
-
-def spectral_profile(h: FFHamiltonian, gamma: float | None = None) -> SpectralProfile:
-    """Full scalar profile under the graph's edge ordering; a gamma supplied by
-    the caller replaces the solved one (the ground rank still comes from the
-    solve)."""
-    structure = commutation_structure(h)
-    if gamma is None:
-        gamma = spectral_gap_gamma(h)
-    rank, _ = ground_space(h)
-    return SpectralProfile(gamma=float(gamma), ground_rank=rank, g=structure.g,
-                           s=structure.s, g_tilde=structure.g_tilde,
-                           zeta=structure.zeta, ordering=structure.ordering)
 
 
 def best_zeta_ordering(h: FFHamiltonian) -> tuple[tuple[Edge, ...], float]:

@@ -9,9 +9,9 @@ serve small local spaces, such as the joint support of two projectors;
 live with the tests.  Operators whose local matrices are real to REAL_TOL
 are applied and solved in real arithmetic, complex ones in complex.
 
-Every solve goes through `_eigsh`, which alone sets the solver policy
-(LANCZOS_TOL, a fixed start vector, ARPACK_MAX_RESTARTS, ARPACK failures as
-ResourceError); callers choose only the operator, k and the `dtype`.
+Every solve goes through `_eigsh`, which alone sets the solver policy:
+LANCZOS_TOL, a fixed start vector, ARPACK_MAX_RESTARTS, ARPACK failures as
+ResourceError, and real or complex arithmetic as the operator returns it.
 """
 
 from __future__ import annotations
@@ -215,25 +215,27 @@ def deflate(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 
 def _eigsh(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
-           which: str, dtype) -> tuple[np.ndarray, np.ndarray]:
+           which: str) -> tuple[np.ndarray, np.ndarray]:
     """k eigenpairs at the `which` end ("SA" or "LA") of a Hermitian operator
-    given by its action, eigenvalues ascending.
+    given by its action, eigenvalues ascending; real if it keeps float64 real.
 
     Up to DENSE_EIG_LIMIT the operator is materialized column by column and
-    diagonalized by LAPACK.  Above it ARPACK runs Lanczos in `dtype` (float64
-    takes the symmetric dsaupd path) within ARPACK_MAX_RESTARTS restarts;
-    running out of them, or any other ARPACK failure, is a ResourceError.
+    diagonalized by LAPACK.  Above it ARPACK runs Lanczos (float64 takes the
+    symmetric dsaupd path) within ARPACK_MAX_RESTARTS restarts; running out of
+    them, or any other ARPACK failure, is a ResourceError.
     """
     if dim <= DENSE_EIG_LIMIT:
-        matrix = np.column_stack([matvec(col) for col in np.eye(dim, dtype=dtype)])
+        matrix = np.column_stack([matvec(col) for col in np.eye(dim)])
         vals, vecs = scipy.linalg.eigh((matrix + matrix.conj().T) / 2)
         pick = slice(0, k) if which == "SA" else slice(max(dim - k, 0), dim)
         return vals[pick], vecs[:, pick]
     if k >= dim - 1:
         raise ResourceError(
             f"{k} eigenpairs of dimension {dim} saturate the iterative eigensolver")
-    op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec, dtype=dtype)
     v0 = np.random.default_rng(7).standard_normal(dim)  # fixed: reproducible solves
+    # one float64 probe: scipy's own inference probes with int8, kept by `2 * v`
+    dtype = np.result_type(float, matvec(v0).dtype)
+    op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec, dtype=dtype)
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
             op, k=k, which=which, tol=LANCZOS_TOL, v0=v0, maxiter=ARPACK_MAX_RESTARTS)
@@ -248,29 +250,34 @@ def _eigsh(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
 
 
 def lowest_eigenpairs(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
-                      k: int, dtype=complex) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest eigenpairs of a Hermitian operator given by its action."""
-    return _eigsh(matvec, dim, k, "SA", dtype)
+                      below: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs below `below` plus the lowest at or above it (all if none is),
+    ascending; one dense solve up to DENSE_EIG_LIMIT, Lanczos k = 2, 4, 8... above."""
+    k = dim if dim <= DENSE_EIG_LIMIT else 2
+    while True:
+        vals, vecs = _eigsh(matvec, dim, k, "SA")
+        count = int(np.sum(vals < below)) + 1
+        if count <= k or k == dim:
+            return vals[:count], vecs[:, :count]
+        k = min(2 * k, dim)
 
 
-def largest_eigenpair(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
-                      dtype=complex) -> tuple[float, np.ndarray]:
-    vals, vecs = _eigsh(matvec, dim, 1, "LA", dtype)
+def largest_eigenpair(matvec: Callable[[np.ndarray], np.ndarray],
+                      dim: int) -> tuple[float, np.ndarray]:
+    vals, vecs = _eigsh(matvec, dim, 1, "LA")
     return float(vals[0]), vecs[:, 0]
 
 
-def largest_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
-                       dtype=complex) -> float:
+def largest_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray], dim: int) -> float:
     """Largest eigenvalue of a Hermitian operator given by its action."""
-    return largest_eigenpair(matvec, dim, dtype)[0]
+    return largest_eigenpair(matvec, dim)[0]
 
 
 def product_operator_norm(apply_m: Callable[[np.ndarray], np.ndarray],
-                          apply_m_adjoint: Callable[[np.ndarray], np.ndarray],
-                          dim: int, dtype=complex) -> float:
+                          apply_m_adjoint: Callable[[np.ndarray], np.ndarray], dim: int) -> float:
     """Operator norm of M given the actions of M and M^dagger (via M^dagger M)."""
     def gram(v):
         return apply_m_adjoint(apply_m(v))
 
-    top = largest_eigenvalue(gram, dim, dtype=dtype)
+    top = largest_eigenvalue(gram, dim)
     return math.sqrt(max(top, 0.0))

@@ -19,7 +19,7 @@ from .aklt import BondOperator, DirectionDistribution, bond, bond_operator, \
     bond_test_projector, isotropic_bond_operator
 from .errors import InputError
 from .graph import Edge, MatchingCover, max_degree, Hypergraph
-from .hamiltonian import FFHamiltonian, ground_space, spectral_profile
+from .hamiltonian import FFHamiltonian, commutation_structure, ground_space, spectral_gap_gamma
 from .linalg import ApplyPlan
 from .tolerances import BOUND_CHECK_TOL
 
@@ -105,8 +105,7 @@ class Protocol:
         def deflated(v):
             return linalg.deflate(basis, self.apply_omega(linalg.deflate(basis, v)))
 
-        lam, vec = linalg.largest_eigenpair(
-            deflated, h.dim, dtype=np.result_type(self.dtype, basis.dtype))
+        lam, vec = linalg.largest_eigenpair(deflated, h.dim)
         vec = linalg.deflate(basis, vec)
         return lam, vec / np.linalg.norm(vec)
 
@@ -174,10 +173,14 @@ def coloring_gap_bound(nu_e: float, gamma: float, n_edges: int) -> float:
     return nu_e * gamma / n_edges
 
 
-def sample_count(nu: float, epsilon: float, delta: float) -> int:
-    """Tests needed at gap nu: ceil(ln delta / ln(1 - nu * epsilon))."""
+def _check_confidence(epsilon: float, delta: float) -> None:
     if not (0 < epsilon < 1 and 0 < delta < 1):
         raise InputError("epsilon and delta must lie in (0, 1)")
+
+
+def sample_count(nu: float, epsilon: float, delta: float) -> int:
+    """Tests needed at gap nu: ceil(ln delta / ln(1 - nu * epsilon))."""
+    _check_confidence(epsilon, delta)
     if not (0 < nu <= 1):
         raise InputError("nu must lie in (0, 1]")
     return math.ceil(math.log(delta) / math.log1p(-nu * epsilon))
@@ -190,8 +193,7 @@ def sample_count_from_bounds(m: int, nu_e: float, epsilon: float, delta: float,
     N_strong = m ln(1/delta) / (nu_e epsilon f) rounded to the nearest integer,
     N_weak likewise with the weak bound.
     """
-    if not (0 < epsilon < 1 and 0 < delta < 1):
-        raise InputError("epsilon and delta must lie in (0, 1)")
+    _check_confidence(epsilon, delta)
     strong, weak = matching_gap_bounds(m, nu_e, gamma, s, g)
     if strong <= 0 or weak <= 0:
         raise InputError("gap bounds are not positive")
@@ -233,17 +235,16 @@ class GapReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def gap_report(protocol: Protocol, profile=None) -> GapReport:
-    """Measure the protocol gap and evaluate the applicable bounds."""
+def gap_report(protocol: Protocol, gamma: float | None = None) -> GapReport:
+    """Measure the protocol gap and evaluate the applicable bounds at gamma (default: solved)."""
     h = protocol.hamiltonian
-    if profile is None:
-        profile = spectral_profile(h)
-    gamma = profile.gamma
+    structure = commutation_structure(h)
+    gamma = float(spectral_gap_gamma(h) if gamma is None else gamma)
     nu_e = protocol.nu_e
     m = len(protocol.cover)
     nu = measured_gap(protocol)
     if m >= 2:
-        strong, weak = matching_gap_bounds(m, nu_e, gamma, profile.s, profile.g)
+        strong, weak = matching_gap_bounds(m, nu_e, gamma, structure.s, structure.g)
     else:
         strong = weak = None
     thm2 = None
@@ -255,7 +256,7 @@ def gap_report(protocol: Protocol, profile=None) -> GapReport:
         if proportional:
             thm2 = coloring_gap_bound(nu_e, gamma, n_edges)
     params = {"n": h.graph.n_vertices, "edge_count": h.graph.n_edges, "m": m,
-              "gamma": gamma, "nu_E": nu_e, "s": profile.s, "g": profile.g,
+              "gamma": gamma, "nu_E": nu_e, "s": structure.s, "g": structure.g,
               "dim": h.dim}
     return GapReport(nu_measured=nu, thm1_strong=strong, thm1_weak=weak,
                      thm2=thm2, parameters=params)
@@ -293,8 +294,7 @@ def aklt_protocol_bounds(g: Hypergraph, gamma: float, epsilon: float | None = No
         "large_degree_gap": 4.0 * gamma / (n * d * (2 * d + 1)),
     }
     if epsilon is not None and delta is not None:
-        if not (0 < epsilon < 1 and 0 < delta < 1):
-            raise InputError("epsilon and delta must lie in (0, 1)")
+        _check_confidence(epsilon, delta)
         log_inv = math.log(1.0 / delta)
         out["n_ceiling"] = math.ceil(log_inv / (epsilon * out["gap_floor"]))
         out["large_degree_n"] = math.ceil(log_inv / (epsilon * out["large_degree_gap"]))
@@ -308,8 +308,7 @@ def hkse_cost(edge_count: int, gamma: float, epsilon: float, delta: float) -> fl
     """|E|^3 / (2 gamma^2 eps^2) * ln[-(|E|+1)/ln(1-delta)]."""
     if edge_count < 1 or gamma <= 0:
         raise InputError("edge count and gamma must be positive")
-    if not (0 < epsilon < 1 and 0 < delta < 1):
-        raise InputError("epsilon and delta must lie in (0, 1)")
+    _check_confidence(epsilon, delta)
     lead = edge_count ** 3 / (2.0 * gamma ** 2 * epsilon ** 2)
     return lead * math.log(-(edge_count + 1) / math.log1p(-delta))
 
@@ -318,6 +317,7 @@ def hkse_cost_approx(edge_count: int, gamma: float, epsilon: float, delta: float
     """Large-|E| small-delta approximation |E|^3/(2 gamma^2 eps^2) ln(|E|/delta)."""
     if edge_count < 1 or gamma <= 0:
         raise InputError("edge count and gamma must be positive")
+    _check_confidence(epsilon, delta)
     lead = edge_count ** 3 / (2.0 * gamma ** 2 * epsilon ** 2)
     return lead * math.log(edge_count / delta)
 
@@ -332,8 +332,7 @@ def bhsre_lower(n: int, gamma: float, epsilon: float, delta: float,
         raise InputError("alpha * kappa must be at least 1")
     if n < 1 or gamma <= 0:
         raise InputError("n and gamma must be positive")
-    if not (0 < epsilon < 1 and 0 < delta < 1):
-        raise InputError("epsilon and delta must lie in (0, 1)")
+    _check_confidence(epsilon, delta)
     factor = 1.0 if alpha is None else (alpha * kappa) ** 2
     return factor * n ** 2 / (2.0 * gamma ** 2 * epsilon ** 2) * math.log((kappa + 1) / delta)
 
@@ -349,8 +348,7 @@ def gkea_costs(modes: int, epsilon: float, delta: float) -> tuple[int, int]:
     """(general, gapped) sample counts for Gaussian-state certification."""
     if modes < 2:
         raise InputError("need at least two modes")
-    if not (0 < epsilon < 1 and 0 < delta < 1):
-        raise InputError("epsilon and delta must lie in (0, 1)")
+    _check_confidence(epsilon, delta)
     log_term = math.log(2.0 / delta)
     general = math.ceil(2.0 * modes ** 4 * log_term / epsilon ** 2)
     gapped = math.ceil(modes ** 2 * math.log(modes) ** 2 * log_term / (2.0 * epsilon ** 2))

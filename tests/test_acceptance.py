@@ -126,15 +126,16 @@ def test_criterion_07_exact_diagonalization_suite(n, icosahedron):
         assert len(cover) == 2
         protocol = proto.build_protocol(h, cover, icosahedron)
 
-        profile = ham.spectral_profile(h)
+        structure = ham.commutation_structure(h)
+        gamma = ham.spectral_gap_gamma(h)
         nu = proto.measured_gap(protocol)
         strong, weak = proto.matching_gap_bounds(
-            m=2, nu_e=protocol.nu_e, gamma=profile.gamma, s=profile.s, g=profile.g)
+            m=2, nu_e=protocol.nu_e, gamma=gamma, s=structure.s, g=structure.g)
         assert nu >= strong - 1e-9
         assert nu >= weak - 1e-9
 
         # uniform probabilities equal |M_l|/|E| for the balanced 2-coloring
-        thm2 = proto.coloring_gap_bound(protocol.nu_e, profile.gamma, n)
+        thm2 = proto.coloring_gap_bound(protocol.nu_e, gamma, n)
         assert nu >= thm2 - 1e-9
 
         report = dl.dl_norm_check(h)

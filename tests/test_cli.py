@@ -247,6 +247,18 @@ class TestSimulate:
 
 
 class TestParsing:
+    @pytest.mark.parametrize("argv, flag", [
+        (("simulate", "--chain", "4", "--closed", "--tests", "0"), "--tests"),
+        (("simulate", "--chain", "4", "--closed", "--runs", "-1"), "--runs"),
+        (("check-bounds", "--instances", "-1"), "--instances"),
+        (("compare", "--n-step", "0"), "--n-step"),
+    ], ids=["tests", "runs", "instances", "n-step"])
+    def test_count_flag_below_its_floor(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and flag in err
+
     def test_bad_wh(self, capsys):
         code, _, _ = run_cli(capsys, "gap", "--honeycomb", "3by3")
         assert code == 2

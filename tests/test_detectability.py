@@ -23,8 +23,9 @@ class TestDLNormCheck:
 
     def test_aklt_chain_within_first_bound(self, chain4):
         report = dl.dl_norm_check(chain4)
-        prof = ham.spectral_profile(chain4)
-        assert report.measured <= prof.zeta / (prof.gamma + prof.zeta) + 1e-9
+        zeta = ham.commutation_structure(chain4).zeta
+        gamma = ham.spectral_gap_gamma(chain4)
+        assert report.measured <= zeta / (gamma + zeta) + 1e-9
         assert report.passed
 
     def test_bound_chain_monotone(self, chain4):

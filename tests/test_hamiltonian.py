@@ -131,10 +131,11 @@ class TestSpectralGap:
 
 class TestSpectralProfile:
     def test_chain_g_and_s(self, chain4):
-        prof = ham.spectral_profile(chain4)
-        assert prof.g == 2
-        assert abs(prof.s - 0.5) < 1e-9
-        assert prof.ground_rank == 1
+        structure = ham.commutation_structure(chain4)
+        rank, _ = ham.ground_space(chain4)
+        assert structure.g == 2
+        assert abs(structure.s - 0.5) < 1e-9
+        assert rank == 1
 
     def test_honeycomb_interior_g(self):
         g = G.honeycomb_lattice(2, 2, periodic=True)
@@ -151,7 +152,7 @@ class TestSpectralProfile:
         assert structure.zeta == 0.0
 
     def test_chain_inequalities(self, chain4):
-        prof = ham.spectral_profile(chain4)
+        prof = ham.commutation_structure(chain4)
         s2 = prof.s ** 2
         assert prof.zeta <= s2 * prof.g_tilde + 1e-12
         assert s2 * prof.g_tilde <= s2 * prof.g ** 2 + 1e-12
@@ -187,12 +188,12 @@ class TestSpectralProfile:
             h = ham.random_ff_instance(
                 int(rng.integers(2 ** 31)), (0, 1, 2), dims,
                 ((0, 1), (1, 2)), ground_rank=1)
-            prof = ham.spectral_profile(h)
+            prof = ham.commutation_structure(h)
             s2 = prof.s ** 2
             assert prof.zeta <= s2 * prof.g_tilde + 1e-12
             assert s2 * prof.g_tilde <= s2 * prof.g ** 2 + 1e-12
             assert s2 * prof.g ** 2 <= prof.g ** 2 + 1e-12
-            assert prof.gamma > 0
+            assert ham.spectral_gap_gamma(h) > 0
 
 
 class TestRandomInstance:

@@ -3,6 +3,7 @@ import pytest
 
 from ffverify import linalg
 from ffverify.errors import InputError
+from ffverify.tolerances import DENSE_EIG_LIMIT
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -202,8 +203,9 @@ class TestMatrixFree:
     def test_lowest_eigenpairs_match_dense(self):
         rng = np.random.default_rng(11)
         a = random_hermitian(rng, 40)
-        vals, vecs = linalg.lowest_eigenpairs(lambda v: a @ v, 40, k=3)
         dense_vals = np.linalg.eigvalsh(a)
+        below = (dense_vals[1] + dense_vals[2]) / 2  # two below, the third above
+        vals, vecs = linalg.lowest_eigenpairs(lambda v: a @ v, 40, below)
         assert np.allclose(vals, dense_vals[:3], atol=1e-8)
         for i in range(3):
             resid = a @ vecs[:, i] - vals[i] * vecs[:, i]
@@ -214,6 +216,29 @@ class TestMatrixFree:
         a = random_hermitian(rng, 40)
         top = linalg.largest_eigenvalue(lambda v: a @ v, 40)
         assert abs(top - np.linalg.eigvalsh(a)[-1]) < 1e-8
+
+    @pytest.mark.parametrize("dim", [40, 100], ids=["dense", "lanczos"])
+    @pytest.mark.parametrize("field, expected", [(float, np.float64), (complex, np.complex128)],
+                             ids=["real", "complex"])
+    def test_arithmetic_follows_the_operator(self, dim, field, expected):
+        """No dtype argument: the solve is real exactly when the operator keeps
+        float64 vectors real, on both sides of the dense floor."""
+        assert (dim <= DENSE_EIG_LIMIT) == (dim == 40)
+        rng = np.random.default_rng(14)
+        a = random_hermitian(rng, dim)
+        a = a.real if field is float else a
+        dense_vals = np.linalg.eigvalsh(a)
+        vals, vecs = linalg.lowest_eigenpairs(lambda v: a @ v, dim, below=-np.inf)
+        top, vec = linalg.largest_eigenpair(lambda v: a @ v, dim)
+        assert vecs.dtype == vec.dtype == expected
+        assert abs(vals[0] - dense_vals[0]) < 1e-8 and abs(top - dense_vals[-1]) < 1e-8
+
+    def test_identity_like_operator_is_real(self):
+        """scipy's own dtype inference probes with int8, which `2 * v` keeps."""
+        vals, vecs = linalg.lowest_eigenpairs(lambda v: 2 * v, 100, below=1.0)
+        top, vec = linalg.largest_eigenpair(lambda v: 2 * v, 100)
+        assert vecs.dtype == vec.dtype == np.float64
+        assert np.allclose(vals, [2.0]) and abs(top - 2.0) < 1e-12
 
     def test_product_operator_norm_matches_svd(self):
         rng = np.random.default_rng(13)

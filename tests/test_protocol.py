@@ -258,6 +258,9 @@ class TestCompetitors:
             proto.bhsre_lower(10, 0.3, 0.01, 0.01, kappa=1)
         with pytest.raises(InputError):
             proto.bhsre_lower(10, 0.3, 0.01, 0.01, kappa=2, alpha=0.4)
+        for epsilon, delta in ((0.0, 0.01), (0.01, 0.0), (0.01, 2.0)):
+            with pytest.raises(InputError):
+                proto.hkse_cost_approx(10, 0.35, epsilon, delta)
 
     def test_competitor_table_keys(self):
         table = proto.competitor_costs(0.01, 0.01, gamma=0.35, n=100,

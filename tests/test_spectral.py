@@ -4,6 +4,7 @@ DENSE_EIG_LIMIT."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -82,13 +83,13 @@ class TestOpenChainsDegenerate:
     def test_rank_four_found_by_doubling(self, n, monkeypatch):
         h = open_spin_one_chain(n)
         ks = []
-        solver = linalg.lowest_eigenpairs
+        solver = linalg._eigsh
 
-        def recording(matvec, dim, k, **kwargs):
+        def recording(matvec, dim, k, which):
             ks.append(k)
-            return solver(matvec, dim, k, **kwargs)
+            return solver(matvec, dim, k, which)
 
-        monkeypatch.setattr(linalg, "lowest_eigenpairs", recording)
+        monkeypatch.setattr(linalg, "_eigsh", recording)
         rank, basis, gamma = ham.low_spectrum(h)
         oracle_rank, oracle_gamma = dense_low_spectrum(sector_spectrum(h))
         assert ks == [2, 4, 8]
@@ -101,6 +102,36 @@ class TestOpenChainsDegenerate:
         h = open_spin_one_chain(5)
         vals, _ = linalg.eigh(oracles.hamiltonian(h))
         assert np.allclose(sector_spectrum(h), vals, atol=1e-10)
+
+
+class TestDenseFloorOneSolve:
+    def test_degenerate_cluster_from_one_dense_solve(self, monkeypatch):
+        """Below the dense floor the whole ground cluster and gamma come from
+        d applies of H and one eigh, however large the rank."""
+        h = ham.random_ff_instance(0, nodes=range(3), dims=[3] * 3,
+                                   edges=((0, 1), (1, 2)), ground_rank=2)
+        assert h.dim <= DENSE_EIG_LIMIT
+        applies, solves = [], []
+        apply, eigh = ham.FFHamiltonian.apply, scipy.linalg.eigh
+
+        def counted_apply(self, vec):
+            applies.append(1)
+            return apply(self, vec)
+
+        def counted_eigh(*args, **kwargs):
+            solves.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(ham.FFHamiltonian, "apply", counted_apply)
+        monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+        rank, basis, gamma = ham.low_spectrum(h)
+        assert (len(applies), len(solves)) == (h.dim, 1)
+        monkeypatch.undo()
+        dense = oracles.hamiltonian(h)
+        oracle_rank, oracle_gamma = dense_low_spectrum(np.linalg.eigvalsh(dense))
+        assert rank == oracle_rank >= 2
+        assert abs(gamma - oracle_gamma) < 1e-8
+        assert np.linalg.norm(dense @ basis) < 1e-8
 
 
 def complex_instance() -> ham.FFHamiltonian:
@@ -236,7 +267,7 @@ class TestZeroHamiltonian:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
         with pytest.raises(ResourceError, match=r"d=100, k=2"):
-            linalg.lowest_eigenpairs(lambda v: v, 100, 2, dtype=float)
+            linalg.lowest_eigenpairs(lambda v: v, 100, below=0.5)
 
 
 class TestDimensionCap:

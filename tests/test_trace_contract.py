@@ -3,14 +3,16 @@
 `tracing.install` wraps only the names that exist and skips the rest without
 a word, so a renamed function would read as a per-layer metric of zero.
 These tests load the two benchmark scripts read-only and resolve every name
-they use.
+they use, and check that each eigensolve goes through a traced name.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
 import re
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -76,3 +78,32 @@ def test_setup_probe_names_resolve(replay):
     assert {"build_parser", "_build_graph", "_check_dim", "_load_design"} <= cli_names
     for alias, attr in sorted(used):
         assert callable(getattr(aliases[alias], attr, None)), f"{alias}.{attr}"
+
+
+def solve_sites():
+    from ffverify import detectability, hamiltonian, protocol
+
+    return {"FFHamiltonian._low_spectrum": hamiltonian.FFHamiltonian._low_spectrum.func,
+            "Protocol._top_excited": protocol.Protocol._top_excited.func,
+            "detectability._product_norm_sq": detectability._product_norm_sq}
+
+
+#: linalg helpers the solve sites may call besides the traced solvers
+UNTRACED_HELPERS = {"deflate"}
+#: eigensolver names that, called directly, would bypass the traced wrappers
+SOLVER_NAMES = {"_eigsh", "eigh", "eigsh", "eigs", "eigvalsh", "lobpcg", "svd", "svdvals"}
+
+
+@pytest.mark.parametrize("site", sorted(solve_sites()))
+def test_solves_go_through_traced_names(tracing, site):
+    """A solve sent through a new untraced name would otherwise show only as
+    a lower linalg.krylov_calls."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(solve_sites()[site])))
+    attributes = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    via_linalg = {node.attr for node in attributes
+                  if isinstance(node.value, ast.Name) and node.value.id == "linalg"}
+    krylov = {name.split(".", 1)[1] for name in tracing.KRYLOV}
+    assert via_linalg & krylov, f"{site} calls no traced solver"
+    assert via_linalg <= krylov | UNTRACED_HELPERS, via_linalg - krylov
+    assert not {node.attr for node in attributes} & SOLVER_NAMES
+    assert "scipy" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
