@@ -135,14 +135,15 @@ def cmd_samples(args) -> int:
 def cmd_compare(args) -> int:
     """Sample costs on even closed chains: constant for the coloring protocol,
     polynomial growth for the competitors."""
-    sizes = range(args.n_min, args.n_max + 1, args.n_step)
+    sizes = [n for n in range(args.n_min, args.n_max + 1, args.n_step) if n % 2 == 0]
+    if not sizes:
+        raise InputError(f"--n-min {args.n_min} to --n-max {args.n_max} in steps of "
+                         f"{args.n_step} holds no even chain length")
     rows = []
     n_strong, _ = proto.sample_count_from_bounds(
         m=2, nu_e=2.0 / 5.0, epsilon=args.epsilon, delta=args.delta,
         gamma=args.gamma, s=0.5, g=2)
     for n in sizes:
-        if n % 2:
-            continue
         costs = proto.competitor_costs(args.epsilon, args.delta, gamma=args.gamma,
                                        n=n, edge_count=n, kappa=args.kappa,
                                        alpha=args.alpha)
@@ -320,8 +321,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag, least in (("tests", 1), ("runs", 0), ("instances", 0), ("n_step", 1)):
-            value = getattr(args, flag, None)  # count flags, each in one command
+        for flag, least in (("tests", 1), ("runs", 0), ("instances", 0), ("n_step", 1),
+                            ("pass_draws", 1), ("seed", 0)):
+            value = getattr(args, flag, None)  # None in commands without the flag
             if value is not None and value < least:
                 raise InputError(f"--{flag.replace('_', '-')} must be at least {least}")
         return args.func(args)

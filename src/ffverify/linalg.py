@@ -11,12 +11,18 @@ are applied and solved in real arithmetic, complex ones in complex.
 
 Every solve goes through `_eigsh`, which alone sets the solver policy:
 LANCZOS_TOL, a fixed start vector, ARPACK_MAX_RESTARTS, ARPACK failures as
-ResourceError, and real or complex arithmetic as the operator returns it.
+ResourceError, real or complex arithmetic as the operator returns it, and
+the BLAS thread policy: from the first Lanczos solve on, numpy's and scipy's
+OpenBLAS pools run one thread each, unless OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS is set.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -214,6 +220,35 @@ def deflate(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return vec - basis @ (basis.conj().T @ vec)
 
 
+@functools.cache
+def _blas_thread_policy() -> None:
+    """Run numpy's and scipy's OpenBLAS pools on one thread each, once.
+
+    numpy (ILP64, the apply kernels' matmul) and scipy (LP64, ARPACK) load
+    separate OpenBLAS copies, each with a pool of one thread per core; on the
+    small BLAS calls of a Lanczos solve the two pools contend for the cores
+    and slow the solve down, so one thread each is faster.  A thread count
+    the user set in the environment is left alone.
+    """
+    if any(name in os.environ
+           for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+        return
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:  # not Linux: no loaded libraries to look up
+        return
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter(1)
+
+
 def _eigsh(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
            which: str) -> tuple[np.ndarray, np.ndarray]:
     """k eigenpairs at the `which` end ("SA" or "LA") of a Hermitian operator
@@ -222,7 +257,8 @@ def _eigsh(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
     Up to DENSE_EIG_LIMIT the operator is materialized column by column and
     diagonalized by LAPACK.  Above it ARPACK runs Lanczos (float64 takes the
     symmetric dsaupd path) within ARPACK_MAX_RESTARTS restarts; running out of
-    them, or any other ARPACK failure, is a ResourceError.
+    them, or any other ARPACK failure, is a ResourceError.  The first Lanczos
+    solve applies the BLAS thread policy (`_blas_thread_policy`).
     """
     if dim <= DENSE_EIG_LIMIT:
         matrix = np.column_stack([matvec(col) for col in np.eye(dim)])
@@ -232,6 +268,7 @@ def _eigsh(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
     if k >= dim - 1:
         raise ResourceError(
             f"{k} eigenpairs of dimension {dim} saturate the iterative eigensolver")
+    _blas_thread_policy()
     v0 = np.random.default_rng(7).standard_normal(dim)  # fixed: reproducible solves
     # one float64 probe: scipy's own inference probes with int8, kept by `2 * v`
     dtype = np.result_type(float, matvec(v0).dtype)

@@ -252,12 +252,26 @@ class TestParsing:
         (("simulate", "--chain", "4", "--closed", "--runs", "-1"), "--runs"),
         (("check-bounds", "--instances", "-1"), "--instances"),
         (("compare", "--n-step", "0"), "--n-step"),
-    ], ids=["tests", "runs", "instances", "n-step"])
+        (("simulate", "--chain", "4", "--closed", "--pass-draws", "0"), "--pass-draws"),
+        (("check-bounds", "--instances", "1", "--seed", "-1"), "--seed"),
+        (("simulate", "--chain", "4", "--closed", "--runs", "2", "--tests", "5",
+          "--pass-draws", "10", "--seed", "-3"), "--seed"),
+    ], ids=["tests", "runs", "instances", "n-step", "pass-draws", "seed-check-bounds",
+            "seed-simulate"])
     def test_count_flag_below_its_floor(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and flag in err
+
+    @pytest.mark.parametrize("bounds", [("5", "3"), ("3", "3"), ("1", "9", "--n-step", "2")],
+                             ids=["empty", "one-odd", "all-odd"])
+    def test_compare_range_without_even_length(self, capsys, bounds):
+        n_min, n_max, *step = bounds
+        code, out, err = run_cli(capsys, "compare", "--n-min", n_min, "--n-max", n_max, *step)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--n-min" in err and "--n-max" in err
 
     def test_bad_wh(self, capsys):
         code, _, _ = run_cli(capsys, "gap", "--honeycomb", "3by3")

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -261,3 +267,84 @@ class TestLocalOperator:
         assert linalg.hermiticity_defect(PAULI_X) < 1e-12
         skew = np.array([[0, 1], [-1, 0]], dtype=complex)
         assert linalg.hermiticity_defect(skew) >= 1e-12
+
+
+#: child process: OpenBLAS pool sizes at start, after importing ffverify and
+#: building a protocol, and after `gap --chain 8 --closed` (d = 6561, Lanczos)
+POOL_PROBE = """
+import contextlib, ctypes, io, json
+import numpy, scipy.linalg, scipy.sparse.linalg
+
+def pools():
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return {}
+    found = {}
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                found[symbol] = getter()
+    return found
+
+start = pools()
+from ffverify import aklt, cli, graph, protocol
+h = aklt.aklt_hamiltonian(graph.chain(6, closed=True))
+protocol.build_protocol(h, graph.edge_coloring(h.graph), aklt.design_catalog("icosahedron"))
+built = pools()
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["gap", "--chain", "8", "--closed"])
+print(json.dumps({"start": start, "built": built, "solved": pools(), "code": code,
+                  "row": json.loads(out.getvalue())[0]}))
+"""
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def probe_pools(**extra_env) -> dict:
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(extra_env, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("FFV_MAX_DIM", None)
+    out = subprocess.run([sys.executable, "-c", POOL_PROBE], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    result = json.loads(out)
+    if not result["start"]:
+        pytest.skip("no scipy-openblas library is loaded, so there is no pool to set")
+    assert result["code"] == 0
+    return result
+
+
+@pytest.fixture(scope="module")
+def default_pools():
+    return probe_pools()
+
+
+@pytest.fixture(scope="module")
+def user_pools():
+    return probe_pools(OPENBLAS_NUM_THREADS="2")
+
+
+class TestBlasThreadPolicy:
+    def test_import_and_build_leave_pools_alone(self, default_pools):
+        assert default_pools["built"] == default_pools["start"]
+
+    def test_lanczos_solve_sets_one_thread_per_pool(self, default_pools):
+        assert default_pools["solved"] == {name: 1 for name in default_pools["start"]}
+
+    def test_user_thread_count_wins(self, user_pools):
+        # OpenBLAS caps the variable at the cores it may run on
+        assert user_pools["solved"] == user_pools["start"]
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert set(user_pools["solved"].values()) == {2}
+
+    def test_results_independent_of_thread_count(self, default_pools, user_pools):
+        for key in ("gamma", "nu_measured"):
+            assert default_pools["row"][key] == pytest.approx(user_pools["row"][key],
+                                                              abs=1e-10)

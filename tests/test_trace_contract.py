@@ -3,7 +3,8 @@
 `tracing.install` wraps only the names that exist and skips the rest without
 a word, so a renamed function would read as a per-layer metric of zero.
 These tests load the two benchmark scripts read-only and resolve every name
-they use, and check that each eigensolve goes through a traced name.
+they use, and check that each eigensolve goes through a traced name and
+that the BLAS thread policy has one home.
 """
 
 import ast
@@ -107,3 +108,26 @@ def test_solves_go_through_traced_names(tracing, site):
     assert via_linalg <= krylov | UNTRACED_HELPERS, via_linalg - krylov
     assert not {node.attr for node in attributes} & SOLVER_NAMES
     assert "scipy" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_blas_thread_policy_has_one_home():
+    """Only linalg sets BLAS threads, in one function that only `_eigsh` calls,
+    so import and instance building never change them."""
+    import ffverify
+
+    package = Path(ffverify.__file__).resolve().parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert [name for name, text in sources.items() if "set_num_threads" in text] == ["linalg"]
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    functions = {node.name: node for node in ast.walk(trees["linalg"])
+                 if isinstance(node, ast.FunctionDef)}
+    setters = [name for name, fn in functions.items()
+               if "set_num_threads" in ast.get_source_segment(sources["linalg"], fn)]
+    assert len(setters) == 1
+
+    def uses(tree) -> int:
+        return sum(isinstance(node, ast.Name) and node.id == setters[0]
+                   or isinstance(node, ast.Attribute) and node.attr == setters[0]
+                   for node in ast.walk(tree))
+
+    assert sum(uses(tree) for tree in trees.values()) == uses(functions["_eigsh"]) == 1
