@@ -11,13 +11,13 @@ from .graph import (Hypergraph, MatchingCover, chain, chromatic_index_bounds,
                     complete_graph, degree, disjointify, edge_coloring,
                     honeycomb_lattice, is_matching, max_degree, square_lattice,
                     trivial_cover)
-from .linalg import LocalOperator, eigh, embed, operator_norm, singular_values
+from .linalg import eigh, embed, operator_norm, singular_values
 from .hamiltonian import (FFHamiltonian, best_zeta_ordering, commutation_structure,
                           ground_space, load_hamiltonian, random_ff_instance,
                           save_hamiltonian, spectral_gap_gamma)
 from .detectability import (DLReport, dl_norm_check, dl_state_check,
                             projector_pair_check, union_gap_check)
-from .aklt import (Bond, BondOperator, DirectionDistribution, SpinValue,
+from .aklt import (Bond, BondOperator, DirectionDistribution,
                    aklt_hamiltonian, bond, bond_design_report, bond_operator,
                    bond_test_projector, coherent_extremes, design_catalog,
                    frame_potential, is_design, isotropic_bond_operator,

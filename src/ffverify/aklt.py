@@ -19,36 +19,18 @@ from . import linalg
 from .errors import InputError
 from .graph import Hypergraph, Edge, degree
 from .hamiltonian import FFHamiltonian
-from .linalg import LocalOperator
 from .tolerances import DESIGN_TOL, PROB_SUM_TOL, SPIN_CLUSTER_TOL, UNIT_VECTOR_TOL
 
 # design_order checks frame potentials up to this order
 MAX_DESIGN_ORDER = 20
 
 
-@dataclass(frozen=True)
-class SpinValue:
-    """Spin quantum number stored as 2S so half-integers stay exact."""
-
-    twice_s: int
-
-    def __post_init__(self):
-        if self.twice_s < 1:
-            raise InputError("spin must be at least 1/2")
-
-    @property
-    def dimension(self) -> int:
-        return self.twice_s + 1
-
-    @property
-    def spin(self) -> float:
-        return self.twice_s / 2.0
-
-
 @lru_cache(maxsize=None)
 def spin_operators(twice_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S_x, S_y, S_z) in the basis m = S, S-1, ..., -S."""
-    s = SpinValue(twice_s).spin
+    """(S_x, S_y, S_z) in the basis m = S, S-1, ..., -S, for spin S = twice_s/2."""
+    if twice_s < 1:
+        raise InputError("spin must be at least 1/2")
+    s = twice_s / 2
     d = twice_s + 1
     m = s - np.arange(d)
     sz = np.diag(m).astype(complex)
@@ -153,11 +135,8 @@ def aklt_hamiltonian(g: Hypergraph) -> FFHamiltonian:
         if d < 1:
             raise InputError(f"vertex {v} is isolated")
         dims[v] = d + 1  # 2S_j + 1 with S_j = deg(j)/2
-    projectors = {}
-    for e in g.edges:
-        j, k = e
-        p = coupled_spin_projector(degree(g, j), degree(g, k))
-        projectors[e] = LocalOperator(p, e, {j: dims[j], k: dims[k]})
+    projectors = {(j, k): coupled_spin_projector(degree(g, j), degree(g, k))
+                  for j, k in g.edges}
     return FFHamiltonian(g, projectors, dims)
 
 
@@ -168,10 +147,6 @@ def bond(h: FFHamiltonian, e) -> Bond:
         raise InputError(f"{e} is not an edge of the Hamiltonian")
     j, k = e
     return Bond(e, h.node_dims[j] - 1, h.node_dims[k] - 1)
-
-
-def bonds(h: FFHamiltonian) -> tuple[Bond, ...]:
-    return tuple(bond(h, e) for e in h.graph.edges)
 
 
 def bond_test_projector(b: Bond, direction) -> np.ndarray:

@@ -321,8 +321,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag, least in (("tests", 1), ("runs", 0), ("instances", 0), ("n_step", 1),
-                            ("pass_draws", 1), ("seed", 0)):
+        for flag, least in (("tests", 1), ("runs", 0), ("instances", 0), ("n_min", 1),
+                            ("n_step", 1), ("pass_draws", 1), ("seed", 0)):
             value = getattr(args, flag, None)  # None in commands without the flag
             if value is not None and value < least:
                 raise InputError(f"--{flag.replace('_', '-')} must be at least {least}")

@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import DegenerateSpectrum, InputError, NotFrustrationFree
 from .graph import Edge, Hypergraph
-from .linalg import ApplyPlan, LocalOperator
+from .linalg import ApplyPlan
 from .tolerances import COMMUTE_TOL, GROUND_TOL, UNIT_SV_TOL, check_dim
 
 # best_zeta_ordering tries every permutation up to this many edges
@@ -27,10 +27,15 @@ EXHAUSTIVE_ORDERING_EDGES = 7
 
 @dataclass(frozen=True, eq=False)
 class FFHamiltonian:
-    """Sum of local projectors, one per hyperedge, sharing a null vector."""
+    """Sum of local projectors, one per hyperedge, sharing a null vector.
+
+    `projectors` maps each edge to its projector's matrix, whose tensor
+    factors follow the edge's ascending node order; each is stored as a
+    read-only complex copy.
+    """
 
     graph: Hypergraph
-    projectors: dict[Edge, LocalOperator]
+    projectors: dict[Edge, np.ndarray]
     node_dims: dict[int, int]
 
     def __post_init__(self):
@@ -45,15 +50,14 @@ class FFHamiltonian:
         for e in self.graph.edges:
             if e not in self.projectors:
                 raise InputError(f"no projector for edge {e}")
-            op = self.projectors[e]
-            if tuple(sorted(op.support)) != e:
-                raise InputError(f"projector support {op.support} does not match edge {e}")
-            for v in op.support:
-                if op.node_dims[v] != dims[v]:
-                    raise InputError(f"dimension mismatch on node {v}")
-            if not linalg.is_projector(op.matrix):
+            p = np.array(self.projectors[e], dtype=complex)
+            d_e = math.prod(dims[v] for v in e)
+            if p.shape != (d_e, d_e):
+                raise InputError(f"projector on {e} has shape {p.shape}, not ({d_e}, {d_e})")
+            if not linalg.is_projector(p):
                 raise InputError(f"operator on {e} is not a projector")
-            projs[e] = op
+            p.setflags(write=False)
+            projs[e] = p
         object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "node_dims", dims)
 
@@ -67,8 +71,8 @@ class FFHamiltonian:
 
     @cached_property
     def _plans(self) -> dict[Edge, ApplyPlan]:
-        return {e: linalg.make_plan(op.matrix, op.support, self.node_order, self.node_dims)
-                for e, op in self.projectors.items()}
+        return {e: linalg.make_plan(p, e, self.node_order, self.node_dims)
+                for e, p in self.projectors.items()}
 
     @cached_property
     def dtype(self) -> np.dtype:
@@ -91,7 +95,7 @@ class FFHamiltonian:
         """The solve behind `low_spectrum`, run once per Hamiltonian."""
         d = self.dim
         check_dim(d, "low-spectrum solve")
-        if not any(op.matrix.any() for op in self.projectors.values()):
+        if not any(p.any() for p in self.projectors.values()):
             return d, np.eye(d), None
         vals, vecs = linalg.lowest_eigenpairs(self.apply, d, below=GROUND_TOL)
         if vals[0] >= GROUND_TOL:
@@ -149,9 +153,8 @@ def spectral_gap_gamma(h: FFHamiltonian) -> float:
 def _pair_space(h: FFHamiltonian, e: Edge, f: Edge) -> tuple[np.ndarray, np.ndarray]:
     """Both projectors embedded in the joint support space (small and dense)."""
     nodes = tuple(sorted(set(e) | set(f)))
-    dims = {v: h.node_dims[v] for v in nodes}
-    return (linalg.embed(h.projectors[e], nodes, dims),
-            linalg.embed(h.projectors[f], nodes, dims))
+    return (linalg.embed(h.projectors[e], e, nodes, h.node_dims),
+            linalg.embed(h.projectors[f], f, nodes, h.node_dims))
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,8 +294,7 @@ def random_ff_instance(seed: int, nodes: Sequence[int], dims: dict[int, int] | S
             q, _ = np.linalg.qr(comp @ mix)
             v = q[:, :r]
             p = v @ v.conj().T
-        p = (p + p.conj().T) / 2
-        projectors[e] = LocalOperator(p, e, {v: dims[v] for v in e})
+        projectors[e] = (p + p.conj().T) / 2
     return FFHamiltonian(g, projectors, dict(dims))
 
 
@@ -305,8 +307,7 @@ def save_hamiltonian(h: FFHamiltonian, path) -> None:
         "node_dims": {str(k): v for k, v in h.node_dims.items()},
         "edges": [list(e) for e in h.graph.edges],
     }
-    arrays = {f"edge_{i}": h.projectors[e].matrix
-              for i, e in enumerate(h.graph.edges)}
+    arrays = {f"edge_{i}": h.projectors[e] for i, e in enumerate(h.graph.edges)}
     np.savez(path, manifest=json.dumps(manifest), **arrays)
 
 
@@ -317,10 +318,8 @@ def load_hamiltonian(path) -> FFHamiltonian:
             g = Hypergraph(tuple(manifest["graph"]["vertices"]),
                            tuple(tuple(e) for e in manifest["graph"]["edges"]))
             dims = {int(k): int(v) for k, v in manifest["node_dims"].items()}
-            projectors = {}
-            for i, e in enumerate(tuple(tuple(sorted(e)) for e in manifest["edges"])):
-                matrix = np.asarray(data[f"edge_{i}"], dtype=complex)
-                projectors[e] = LocalOperator(matrix, e, {v: dims[v] for v in e})
+            projectors = {tuple(sorted(e)): data[f"edge_{i}"]
+                          for i, e in enumerate(manifest["edges"])}
         except KeyError as exc:
             raise InputError(f"malformed Hamiltonian container: missing {exc}") from exc
     return FFHamiltonian(g, projectors, dims)

@@ -1,6 +1,10 @@
 """Linear algebra over labeled tensor-product spaces.
 
-Local operators act on full-space vectors through compiled apply plans, and
+A local operator is a plain matrix together with its support, an ordered
+tuple of nodes whose tensor factors the matrix follows, and a mapping from
+node to dimension; `make_plan` and `embed` take the same four arguments
+(matrix, support, node_order, node_dims) and check them alike.  Local
+operators act on full-space vectors through compiled apply plans, and
 every spectral solve is matrix-free (Lanczos iteration) above
 DENSE_EIG_LIMIT; at or below it the operator is materialized from its action
 and diagonalized by LAPACK.  The dense helpers (`embed`, `eigh`, the norms)
@@ -37,44 +41,9 @@ from .tolerances import (ARPACK_MAX_RESTARTS, DENSE_EIG_LIMIT, HERMITIAN_TOL,
 NodeDims = Mapping[int, int]
 
 
-def _dims_product(dims: Sequence[int]) -> int:
-    return math.prod(dims)
-
-
 def hermiticity_defect(matrix: np.ndarray) -> float:
     """Largest entry of |A - A^dagger|."""
     return float(np.max(np.abs(matrix - matrix.conj().T))) if matrix.size else 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class LocalOperator:
-    """Square operator acting on an ordered subset of nodes."""
-
-    matrix: np.ndarray
-    support: tuple[int, ...]
-    node_dims: dict[int, int]
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=complex)
-        support = tuple(int(v) for v in self.support)
-        dims = {int(k): int(v) for k, v in self.node_dims.items()}
-        if len(set(support)) != len(support):
-            raise InputError("support repeats a node")
-        missing = [v for v in support if v not in dims]
-        if missing:
-            raise InputError(f"no dimension given for nodes {missing}")
-        expected = _dims_product([dims[v] for v in support])
-        if matrix.ndim != 2 or matrix.shape != (expected, expected):
-            raise InputError(
-                f"matrix shape {matrix.shape} does not match support dimension {expected}")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "node_dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,74 +70,69 @@ class ApplyPlan:
         return t.reshape(-1)
 
 
+def _check_support(matrix: np.ndarray, support: Sequence[int], node_order: Sequence[int],
+                   node_dims: NodeDims) -> tuple[np.ndarray, tuple[int, ...], list[int]]:
+    """The matrix as complex, the support as ints and the support's node
+    dimensions, once the support is checked to name distinct nodes of
+    node_order whose dimensions match the matrix."""
+    matrix = np.asarray(matrix, dtype=complex)
+    support = tuple(int(v) for v in support)
+    if len(set(support)) != len(support):
+        raise InputError(f"support {support} repeats a node")
+    missing = sorted(set(support) - set(node_order))
+    if missing:
+        raise InputError(f"support nodes {missing} absent from node order")
+    dims = [node_dims[v] for v in support]
+    d = math.prod(dims)
+    if matrix.shape != (d, d):
+        raise InputError(f"matrix shape {matrix.shape} does not match support dimension {d}")
+    return matrix, support, dims
+
+
 def make_plan(matrix: np.ndarray, support: Sequence[int],
               node_order: Sequence[int], node_dims: NodeDims) -> ApplyPlan:
     """Compile a local operator into an ApplyPlan for the given node order.
 
-    A matrix that is real to REAL_TOL is stored real, so real vectors stay real.
+    The matrix's tensor factors follow `support`.  A matrix that is real to
+    REAL_TOL is stored real, so real vectors stay real.
     """
-    matrix = np.asarray(matrix, dtype=complex)
+    order = tuple(int(v) for v in node_order)
+    matrix, support, dims = _check_support(matrix, support, order, node_dims)
     if np.abs(matrix.imag).max(initial=0.0) <= REAL_TOL:
         matrix = matrix.real
-    order = tuple(int(v) for v in node_order)
-    support = tuple(int(v) for v in support)
-    positions = {v: i for i, v in enumerate(order)}
-    missing = [v for v in support if v not in positions]
-    if missing:
-        raise InputError(f"support nodes {missing} absent from node order")
-    axes = [positions[v] for v in support]
+    axes = [order.index(v) for v in support]
     perm = sorted(range(len(axes)), key=lambda i: axes[i])
     sorted_axes = tuple(axes[i] for i in perm)
-    dims = [node_dims[v] for v in support]
-    if matrix.shape != (_dims_product(dims),) * 2:
-        raise InputError("matrix shape does not match the support dimensions")
     k = len(dims)
     tensor = matrix.reshape(tuple(dims) * 2)
     tensor = tensor.transpose(tuple(perm) + tuple(k + i for i in perm))
-    d_e = _dims_product(dims)
+    d_e = math.prod(dims)
     compiled = np.ascontiguousarray(tensor.reshape(d_e, -1))
     shape = tuple(node_dims[v] for v in order)
     block = None
     if k and sorted_axes[-1] - sorted_axes[0] == k - 1:
         first, last = sorted_axes[0], sorted_axes[-1]
-        block = (_dims_product(shape[:first]), d_e, _dims_product(shape[last + 1:]))
+        block = (math.prod(shape[:first]), d_e, math.prod(shape[last + 1:]))
     return ApplyPlan(compiled, sorted_axes, shape, block)
 
 
-def embed(op: LocalOperator, node_order: Sequence[int],
-          node_dims: NodeDims | None = None) -> np.ndarray:
-    """Dense matrix of the operator tensored with the identity on the remaining
-    nodes, by kron: the independent oracle for `make_plan`.
+def embed(matrix: np.ndarray, support: Sequence[int],
+          node_order: Sequence[int], node_dims: NodeDims) -> np.ndarray:
+    """Dense matrix of a local operator tensored with the identity on the
+    other nodes of node_order, by kron: the independent oracle for `make_plan`.
 
-    The result's tensor factors follow node_order.  Extra node dimensions not
-    stored on the operator are taken from node_dims.
+    The matrix's tensor factors follow `support`; the result's follow node_order.
     """
     order = tuple(int(v) for v in node_order)
-    if len(set(order)) != len(order):
-        raise InputError("node order repeats a node")
-    dims = dict(op.node_dims)
-    if node_dims:
-        for k, v in node_dims.items():
-            k, v = int(k), int(v)
-            if k in dims and dims[k] != v:
-                raise InputError(f"conflicting dimensions for node {k}")
-            dims[k] = v
-    missing = [v for v in order if v not in dims]
-    if missing:
-        raise InputError(f"no dimension given for nodes {missing}")
-    if not set(op.support) <= set(order):
-        raise InputError("support is not contained in the node order")
-
-    comp = [v for v in order if v not in op.support]
-    comp_dim = _dims_product([dims[v] for v in comp])
-    big = np.kron(op.matrix, np.eye(comp_dim))
-    source = list(op.support) + comp
-    source_dims = [dims[v] for v in source]
-    tensor = big.reshape(tuple(source_dims) * 2)
+    matrix, support, _ = _check_support(matrix, support, order, node_dims)
+    comp = [v for v in order if v not in support]
+    big = np.kron(matrix, np.eye(math.prod(node_dims[v] for v in comp)))
+    source = list(support) + comp
+    tensor = big.reshape(tuple(node_dims[v] for v in source) * 2)
     perm = [source.index(v) for v in order]
     n = len(order)
     tensor = tensor.transpose(tuple(perm) + tuple(n + i for i in perm))
-    total = _dims_product([dims[v] for v in order])
+    total = math.prod(node_dims[v] for v in order)
     return tensor.reshape(total, total)
 
 

@@ -135,7 +135,7 @@ def gap_factor(m: int, x: float) -> float:
     """
     if m < 2:
         raise InputError("need at least two matchings")
-    if x < 0:
+    if not x >= 0:
         raise InputError("argument must be nonnegative")
     if math.isinf(x):
         return 1.0
@@ -157,7 +157,7 @@ def matching_gap_bounds(m: int, nu_e: float, gamma: float, s: float,
         raise InputError("need at least two matchings")
     if not (0 <= s < 1):
         raise InputError("s must lie in [0, 1)")
-    if nu_e < 0 or gamma <= 0 or g < 0:
+    if not (nu_e >= 0 and gamma > 0 and g >= 0):
         raise InputError("nu_e, gamma, g must be positive")
     denom = s * s * g * g
     x = math.inf if denom == 0 else gamma / denom
@@ -168,7 +168,7 @@ def matching_gap_bounds(m: int, nu_e: float, gamma: float, s: float,
 
 def coloring_gap_bound(nu_e: float, gamma: float, n_edges: int) -> float:
     """Lower bound nu_e * gamma / |E| for coloring protocols with p_l = |M_l|/|E|."""
-    if nu_e < 0 or gamma <= 0 or n_edges < 1:
+    if not (nu_e >= 0 and gamma > 0 and n_edges >= 1):
         raise InputError("nu_e, gamma, |E| must be positive")
     return nu_e * gamma / n_edges
 
@@ -195,7 +195,7 @@ def sample_count_from_bounds(m: int, nu_e: float, epsilon: float, delta: float,
     """
     _check_confidence(epsilon, delta)
     strong, weak = matching_gap_bounds(m, nu_e, gamma, s, g)
-    if strong <= 0 or weak <= 0:
+    if not (strong > 0 and weak > 0):
         raise InputError("gap bounds are not positive")
     log_inv = math.log(1.0 / delta)
     n_strong = round(log_inv / (strong * epsilon))
@@ -230,9 +230,6 @@ class GapReport:
                "thm1_weak": self.thm1_weak, "thm2": self.thm2}
         out.update(self.parameters)
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def gap_report(protocol: Protocol, gamma: float | None = None) -> GapReport:
@@ -283,7 +280,7 @@ def aklt_protocol_bounds(g: Hypergraph, gamma: float, epsilon: float | None = No
     Uses S_E <= max degree, nu_e = 2/(2 S_E + 1), m <= max degree + 1 and the
     proportional-coloring bound for the large-degree variant.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise InputError("gamma must be positive")
     d = max_degree(g)
     if d < 1:
@@ -306,7 +303,7 @@ def aklt_protocol_bounds(g: Hypergraph, gamma: float, epsilon: float | None = No
 
 def hkse_cost(edge_count: int, gamma: float, epsilon: float, delta: float) -> float:
     """|E|^3 / (2 gamma^2 eps^2) * ln[-(|E|+1)/ln(1-delta)]."""
-    if edge_count < 1 or gamma <= 0:
+    if not (edge_count >= 1 and gamma > 0):
         raise InputError("edge count and gamma must be positive")
     _check_confidence(epsilon, delta)
     lead = edge_count ** 3 / (2.0 * gamma ** 2 * epsilon ** 2)
@@ -315,7 +312,7 @@ def hkse_cost(edge_count: int, gamma: float, epsilon: float, delta: float) -> fl
 
 def hkse_cost_approx(edge_count: int, gamma: float, epsilon: float, delta: float) -> float:
     """Large-|E| small-delta approximation |E|^3/(2 gamma^2 eps^2) ln(|E|/delta)."""
-    if edge_count < 1 or gamma <= 0:
+    if not (edge_count >= 1 and gamma > 0):
         raise InputError("edge count and gamma must be positive")
     _check_confidence(epsilon, delta)
     lead = edge_count ** 3 / (2.0 * gamma ** 2 * epsilon ** 2)
@@ -328,9 +325,9 @@ def bhsre_lower(n: int, gamma: float, epsilon: float, delta: float,
     alpha-free lower bound substitutes alpha*kappa >= 1."""
     if kappa < 2:
         raise InputError("kappa must be at least 2")
-    if alpha is not None and alpha * kappa < 1:
+    if alpha is not None and not alpha * kappa >= 1:
         raise InputError("alpha * kappa must be at least 1")
-    if n < 1 or gamma <= 0:
+    if not (n >= 1 and gamma > 0):
         raise InputError("n and gamma must be positive")
     _check_confidence(epsilon, delta)
     factor = 1.0 if alpha is None else (alpha * kappa) ** 2
@@ -339,7 +336,7 @@ def bhsre_lower(n: int, gamma: float, epsilon: float, delta: float,
 
 def tm_lower(n: int, r: float) -> float:
     """32 R^2 n^5 + 2^11 n^15 R^4 ln 2 (verification at precision 1/n)."""
-    if n < 1 or r <= 0:
+    if not (n >= 1 and r > 0):
         raise InputError("n and R must be positive")
     return 32.0 * r ** 2 * n ** 5 + 2.0 ** 11 * n ** 15 * r ** 4 * math.log(2.0)
 

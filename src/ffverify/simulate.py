@@ -38,7 +38,7 @@ class NoiseSpec:
         if self.mode not in NOISE_MODES:
             raise InputError(f"unknown noise mode {self.mode!r}")
         if not (0 <= self.epsilon < 1):
-            raise InputError("epsilon must lie in [0, 1)")
+            raise InputError("noise epsilon must lie in [0, 1)")
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,21 +16,19 @@ import scipy.linalg
 
 from ffverify import aklt, linalg
 from ffverify.errors import InputError
-from ffverify.linalg import LocalOperator
 from ffverify.tolerances import GROUND_TOL
 
 
 def embedded(h, matrix, support) -> np.ndarray:
     """A local matrix on `support` tensored with the identity on h's other nodes."""
-    local = LocalOperator(matrix, support, {v: h.node_dims[v] for v in support})
-    return linalg.embed(local, h.node_order, h.node_dims)
+    return linalg.embed(matrix, support, h.node_order, h.node_dims)
 
 
 def hamiltonian(h) -> np.ndarray:
     """H as the sum of its embedded projectors."""
     out = np.zeros((h.dim, h.dim), dtype=complex)
-    for e, op in h.projectors.items():
-        out += embedded(h, op.matrix, e)
+    for e, p in h.projectors.items():
+        out += embedded(h, p, e)
     return out
 
 

@@ -86,13 +86,13 @@ class TestCoherentExtremes:
 class TestAkltHamiltonian:
     def test_two_vertices_triplet_projector(self):
         h = aklt.aklt_hamiltonian(G.chain(2))
-        p = h.projectors[(0, 1)].matrix
+        p = h.projectors[(0, 1)]
         assert abs(np.trace(p).real - 3) < 1e-10  # rank 2 S_e + 1 = 3
         singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
         assert np.linalg.norm(p @ singlet) < 1e-10
 
     def test_closed_chain_ranks(self, chain4):
-        p = chain4.projectors[(0, 1)].matrix
+        p = chain4.projectors[(0, 1)]
         assert abs(np.trace(p).real - 5) < 1e-9       # rank P_e = 2 S_e + 1
         assert abs(np.trace(np.eye(9) - p).real - 4) < 1e-9   # rank Q_e = 4 S_j S_k
 

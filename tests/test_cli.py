@@ -256,13 +256,28 @@ class TestParsing:
         (("check-bounds", "--instances", "1", "--seed", "-1"), "--seed"),
         (("simulate", "--chain", "4", "--closed", "--runs", "2", "--tests", "5",
           "--pass-draws", "10", "--seed", "-3"), "--seed"),
+        (("compare", "--n-min", "-4", "--n-max", "2", "--n-step", "2"), "--n-min"),
     ], ids=["tests", "runs", "instances", "n-step", "pass-draws", "seed-check-bounds",
-            "seed-simulate"])
+            "seed-simulate", "n-min"])
     def test_count_flag_below_its_floor(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and flag in err
+
+    @pytest.mark.parametrize("argv, name", [
+        (("gap", "--chain", "4", "--closed", "--gamma", "nan"), "gamma"),
+        (("samples", "--m", "2", "--nu-e", "nan", "--s", "0.5", "--g", "2"), "nu_e"),
+        (("compare", "--gamma", "nan"), "gamma"),
+        (("compare", "--alpha", "nan"), "alpha"),
+        (("simulate", "--chain", "4", "--closed", "--noise-epsilon", "1.5"), "noise epsilon"),
+    ], ids=["gap-gamma-nan", "samples-nu-e-nan", "compare-gamma-nan", "compare-alpha-nan",
+            "noise-epsilon"])
+    def test_real_flag_outside_its_range(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and name in err
 
     @pytest.mark.parametrize("bounds", [("5", "3"), ("3", "3"), ("1", "9", "--n-step", "2")],
                              ids=["empty", "one-odd", "all-odd"])

@@ -3,7 +3,6 @@ import pytest
 
 from ffverify import detectability as dl, hamiltonian as ham
 from ffverify.errors import InputError
-from ffverify.linalg import LocalOperator
 
 from test_hamiltonian import commuting_family, single_projector_hamiltonian
 
@@ -65,9 +64,9 @@ class TestDLNormCheck:
             q, _ = np.linalg.qr(a)
             us[v] = q
         projs = {}
-        for e, op in chain4.projectors.items():
+        for e, p in chain4.projectors.items():
             u = np.kron(us[e[0]], us[e[1]])
-            projs[e] = LocalOperator(u @ op.matrix @ u.conj().T, e, op.node_dims)
+            projs[e] = u @ p @ u.conj().T
         rotated = ham.FFHamiltonian(chain4.graph, projs, chain4.node_dims)
         a = dl.dl_norm_check(chain4)
         b = dl.dl_norm_check(rotated)

@@ -3,7 +3,6 @@ import pytest
 
 from ffverify import aklt, graph as G, hamiltonian as ham, linalg
 from ffverify.errors import (DegenerateSpectrum, InputError, NotFrustrationFree)
-from ffverify.linalg import LocalOperator
 
 import oracles
 
@@ -16,8 +15,7 @@ def qubit_projector(vec):
 
 def single_projector_hamiltonian():
     g = G.Hypergraph((0,), ((0,),))
-    p = LocalOperator(qubit_projector([0, 1]), (0,), {0: 2})
-    return ham.FFHamiltonian(g, {(0,): p}, {0: 2})
+    return ham.FFHamiltonian(g, {(0,): qubit_projector([0, 1])}, {0: 2})
 
 
 def commuting_family(n=3):
@@ -27,16 +25,15 @@ def commuting_family(n=3):
     for e in g.edges:
         diag = np.zeros(4)
         diag[3] = 1  # |11><11| on the pair
-        projs[e] = LocalOperator(np.diag(diag), e, {v: 2 for v in e})
+        projs[e] = np.diag(diag)
     return ham.FFHamiltonian(g, projs, {v: 2 for v in g.vertices})
 
 
 class TestValidation:
     def test_non_projector_rejected(self):
         g = G.Hypergraph((0,), ((0,),))
-        bad = LocalOperator(0.5 * np.eye(2), (0,), {0: 2})
         with pytest.raises(InputError):
-            ham.FFHamiltonian(g, {(0,): bad}, {0: 2})
+            ham.FFHamiltonian(g, {(0,): 0.5 * np.eye(2)}, {0: 2})
 
     def test_missing_projector(self):
         g = G.chain(3)
@@ -45,18 +42,34 @@ class TestValidation:
 
     def test_support_mismatch(self):
         g = G.chain(3)
-        p = LocalOperator(np.zeros((4, 4)), (0, 1), {0: 2, 1: 2})
-        with pytest.raises(InputError):
-            ham.FFHamiltonian(g, {(0, 1): p, (1, 2): p}, {v: 2 for v in g.vertices})
+        dims = {0: 2, 1: 3, 2: 2}
+        with pytest.raises(InputError, match="shape"):
+            # (1, 2) spans 3 x 2 = 6 dimensions, not 4
+            ham.FFHamiltonian(g, {(0, 1): np.zeros((6, 6)), (1, 2): np.zeros((4, 4))}, dims)
+
+    def test_unknown_edge(self):
+        g = G.chain(3)
+        projs = {e: np.zeros((4, 4)) for e in ((0, 1), (1, 2), (0, 2))}
+        with pytest.raises(InputError, match="unknown edges"):
+            ham.FFHamiltonian(g, projs, {v: 2 for v in g.vertices})
+
+    def test_projectors_stored_as_read_only_copies(self):
+        g = G.chain(2)
+        p = np.diag([0.0, 0.0, 0.0, 1.0])
+        h = ham.FFHamiltonian(g, {(0, 1): p}, {0: 2, 1: 2})
+        stored = h.projectors[(0, 1)]
+        assert stored.dtype == complex and not np.shares_memory(stored, p)
+        with pytest.raises(ValueError):
+            stored[0, 0] = 1
+        p[3, 3] = 0  # the caller's array stays writable and H keeps its copy
+        assert stored[3, 3] == 1
 
     def test_not_frustration_free_detected(self):
         g = G.Hypergraph((0,), ((0,),))
         # P and its complement share no null vector: H = 1
-        p0 = LocalOperator(qubit_projector([1, 0]), (0,), {0: 2})
         h = ham.FFHamiltonian(G.Hypergraph((0, 1), ((0,), (0, 1))), {
-            (0,): p0,
-            (0, 1): LocalOperator(np.kron(qubit_projector([0, 1]), np.eye(2)) / 1,
-                                  (0, 1), {0: 2, 1: 2}),
+            (0,): qubit_projector([1, 0]),
+            (0, 1): np.kron(qubit_projector([0, 1]), np.eye(2)),
         }, {0: 2, 1: 2})
         with pytest.raises(NotFrustrationFree):
             ham.ground_space(h)
@@ -77,14 +90,14 @@ class TestGroundProjector:
 
     def test_annihilates_every_projector(self, chain4):
         q0, _ = ground_projector(chain4)
-        for e, op in chain4.projectors.items():
-            pe = oracles.embedded(chain4, op.matrix, e)
+        for e, p in chain4.projectors.items():
+            pe = oracles.embedded(chain4, p, e)
             assert linalg.operator_norm(pe @ q0) < 1e-9
 
     def test_commutes_with_every_projector(self, chain4):
         q0, _ = ground_projector(chain4)
-        for e, op in chain4.projectors.items():
-            pe = oracles.embedded(chain4, op.matrix, e)
+        for e, p in chain4.projectors.items():
+            pe = oracles.embedded(chain4, p, e)
             assert linalg.commutator_norm(pe, q0) < 1e-9
 
     def test_aklt_chain_unique_ground_state(self, chain4):
@@ -201,7 +214,7 @@ class TestRandomInstance:
         a = ham.random_ff_instance(7, (0, 1, 2), (2, 2, 2), ((0, 1), (1, 2)), 1)
         b = ham.random_ff_instance(7, (0, 1, 2), (2, 2, 2), ((0, 1), (1, 2)), 1)
         for e in a.graph.edges:
-            assert np.array_equal(a.projectors[e].matrix, b.projectors[e].matrix)
+            assert np.array_equal(a.projectors[e], b.projectors[e])
 
     def test_frustration_free(self):
         h = ham.random_ff_instance(3, (0, 1, 2), (2, 2, 2), ((0, 1), (1, 2)), 1)
@@ -210,7 +223,7 @@ class TestRandomInstance:
 
     def test_full_rank_forces_zero_projectors(self):
         h = ham.random_ff_instance(5, (0, 1), (2, 2), ((0, 1),), ground_rank=4)
-        assert np.allclose(h.projectors[(0, 1)].matrix, 0)
+        assert np.allclose(h.projectors[(0, 1)], 0)
 
     def test_infeasible_rank(self):
         with pytest.raises(InputError):
@@ -230,8 +243,7 @@ class TestSerialization:
         assert loaded.graph == chain4.graph
         assert loaded.node_dims == chain4.node_dims
         for e in chain4.graph.edges:
-            assert np.allclose(loaded.projectors[e].matrix,
-                               chain4.projectors[e].matrix)
+            assert np.allclose(loaded.projectors[e], chain4.projectors[e])
 
     def test_malformed_container(self, tmp_path):
         path = tmp_path / "bad.npz"

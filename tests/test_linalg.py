@@ -22,26 +22,23 @@ def random_hermitian(rng, dim):
 
 def random_local(rng, support, dims):
     d = int(np.prod([dims[v] for v in support]))
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return linalg.LocalOperator(a, support, {v: dims[v] for v in support})
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
 class TestEmbed:
     def test_identity_embeds_to_identity(self):
-        op = linalg.LocalOperator(np.eye(2), (0,), {0: 2})
-        full = linalg.embed(op, (0, 1, 2), {1: 3, 2: 2})
+        full = linalg.embed(np.eye(2), (0,), (0, 1, 2), {0: 2, 1: 3, 2: 2})
         assert np.allclose(full, np.eye(12))
 
     def test_pauli_z_on_first_of_two_qubits(self):
-        op = linalg.LocalOperator(PAULI_Z, (1,), {1: 2})
-        full = linalg.embed(op, (1, 2), {2: 2})
+        full = linalg.embed(PAULI_Z, (1,), (1, 2), {1: 2, 2: 2})
         assert np.allclose(full, np.kron(PAULI_Z, np.eye(2)))
 
     def test_disjoint_embeds_commute(self):
         rng = np.random.default_rng(0)
         dims = {0: 2, 1: 3, 2: 2}
-        a = linalg.embed(random_local(rng, (0,), dims), (0, 1, 2), dims)
-        b = linalg.embed(random_local(rng, (2,), dims), (0, 1, 2), dims)
+        a = linalg.embed(random_local(rng, (0,), dims), (0,), (0, 1, 2), dims)
+        b = linalg.embed(random_local(rng, (2,), dims), (2,), (0, 1, 2), dims)
         assert linalg.commutator_norm(a, b) < 1e-12
 
     def test_permuted_order_matches_kron_oracle(self):
@@ -49,19 +46,18 @@ class TestEmbed:
         dims = {0: 2, 1: 3}
         op = random_local(rng, (1,), dims)
         # order (1, 0): op acts on the first factor
-        left = linalg.embed(op, (1, 0), dims)
-        assert np.allclose(left, np.kron(op.matrix, np.eye(2)))
+        left = linalg.embed(op, (1,), (1, 0), dims)
+        assert np.allclose(left, np.kron(op, np.eye(2)))
         # order (0, 1): op acts on the second factor
-        right = linalg.embed(op, (0, 1), dims)
-        assert np.allclose(right, np.kron(np.eye(2), op.matrix))
+        right = linalg.embed(op, (1,), (0, 1), dims)
+        assert np.allclose(right, np.kron(np.eye(2), op))
 
     def test_two_site_reversed_support(self):
         rng = np.random.default_rng(2)
         dims = {0: 2, 1: 3}
         mat = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         # support listed as (1, 0): first tensor factor of mat belongs to node 1
-        op = linalg.LocalOperator(mat, (1, 0), dims)
-        full = linalg.embed(op, (0, 1), dims)
+        full = linalg.embed(mat, (1, 0), (0, 1), dims)
         swap = np.zeros((6, 6))
         for i in range(2):
             for j in range(3):
@@ -72,8 +68,7 @@ class TestEmbed:
         rng = np.random.default_rng(3)
         dims = {0: 3, 1: 2, 2: 2}
         herm = random_hermitian(rng, 3)
-        op = linalg.LocalOperator(herm, (0,), dims)
-        full = linalg.embed(op, (0, 1, 2), dims)
+        full = linalg.embed(herm, (0,), (0, 1, 2), dims)
         small = np.sort(np.linalg.eigvalsh(herm))
         big = np.sort(np.linalg.eigvalsh(full))
         assert np.allclose(big, np.repeat(small, 4))
@@ -82,20 +77,17 @@ class TestEmbed:
         rng = np.random.default_rng(4)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         psd = a @ a.conj().T
-        op = linalg.LocalOperator(psd, (0, 1), {0: 2, 1: 2})
-        full = linalg.embed(op, (0, 1, 2), {2: 3})
+        full = linalg.embed(psd, (0, 1), (0, 1, 2), {0: 2, 1: 2, 2: 3})
         assert linalg.hermiticity_defect(full) < 1e-12
         assert np.min(np.linalg.eigvalsh(full)) > -1e-12
 
     def test_dimension_mismatch(self):
-        op = linalg.LocalOperator(np.eye(2), (0,), {0: 2})
         with pytest.raises(InputError):
-            linalg.embed(op, (0, 1), {0: 3, 1: 2})
+            linalg.embed(np.eye(2), (0,), (0, 1), {0: 3, 1: 2})
 
     def test_support_outside_order(self):
-        op = linalg.LocalOperator(np.eye(2), (5,), {5: 2})
         with pytest.raises(InputError):
-            linalg.embed(op, (0, 1), {0: 2, 1: 2})
+            linalg.embed(np.eye(2), (5,), (0, 1), {0: 2, 1: 2, 5: 2})
 
 
 class TestApplyPlan:
@@ -105,8 +97,8 @@ class TestApplyPlan:
         dims = {0: 2, 1: 3, 2: 2}
         op = random_local(rng, support, dims)
         order = (0, 1, 2)
-        dense = linalg.embed(op, order, dims)
-        plan = linalg.make_plan(op.matrix, support, order, dims)
+        dense = linalg.embed(op, support, order, dims)
+        plan = linalg.make_plan(op, support, order, dims)
         for _ in range(3):
             v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
             assert np.allclose(plan(v), dense @ v)
@@ -115,11 +107,10 @@ class TestApplyPlan:
     def test_real_matrix_keeps_real_vectors_real(self, support):
         rng = np.random.default_rng(hash(support) % 2 ** 32 + 1)
         dims = {0: 2, 1: 3, 2: 2}
-        op = random_local(rng, support, dims)
-        op = linalg.LocalOperator(op.matrix.real + 1e-15j, support, op.node_dims)
+        op = random_local(rng, support, dims).real + 1e-15j
         order = (0, 1, 2)
-        dense = linalg.embed(op, order, dims)
-        plan = linalg.make_plan(op.matrix, support, order, dims)
+        dense = linalg.embed(op, support, order, dims)
+        plan = linalg.make_plan(op, support, order, dims)
         assert plan.matrix.dtype == np.float64
         v = rng.standard_normal(12)
         out = plan(v)
@@ -254,15 +245,25 @@ class TestMatrixFree:
         assert abs(norm - linalg.operator_norm(m)) < 1e-8
 
 
-class TestLocalOperator:
-    def test_dimension_validation(self):
-        with pytest.raises(InputError):
-            linalg.LocalOperator(np.eye(3), (0,), {0: 2})
+@pytest.mark.parametrize("build", [linalg.make_plan, linalg.embed],
+                         ids=["make_plan", "embed"])
+class TestSupportCheck:
+    """make_plan and embed refuse the same malformed (matrix, support) pairs."""
 
-    def test_repeated_support(self):
-        with pytest.raises(InputError):
-            linalg.LocalOperator(np.eye(4), (0, 0), {0: 2})
+    def test_dimension_validation(self, build):
+        with pytest.raises(InputError, match="shape"):
+            build(np.eye(3), (0,), (0, 1), {0: 2, 1: 2})
 
+    def test_repeated_support(self, build):
+        with pytest.raises(InputError, match="repeats"):
+            build(np.eye(4), (0, 0), (0, 1), {0: 2, 1: 2})
+
+    def test_support_outside_order(self, build):
+        with pytest.raises(InputError, match="absent"):
+            build(np.eye(2), (5,), (0, 1), {0: 2, 1: 2, 5: 2})
+
+
+class TestHermiticityDefect:
     def test_hermitian_flag(self):
         assert linalg.hermiticity_defect(PAULI_X) < 1e-12
         skew = np.array([[0, 1], [-1, 0]], dtype=complex)

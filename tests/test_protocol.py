@@ -18,9 +18,8 @@ class TestTestOperator:
     def test_singleton_matching_is_embedded_bond_op(self, chain4, chain4_protocol):
         e = (0, 1)
         t = oracles.matching_operator(chain4_protocol, [e])
-        local = linalg.LocalOperator(chain4_protocol.bond_ops[e].matrix, e,
-                                     {0: 3, 1: 3})
-        expected = linalg.embed(local, chain4.node_order, chain4.node_dims)
+        expected = linalg.embed(chain4_protocol.bond_ops[e].matrix, e,
+                                chain4.node_order, chain4.node_dims)
         assert np.max(np.abs(t - expected)) < 1e-12
 
     def test_disjoint_pair_order_irrelevant(self, chain4_protocol):

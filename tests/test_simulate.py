@@ -65,8 +65,7 @@ class TestPrepareState:
     def test_depolarizing_zero_hamiltonian(self, icosahedron):
         g = G.chain(3)
         dims = {0: 2, 1: 3, 2: 2}
-        zero = {e: linalg.LocalOperator(np.zeros((dims[e[0]] * dims[e[1]],) * 2), e,
-                                        {v: dims[v] for v in e}) for e in g.edges}
+        zero = {e: np.zeros((dims[e[0]] * dims[e[1]],) * 2) for e in g.edges}
         h = ham.FFHamiltonian(g, zero, dims)
         p = proto.build_protocol(h, G.edge_coloring(g), icosahedron)
         with pytest.raises(InputError, match="ground space is the whole space"):

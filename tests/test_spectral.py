@@ -11,7 +11,6 @@ import scipy.sparse.linalg
 from ffverify import aklt, cli, detectability, graph as G, hamiltonian as ham, linalg
 from ffverify import protocol as proto, simulate as sim
 from ffverify.errors import DegenerateSpectrum, ResourceError
-from ffverify.linalg import LocalOperator
 from ffverify.tolerances import DENSE_EIG_LIMIT, GROUND_TOL
 
 import oracles
@@ -28,7 +27,7 @@ def open_spin_one_chain(n: int) -> ham.FFHamiltonian:
     spins-1/2 leave a rank-4 ground space."""
     g = G.chain(n)
     p = aklt.coupled_spin_projector(2, 2)
-    projectors = {e: LocalOperator(p, e, {e[0]: 3, e[1]: 3}) for e in g.edges}
+    projectors = {e: p for e in g.edges}
     return ham.FFHamiltonian(g, projectors, {v: 3 for v in g.vertices})
 
 
@@ -38,7 +37,7 @@ def sparse_chain_hamiltonian(h) -> scipy.sparse.csr_matrix:
     n = len(h.node_order)
     total = scipy.sparse.csr_matrix((h.dim, h.dim), dtype=complex)
     for i in range(n - 1):
-        p = scipy.sparse.csr_matrix(h.projectors[(i, i + 1)].matrix)
+        p = scipy.sparse.csr_matrix(h.projectors[(i, i + 1)])
         total = total + scipy.sparse.kron(
             scipy.sparse.kron(scipy.sparse.identity(3 ** i), p),
             scipy.sparse.identity(3 ** (n - i - 2)), format="csr")
@@ -167,7 +166,7 @@ class TestProductNorm:
         comp = np.eye(h.dim) - oracles.ground_projector(h)
         # comp (1 - P_1) ... (1 - P_q) comp: the last factor acts first
         product = comp @ oracles.local_product(
-            h, [(np.eye(h.projectors[e].dim) - h.projectors[e].matrix, e)
+            h, [(np.eye(len(h.projectors[e])) - h.projectors[e], e)
                 for e in reversed(ordering)]) @ comp
         expected = linalg.operator_norm(product) ** 2
         assert abs(detectability.dl_norm_check(h, ordering).measured - expected) < 1e-8
@@ -255,7 +254,7 @@ class TestZeroHamiltonian:
         h = ham.random_ff_instance(0, nodes=range(n), dims=[3] * n,
                                    edges=tuple((i, i + 1) for i in range(n - 1)),
                                    ground_rank=ground_rank)
-        assert not any(op.matrix.any() for op in h.projectors.values())
+        assert not any(p.any() for p in h.projectors.values())
         with pytest.raises(DegenerateSpectrum):
             detectability.dl_norm_check(h)
         rank, basis = ham.ground_space(h)
