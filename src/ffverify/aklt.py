@@ -1,5 +1,5 @@
-"""Spin operators, AKLT Hamiltonians, spin-measurement bond tests, and
-spherical designs.
+"""Spin-coherent states, AKLT Hamiltonians, spin-measurement bond tests,
+and spherical designs (the spin operators live in `linalg`).
 
 Each graph vertex j carries spin deg(j)/2; each edge gets the projector onto
 the maximal total-spin subspace of its two nodes.  Bond tests measure both
@@ -19,55 +19,40 @@ from . import linalg
 from .errors import InputError
 from .graph import Hypergraph, Edge, degree
 from .hamiltonian import FFHamiltonian
+from .linalg import spin_operators
 from .tolerances import DESIGN_TOL, PROB_SUM_TOL, SPIN_CLUSTER_TOL, UNIT_VECTOR_TOL
 
 # design_order checks frame potentials up to this order
 MAX_DESIGN_ORDER = 20
 
 
-@lru_cache(maxsize=None)
-def spin_operators(twice_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S_x, S_y, S_z) in the basis m = S, S-1, ..., -S, for spin S = twice_s/2."""
+def coherent_extremes(twice_s: int, direction) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of the spin component along `direction` with eigenvalues
+    +S and -S, phase fixed by making the largest amplitude real positive.
+
+    Closed form of the spin-coherent state along (theta, phi): amplitudes
+    sqrt(C(2S, S+m)) cos^(S+m)(theta/2) sin^(S-m)(theta/2) e^(-i m phi) for
+    m = S, ..., -S; the -S eigenvector is the +S one along -direction
+    (theta -> pi - theta, phi -> phi + pi), up to a global phase."""
     if twice_s < 1:
         raise InputError("spin must be at least 1/2")
-    s = twice_s / 2
-    d = twice_s + 1
-    m = s - np.arange(d)
-    sz = np.diag(m).astype(complex)
-    # <m+1| S_+ |m> = sqrt(S(S+1) - m(m+1))
-    raising = np.zeros((d, d), dtype=complex)
-    for i in range(1, d):
-        mm = m[i]
-        raising[i - 1, i] = math.sqrt(s * (s + 1) - mm * (mm + 1))
-    sx = (raising + raising.conj().T) / 2
-    sy = (raising - raising.conj().T) / (2j)
-    for a in (sx, sy, sz):
-        a.setflags(write=False)
-    return sx, sy, sz
-
-
-def spin_along(twice_s: int, direction: np.ndarray) -> np.ndarray:
     r = np.asarray(direction, dtype=float)
     if r.shape != (3,) or abs(np.linalg.norm(r) - 1.0) > UNIT_VECTOR_TOL:
         raise InputError("direction must be a unit 3-vector")
-    sx, sy, sz = spin_operators(twice_s)
-    return r[0] * sx + r[1] * sy + r[2] * sz
-
-
-def coherent_extremes(twice_s: int, direction) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of the spin component along `direction` with eigenvalues
-    +S and -S, phase fixed by making the largest amplitude real positive."""
-    op = spin_along(twice_s, np.asarray(direction, dtype=float))
-    vals, vecs = linalg.eigh(op)
-    minus = vecs[:, 0]
-    plus = vecs[:, -1]
+    x, y, z = r
+    theta = math.atan2(math.hypot(x, y), z)
+    phi = math.atan2(y, x)
+    up = np.arange(twice_s, -1, -1)     # S + m for m = S, ..., -S
+    root = np.sqrt([math.comb(twice_s, k) for k in up])
+    phase = np.exp(-1j * (up - twice_s / 2) * phi)
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
 
     def fix_phase(v):
         i = int(np.argmax(np.abs(v)))
-        phase = v[i] / abs(v[i])
-        return v / phase
+        return v * (abs(v[i]) / v[i])
 
-    return fix_phase(plus), fix_phase(minus)
+    return (fix_phase(root * c ** up * s ** (twice_s - up) * phase),
+            fix_phase(root * s ** up * c ** (twice_s - up) * phase * (-1.0) ** (twice_s - up)))
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,13 @@
 
 Provides the ground space, the spectral gap, and the commutation profile
 (g, s, zeta, g~) that feeds every norm bound downstream.
+
+H is solved in its solve space: the lowest total-S_z sector
+(`linalg.Sector`) when every projector is SU(2)-invariant, node v carrying
+spin (d_v - 1)/2 in the basis m = S, ..., -S (every AKLT Hamiltonian), and
+the full space otherwise.  Every multiplet has a member in the sector, so
+gamma is exact there; the full ground basis is rebuilt from the sector's
+kernel with the ladder operators (`linalg.Sector.multiplets`).
 """
 
 from __future__ import annotations
@@ -75,6 +82,19 @@ class FFHamiltonian:
                 for e, p in self.projectors.items()}
 
     @cached_property
+    def _sector(self) -> linalg.Sector | None:
+        """The lowest total-S_z sector when every projector is SU(2)-invariant,
+        else None; built at the first solve, not with the Hamiltonian."""
+        if all(linalg.is_su2_invariant(p, [self.node_dims[v] for v in e])
+               for e, p in self.projectors.items()):
+            return linalg.Sector.of(self.node_order, self.node_dims)
+        return None
+
+    @cached_property
+    def _sector_plans(self) -> list[linalg.SectorPlan]:
+        return self._sector.sum_plans([(p, e) for e, p in self.projectors.items()])
+
+    @cached_property
     def dtype(self) -> np.dtype:
         """float64 when every projector is real to REAL_TOL, else complex128."""
         return np.result_type(float, *{p.matrix.dtype for p in self._plans.values()})
@@ -84,26 +104,34 @@ class FFHamiltonian:
         return self._plans[e](vec)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """H |vec> as a sum of local applications."""
+        """H |vec> as a sum of local applications, on a full-space vector or,
+        when H has a sector, a sector vector."""
+        plans = self._plans.values() if len(vec) == self.dim else self._sector_plans
         out = np.zeros(vec.shape, dtype=np.result_type(self.dtype, vec.dtype))
-        for plan in self._plans.values():
+        for plan in plans:
             out += plan(vec)
         return out
 
     @cached_property
-    def _low_spectrum(self) -> tuple[int, np.ndarray, float | None]:
-        """The solve behind `low_spectrum`, run once per Hamiltonian."""
+    def _low_spectrum(self) -> tuple[int, np.ndarray, float | None, np.ndarray]:
+        """The solve behind `low_spectrum`, run once per Hamiltonian in its
+        solve space, and last the kernel there: the ground basis, or in a
+        sector the sector's part of it."""
         d = self.dim
         check_dim(d, "low-spectrum solve")
+        space = self._sector
+        n = d if space is None else space.dim
         if not any(p.any() for p in self.projectors.values()):
-            return d, np.eye(d), None
-        vals, vecs = linalg.lowest_eigenpairs(self.apply, d, below=GROUND_TOL)
+            return d, np.eye(d), None, np.eye(n)
+        vals, vecs = linalg.lowest_eigenpairs(self.apply, n, below=GROUND_TOL)
         if vals[0] >= GROUND_TOL:
             raise NotFrustrationFree(
                 f"smallest eigenvalue {vals[0]:.3e} is above tolerance {GROUND_TOL}")
         rank = int(np.sum(vals < GROUND_TOL))
         gamma = float(vals[rank]) if rank < len(vals) else None
-        return rank, vecs[:, :rank], gamma
+        kernel = vecs[:, :rank]
+        basis = kernel if space is None else space.multiplets(kernel)
+        return basis.shape[1], basis, gamma, kernel
 
     @cached_property
     def _pair_data(self) -> tuple[dict, dict]:
@@ -129,11 +157,14 @@ def low_spectrum(h: FFHamiltonian) -> tuple[int, np.ndarray, float | None]:
     smallest eigenvalue above the ground cluster (eigenvalues below
     GROUND_TOL), from one cached solve.
 
-    `linalg.lowest_eigenpairs` returns the cluster and the pair just above it;
-    gamma is None when the cluster fills the whole space, as it does for
-    H = 0 (no edges, or every projector zero).
+    `linalg.lowest_eigenpairs` returns the cluster and the pair just above it,
+    in the sector when H has one: every multiplet has a member there, so
+    gamma is exact, and the ladder operators rebuild the full basis from the
+    sector's kernel without a second solve.  gamma is None when the cluster
+    fills the whole space, as it does for H = 0 (no edges, or every projector
+    zero).
     """
-    return h._low_spectrum
+    return h._low_spectrum[:3]
 
 
 def ground_space(h: FFHamiltonian) -> tuple[int, np.ndarray]:

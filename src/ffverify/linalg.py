@@ -13,6 +13,15 @@ serve small local spaces, such as the joint support of two projectors;
 live with the tests.  Operators whose local matrices are real to REAL_TOL
 are applied and solved in real arithmetic, complex ones in complex.
 
+A node of dimension d carries spin (d - 1)/2 in the basis m = S, ..., -S
+(`spin_operators`).  Operators whose local matrices are all SU(2)-invariant
+(`is_su2_invariant`) are solved in a `Sector`, the states of lowest total
+S_z, where every multiplet has a member: `Sector.plan` and `Sector.sum_plans`
+compile local matrices into `SectorPlan`s that act on sector vectors without
+building a full-space vector or a sparse matrix, and `Sector.multiplets`
+rebuilds the full-space multiplets of a sector kernel with the ladder
+operators.
+
 Every solve goes through `_eigsh`, which alone sets the solver policy:
 LANCZOS_TOL, a fixed start vector, ARPACK_MAX_RESTARTS, ARPACK failures as
 ResourceError, real or complex arithmetic as the operator returns it, and
@@ -27,16 +36,17 @@ import ctypes
 import functools
 import math
 import os
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .errors import InputError, ResourceError
-from .tolerances import (ARPACK_MAX_RESTARTS, DENSE_EIG_LIMIT, HERMITIAN_TOL,
-                         LANCZOS_TOL, PROJECTOR_TOL, REAL_TOL)
+from .errors import InputError, InvariantViolation, ResourceError
+from .tolerances import (ARPACK_MAX_RESTARTS, COMMUTE_TOL, DENSE_EIG_LIMIT, HERMITIAN_TOL,
+                         LANCZOS_TOL, PROJECTOR_TOL, REAL_TOL, SECTOR_BATCH_ENTRIES,
+                         SPIN_CLUSTER_TOL)
 
 NodeDims = Mapping[int, int]
 
@@ -138,8 +148,9 @@ def embed(matrix: np.ndarray, support: Sequence[int],
 
 def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix (to HERMITIAN_TOL), eigenvalues
-    ascending."""
-    matrix = np.asarray(matrix, dtype=complex)
+    ascending; a real matrix keeps real eigenvectors."""
+    matrix = np.asarray(matrix)
+    matrix = matrix.astype(np.result_type(float, matrix.dtype), copy=False)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InputError("eigh needs a square matrix")
     if matrix.size == 0:
@@ -174,6 +185,253 @@ def is_projector(matrix: np.ndarray) -> bool:
     if hermiticity_defect(matrix) > PROJECTOR_TOL:
         return False
     return operator_norm(matrix @ matrix - matrix) < PROJECTOR_TOL
+
+
+# ---------------------------------------------------------------------------
+# spins and the lowest total-S_z sector
+
+@functools.lru_cache(maxsize=None)
+def spin_operators(twice_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S_x, S_y, S_z) in the basis m = S, S-1, ..., -S, for spin S = twice_s/2."""
+    if twice_s < 1:
+        raise InputError("spin must be at least 1/2")
+    s = twice_s / 2
+    d = twice_s + 1
+    m = s - np.arange(d)
+    sz = np.diag(m).astype(complex)
+    # <m+1| S_+ |m> = sqrt(S(S+1) - m(m+1))
+    raising = np.zeros((d, d), dtype=complex)
+    for i in range(1, d):
+        mm = m[i]
+        raising[i - 1, i] = math.sqrt(s * (s + 1) - mm * (mm + 1))
+    sx = (raising + raising.conj().T) / 2
+    sy = (raising - raising.conj().T) / (2j)
+    for a in (sx, sy, sz):
+        a.setflags(write=False)
+    return sx, sy, sz
+
+
+@functools.lru_cache(maxsize=None)
+def _total_spin(dims: tuple[int, ...], component: int) -> np.ndarray:
+    """Component (0 = x, 2 = z) of the total spin of nodes with dimensions
+    dims, node j carrying spin (d_j - 1)/2; read-only."""
+    total = np.zeros((math.prod(dims),) * 2, dtype=complex)
+    for j, d in enumerate(dims):
+        if d > 1:
+            one = np.kron(np.eye(math.prod(dims[:j])), spin_operators(d - 1)[component])
+            total += np.kron(one, np.eye(math.prod(dims[j + 1:])))
+    total.setflags(write=False)
+    return total
+
+
+def is_su2_invariant(matrix: np.ndarray, dims: Sequence[int]) -> bool:
+    """Whether a local operator, whose tensor factors have dimensions dims,
+    commutes with the total S_z and S_x of its support, node j carrying spin
+    (d_j - 1)/2; commuting with both, it commutes with S_y too.  Each
+    commutator is held to COMMUTE_TOL in the Frobenius norm, which bounds
+    the operator norm and needs no SVD."""
+    for component in (2, 0):
+        total = _total_spin(tuple(dims), component)
+        if np.linalg.norm(matrix @ total - total @ matrix) > COMMUTE_TOL:
+            return False
+    return True
+
+
+@dataclass(frozen=True, eq=False)
+class SectorPlan:
+    """Precompiled application of a sum of local operators, each conserving
+    its support's total S_z, to sector vectors.
+
+    Row k of `perm` lists the sector's states grouped by the S_z of term k's
+    support; within a group, local state major and the rest of the state
+    minor, so the group is a (local states, rest states) matrix that one
+    block of the term multiplies in place.  The terms share the group
+    boundaries, so each group is one batched matmul over the terms; `inverse`
+    gathers every term's result back to sector order.  1 x 1 blocks scale,
+    and a group whose blocks are all 1 is left out."""
+
+    perm: np.ndarray        # (terms, sector dim)
+    inverse: np.ndarray     # (terms, sector dim) flat indices into the gathered terms
+    groups: tuple[tuple[np.ndarray, int, int], ...]  # ((terms, n, n) blocks, start, stop)
+    dtype: np.dtype
+
+    def __call__(self, vec: np.ndarray) -> np.ndarray:
+        x = vec.astype(np.result_type(self.dtype, vec.dtype), copy=False)[self.perm]
+        for blocks, start, stop in self.groups:
+            part = x[:, start:stop].reshape(blocks.shape[:2] + (-1,))
+            if blocks.shape[1] == 1:
+                part *= blocks
+            else:
+                part[...] = blocks @ part
+        terms = x.reshape(-1)[self.inverse]
+        return terms[0] if len(terms) == 1 else terms.sum(axis=0)
+
+
+class _Layout(NamedTuple):
+    """A Sector's grouping of its states by the total S_z of one support."""
+
+    perm: np.ndarray      # sector positions, grouped as in SectorPlan
+    inverse: np.ndarray   # the inverse permutation
+    groups: tuple[tuple[np.ndarray, int, int], ...]  # (local states, start, stop)
+
+
+@dataclass(frozen=True, eq=False)
+class Sector:
+    """The basis states of lowest total S_z, M0 = 0 or 1/2, of the nodes of
+    node_order, node j carrying spin (d_j - 1)/2: the solve space of
+    SU(2)-invariant operators, whose every multiplet has a member in it.
+
+    A sector vector lists amplitudes in the order of `index`, the sorted
+    full-space indices of the sector's states.  Build one with `Sector.of`.
+    """
+
+    node_order: tuple[int, ...]
+    shape: tuple[int, ...]   # node dimensions in node order
+    index: np.ndarray
+    _layouts: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def of(cls, node_order: Sequence[int], node_dims: NodeDims) -> "Sector":
+        order = tuple(int(v) for v in node_order)
+        shape = tuple(int(node_dims[v]) for v in order)
+        # S_z of a basis state is sum_j ((d_j - 1)/2 - digit_j): the sector holds
+        # the digit sums floor(sum_j (d_j - 1) / 2), grown node by node and
+        # pruned of prefixes that can no longer reach that sum
+        target = sum(d - 1 for d in shape) // 2
+        room = sum(d - 1 for d in shape)
+        index = digit_sum = np.zeros(1, dtype=np.int64)
+        for d in shape:
+            room -= d - 1
+            index = (index[:, None] * d + np.arange(d)).ravel()
+            digit_sum = (digit_sum[:, None] + np.arange(d)).ravel()
+            keep = (digit_sum <= target) & (digit_sum + room >= target)
+            index, digit_sum = index[keep], digit_sum[keep]
+        index.setflags(write=False)
+        return cls(order, shape, index)
+
+    @property
+    def dim(self) -> int:
+        return len(self.index)
+
+    @property
+    def twice_m(self) -> int:
+        """2 M0: 0, or 1 when sum_j (d_j - 1) is odd."""
+        return sum(d - 1 for d in self.shape) % 2
+
+    def _layout(self, support: tuple[int, ...]) -> _Layout:
+        """The layout of every SectorPlan term on `support`, built once."""
+        if support not in self._layouts:
+            axes = [self.node_order.index(v) for v in support]
+            dims = [self.shape[a] for a in axes]
+            strides = [math.prod(self.shape[a + 1:]) for a in axes]
+            digits = [(self.index // s) % d for s, d in zip(strides, dims)]
+            local = np.ravel_multi_index(digits, dims)
+            rest = self.index - sum(g * s for g, s in zip(digits, strides))
+            local_sum = np.indices(dims).reshape(len(dims), -1).sum(axis=0)
+            by_sum = np.argsort(local_sum, kind="stable")
+            rank = np.empty_like(by_sum)
+            rank[by_sum] = np.arange(len(by_sum))
+            perm = np.argsort(rank[local] * math.prod(self.shape) + rest)
+            counts = np.bincount(local_sum[local], minlength=local_sum.max() + 1)
+            groups, start = [], 0
+            for total in np.flatnonzero(counts):
+                states = by_sum[local_sum[by_sum] == total]
+                groups.append((states, start, start + int(counts[total])))
+                start += int(counts[total])
+            self._layouts[support] = _Layout(perm, np.argsort(perm), tuple(groups))
+        return self._layouts[support]
+
+    def plan(self, matrix: np.ndarray, support: Sequence[int]) -> SectorPlan:
+        """Compile one local operator that conserves its support's total S_z."""
+        return self.sum_plans([(matrix, support)])[0]
+
+    def sum_plans(self, terms: Sequence[tuple[np.ndarray, Sequence[int]]]) -> list[SectorPlan]:
+        """Compile local operators (matrix, support), each conserving its
+        support's total S_z, into SectorPlans whose results add up to the
+        sum of the terms; terms with the same group sizes share a plan of at
+        most SECTOR_BATCH_ENTRIES gathered entries.  Real matrices (to
+        REAL_TOL) are stored real, as in `make_plan`."""
+        node_dims = dict(zip(self.node_order, self.shape))
+        alike: dict[tuple, list] = {}
+        for matrix, support in terms:
+            matrix, support, dims = _check_support(matrix, support, self.node_order, node_dims)
+            if np.abs(matrix.imag).max(initial=0.0) <= REAL_TOL:
+                matrix = matrix.real
+            local_sum = np.indices(dims).reshape(len(dims), -1).sum(axis=0)
+            leak = np.abs(matrix[local_sum[:, None] != local_sum]).max(initial=0.0)
+            if leak > COMMUTE_TOL:
+                raise InputError(f"operator on {support} changes S_z ({leak:.2e})")
+            layout = self._layout(support)
+            key = tuple((len(states), start, stop) for states, start, stop in layout.groups)
+            alike.setdefault(key, []).append((matrix, layout))
+        per_plan = max(1, SECTOR_BATCH_ENTRIES // self.dim)
+        return [self._batch(members[first:first + per_plan])
+                for members in alike.values() for first in range(0, len(members), per_plan)]
+
+    def _batch(self, members: list[tuple[np.ndarray, _Layout]]) -> SectorPlan:
+        """One SectorPlan for terms (matrix, layout) with the same group sizes."""
+        groups = []
+        for j, (states, start, stop) in enumerate(members[0][1].groups):
+            blocks = np.stack([m[np.ix_(layout.groups[j][0], layout.groups[j][0])]
+                               for m, layout in members])
+            if len(states) > 1 or np.any(blocks != 1):
+                groups.append((blocks, start, stop))
+        if len(members) == 1:  # views: the plans of one support share its layout
+            perm, inverse = members[0][1].perm[None], members[0][1].inverse[None]
+        else:
+            perm = np.stack([layout.perm for _, layout in members])
+            inverse = np.stack([layout.inverse + k * self.dim
+                                for k, (_, layout) in enumerate(members)])
+        return SectorPlan(perm, inverse, tuple(groups), np.result_type(*(m for m, _ in members)))
+
+    def lift(self, vecs: np.ndarray) -> np.ndarray:
+        """Sector vectors (or the columns of a matrix of them) in the full space."""
+        full = np.zeros((math.prod(self.shape),) + vecs.shape[1:], dtype=vecs.dtype)
+        full[self.index] = vecs
+        return full
+
+    def multiplets(self, kernel: np.ndarray) -> np.ndarray:
+        """Full-space orthonormal basis of the SU(2) multiplets through the
+        orthonormal columns of `kernel`, sector vectors that span the sector
+        part of an SU(2)-invariant space.
+
+        S^+ S^- is (S + M0)(S - M0 + 1) on a spin-S vector of the sector, so
+        its eigenvectors on the span give each multiplet's member in the
+        sector and its spin; the ladder operators S^+ and S^- give the other
+        members.  Real kernels give real bases."""
+        node_dims = dict(zip(self.node_order, self.shape))
+        up, down = [], []
+        for v, d in node_dims.items():
+            if d > 1:
+                sx, sy, _ = spin_operators(d - 1)
+                up.append(make_plan(sx + 1j * sy, (v,), self.node_order, node_dims))
+                down.append(make_plan(sx - 1j * sy, (v,), self.node_order, node_dims))
+
+        def ladder(plans, vec):
+            out = sum(plan(vec) for plan in plans)
+            return out / np.linalg.norm(out)
+
+        full = self.lift(kernel)
+        lowered = np.column_stack([sum(plan(v) for plan in down) for v in full.T])
+        # <a| S^+ S^- |b> = <S^- a|S^- b>
+        vals, rot = eigh(lowered.conj().T @ lowered)
+        m0 = self.twice_m / 2
+        basis = []
+        for val, member in zip(vals, (full @ rot).T):
+            spin = math.sqrt(max(val, 0.0) + (m0 - 0.5) ** 2) - 0.5
+            twice_s = 2 * round(spin - m0) + self.twice_m
+            if abs(val - (twice_s / 2 + m0) * (twice_s / 2 - m0 + 1)) > SPIN_CLUSTER_TOL:
+                raise InvariantViolation(
+                    f"S^+ S^- eigenvalue {val:.6g} on the kernel belongs to no spin")
+            above, below = [], []
+            for steps, plans, out in (((twice_s - self.twice_m) // 2, up, above),
+                                      ((twice_s + self.twice_m) // 2, down, below)):
+                vec = member
+                for _ in range(steps):
+                    vec = ladder(plans, vec)
+                    out.append(vec)
+            basis += above[::-1] + [member] + below
+        return np.column_stack(basis)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .aklt import BondOperator, DirectionDistribution, bond, bond_operator, \
     bond_test_projector, isotropic_bond_operator
 from .errors import InputError
 from .graph import Edge, MatchingCover, max_degree, Hypergraph
-from .hamiltonian import FFHamiltonian, commutation_structure, ground_space, spectral_gap_gamma
+from .hamiltonian import FFHamiltonian, commutation_structure, spectral_gap_gamma
 from .linalg import ApplyPlan
 from .tolerances import BOUND_CHECK_TOL
 
@@ -63,6 +63,20 @@ class Protocol:
                 for e, op in self.bond_ops.items()}
 
     @cached_property
+    def _sector(self) -> linalg.Sector | None:
+        """H's sector when every bond operator is SU(2)-invariant too, else None."""
+        h = self.hamiltonian
+        if h._sector is not None and all(
+                linalg.is_su2_invariant(op.matrix, [h.node_dims[v] for v in e])
+                for e, op in self.bond_ops.items()):
+            return h._sector
+        return None
+
+    @cached_property
+    def _sector_plans(self) -> dict[Edge, linalg.SectorPlan]:
+        return {e: self._sector.plan(op.matrix, e) for e, op in self.bond_ops.items()}
+
+    @cached_property
     def dtype(self) -> np.dtype:
         """float64 when every bond operator is real to REAL_TOL, else complex128."""
         return np.result_type(float, *{p.matrix.dtype for p in self._plans.values()})
@@ -84,9 +98,12 @@ class Protocol:
                 for e, op in self.bond_ops.items() if op.distribution is not None}
 
     def apply_test(self, matching: Sequence[Edge], vec: np.ndarray) -> np.ndarray:
+        """The test operator of a matching on a full-space vector or, when
+        Omega has a sector, a sector vector."""
+        plans = self._plans if len(vec) == self.hamiltonian.dim else self._sector_plans
         out = vec
         for e in matching:
-            out = self._plans[tuple(sorted(e))](out)
+            out = plans[tuple(sorted(e))](out)
         return out
 
     def apply_omega(self, vec: np.ndarray) -> np.ndarray:
@@ -98,15 +115,22 @@ class Protocol:
     @cached_property
     def _top_excited(self) -> tuple[float, np.ndarray]:
         """One solve of (1 - Q0) Omega (1 - Q0) for its largest eigenpair, in
-        real arithmetic when Omega and the ground basis are real."""
-        h = self.hamiltonian
-        _, basis = ground_space(h)  # refuses dimensions above FFV_MAX_DIM
+        real arithmetic when Omega and the ground basis are real.
+
+        With a sector, Q0 there is the projector onto H's kernel in the
+        sector, and the eigenvector is lifted to the full space."""
+        _, basis, _, kernel = self.hamiltonian._low_spectrum  # refuses d above FFV_MAX_DIM
+        space = self._sector
+        if space is None:
+            kernel = basis
 
         def deflated(v):
-            return linalg.deflate(basis, self.apply_omega(linalg.deflate(basis, v)))
+            return linalg.deflate(kernel, self.apply_omega(linalg.deflate(kernel, v)))
 
-        lam, vec = linalg.largest_eigenpair(deflated, h.dim)
-        vec = linalg.deflate(basis, vec)
+        lam, vec = linalg.largest_eigenpair(deflated, len(kernel))
+        vec = linalg.deflate(kernel, vec)
+        if space is not None:
+            vec = space.lift(vec)
         return lam, vec / np.linalg.norm(vec)
 
 
@@ -157,8 +181,9 @@ def matching_gap_bounds(m: int, nu_e: float, gamma: float, s: float,
         raise InputError("need at least two matchings")
     if not (0 <= s < 1):
         raise InputError("s must lie in [0, 1)")
-    if not (nu_e >= 0 and gamma > 0 and g >= 0):
-        raise InputError("nu_e, gamma, g must be positive")
+    if not (nu_e >= 0 and gamma > 0 and g >= 0 and math.isfinite(nu_e)
+            and math.isfinite(gamma)):
+        raise InputError("nu_e, gamma, g must be positive and finite")
     denom = s * s * g * g
     x = math.inf if denom == 0 else gamma / denom
     strong = (nu_e / m) * gap_factor(m, x)
@@ -168,8 +193,9 @@ def matching_gap_bounds(m: int, nu_e: float, gamma: float, s: float,
 
 def coloring_gap_bound(nu_e: float, gamma: float, n_edges: int) -> float:
     """Lower bound nu_e * gamma / |E| for coloring protocols with p_l = |M_l|/|E|."""
-    if not (nu_e >= 0 and gamma > 0 and n_edges >= 1):
-        raise InputError("nu_e, gamma, |E| must be positive")
+    if not (nu_e >= 0 and gamma > 0 and n_edges >= 1 and math.isfinite(nu_e)
+            and math.isfinite(gamma)):
+        raise InputError("nu_e, gamma, |E| must be positive and finite")
     return nu_e * gamma / n_edges
 
 
@@ -280,8 +306,8 @@ def aklt_protocol_bounds(g: Hypergraph, gamma: float, epsilon: float | None = No
     Uses S_E <= max degree, nu_e = 2/(2 S_E + 1), m <= max degree + 1 and the
     proportional-coloring bound for the large-degree variant.
     """
-    if not gamma > 0:
-        raise InputError("gamma must be positive")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise InputError("gamma must be positive and finite")
     d = max_degree(g)
     if d < 1:
         raise InputError("graph has no edges")
@@ -303,8 +329,8 @@ def aklt_protocol_bounds(g: Hypergraph, gamma: float, epsilon: float | None = No
 
 def hkse_cost(edge_count: int, gamma: float, epsilon: float, delta: float) -> float:
     """|E|^3 / (2 gamma^2 eps^2) * ln[-(|E|+1)/ln(1-delta)]."""
-    if not (edge_count >= 1 and gamma > 0):
-        raise InputError("edge count and gamma must be positive")
+    if not (edge_count >= 1 and gamma > 0 and math.isfinite(gamma)):
+        raise InputError("edge count and gamma must be positive and finite")
     _check_confidence(epsilon, delta)
     lead = edge_count ** 3 / (2.0 * gamma ** 2 * epsilon ** 2)
     return lead * math.log(-(edge_count + 1) / math.log1p(-delta))
@@ -312,8 +338,8 @@ def hkse_cost(edge_count: int, gamma: float, epsilon: float, delta: float) -> fl
 
 def hkse_cost_approx(edge_count: int, gamma: float, epsilon: float, delta: float) -> float:
     """Large-|E| small-delta approximation |E|^3/(2 gamma^2 eps^2) ln(|E|/delta)."""
-    if not (edge_count >= 1 and gamma > 0):
-        raise InputError("edge count and gamma must be positive")
+    if not (edge_count >= 1 and gamma > 0 and math.isfinite(gamma)):
+        raise InputError("edge count and gamma must be positive and finite")
     _check_confidence(epsilon, delta)
     lead = edge_count ** 3 / (2.0 * gamma ** 2 * epsilon ** 2)
     return lead * math.log(edge_count / delta)
@@ -325,10 +351,10 @@ def bhsre_lower(n: int, gamma: float, epsilon: float, delta: float,
     alpha-free lower bound substitutes alpha*kappa >= 1."""
     if kappa < 2:
         raise InputError("kappa must be at least 2")
-    if alpha is not None and not alpha * kappa >= 1:
-        raise InputError("alpha * kappa must be at least 1")
-    if not (n >= 1 and gamma > 0):
-        raise InputError("n and gamma must be positive")
+    if alpha is not None and not (alpha * kappa >= 1 and math.isfinite(alpha)):
+        raise InputError("alpha * kappa must be at least 1 and alpha finite")
+    if not (n >= 1 and gamma > 0 and math.isfinite(gamma)):
+        raise InputError("n and gamma must be positive and finite")
     _check_confidence(epsilon, delta)
     factor = 1.0 if alpha is None else (alpha * kappa) ** 2
     return factor * n ** 2 / (2.0 * gamma ** 2 * epsilon ** 2) * math.log((kappa + 1) / delta)
@@ -336,8 +362,8 @@ def bhsre_lower(n: int, gamma: float, epsilon: float, delta: float,
 
 def tm_lower(n: int, r: float) -> float:
     """32 R^2 n^5 + 2^11 n^15 R^4 ln 2 (verification at precision 1/n)."""
-    if not (n >= 1 and r > 0):
-        raise InputError("n and R must be positive")
+    if not (n >= 1 and r > 0 and math.isfinite(r)):
+        raise InputError("n and R must be positive and finite")
     return 32.0 * r ** 2 * n ** 5 + 2.0 ** 11 * n ** 15 * r ** 4 * math.log(2.0)
 
 

@@ -3,12 +3,16 @@
 The package computes every quantity matrix-free; each has one dense
 counterpart here: H and its ground projector, products of embedded local
 operators (test operators, bond-test products), Omega, nu from dense Omega
-and Q0, the density matrix of a prepared state, and the two reference forms
-of the bond overlap trace.  They are built on `linalg.embed` and
-numpy/scipy only, so they stay independent of the apply plans and Lanczos
-solves they check.  Keeping the dimension small is the caller's job.
+and Q0, the density matrix of a prepared state, the two reference forms of
+the bond overlap trace, and the spin-coherent states by eigh.  They are
+built on `linalg.embed` and numpy/scipy only, so they stay independent of
+the apply plans and Lanczos solves they check.  Keeping the dimension small
+is the caller's job.  `basis_rotated` copies of a Hamiltonian keep its
+spectrum but fail the SU(2) check, so the package solves them in the full
+space: the oracle of the sector solves at sizes beyond dense H.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -93,3 +97,45 @@ def overlap_trace_matrix(b: aklt.Bond, r, s) -> float:
     a = aklt.bond_test_projector(b, r) - q
     bm = aklt.bond_test_projector(b, s) - q
     return float(np.real(np.trace(a @ bm)))
+
+
+def site_rotations(h, seed: int) -> dict[int, np.ndarray]:
+    """A random real orthogonal matrix per node of h, drawn from seed."""
+    rng = np.random.default_rng(seed)
+    return {v: np.linalg.qr(rng.standard_normal((d, d)))[0] for v, d in h.node_dims.items()}
+
+
+def basis_rotated(h, seed: int):
+    """h with every projector conjugated by the site rotations of seed: the
+    same spectrum, but no projector commutes with the total spin, so every
+    solve of the copy stays in the full space."""
+    rotations = site_rotations(h, seed)
+    projectors = {}
+    for e, p in h.projectors.items():
+        u = functools.reduce(np.kron, [rotations[v] for v in e])
+        projectors[e] = u @ p @ u.T
+    return type(h)(h.graph, projectors, h.node_dims)
+
+
+def rotate(h, rotations, vecs: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """The columns of vecs under the tensor product of the site rotations (or
+    their transposes), one tensordot per node."""
+    shape = [h.node_dims[v] for v in h.node_order]
+    t = vecs.reshape(shape + [-1])
+    for axis, v in enumerate(h.node_order):
+        u = rotations[v].T if inverse else rotations[v]
+        t = np.moveaxis(np.tensordot(u, t, axes=(1, axis)), 0, axis)
+    return t.reshape(vecs.shape)
+
+
+def spin_along(twice_s: int, direction) -> np.ndarray:
+    """The spin component r . S along a unit direction r."""
+    sx, sy, sz = linalg.spin_operators(twice_s)
+    return direction[0] * sx + direction[1] * sy + direction[2] * sz
+
+
+def coherent_extremes(twice_s: int, direction) -> tuple[np.ndarray, np.ndarray]:
+    """The +S and -S eigenvectors of the spin component along direction, by
+    eigh."""
+    _, vecs = scipy.linalg.eigh(spin_along(twice_s, direction))
+    return vecs[:, -1], vecs[:, 0]

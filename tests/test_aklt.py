@@ -44,6 +44,24 @@ class TestSpinOperators:
 
 
 class TestCoherentExtremes:
+    @pytest.mark.parametrize("twice_s", [1, 2, 3, 4, 5])
+    def test_closed_form_matches_eigh(self, twice_s):
+        """The closed-form states project like eigh's +S and -S eigenvectors,
+        at random directions and at both poles."""
+        rng = np.random.default_rng(twice_s)
+        directions = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+        directions += [random_unit_vector(rng) for _ in range(20)]
+        for r in directions:
+            for got, want in zip(aklt.coherent_extremes(twice_s, r),
+                                 oracles.coherent_extremes(twice_s, r)):
+                assert np.max(np.abs(np.outer(got, got.conj())
+                                     - np.outer(want, want.conj()))) < 1e-12
+
+    @pytest.mark.parametrize("twice_s, direction", [(0, [0, 0, 1]), (2, [1, 0])])
+    def test_invalid_spin_or_direction(self, twice_s, direction):
+        with pytest.raises(InputError):
+            aklt.coherent_extremes(twice_s, direction)
+
     def test_z_axis_gives_basis_kets(self):
         plus, minus = aklt.coherent_extremes(2, [0, 0, 1])
         assert np.allclose(plus, [1, 0, 0])
@@ -53,7 +71,7 @@ class TestCoherentExtremes:
         rng = np.random.default_rng(0)
         for twice_s in (1, 2, 3):
             r = random_unit_vector(rng)
-            op = aklt.spin_along(twice_s, r)
+            op = oracles.spin_along(twice_s, r)
             plus, minus = aklt.coherent_extremes(twice_s, r)
             s = twice_s / 2
             assert np.linalg.norm(op @ plus - s * plus) < 1e-10

@@ -271,8 +271,15 @@ class TestParsing:
         (("compare", "--gamma", "nan"), "gamma"),
         (("compare", "--alpha", "nan"), "alpha"),
         (("simulate", "--chain", "4", "--closed", "--noise-epsilon", "1.5"), "noise epsilon"),
+        (("gap", "--chain", "4", "--closed", "--gamma", "inf"), "gamma"),
+        (("samples", "--m", "2", "--nu-e", "0.4", "--gamma", "inf", "--s", "0.5", "--g", "2"),
+         "gamma"),
+        (("samples", "--m", "2", "--nu-e", "inf", "--s", "0.5", "--g", "2"), "nu_e"),
+        (("compare", "--gamma", "inf"), "gamma"),
+        (("compare", "--alpha", "inf"), "alpha"),
     ], ids=["gap-gamma-nan", "samples-nu-e-nan", "compare-gamma-nan", "compare-alpha-nan",
-            "noise-epsilon"])
+            "noise-epsilon", "gap-gamma-inf", "samples-gamma-inf", "samples-nu-e-inf",
+            "compare-gamma-inf", "compare-alpha-inf"])
     def test_real_flag_outside_its_range(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

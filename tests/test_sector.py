@@ -1,0 +1,195 @@
+"""The lowest total-S_z sector: its states and apply plans, and the sector
+solves of gamma, the ground space and nu against the full-space solves of
+basis-rotated copies, which fail the SU(2) check."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from ffverify import aklt, graph as G, hamiltonian as ham, linalg, protocol as proto
+from ffverify.errors import InputError
+
+import oracles
+from test_spectral import complex_instance, open_spin_one_chain
+
+
+def majumdar_ghosh_chain(n: int) -> ham.FFHamiltonian:
+    """Open spin-1/2 chain with the projector onto total spin 3/2 on every
+    three consecutive sites; an odd n puts the sector at M0 = 1/2."""
+    sx, sy, sz = linalg.spin_operators(1)
+    total = sum(np.linalg.matrix_power(sum(
+        np.kron(np.kron(np.eye(2 ** j), s), np.eye(2 ** (2 - j))) for j in range(3)), 2)
+        for s in (sx, sy, sz))
+    vals, vecs = np.linalg.eigh(total)
+    top = vecs[:, np.abs(vals - 15 / 4) < 1e-8]
+    g = G.Hypergraph(tuple(range(n)), tuple((i, i + 1, i + 2) for i in range(n - 2)))
+    return ham.FFHamiltonian(g, {e: top @ top.conj().T for e in g.edges}, {v: 2 for v in range(n)})
+
+
+INSTANCES = {
+    **{f"closed-{n}": (lambda n=n: aklt.aklt_hamiltonian(G.chain(n, closed=True)))
+       for n in range(5, 11)},
+    **{f"open-{n}": (lambda n=n: aklt.aklt_hamiltonian(G.chain(n))) for n in range(5, 10)},
+    **{f"spin-one-open-{n}": (lambda n=n: open_spin_one_chain(n)) for n in range(5, 9)},
+    "honeycomb-2x1": lambda: aklt.aklt_hamiltonian(G.honeycomb_lattice(2, 1)),
+    "square-3x2": lambda: aklt.aklt_hamiltonian(G.square_lattice(3, 2)),
+    "honeycomb-2x2-periodic": lambda: aklt.aklt_hamiltonian(
+        G.honeycomb_lattice(2, 2, periodic=True)),
+    "majumdar-ghosh-9": lambda: majumdar_ghosh_chain(9),
+}
+#: not in the nu comparison: the Majumdar-Ghosh terms are not bonds, and the
+#: icosahedron is no 6-design, so spin-3 bond operators keep Omega full-space
+NO_NU = {"majumdar-ghosh-9", "honeycomb-2x2-periodic"}
+
+
+@pytest.fixture(autouse=True)
+def cap_above_closed_chain_ten(monkeypatch):
+    monkeypatch.setenv("FFV_MAX_DIM", "65536")
+
+
+@pytest.fixture
+def solve_dims(monkeypatch) -> list[int]:
+    """The dimension of every eigensolve, in call order."""
+    dims = []
+    solver = linalg._eigsh
+
+    def recording(matvec, dim, k, which):
+        dims.append(dim)
+        return solver(matvec, dim, k, which)
+
+    monkeypatch.setattr(linalg, "_eigsh", recording)
+    return dims
+
+
+def deflated_omega_top(protocol, basis: np.ndarray) -> float:
+    """Largest eigenvalue of (1 - Q0) Omega (1 - Q0) in the full space."""
+    def deflated(v):
+        return linalg.deflate(basis, protocol.apply_omega(linalg.deflate(basis, v)))
+
+    return linalg.largest_eigenvalue(deflated, protocol.hamiltonian.dim)
+
+
+class TestSectorAgainstRotatedCopy:
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_rank_gamma_ground_projector(self, name, solve_dims):
+        h = INSTANCES[name]()
+        rotated = oracles.basis_rotated(h, seed=1)
+        rank, basis, gamma = ham.low_spectrum(h)
+        assert solve_dims == [h._sector.dim] * len(solve_dims)
+        solve_dims.clear()
+        oracle_rank, oracle_basis, oracle_gamma = ham.low_spectrum(rotated)
+        assert rotated._sector is None
+        assert solve_dims == [h.dim] * len(solve_dims)
+
+        assert rank == oracle_rank == basis.shape[1]
+        assert abs(gamma - oracle_gamma) < 1e-10
+        assert basis.dtype == np.float64
+        assert np.max(np.abs(basis.T @ basis - np.eye(rank))) < 1e-10
+        # equal ranks and range(back) inside range(basis): equal projectors
+        back = oracles.rotate(h, oracles.site_rotations(h, seed=1), oracle_basis, inverse=True)
+        assert np.max(np.abs(back - basis @ (basis.T @ back))) < 1e-10
+
+    @pytest.mark.parametrize("name", sorted(set(INSTANCES) - NO_NU))
+    def test_nu(self, name, icosahedron, solve_dims):
+        h = INSTANCES[name]()
+        protocol = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
+        nu = proto.measured_gap(protocol)
+        sector_solves = list(solve_dims)
+        rotated = oracles.basis_rotated(h, seed=1)
+        _, oracle_basis = ham.ground_space(rotated)
+        back = oracles.rotate(h, oracles.site_rotations(h, seed=1), oracle_basis, inverse=True)
+        assert abs(nu - (1.0 - deflated_omega_top(protocol, back))) < 1e-10
+        omega_dim = h.dim if protocol._sector is None else h._sector.dim
+        assert sector_solves[-1] == omega_dim
+
+
+class TestPaths:
+    def test_random_instance_takes_full_path(self, solve_dims):
+        h = complex_instance()
+        ham.low_spectrum(h)
+        assert h._sector is None and solve_dims == [h.dim]
+
+    @pytest.mark.parametrize("design", ["tetrahedron", "octahedron"])
+    def test_nu_of_low_order_designs_takes_full_path(self, design, solve_dims):
+        h = aklt.aklt_hamiltonian(G.chain(5, closed=True))
+        protocol = proto.build_protocol(h, G.edge_coloring(h.graph), aklt.design_catalog(design))
+        nu = proto.measured_gap(protocol)
+        assert h._sector is not None and protocol._sector is None
+        assert solve_dims == [h._sector.dim, h.dim]
+        dense_nu = oracles.nu(oracles.omega(protocol), oracles.ground_projector(h))
+        assert abs(nu - dense_nu) < 1e-10
+
+    @pytest.mark.parametrize("design", ["icosahedron", "isotropic"])
+    def test_nu_of_invariant_bond_operators_takes_sector(self, design, solve_dims):
+        h = aklt.aklt_hamiltonian(G.chain(7, closed=True))
+        mu = None if design == "isotropic" else aklt.design_catalog(design)
+        protocol = proto.build_protocol(h, G.edge_coloring(h.graph), mu)
+        lam, vec = proto.top_excited_pair(protocol)
+        assert protocol._sector is h._sector
+        assert solve_dims == [h._sector.dim] * 2
+        assert vec.shape == (h.dim,) and abs(np.linalg.norm(vec) - 1.0) < 1e-12
+        omega_vec = protocol.apply_omega(vec)
+        assert np.linalg.norm(omega_vec - lam * vec) < 1e-9
+
+
+class TestSector:
+    @pytest.mark.parametrize("dims", [(3, 3, 3, 3), (2, 3, 4), (2, 2, 2), (4, 1, 3), (5,)])
+    def test_states_of_lowest_total_sz(self, dims):
+        sector = linalg.Sector.of(range(len(dims)), dict(enumerate(dims)))
+        twice_sz = [sum(d - 1 - 2 * k for d, k in zip(dims, digits))
+                    for digits in itertools.product(*map(range, dims))]
+        lowest = min(abs(t) for t in twice_sz)
+        assert sector.twice_m == lowest == sum(d - 1 for d in dims) % 2
+        assert sector.index.tolist() == [i for i, t in enumerate(twice_sz) if t == lowest]
+
+    NODE_DIMS = {0: 3, 1: 2, 2: 4, 3: 3}
+
+    @staticmethod
+    def conserving(rng, dims, real=False) -> np.ndarray:
+        """A random matrix that conserves the total S_z of nodes with dims."""
+        local_sum = np.indices(dims).reshape(len(dims), -1).sum(axis=0)
+        d_e = len(local_sum)
+        matrix = rng.standard_normal((d_e, d_e))
+        if not real:
+            matrix = matrix + 1j * rng.standard_normal((d_e, d_e))
+        matrix[local_sum[:, None] != local_sum] = 0
+        return matrix
+
+    @pytest.mark.parametrize("support", [(0, 1), (1, 3), (3, 0), (2,), (0, 2, 3)])
+    def test_plan_matches_full_space_plan(self, support):
+        """Any operator that conserves its support's S_z, on adjacent,
+        distant, reversed and three-node supports."""
+        rng = np.random.default_rng(5)
+        order = tuple(self.NODE_DIMS)
+        sector = linalg.Sector.of(order, self.NODE_DIMS)
+        matrix = self.conserving(rng, [self.NODE_DIMS[v] for v in support])
+        vec = rng.standard_normal(sector.dim)
+        full = linalg.make_plan(matrix, support, order, self.NODE_DIMS)(sector.lift(vec))
+        assert np.max(np.abs(sector.plan(matrix, support)(vec) - full[sector.index])) < 1e-12
+        assert np.linalg.norm(np.delete(full, sector.index)) < 1e-12
+
+    @pytest.mark.parametrize("entries", [1, 1 << 15], ids=["one-term-plans", "batched"])
+    def test_sum_plans_match_full_space_sum(self, entries, monkeypatch):
+        """Terms with equal group sizes (the three (3, 3) supports, the real
+        and complex (0, 1) terms) share a plan when the batch allows it."""
+        monkeypatch.setattr(linalg, "SECTOR_BATCH_ENTRIES", entries)
+        rng = np.random.default_rng(6)
+        order = tuple(self.NODE_DIMS)
+        sector = linalg.Sector.of(order, self.NODE_DIMS)
+        supports = [(0, 1), (0, 1), (0, 3), (3, 0), (3, 0), (1, 2), (2,), (0, 2, 3)]
+        terms = [(self.conserving(rng, [self.NODE_DIMS[v] for v in sup], real=k % 2 == 0), sup)
+                 for k, sup in enumerate(supports)]
+        plans = sector.sum_plans(terms)
+        assert len(plans) == (len(terms) if entries == 1 else 5)
+        vec = rng.standard_normal(sector.dim)
+        full = sum(linalg.make_plan(m, sup, order, self.NODE_DIMS)(sector.lift(vec))
+                   for m, sup in terms)
+        got = sum(plan(vec) for plan in plans)
+        assert np.max(np.abs(got - full[sector.index])) < 1e-12
+
+    def test_plan_refuses_sz_changing_operator(self):
+        sector = linalg.Sector.of((0, 1), {0: 2, 1: 2})
+        sx, _, _ = linalg.spin_operators(1)
+        with pytest.raises(InputError, match="changes S_z"):
+            sector.plan(np.kron(sx, np.eye(2)), (0, 1))

@@ -78,9 +78,13 @@ class TestClosedChainsReal:
 
 
 class TestOpenChainsDegenerate:
-    @pytest.mark.parametrize("n", [5, 6, 7, 8])
-    def test_rank_four_found_by_doubling(self, n, monkeypatch):
-        h = open_spin_one_chain(n)
+    """Rank 4 (singlet + triplet) found by doubling k: in the full space on
+    a basis-rotated copy, whose eigenpairs below gamma are 4 (k = 2, 4, 8),
+    and in the S_z = 0 sector, which holds 2 of them (k = 2, 4; at n = 5 the
+    sector's 51 states are below the dense floor: one solve with k = d)."""
+
+    @staticmethod
+    def check_doubling(chain, h, expected_ks, monkeypatch, rotations=None):
         ks = []
         solver = linalg._eigsh
 
@@ -90,12 +94,26 @@ class TestOpenChainsDegenerate:
 
         monkeypatch.setattr(linalg, "_eigsh", recording)
         rank, basis, gamma = ham.low_spectrum(h)
-        oracle_rank, oracle_gamma = dense_low_spectrum(sector_spectrum(h))
-        assert ks == [2, 4, 8]
+        oracle_rank, oracle_gamma = dense_low_spectrum(sector_spectrum(chain))
+        assert ks == expected_ks
         assert rank == oracle_rank == 4
         assert abs(gamma - oracle_gamma) < 1e-8
-        assert np.linalg.norm(sparse_chain_hamiltonian(h) @ basis) < 1e-8
+        if rotations is not None:  # back to the basis of the sparse oracle
+            basis = oracles.rotate(chain, rotations, basis, inverse=True)
+        assert np.linalg.norm(sparse_chain_hamiltonian(chain) @ basis) < 1e-8
         assert np.allclose(basis.T @ basis, np.eye(4), atol=1e-10)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_rank_four_found_by_doubling(self, n, monkeypatch):
+        chain = open_spin_one_chain(n)
+        self.check_doubling(chain, oracles.basis_rotated(chain, seed=3), [2, 4, 8],
+                            monkeypatch, oracles.site_rotations(chain, seed=3))
+
+    @pytest.mark.parametrize("n, expected_ks", [(5, [51]), (6, [2, 4]), (7, [2, 4]),
+                                                (8, [2, 4])], ids=["5", "6", "7", "8"])
+    def test_rank_four_found_in_the_sector(self, n, expected_ks, monkeypatch):
+        chain = open_spin_one_chain(n)
+        self.check_doubling(chain, chain, expected_ks, monkeypatch)
 
     def test_sector_oracle_matches_dense(self):
         h = open_spin_one_chain(5)
@@ -194,8 +212,10 @@ class TestAtTheFloor:
 
 
 class TestOneSolve:
+    """Closed chain 7: its S_z = 0 sector (393 states) is above the dense floor."""
+
     def test_ground_space_then_gamma_is_one_krylov_call(self, monkeypatch):
-        h = aklt.aklt_hamiltonian(G.chain(5, closed=True))
+        h = aklt.aklt_hamiltonian(G.chain(7, closed=True))
         calls = []
         eigsh = scipy.sparse.linalg.eigsh
 
@@ -210,9 +230,9 @@ class TestOneSolve:
         assert calls == [2]
 
     def test_worst_case_state_then_nu_is_one_omega_call(self, icosahedron, monkeypatch):
-        h = aklt.aklt_hamiltonian(G.chain(5, closed=True))
+        h = aklt.aklt_hamiltonian(G.chain(7, closed=True))
         protocol = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
-        assert h.dim == 243
+        assert (h.dim, h._sector.dim) == (2187, 393)
         ham.ground_space(h)  # the H solve
         calls = []
         eigsh = scipy.sparse.linalg.eigsh
@@ -234,7 +254,8 @@ class TestRestartBudget:
     def test_exhausted_budget_is_resource_error(self, monkeypatch):
         monkeypatch.setattr(linalg, "ARPACK_MAX_RESTARTS", 1)
         h = aklt.aklt_hamiltonian(G.chain(6, closed=True))
-        with pytest.raises(ResourceError, match=r"d=729, k=2, \d+ of 2 converged"):
+        # the solve runs in the S_z = 0 sector: 141 of the 729 states
+        with pytest.raises(ResourceError, match=r"d=141, k=2, \d+ of 2 converged"):
             ham.spectral_gap_gamma(h)
 
     def test_cli_exit_code(self, monkeypatch, capsys):

@@ -3,8 +3,9 @@
 `tracing.install` wraps only the names that exist and skips the rest without
 a word, so a renamed function would read as a per-layer metric of zero.
 These tests load the two benchmark scripts read-only and resolve every name
-they use, and check that each eigensolve goes through a traced name and
-that the BLAS thread policy has one home.
+they use, and check that each eigensolve goes through a traced name, that
+building an instance builds no solve space, and that the BLAS thread policy
+has one home.
 """
 
 import ast
@@ -108,6 +109,41 @@ def test_solves_go_through_traced_names(tracing, site):
     assert via_linalg <= krylov | UNTRACED_HELPERS, via_linalg - krylov
     assert not {node.attr for node in attributes} & SOLVER_NAMES
     assert "scipy" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_sector_basis_rebuild_uses_traced_eigh(tracing):
+    """The sector solves run inside the solve sites above; rebuilding the full
+    ground basis from the sector's kernel diagonalizes one small Gram matrix,
+    through linalg's traced `eigh` and no untraced solver."""
+    from ffverify import linalg
+
+    tree = ast.parse(textwrap.dedent(inspect.getsource(linalg.Sector.multiplets)))
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "eigh" in called and "linalg.eigh" in tracing.DENSE
+    assert not {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} \
+        & SOLVER_NAMES
+
+
+def test_setup_probe_builds_no_solve_space(replay, monkeypatch):
+    """`aklt_hamiltonian` and `build_protocol` leave the sector, its plans and
+    the solves to the first solve, so set-up time does not include them."""
+    from ffverify import protocol
+
+    built = []
+    build = protocol.build_protocol
+
+    def capture(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(protocol, "build_protocol", capture)
+    replay._setup(["gap", "--chain", "6", "--closed"])
+    (p,) = built
+    lazy = {"_sector", "_sector_plans", "_low_spectrum", "_top_excited"}
+    assert not lazy & (set(vars(p.hamiltonian)) | set(vars(p)))
+    protocol.measured_gap(p)
+    assert {"_sector", "_sector_plans"} <= set(vars(p.hamiltonian)) & set(vars(p))
 
 
 def test_blas_thread_policy_has_one_home():
