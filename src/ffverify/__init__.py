@@ -7,14 +7,11 @@ sample-count bounds, and simulates the statistical verification procedure.
 
 from .errors import (DegenerateSpectrum, InputError, InvariantViolation,
                      NotFrustrationFree, ResourceError)
-from .graph import (Hypergraph, MatchingCover, chain, chromatic_index_bounds,
-                    complete_graph, degree, disjointify, edge_coloring,
-                    honeycomb_lattice, is_matching, max_degree, square_lattice,
-                    trivial_cover)
+from .graph import (Hypergraph, MatchingCover, chain, degree, edge_coloring,
+                    honeycomb_lattice, max_degree, square_lattice, trivial_cover)
 from .linalg import eigh, embed, operator_norm, singular_values
 from .hamiltonian import (FFHamiltonian, best_zeta_ordering, commutation_structure,
-                          ground_space, load_hamiltonian, random_ff_instance,
-                          save_hamiltonian, spectral_gap_gamma)
+                          ground_space, random_ff_instance, spectral_gap_gamma)
 from .detectability import (DLReport, dl_norm_check, dl_state_check,
                             projector_pair_check, union_gap_check)
 from .aklt import (Bond, BondOperator, DirectionDistribution,
@@ -28,6 +25,6 @@ from .protocol import (GapReport, Protocol, aklt_protocol_bounds, build_protocol
                        sample_count, sample_count_from_bounds)
 from .simulate import (NoiseSpec, PreparedState, RunResult,
                        acceptance_probability, estimate_pass_rate, prepare_state,
-                       run_many, run_verification)
+                       run_many)
 
 __version__ = "0.1.0"

@@ -182,9 +182,6 @@ class DirectionDistribution:
         points = np.asarray(points, dtype=float)
         return cls(points, np.full(len(points), 1.0 / len(points)))
 
-    def rotated(self, rotation: np.ndarray) -> "DirectionDistribution":
-        return DirectionDistribution(self.points @ np.asarray(rotation).T, self.weights)
-
     def to_json(self) -> str:
         return json.dumps({"points": self.points.tolist(),
                            "weights": self.weights.tolist()})

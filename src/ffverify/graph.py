@@ -117,17 +117,7 @@ def edges_adjacent(e: Edge, f: Edge) -> bool:
     return e != f and bool(set(e) & set(f))
 
 
-def is_matching(g: Hypergraph, m: Iterable[Edge]) -> bool:
-    """True iff the edges of m are in g and pairwise vertex-disjoint."""
-    edges = [_normalize_edge(e) for e in m]
-    known = set(g.edges)
-    for e in edges:
-        if e not in known:
-            raise InputError(f"{e} is not an edge of the graph")
-    return _is_matching_standalone(edges)
-
-
-def _is_matching_standalone(edges: Sequence[Edge]) -> bool:
+def _is_matching(edges: Sequence[Edge]) -> bool:
     """True iff the edges are pairwise vertex-disjoint."""
     return all(not (set(a) & set(b)) for a, b in combinations(edges, 2))
 
@@ -149,7 +139,7 @@ class MatchingCover:
         for m in matchings:
             if len(set(m)) != len(m):
                 raise InputError(f"matching {m} repeats an edge")
-            if not _is_matching_standalone(m):
+            if not _is_matching(m):
                 raise InputError(f"{m} is not a matching (adjacent edges)")
         if any(p < 0 for p in probs):
             raise InputError("probabilities must be nonnegative")
@@ -183,14 +173,6 @@ class MatchingCover:
         if total == 0:
             raise InputError("cover has no edges")
         return MatchingCover(self.matchings, tuple(len(m) / total for m in self.matchings))
-
-
-def chromatic_index_bounds(g: Hypergraph) -> tuple[int, int]:
-    """Vizing interval (max degree, max degree + 1) for a simple graph."""
-    if not g.is_simple_graph():
-        raise InputError("chromatic index bounds require a simple graph")
-    d = max_degree(g)
-    return d, d + 1
 
 
 def _bipartition(g: Hypergraph) -> dict[int, int] | None:
@@ -380,25 +362,6 @@ def trivial_cover(g: Hypergraph) -> MatchingCover:
     return MatchingCover(tuple((e,) for e in g.edges), tuple(1.0 / m for _ in range(m)))
 
 
-def disjointify(cover: MatchingCover, edges: Sequence[Edge] | None = None) -> MatchingCover:
-    """Drop repeated edges left to right so the matchings become disjoint.
-
-    Keeps the cover length and probabilities; each output matching is a subset
-    of its input.  If `edges` is given, the input cover must cover them all.
-    """
-    if edges is not None:
-        missing = set(_normalize_edge(e) for e in edges) - cover.edge_union
-        if missing:
-            raise InputError(f"cover misses edges: {sorted(missing)}")
-    seen: set[Edge] = set()
-    out = []
-    for m in cover.matchings:
-        kept = tuple(e for e in m if e not in seen)
-        seen.update(kept)
-        out.append(kept)
-    return MatchingCover(tuple(out), cover.probabilities)
-
-
 # ---------------------------------------------------------------------------
 # generators
 
@@ -412,12 +375,6 @@ def chain(n: int, closed: bool = False) -> Hypergraph:
             raise InputError("closed chain needs at least 3 vertices")
         edges.append((0, n - 1))
     return Hypergraph(tuple(range(n)), tuple(edges))
-
-
-def complete_graph(n: int) -> Hypergraph:
-    if n < 2:
-        raise InputError("complete graph needs at least 2 vertices")
-    return Hypergraph(tuple(range(n)), tuple(combinations(range(n), 2)))
 
 
 def square_lattice(width: int, height: int, periodic: bool = False) -> Hypergraph:

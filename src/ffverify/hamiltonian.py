@@ -1,7 +1,8 @@
 """Frustration-free Hamiltonians built from local projectors on a hypergraph.
 
-Provides the ground space, the spectral gap, and the commutation profile
-(g, s, zeta, g~) that feeds every norm bound downstream.
+Provides the ground space, the spectral gap, the commutation profile
+(g, s, zeta, g~) that feeds every norm bound downstream, the edge ordering
+that minimizes zeta, and random frustration-free test instances.
 
 H is solved in its solve space: the lowest total-S_z sector
 (`linalg.Sector`) when every projector is SU(2)-invariant, node v carrying
@@ -14,7 +15,6 @@ kernel with the ladder operators (`linalg.Sector.multiplets`).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -97,7 +97,8 @@ class FFHamiltonian:
     @cached_property
     def dtype(self) -> np.dtype:
         """float64 when every projector is real to REAL_TOL, else complex128."""
-        return np.result_type(float, *{p.matrix.dtype for p in self._plans.values()})
+        return np.result_type(float, *(linalg.real_if_close(p).dtype
+                                       for p in self.projectors.values()))
 
     def apply_edge(self, e: Edge, vec: np.ndarray) -> np.ndarray:
         """P_e |vec> in the full space."""
@@ -250,7 +251,8 @@ def commutation_structure(h: FFHamiltonian,
 
 def best_zeta_ordering(h: FFHamiltonian) -> tuple[tuple[Edge, ...], float]:
     """Edge ordering minimizing zeta: exhaustive up to EXHAUSTIVE_ORDERING_EDGES
-    edges, greedy above."""
+    edges; above, the lower-zeta of a greedy ordering and the graph's edge
+    order, so the result is never worse than `commutation_structure(h)`."""
     structure = commutation_structure(h)
     edges = h.graph.edges
 
@@ -269,8 +271,8 @@ def best_zeta_ordering(h: FFHamiltonian) -> tuple[tuple[Edge, ...], float]:
         pick = max(remaining, key=lambda e: (counts[e], e))
         remaining.remove(pick)
         tail.append(pick)
-    ordering = tuple(reversed(tail))
-    return ordering, zeta_of(ordering)
+    greedy = tuple(reversed(tail))
+    return min((greedy, zeta_of(greedy)), (edges, structure.zeta), key=lambda c: c[1])
 
 
 def random_ff_instance(seed: int, nodes: Sequence[int], dims: dict[int, int] | Sequence[int],
@@ -327,30 +329,3 @@ def random_ff_instance(seed: int, nodes: Sequence[int], dims: dict[int, int] | S
             p = v @ v.conj().T
         projectors[e] = (p + p.conj().T) / 2
     return FFHamiltonian(g, projectors, dict(dims))
-
-
-# ---------------------------------------------------------------------------
-# serialization: graph JSON plus per-edge matrices in an npz container
-
-def save_hamiltonian(h: FFHamiltonian, path) -> None:
-    manifest = {
-        "graph": json.loads(h.graph.to_json()),
-        "node_dims": {str(k): v for k, v in h.node_dims.items()},
-        "edges": [list(e) for e in h.graph.edges],
-    }
-    arrays = {f"edge_{i}": h.projectors[e] for i, e in enumerate(h.graph.edges)}
-    np.savez(path, manifest=json.dumps(manifest), **arrays)
-
-
-def load_hamiltonian(path) -> FFHamiltonian:
-    with np.load(path, allow_pickle=False) as data:
-        try:
-            manifest = json.loads(str(data["manifest"]))
-            g = Hypergraph(tuple(manifest["graph"]["vertices"]),
-                           tuple(tuple(e) for e in manifest["graph"]["edges"]))
-            dims = {int(k): int(v) for k, v in manifest["node_dims"].items()}
-            projectors = {tuple(sorted(e)): data[f"edge_{i}"]
-                          for i, e in enumerate(manifest["edges"])}
-        except KeyError as exc:
-            raise InputError(f"malformed Hamiltonian container: missing {exc}") from exc
-    return FFHamiltonian(g, projectors, dims)

@@ -99,17 +99,23 @@ def _check_support(matrix: np.ndarray, support: Sequence[int], node_order: Seque
     return matrix, support, dims
 
 
+def real_if_close(matrix: np.ndarray) -> np.ndarray:
+    """The matrix's real part when every imaginary part is within REAL_TOL of
+    zero, else the matrix: the one rule for what is applied and solved in real
+    arithmetic."""
+    return matrix.real if np.abs(matrix.imag).max(initial=0.0) <= REAL_TOL else matrix
+
+
 def make_plan(matrix: np.ndarray, support: Sequence[int],
               node_order: Sequence[int], node_dims: NodeDims) -> ApplyPlan:
     """Compile a local operator into an ApplyPlan for the given node order.
 
-    The matrix's tensor factors follow `support`.  A matrix that is real to
-    REAL_TOL is stored real, so real vectors stay real.
+    The matrix's tensor factors follow `support`.  It is stored through
+    `real_if_close`, so real vectors stay real.
     """
     order = tuple(int(v) for v in node_order)
     matrix, support, dims = _check_support(matrix, support, order, node_dims)
-    if np.abs(matrix.imag).max(initial=0.0) <= REAL_TOL:
-        matrix = matrix.real
+    matrix = real_if_close(matrix)
     axes = [order.index(v) for v in support]
     perm = sorted(range(len(axes)), key=lambda i: axes[i])
     sorted_axes = tuple(axes[i] for i in perm)
@@ -349,14 +355,13 @@ class Sector:
         """Compile local operators (matrix, support), each conserving its
         support's total S_z, into SectorPlans whose results add up to the
         sum of the terms; terms with the same group sizes share a plan of at
-        most SECTOR_BATCH_ENTRIES gathered entries.  Real matrices (to
-        REAL_TOL) are stored real, as in `make_plan`."""
+        most SECTOR_BATCH_ENTRIES gathered entries.  Matrices are stored
+        through `real_if_close`, as in `make_plan`."""
         node_dims = dict(zip(self.node_order, self.shape))
         alike: dict[tuple, list] = {}
         for matrix, support in terms:
             matrix, support, dims = _check_support(matrix, support, self.node_order, node_dims)
-            if np.abs(matrix.imag).max(initial=0.0) <= REAL_TOL:
-                matrix = matrix.real
+            matrix = real_if_close(matrix)
             local_sum = np.indices(dims).reshape(len(dims), -1).sum(axis=0)
             leak = np.abs(matrix[local_sum[:, None] != local_sum]).max(initial=0.0)
             if leak > COMMUTE_TOL:

@@ -34,7 +34,7 @@ class Protocol:
 
     def __post_init__(self):
         h = self.hamiltonian
-        if self.cover.edge_union != set(h.graph.edges):
+        if not self.cover.covers(h.graph):
             raise InputError("cover does not match the Hamiltonian's edge set")
         ops = {}
         for e in h.graph.edges:
@@ -79,7 +79,8 @@ class Protocol:
     @cached_property
     def dtype(self) -> np.dtype:
         """float64 when every bond operator is real to REAL_TOL, else complex128."""
-        return np.result_type(float, *{p.matrix.dtype for p in self._plans.values()})
+        return np.result_type(float, *(linalg.real_if_close(op.matrix).dtype
+                                       for op in self.bond_ops.values()))
 
     def bond_test(self, e: Edge, direction) -> tuple[ApplyPlan, float]:
         """The bond test along one direction on edge e: its apply plan and its

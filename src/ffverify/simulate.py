@@ -273,15 +273,6 @@ def _single_run(sampler: _TestSampler, rng: np.random.Generator, n_tests: int,
     return RunResult(n_tests=n_tests, n_passed=passed, accepted=True, seed=seed)
 
 
-def run_verification(protocol: Protocol, state: PreparedState, n_tests: int,
-                     seed: int) -> RunResult:
-    """One accept/reject run: N i.i.d. tests, accept iff all pass."""
-    if n_tests < 1:
-        raise InputError("need at least one test")
-    return _single_run(_TestSampler(protocol, state), np.random.default_rng(seed),
-                       n_tests, seed)
-
-
 def run_many(protocol: Protocol, state: PreparedState, n_tests: int, runs: int,
              seed: int) -> list[RunResult]:
     """Independent runs with per-run substreams derived from (seed, index)."""

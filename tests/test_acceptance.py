@@ -15,7 +15,7 @@ from ffverify import aklt, detectability as dl, graph as G, hamiltonian as ham
 from ffverify import protocol as proto, simulate as sim
 
 import oracles
-from conftest import random_unit_vector
+from conftest import random_state, random_unit_vector
 
 
 @contextlib.contextmanager
@@ -196,3 +196,44 @@ def test_criterion_10_statistical_law(chain4, icosahedron):
         results = sim.run_many(protocol, state, n_tests, runs=10_000, seed=2020)
         acceptance = sim.aggregate(results)["acceptance_rate"]
         assert acceptance <= delta + 3 * math.sqrt(delta / 10_000)
+
+
+def aklt_protocols(design):
+    """The AKLT protocols of criteria 11 and 13: closed chains 4, 6 and 8 and
+    the open honeycomb 2x1, each with its edge coloring."""
+    graphs = [G.chain(n, closed=True) for n in (4, 6, 8)] + [G.honeycomb_lattice(2, 1)]
+    for g in graphs:
+        h = aklt.aklt_hamiltonian(g)
+        yield proto.build_protocol(h, G.edge_coloring(g), design)
+
+
+def test_criterion_11_dl_state_bound(icosahedron):
+    with criterion(11, "energy-resolved DL bound on the top excited state",
+                   budget_seconds=30.0):
+        for protocol in aklt_protocols(icosahedron):
+            _, phi = proto.top_excited_pair(protocol)
+            check = dl.dl_state_check(protocol.hamiltonian, None, phi)
+            assert check.energy is not None and check.phi_norm_sq > 0
+            assert check.passed
+
+
+def test_criterion_12_projector_pair_inequality():
+    with criterion(12, "two-projector inequality on random pairs", budget_seconds=5.0):
+        rng = np.random.default_rng(1212)
+        for trial in range(200):
+            dim = int(rng.integers(2, 17))
+            p = dl.random_projector(rng, dim, int(rng.integers(1, dim)))
+            q = dl.random_projector(rng, dim, int(rng.integers(1, dim)))
+            check = dl.projector_pair_check(p, q, random_state(rng, dim))
+            assert check.passed, f"trial {trial}"
+
+
+def test_criterion_13_aklt_gap_floor_and_zeta_ordering(icosahedron):
+    with criterion(13, "AKLT gap floor and zeta-optimal ordering", budget_seconds=30.0):
+        for protocol in aklt_protocols(icosahedron):
+            h = protocol.hamiltonian
+            gamma = ham.spectral_gap_gamma(h)
+            floor = proto.aklt_protocol_bounds(h.graph, gamma)["gap_floor"]
+            assert floor <= proto.measured_gap(protocol)
+            _, zeta = ham.best_zeta_ordering(h)
+            assert zeta <= ham.commutation_structure(h).zeta

@@ -198,16 +198,17 @@ class TestMixedMatching:
 class TestRunVerification:
     def test_ground_state_always_accepted(self, chain4_protocol):
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.0))
-        for seed in range(3):
-            result = sim.run_verification(chain4_protocol, state, 200, seed=seed)
+        for result in sim.run_many(chain4_protocol, state, 200, runs=3, seed=0):
             assert result.accepted
             assert result.n_passed == result.n_tests == 200
 
     def test_deterministic_given_seed(self, chain4_protocol):
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
-        a = sim.run_verification(chain4_protocol, state, 100, seed=42)
-        b = sim.run_verification(chain4_protocol, state, 100, seed=42)
+        a = sim.run_many(chain4_protocol, state, 100, runs=10, seed=42)
+        b = sim.run_many(chain4_protocol, state, 100, runs=10, seed=42)
+        other = sim.run_many(chain4_protocol, state, 100, runs=10, seed=43)
         assert a == b
+        assert [r.n_passed for r in a] != [r.n_passed for r in other]
 
     def test_run_many_deterministic(self, chain4_protocol):
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
@@ -243,7 +244,7 @@ class TestRunVerification:
     def test_invalid_test_count(self, chain4_protocol):
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.0))
         with pytest.raises(InputError):
-            sim.run_verification(chain4_protocol, state, 0, seed=1)
+            sim.run_many(chain4_protocol, state, 0, runs=1, seed=1)
 
     def test_result_validation(self):
         with pytest.raises(InputError):

@@ -167,3 +167,17 @@ def test_blas_thread_policy_has_one_home():
                    for node in ast.walk(tree))
 
     assert sum(uses(tree) for tree in trees.values()) == uses(functions["_eigsh"]) == 1
+
+
+def test_sector_path_builds_no_full_space_plans(icosahedron):
+    """On the sector path only the ladder operators of `Sector.multiplets` act
+    on full-space vectors: H's and Omega's dtypes come from their matrices, not
+    from full-space plans."""
+    from ffverify import aklt, graph, hamiltonian, protocol
+
+    h = aklt.aklt_hamiltonian(graph.chain(6, closed=True))
+    p = protocol.build_protocol(h, graph.edge_coloring(h.graph), icosahedron)
+    hamiltonian.low_spectrum(h)
+    protocol.measured_gap(p)
+    assert h._sector is not None and p._sector is not None
+    assert "_plans" not in set(vars(h)) | set(vars(p))
