@@ -6,12 +6,15 @@ node to dimension; `make_plan` and `embed` take the same four arguments
 (matrix, support, node_order, node_dims) and check them alike.  Local
 operators act on full-space vectors through compiled apply plans, and
 every spectral solve is matrix-free (Lanczos iteration) above
-DENSE_EIG_LIMIT; at or below it the operator is materialized from its action
-and diagonalized by LAPACK.  The dense helpers (`embed`, `eigh`, the norms)
-serve small local spaces, such as the joint support of two projectors;
-`embed` is also the kron oracle of `make_plan`.  Dense full-space oracles
-live with the tests.  Operators whose local matrices are real to REAL_TOL
-are applied and solved in real arithmetic, complex ones in complex.
+DENSE_EIG_LIMIT; at or below it the operator is materialized by one apply to
+the identity and diagonalized by numpy's LAPACK.  Plans, and the operators
+built from them, act alike on one vector of length n and on an (n, b) block
+of b column vectors.  The dense helpers (`embed`, `eigh`, the norms) serve
+small local spaces, such as the joint support of two projectors, also on
+numpy's LAPACK, and refuse NaN and infinite entries; `embed` is also the
+kron oracle of `make_plan`.  Dense full-space oracles live with the tests.
+Operators whose local matrices are real to REAL_TOL are applied and solved
+in real arithmetic, complex ones in complex.
 
 A node of dimension d carries spin (d - 1)/2 in the basis m = S, ..., -S
 (`spin_operators`).  Operators whose local matrices are all SU(2)-invariant
@@ -27,7 +30,9 @@ LANCZOS_TOL, a fixed start vector, ARPACK_MAX_RESTARTS, ARPACK failures as
 ResourceError, real or complex arithmetic as the operator returns it, and
 the BLAS thread policy: from the first Lanczos solve on, numpy's and scipy's
 OpenBLAS pools run one thread each, unless OPENBLAS_NUM_THREADS,
-GOTO_NUM_THREADS or OMP_NUM_THREADS is set.
+GOTO_NUM_THREADS or OMP_NUM_THREADS is set.  scipy is imported there, at the
+first Lanczos solve and before the thread policy, so work that stays below
+the dense floor never loads it.
 """
 
 from __future__ import annotations
@@ -40,8 +45,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import InputError, InvariantViolation, ResourceError
 from .tolerances import (ARPACK_MAX_RESTARTS, COMMUTE_TOL, DENSE_EIG_LIMIT, HERMITIAN_TOL,
@@ -66,18 +69,21 @@ class ApplyPlan:
     block: tuple[int, int, int] | None = None  # (left, d_e, right) for adjacent axes
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
+        """The operator on a full-space vector, or on each column of an
+        (n, b) block of them."""
         if self.block is not None:
             left, d_e, right = self.block
-            if right == 1:
+            if right == 1 and vec.ndim == 1:
                 return (vec.reshape(left, d_e) @ self.matrix.T).reshape(-1)
-            return np.matmul(self.matrix, vec.reshape(self.block)).reshape(-1)
+            # a block's columns ride along as the minor part of `right`
+            return np.matmul(self.matrix, vec.reshape(left, d_e, -1)).reshape(vec.shape)
         k = len(self.axes)
         sub = tuple(self.shape[a] for a in self.axes)
-        t = vec.reshape(self.shape)
+        t = vec.reshape(self.shape + vec.shape[1:])
         m = self.matrix.reshape(sub + sub)
         t = np.tensordot(m, t, axes=(tuple(range(k, 2 * k)), self.axes))
         t = np.moveaxis(t, tuple(range(k)), self.axes)
-        return t.reshape(-1)
+        return t.reshape(vec.shape)
 
 
 def _check_support(matrix: np.ndarray, support: Sequence[int], node_order: Sequence[int],
@@ -161,10 +167,11 @@ def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise InputError("eigh needs a square matrix")
     if matrix.size == 0:
         raise InputError("eigh needs a nonempty matrix")
+    _check_finite(matrix)
     defect = hermiticity_defect(matrix)
     if defect > HERMITIAN_TOL:
         raise InputError(f"matrix is not Hermitian (defect {defect:.2e})")
-    vals, vecs = scipy.linalg.eigh(matrix)
+    vals, vecs = np.linalg.eigh(matrix)
     return vals, vecs
 
 
@@ -173,7 +180,15 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.size == 0:
         raise InputError("empty matrix")
-    return scipy.linalg.svdvals(matrix)
+    _check_finite(matrix)
+    return np.linalg.svd(matrix, compute_uv=False)
+
+
+def _check_finite(matrix: np.ndarray) -> None:
+    """Refuse NaN and infinite entries, which LAPACK would turn into NaN
+    results or a convergence failure."""
+    if not np.isfinite(matrix).all():
+        raise InputError("matrix has a NaN or infinite entry")
 
 
 def operator_norm(matrix: np.ndarray) -> float:
@@ -188,6 +203,7 @@ def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
 def is_projector(matrix: np.ndarray) -> bool:
     """Hermitian and idempotent, each to PROJECTOR_TOL."""
     matrix = np.asarray(matrix, dtype=complex)
+    _check_finite(matrix)
     if hermiticity_defect(matrix) > PROJECTOR_TOL:
         return False
     return operator_norm(matrix @ matrix - matrix) < PROJECTOR_TOL
@@ -262,14 +278,17 @@ class SectorPlan:
     dtype: np.dtype
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
+        """The sum on a sector vector, or on each column of an (n, b) block
+        of them."""
         x = vec.astype(np.result_type(self.dtype, vec.dtype), copy=False)[self.perm]
         for blocks, start, stop in self.groups:
+            # a block's columns ride along as the minor part of the rest states
             part = x[:, start:stop].reshape(blocks.shape[:2] + (-1,))
             if blocks.shape[1] == 1:
                 part *= blocks
             else:
                 part[...] = blocks @ part
-        terms = x.reshape(-1)[self.inverse]
+        terms = x.reshape((-1,) + vec.shape[1:])[self.inverse]
         return terms[0] if len(terms) == 1 else terms.sum(axis=0)
 
 
@@ -481,20 +500,23 @@ def _eigsh(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
     """k eigenpairs at the `which` end ("SA" or "LA") of a Hermitian operator
     given by its action, eigenvalues ascending; real if it keeps float64 real.
 
-    Up to DENSE_EIG_LIMIT the operator is materialized column by column and
-    diagonalized by LAPACK.  Above it ARPACK runs Lanczos (float64 takes the
-    symmetric dsaupd path) within ARPACK_MAX_RESTARTS restarts; running out of
-    them, or any other ARPACK failure, is a ResourceError.  The first Lanczos
-    solve applies the BLAS thread policy (`_blas_thread_policy`).
+    Up to DENSE_EIG_LIMIT the operator is materialized by one apply to the
+    identity, a block of dim columns, and diagonalized by numpy's LAPACK.
+    Above it ARPACK runs Lanczos (float64 takes the symmetric dsaupd path)
+    within ARPACK_MAX_RESTARTS restarts; running out of them, or any other
+    ARPACK failure, is a ResourceError.  The first Lanczos solve imports
+    scipy and then applies the BLAS thread policy (`_blas_thread_policy`).
     """
     if dim <= DENSE_EIG_LIMIT:
-        matrix = np.column_stack([matvec(col) for col in np.eye(dim)])
-        vals, vecs = scipy.linalg.eigh((matrix + matrix.conj().T) / 2)
+        matrix = matvec(np.eye(dim))
+        vals, vecs = np.linalg.eigh((matrix + matrix.conj().T) / 2)
         pick = slice(0, k) if which == "SA" else slice(max(dim - k, 0), dim)
         return vals[pick], vecs[:, pick]
     if k >= dim - 1:
         raise ResourceError(
             f"{k} eigenpairs of dimension {dim} saturate the iterative eigensolver")
+    # before the thread policy, so that scipy's OpenBLAS pool is loaded when it is set
+    import scipy.sparse.linalg
     _blas_thread_policy()
     v0 = np.random.default_rng(7).standard_normal(dim)  # fixed: reproducible solves
     # one float64 probe: scipy's own inference probes with int8, kept by `2 * v`

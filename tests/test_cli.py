@@ -309,14 +309,42 @@ class TestParsing:
         assert "error" in err.lower()
 
 
+#: child process: runs `ffv` with its arguments (none: import only) and
+#: prints the scipy modules loaded afterwards
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from ffverify import cli
+code = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("scipy"))]))
+"""
+
+
+def scipy_modules_after(*argv) -> list[str]:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("FFV_MAX_DIM", None)
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    code, modules = json.loads(out)
+    assert code == 0
+    return modules
+
+
 class TestStartup:
-    def test_import_leaves_out_scipy_optimize(self):
-        # importing scipy.optimize costs ~0.2 s that every ffv command would pay;
-        # only coherent-rotation noise needs it, so it is imported there
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        probe = "import sys, ffverify.cli; print('scipy.optimize' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                             text=True, check=True, timeout=60).stdout
-        assert out.strip() == "False"
+    """Importing scipy costs ~0.3 s and ~27 MB that every ffv command would
+    pay; only Lanczos solves (above the dense floor) and coherent-rotation
+    noise need it, so it is imported there."""
+
+    def test_import_leaves_out_scipy(self):
+        assert scipy_modules_after() == []
+
+    def test_check_bounds_leaves_out_scipy(self):
+        assert scipy_modules_after("check-bounds", "--instances", "3") == []
+
+    def test_simulate_below_the_dense_floor_leaves_out_scipy(self):
+        assert scipy_modules_after("simulate", "--chain", "4", "--closed", "--runs", "2",
+                                   "--tests", "5", "--pass-draws", "10") == []

@@ -157,6 +157,11 @@ class TestEigh:
         with pytest.raises(InputError):
             linalg.eigh(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InputError, match="NaN or infinite"):
+            linalg.eigh(np.array([[bad, 0], [0, 1]]))
+
 
 class TestNorms:
     def test_projector_norm_one(self):
@@ -188,6 +193,15 @@ class TestNorms:
         rng = np.random.default_rng(10)
         sv = linalg.singular_values(rng.standard_normal((5, 5)))
         assert np.all(np.diff(sv) <= 0)
+
+    @pytest.mark.parametrize("check", [linalg.singular_values, linalg.operator_norm,
+                                       linalg.is_projector])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_rejected(self, check, bad):
+        matrix = np.eye(3, dtype=complex)
+        matrix[0, 2] = bad
+        with pytest.raises(InputError, match="NaN or infinite"):
+            check(matrix)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(InputError):
@@ -270,11 +284,12 @@ class TestHermiticityDefect:
         assert linalg.hermiticity_defect(skew) >= 1e-12
 
 
-#: child process: OpenBLAS pool sizes at start, after importing ffverify and
-#: building a protocol, and after `gap --chain 8 --closed` (d = 6561, Lanczos)
+#: child process: OpenBLAS pool sizes at start (numpy's only), after importing
+#: ffverify and building a protocol, and after `gap --chain 8 --closed`
+#: (d = 6561, Lanczos), and whether scipy is loaded before the solve
 POOL_PROBE = """
-import contextlib, ctypes, io, json
-import numpy, scipy.linalg, scipy.sparse.linalg
+import contextlib, ctypes, io, json, sys
+import numpy
 
 def pools():
     try:
@@ -297,11 +312,12 @@ from ffverify import aklt, cli, graph, protocol
 h = aklt.aklt_hamiltonian(graph.chain(6, closed=True))
 protocol.build_protocol(h, graph.edge_coloring(h.graph), aklt.design_catalog("icosahedron"))
 built = pools()
+scipy_built = sorted(name for name in sys.modules if name.startswith("scipy"))
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(["gap", "--chain", "8", "--closed"])
-print(json.dumps({"start": start, "built": built, "solved": pools(), "code": code,
-                  "row": json.loads(out.getvalue())[0]}))
+print(json.dumps({"start": start, "built": built, "scipy_built": scipy_built,
+                  "solved": pools(), "code": code, "row": json.loads(out.getvalue())[0]}))
 """
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -335,15 +351,21 @@ def user_pools():
 class TestBlasThreadPolicy:
     def test_import_and_build_leave_pools_alone(self, default_pools):
         assert default_pools["built"] == default_pools["start"]
+        assert default_pools["scipy_built"] == []
 
     def test_lanczos_solve_sets_one_thread_per_pool(self, default_pools):
-        assert default_pools["solved"] == {name: 1 for name in default_pools["start"]}
+        # scipy's pool appears at the solve; at one thread it was loaded
+        # before the policy ran, as the policy runs once
+        solved = default_pools["solved"]
+        assert set(solved) > set(default_pools["start"])
+        assert solved == {name: 1 for name in solved}
 
     def test_user_thread_count_wins(self, user_pools):
         # OpenBLAS caps the variable at the cores it may run on
-        assert user_pools["solved"] == user_pools["start"]
+        solved = user_pools["solved"]
+        assert {name: solved[name] for name in user_pools["start"]} == user_pools["start"]
         if len(os.sched_getaffinity(0)) >= 2:
-            assert set(user_pools["solved"].values()) == {2}
+            assert set(solved.values()) == {2}
 
     def test_results_independent_of_thread_count(self, default_pools, user_pools):
         for key in ("gamma", "nu_measured"):
