@@ -251,28 +251,16 @@ def commutation_structure(h: FFHamiltonian,
 
 def best_zeta_ordering(h: FFHamiltonian) -> tuple[tuple[Edge, ...], float]:
     """Edge ordering minimizing zeta: exhaustive up to EXHAUSTIVE_ORDERING_EDGES
-    edges; above, the lower-zeta of a greedy ordering and the graph's edge
-    order, so the result is never worse than `commutation_structure(h)`."""
-    structure = commutation_structure(h)
+    edges; above, the graph's edge order, as `commutation_structure(h)` uses."""
     edges = h.graph.edges
+    if len(edges) > EXHAUSTIVE_ORDERING_EDGES:
+        return edges, commutation_structure(h).zeta
 
     def zeta_of(ordering):
         return commutation_structure(h, ordering).zeta
 
-    if len(edges) <= EXHAUSTIVE_ORDERING_EDGES:
-        best = min(itertools.permutations(edges), key=zeta_of)
-        return tuple(best), zeta_of(best)
-    # greedy: place the edge with the most remaining noncommuting partners last
-    remaining = list(edges)
-    tail: list[Edge] = []
-    while remaining:
-        counts = {e: sum(1 for f in structure.noncommuting[e] if f in remaining)
-                  for e in remaining}
-        pick = max(remaining, key=lambda e: (counts[e], e))
-        remaining.remove(pick)
-        tail.append(pick)
-    greedy = tuple(reversed(tail))
-    return min((greedy, zeta_of(greedy)), (edges, structure.zeta), key=lambda c: c[1])
+    best = min(itertools.permutations(edges), key=zeta_of)
+    return tuple(best), zeta_of(best)
 
 
 def random_ff_instance(seed: int, nodes: Sequence[int], dims: dict[int, int] | Sequence[int],

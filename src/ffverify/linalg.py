@@ -26,13 +26,13 @@ rebuilds the full-space multiplets of a sector kernel with the ladder
 operators.
 
 Every solve goes through `_eigsh`, which alone sets the solver policy:
-LANCZOS_TOL, a fixed start vector, ARPACK_MAX_RESTARTS, ARPACK failures as
+LANCZOS_TOL, a fixed start vector, LANCZOS_MAX_RESTARTS, solver failures as
 ResourceError, real or complex arithmetic as the operator returns it, and
-the BLAS thread policy: from the first Lanczos solve on, numpy's and scipy's
-OpenBLAS pools run one thread each, unless OPENBLAS_NUM_THREADS,
-GOTO_NUM_THREADS or OMP_NUM_THREADS is set.  scipy is imported there, at the
-first Lanczos solve and before the thread policy, so work that stays below
-the dense floor never loads it.
+the BLAS thread policy: from the first Lanczos solve on, numpy's OpenBLAS
+pool runs one thread, unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS is set.  Above the dense floor `_lanczos`, a thick-restart
+Lanczos on numpy alone, does the work; complex operators run it in complex
+arithmetic, Hermitian throughout.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError, InvariantViolation, ResourceError
-from .tolerances import (ARPACK_MAX_RESTARTS, COMMUTE_TOL, DENSE_EIG_LIMIT, HERMITIAN_TOL,
+from .tolerances import (COMMUTE_TOL, DENSE_EIG_LIMIT, HERMITIAN_TOL, LANCZOS_MAX_RESTARTS,
                          LANCZOS_TOL, PROJECTOR_TOL, REAL_TOL, SECTOR_BATCH_ENTRIES,
                          SPIN_CLUSTER_TOL)
 
@@ -468,13 +468,14 @@ def deflate(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _blas_thread_policy() -> None:
-    """Run numpy's and scipy's OpenBLAS pools on one thread each, once.
+    """Run numpy's OpenBLAS pool on one thread, once.
 
-    numpy (ILP64, the apply kernels' matmul) and scipy (LP64, ARPACK) load
-    separate OpenBLAS copies, each with a pool of one thread per core; on the
-    small BLAS calls of a Lanczos solve the two pools contend for the cores
-    and slow the solve down, so one thread each is faster.  A thread count
-    the user set in the environment is left alone.
+    The pool starts with one thread per core.  A Lanczos solve makes many
+    small BLAS calls (the apply kernels' small matmuls, products with a few
+    dozen basis rows), and a second thread gains nothing on them: closed
+    chains 10 and 12 take the same time within noise on one thread and on
+    two, so one thread leaves the other cores free.  A thread count the user
+    set in the environment is left alone.
     """
     if any(name in os.environ
            for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
@@ -489,10 +490,114 @@ def _blas_thread_policy() -> None:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
+        # numpy's ILP64 build, and the LP64 one some platforms ship
         for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
             setter = getattr(lib, symbol, None)
             if setter is not None:
                 setter(1)
+
+
+def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
+             which: str) -> tuple[np.ndarray, np.ndarray]:
+    """k eigenpairs at the `which` end ("SA" or "LA") of a Hermitian operator
+    of dimension dim > k + 1, eigenvalues ascending, by thick-restart Lanczos
+    with full reorthogonalization (Wu & Simon, SIAM J. Matrix Anal. Appl. 22,
+    602, 2000).
+
+    The basis holds m = min(dim, max(2k + 1, 20)) rows plus the residual
+    direction, in float64 unless the operator returns complex vectors.  A
+    pair has converged when its Ritz residual estimate is at most
+    LANCZOS_TOL max(|theta|, eps^(2/3)), ARPACK's test.  Each restart keeps
+    the Ritz vectors nearest the wanted end, rotated into the basis in place,
+    and the projected matrix becomes their Ritz values bordered by an arrow
+    of couplings to the residual direction.  An invariant subspace continues
+    from a fresh random vector orthogonal to the basis.  Running out of
+    LANCZOS_MAX_RESTARTS restarts, or a NaN or infinite operator output, is a
+    ResourceError.
+    """
+    m = min(dim, max(2 * k + 1, 20))
+    rng = np.random.default_rng(7)  # fixed: reproducible solves
+    v = rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    w = matvec(v)
+    basis = np.empty((m + 1, dim), dtype=np.result_type(float, w.dtype))
+    basis[0] = v
+    real = basis.dtype == np.float64
+
+    def coefficients(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """rows^dagger vec, without a conjugated copy of the rows."""
+        return rows @ vec if real else (rows @ vec.conj()).conj()
+
+    def fresh(j: int) -> np.ndarray:
+        """A random unit vector orthogonal to the first j basis rows."""
+        vec = rng.standard_normal(dim)
+        for _ in range(2):
+            vec = vec - coefficients(basis[:j], vec) @ basis[:j]
+        return vec / np.linalg.norm(vec)
+
+    diag = np.zeros(m)      # T[j, j]
+    beta = np.zeros(m)      # T[j + 1, j] from the recurrence; beta[m - 1] couples to the residual
+    kept, arrow = 0, np.zeros(0)  # Ritz pairs kept at a restart, their couplings to row `kept`
+    eps23 = np.finfo(float).eps ** (2 / 3)
+    restarts = 0
+    while True:
+        for j in range(kept, m):
+            if j > 0 or restarts:  # the first product is the dtype probe's
+                w = matvec(basis[j])
+            w_norm = np.linalg.norm(w)
+            if not np.isfinite(w_norm):
+                raise ResourceError(f"Lanczos failed (d={dim}, k={k}): the operator "
+                                    "returned a NaN or infinite entry")
+            # classical Gram-Schmidt against the whole basis, with up to two
+            # corrections where it cancels (ARPACK's DGKS test)
+            h = coefficients(basis[:j + 1], w)
+            w = w - h @ basis[:j + 1]
+            diag[j] = h[j].real
+            norm = np.linalg.norm(w)
+            for attempt in range(3):
+                if norm > 0.717 * w_norm:
+                    break
+                if attempt == 2:  # w lies in the basis: an invariant subspace
+                    norm = 0.0
+                    break
+                h = coefficients(basis[:j + 1], w)
+                w = w - h @ basis[:j + 1]
+                diag[j] += h[j].real
+                w_norm, norm = norm, np.linalg.norm(w)
+            beta[j] = norm
+            if norm > 0.0:
+                basis[j + 1] = w / norm
+            elif j + 1 < m:
+                basis[j + 1] = fresh(j + 1)
+        t = np.diag(diag)
+        t[kept, :kept] = t[:kept, kept] = arrow
+        steps = np.arange(kept, m - 1)
+        t[steps + 1, steps] = t[steps, steps + 1] = beta[kept:m - 1]
+        theta, y = np.linalg.eigh(t)
+        wanted = slice(0, k) if which == "SA" else slice(m - k, m)
+        residual = np.abs(beta[m - 1] * y[m - 1])
+        converged = residual <= LANCZOS_TOL * np.maximum(np.abs(theta), eps23)
+        done = int(np.sum(converged[wanted]))
+        if done == k:
+            return theta[wanted], basis[:m].T @ y[:, wanted]
+        if restarts == LANCZOS_MAX_RESTARTS:
+            raise ResourceError(
+                f"Lanczos did not converge within {LANCZOS_MAX_RESTARTS} restarts "
+                f"(d={dim}, k={k}, {done} of {k} converged)")
+        restarts += 1
+        # keep the wanted pairs and half the others: keeping only the wanted
+        # ones stalls on degenerate clusters, whose copies fall out of the basis
+        kept = (m + k) // 2
+        keep = slice(0, kept) if which == "SA" else slice(m - kept, m)
+        rotation = y[:, keep]
+        # rotate in column chunks: one chunk of temporaries, not kept x dim
+        chunk = -(-dim // m)
+        for first in range(0, dim, chunk):
+            cols = slice(first, first + chunk)
+            basis[:kept, cols] = rotation.T @ basis[:m, cols]
+        basis[kept] = basis[m]
+        diag[:kept] = theta[keep]
+        arrow = beta[m - 1] * y[m - 1, keep]
 
 
 def _eigsh(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
@@ -502,10 +607,10 @@ def _eigsh(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
 
     Up to DENSE_EIG_LIMIT the operator is materialized by one apply to the
     identity, a block of dim columns, and diagonalized by numpy's LAPACK.
-    Above it ARPACK runs Lanczos (float64 takes the symmetric dsaupd path)
-    within ARPACK_MAX_RESTARTS restarts; running out of them, or any other
-    ARPACK failure, is a ResourceError.  The first Lanczos solve imports
-    scipy and then applies the BLAS thread policy (`_blas_thread_policy`).
+    Above it `_lanczos` runs thick-restart Lanczos within
+    LANCZOS_MAX_RESTARTS restarts, after the BLAS thread policy
+    (`_blas_thread_policy`); running out of restarts, or a NaN or infinite
+    operator output, is a ResourceError.
     """
     if dim <= DENSE_EIG_LIMIT:
         matrix = matvec(np.eye(dim))
@@ -515,24 +620,8 @@ def _eigsh(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
     if k >= dim - 1:
         raise ResourceError(
             f"{k} eigenpairs of dimension {dim} saturate the iterative eigensolver")
-    # before the thread policy, so that scipy's OpenBLAS pool is loaded when it is set
-    import scipy.sparse.linalg
     _blas_thread_policy()
-    v0 = np.random.default_rng(7).standard_normal(dim)  # fixed: reproducible solves
-    # one float64 probe: scipy's own inference probes with int8, kept by `2 * v`
-    dtype = np.result_type(float, matvec(v0).dtype)
-    op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec, dtype=dtype)
-    try:
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            op, k=k, which=which, tol=LANCZOS_TOL, v0=v0, maxiter=ARPACK_MAX_RESTARTS)
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise ResourceError(
-            f"Lanczos did not converge within {ARPACK_MAX_RESTARTS} restarts "
-            f"(d={dim}, k={k}, {len(exc.eigenvalues)} of {k} converged)") from exc
-    except scipy.sparse.linalg.ArpackError as exc:
-        raise ResourceError(f"Lanczos failed (d={dim}, k={k}): {exc}") from exc
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    return _lanczos(matvec, dim, k, which)
 
 
 def lowest_eigenpairs(matvec: Callable[[np.ndarray], np.ndarray], dim: int,

@@ -98,43 +98,38 @@ def prepare_state(protocol: Protocol, spec: NoiseSpec) -> PreparedState:
 
     # coherent_rotation: rotate the first node about x until the overlap drops
     psi = basis[:, 0]
-    generator = _first_node_generator(h)
+    first = h.node_order[0]
+    # exp(-i theta S_x) = U exp(-i theta diag(s)) U^dagger from S_x = U diag(s) U^dagger
+    spins, axes = linalg.eigh(spin_operators(h.node_dims[first] - 1)[0])
+
+    def rotated(theta):
+        u = (axes * np.exp(-1j * theta * spins)) @ axes.conj().T
+        return linalg.make_plan(u, (first,), h.node_order, h.node_dims)(psi)
 
     def infidelity(theta):
-        v = _apply_rotation(h, generator, theta, psi)
-        return 1.0 - float(np.linalg.norm(basis.conj().T @ v) ** 2)
+        return 1.0 - float(np.linalg.norm(basis.conj().T @ rotated(theta)) ** 2)
 
-    theta = _solve_rotation_angle(infidelity, eps)
-    v = _apply_rotation(h, generator, theta, psi)
-    return PreparedState(d, ((1.0, v),))
-
-
-def _first_node_generator(h) -> np.ndarray:
-    first = h.node_order[0]
-    twice_s = h.node_dims[first] - 1
-    return spin_operators(twice_s)[0]  # S_x on the first node
-
-
-def _apply_rotation(h, generator: np.ndarray, theta: float, psi: np.ndarray) -> np.ndarray:
-    import scipy.linalg  # local, as in _solve_rotation_angle
-
-    u = scipy.linalg.expm(-1j * theta * generator)
-    plan = linalg.make_plan(u, (h.node_order[0],), h.node_order, h.node_dims)
-    return plan(psi)
+    return PreparedState(d, ((1.0, rotated(_solve_rotation_angle(infidelity, eps))),))
 
 
 def _solve_rotation_angle(infidelity, eps: float) -> float:
-    # local: only coherent-rotation noise needs scipy; importing it up front
-    # would add ~0.3 s and ~27 MB to every ffv start
-    import scipy.optimize
-
+    """The angle in (0, hi] where `infidelity` reaches eps, by bisection to
+    1e-14, hi being the first doubling of 1e-3 that reaches it."""
     hi = 1e-3
     while infidelity(hi) < eps:
         hi *= 2.0
         if hi > 64.0:
             raise InputError("coherent rotation cannot reach the requested infidelity")
-    return float(scipy.optimize.brentq(lambda t: infidelity(t) - eps, 0.0, hi,
-                                       xtol=1e-14))
+    lo = 0.0
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # no float strictly between: the bracket is one ulp wide
+            break
+        if infidelity(mid) < eps:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def acceptance_probability(protocol: Protocol, state: PreparedState) -> float:

@@ -37,8 +37,9 @@ DEFAULT_MAX_DIM = 8192
 # operators whose local matrices have |Im| at most this run in real arithmetic
 REAL_TOL = 1e-14
 
-# dense eigendecomposition up to this dimension, Lanczos iteration above;
-# below it ARPACK is slower than LAPACK or fails to converge
+# dense eigendecomposition up to this dimension, Lanczos iteration above: up
+# to it one block apply and one LAPACK call cost less than the 20 applies of
+# a single Lanczos basis
 DENSE_EIG_LIMIT = 64
 
 # a summed sector plan gathers at most this many vector entries per apply
@@ -46,10 +47,11 @@ DENSE_EIG_LIMIT = 64
 # float64 stays in cache, and larger batches measured slower on closed chain 10
 SECTOR_BATCH_ENTRIES = 1 << 15
 
-# implicit restarts one ARPACK Lanczos solve may take before it gives up
-ARPACK_MAX_RESTARTS = 300
+# thick restarts one Lanczos solve may take before it gives up
+LANCZOS_MAX_RESTARTS = 300
 
-# relative accuracy every Lanczos solve asks ARPACK for
+# relative accuracy of every Lanczos solve: the bound on a Ritz pair's
+# residual estimate, relative to max(|eigenvalue|, eps^(2/3))
 LANCZOS_TOL = 1e-12
 
 # slack of the bound checks (protocol gap, detectability-lemma chain)

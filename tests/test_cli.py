@@ -335,9 +335,8 @@ def scipy_modules_after(*argv) -> list[str]:
 
 
 class TestStartup:
-    """Importing scipy costs ~0.3 s and ~27 MB that every ffv command would
-    pay; only Lanczos solves (above the dense floor) and coherent-rotation
-    noise need it, so it is imported there."""
+    """Importing scipy costs ~0.3 s and ~27 MB; no ffv command needs it, the
+    Lanczos solves and the coherent rotation included."""
 
     def test_import_leaves_out_scipy(self):
         assert scipy_modules_after() == []
@@ -348,3 +347,12 @@ class TestStartup:
     def test_simulate_below_the_dense_floor_leaves_out_scipy(self):
         assert scipy_modules_after("simulate", "--chain", "4", "--closed", "--runs", "2",
                                    "--tests", "5", "--pass-draws", "10") == []
+
+    def test_gap_above_the_dense_floor_leaves_out_scipy(self):
+        # the S_z = 0 sector of closed chain 8 has 1107 states: Lanczos
+        assert scipy_modules_after("gap", "--chain", "8", "--closed") == []
+
+    def test_simulate_coherent_rotation_leaves_out_scipy(self):
+        assert scipy_modules_after("simulate", "--chain", "4", "--closed", "--noise",
+                                   "coherent_rotation", "--runs", "2", "--tests", "5",
+                                   "--pass-draws", "10") == []

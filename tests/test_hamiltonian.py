@@ -183,7 +183,7 @@ class TestSpectralProfile:
         assert ring != pytest.approx(swapped)
 
     def test_best_ordering_not_worse(self, chain4):
-        """Exhaustive at 4 edges, the greedy branch at 8 and 9 edges."""
+        """Exhaustive at 4 edges, the graph's edge order at 8 and 9 edges."""
         for h in (chain4, aklt.aklt_hamiltonian(G.chain(8, closed=True)),
                   aklt.aklt_hamiltonian(G.chain(9))):
             default = ham.commutation_structure(h).zeta

@@ -245,7 +245,8 @@ class TestMatrixFree:
         assert abs(vals[0] - dense_vals[0]) < 1e-8 and abs(top - dense_vals[-1]) < 1e-8
 
     def test_identity_like_operator_is_real(self):
-        """scipy's own dtype inference probes with int8, which `2 * v` keeps."""
+        """The solve reads its arithmetic from the operator's output on a
+        float64 vector, which `2 * v` keeps real."""
         vals, vecs = linalg.lowest_eigenpairs(lambda v: 2 * v, 100, below=1.0)
         top, vec = linalg.largest_eigenpair(lambda v: 2 * v, 100)
         assert vecs.dtype == vec.dtype == np.float64
@@ -257,6 +258,67 @@ class TestMatrixFree:
         norm = linalg.product_operator_norm(
             lambda v: m @ v, lambda v: m.conj().T @ v, 30)
         assert abs(norm - linalg.operator_norm(m)) < 1e-8
+
+
+def planted_cluster(rng, dim, field) -> np.ndarray:
+    """A Hermitian matrix with eigenvalue -2 three times, the others spread
+    over [-1, 1], in a random orthonormal basis."""
+    q = rng.standard_normal((dim, dim))
+    if field is complex:
+        q = q + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(q)
+    return (q * np.concatenate([[-2.0] * 3, np.linspace(-1, 1, dim - 3)])) @ q.conj().T
+
+
+class TestLanczos:
+    """`linalg._lanczos` against np.linalg.eigh just above the dense floor."""
+
+    DIMS = (DENSE_EIG_LIMIT + 1, DENSE_EIG_LIMIT + 36)
+
+    @staticmethod
+    def check(a, k, which):
+        dim = len(a)
+        vals, vecs = linalg._lanczos(lambda v: a @ v, dim, k, which)
+        exact = np.linalg.eigvalsh(a)
+        exact = exact[:k] if which == "SA" else exact[dim - k:]
+        scale = np.abs(exact).max()
+        assert vecs.shape == (dim, k) and vecs.dtype == np.result_type(float, a.dtype)
+        assert np.abs(vals - exact).max() < 1e-11 * scale
+        assert np.linalg.norm(a @ vecs - vecs * vals, axis=0).max() < 1e-9 * scale
+        assert np.abs(vecs.conj().T @ vecs - np.eye(k)).max() < 1e-10
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    @pytest.mark.parametrize("which", ["SA", "LA"])
+    @pytest.mark.parametrize("field", [float, complex], ids=["real", "complex"])
+    def test_random_hermitian(self, field, which, k):
+        for dim in self.DIMS:
+            a = random_hermitian(np.random.default_rng(dim + k), dim)
+            self.check(a.real if field is float else a, k, which)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    @pytest.mark.parametrize("which", ["SA", "LA"])
+    @pytest.mark.parametrize("field", [float, complex], ids=["real", "complex"])
+    def test_planted_degenerate_cluster(self, field, which, k):
+        """Three copies of the end eigenvalue: single-vector Lanczos sees one
+        in exact arithmetic, and the restarts recover the others."""
+        for dim in self.DIMS:
+            a = planted_cluster(np.random.default_rng(dim), dim, field)
+            self.check(a if which == "SA" else -a, k, which)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_identity_breaks_down_at_once(self, k):
+        """Every Lanczos step of the identity ends in an invariant subspace;
+        each continues from a fresh vector, so one basis of 20 converges."""
+        calls = []
+
+        def identity(v):
+            calls.append(1)
+            return v  # the basis row itself: the solver must not write to it
+
+        vals, vecs = linalg._lanczos(identity, 100, k, "SA")
+        assert len(calls) == 20
+        assert np.array_equal(vals, np.ones(k)) and vecs.dtype == np.float64
+        assert np.abs(vecs.T @ vecs - np.eye(k)).max() < 1e-12
 
 
 @pytest.mark.parametrize("build", [linalg.make_plan, linalg.embed],
@@ -284,9 +346,9 @@ class TestHermiticityDefect:
         assert linalg.hermiticity_defect(skew) >= 1e-12
 
 
-#: child process: OpenBLAS pool sizes at start (numpy's only), after importing
+#: child process: numpy's OpenBLAS pool size at start, after importing
 #: ffverify and building a protocol, and after `gap --chain 8 --closed`
-#: (d = 6561, Lanczos), and whether scipy is loaded before the solve
+#: (d = 6561, Lanczos), and the scipy modules loaded before and after the solve
 POOL_PROBE = """
 import contextlib, ctypes, io, json, sys
 import numpy
@@ -316,8 +378,10 @@ scipy_built = sorted(name for name in sys.modules if name.startswith("scipy"))
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(["gap", "--chain", "8", "--closed"])
+scipy_solved = sorted(name for name in sys.modules if name.startswith("scipy"))
 print(json.dumps({"start": start, "built": built, "scipy_built": scipy_built,
-                  "solved": pools(), "code": code, "row": json.loads(out.getvalue())[0]}))
+                  "solved": pools(), "scipy_solved": scipy_solved, "code": code,
+                  "row": json.loads(out.getvalue())[0]}))
 """
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -354,11 +418,11 @@ class TestBlasThreadPolicy:
         assert default_pools["scipy_built"] == []
 
     def test_lanczos_solve_sets_one_thread_per_pool(self, default_pools):
-        # scipy's pool appears at the solve; at one thread it was loaded
-        # before the policy ran, as the policy runs once
+        # the solve loads no other BLAS: numpy's pool is the only one
         solved = default_pools["solved"]
-        assert set(solved) > set(default_pools["start"])
+        assert set(solved) == set(default_pools["start"])
         assert solved == {name: 1 for name in solved}
+        assert default_pools["scipy_solved"] == []
 
     def test_user_thread_count_wins(self, user_pools):
         # OpenBLAS caps the variable at the cores it may run on

@@ -78,6 +78,33 @@ class TestPrepareState:
         purity = float(np.real(np.trace(sigma @ sigma)))
         assert abs(purity - 1) < 1e-9
 
+    @pytest.mark.parametrize("eps", [0.03, 0.2])
+    def test_coherent_rotation_angle_matches_brentq(self, chain4, chain4_protocol, eps):
+        """The bisected angle agrees with scipy's brentq on the same bracket,
+        and the state is exp(-i theta S_x), by expm, on the first node."""
+        import scipy.linalg
+        import scipy.optimize
+
+        _, basis = ham.ground_space(chain4)
+        first = chain4.node_order[0]
+        sx = linalg.spin_operators(chain4.node_dims[first] - 1)[0]
+
+        def rotated(theta):
+            u = scipy.linalg.expm(-1j * theta * sx)
+            full = linalg.embed(u, (first,), chain4.node_order, chain4.node_dims)
+            return full @ basis[:, 0]
+
+        def infidelity(theta):
+            return 1.0 - float(np.linalg.norm(basis.conj().T @ rotated(theta)) ** 2)
+
+        hi = 1e-3
+        while infidelity(hi) < eps:
+            hi *= 2.0
+        expected = scipy.optimize.brentq(lambda t: infidelity(t) - eps, 0.0, hi, xtol=1e-14)
+        assert abs(sim._solve_rotation_angle(infidelity, eps) - expected) < 1e-12
+        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("coherent_rotation", eps))
+        assert np.abs(state.ensemble[0][1] - rotated(expected)).max() < 1e-12
+
 
 class TestAcceptanceProbability:
     def test_ground_state_passes_surely(self, chain4, chain4_protocol):

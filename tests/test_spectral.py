@@ -5,7 +5,6 @@ DENSE_EIG_LIMIT."""
 import numpy as np
 import pytest
 import scipy.sparse
-import scipy.sparse.linalg
 
 from ffverify import aklt, cli, detectability, graph as G, hamiltonian as ham, linalg
 from ffverify import protocol as proto, simulate as sim
@@ -198,10 +197,10 @@ class TestAtTheFloor:
                                    edges=((0, 1), (1, 2)), ground_rank=1)
         assert h.dim <= DENSE_EIG_LIMIT
 
-        def no_arpack(*args, **kwargs):
-            raise AssertionError("ARPACK called at or below the dense floor")
+        def no_lanczos(*args, **kwargs):
+            raise AssertionError("Lanczos called at or below the dense floor")
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_arpack)
+        monkeypatch.setattr(linalg, "_lanczos", no_lanczos)
         rank, basis, gamma = ham.low_spectrum(h)
         vals, _ = linalg.eigh(oracles.hamiltonian(h))
         dense_rank, dense_gamma = dense_low_spectrum(vals)
@@ -217,13 +216,13 @@ class TestOneSolve:
     def test_ground_space_then_gamma_is_one_krylov_call(self, monkeypatch):
         h = aklt.aklt_hamiltonian(G.chain(7, closed=True))
         calls = []
-        eigsh = scipy.sparse.linalg.eigsh
+        lanczos = linalg._lanczos
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("k"))
-            return eigsh(*args, **kwargs)
+        def counting(matvec, dim, k, which):
+            calls.append(k)
+            return lanczos(matvec, dim, k, which)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+        monkeypatch.setattr(linalg, "_lanczos", counting)
         rank, _ = ham.ground_space(h)
         gamma = ham.spectral_gap_gamma(h)
         assert rank == 1 and gamma > 0
@@ -235,13 +234,13 @@ class TestOneSolve:
         assert (h.dim, h._sector.dim) == (2187, 393)
         ham.ground_space(h)  # the H solve
         calls = []
-        eigsh = scipy.sparse.linalg.eigsh
+        lanczos = linalg._lanczos
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("k"))
-            return eigsh(*args, **kwargs)
+        def counting(matvec, dim, k, which):
+            calls.append(k)
+            return lanczos(matvec, dim, k, which)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+        monkeypatch.setattr(linalg, "_lanczos", counting)
         state = sim.prepare_state(protocol, sim.NoiseSpec("worst_case", 0.1))
         nu = proto.measured_gap(protocol)
         assert calls == [1]
@@ -252,18 +251,34 @@ class TestOneSolve:
 
 class TestRestartBudget:
     def test_exhausted_budget_is_resource_error(self, monkeypatch):
-        monkeypatch.setattr(linalg, "ARPACK_MAX_RESTARTS", 1)
+        monkeypatch.setattr(linalg, "LANCZOS_MAX_RESTARTS", 1)
         h = aklt.aklt_hamiltonian(G.chain(6, closed=True))
         # the solve runs in the S_z = 0 sector: 141 of the 729 states
         with pytest.raises(ResourceError, match=r"d=141, k=2, \d+ of 2 converged"):
             ham.spectral_gap_gamma(h)
 
     def test_cli_exit_code(self, monkeypatch, capsys):
-        monkeypatch.setattr(linalg, "ARPACK_MAX_RESTARTS", 1)
+        monkeypatch.setattr(linalg, "LANCZOS_MAX_RESTARTS", 1)
         code = cli.main(["gap", "--chain", "6", "--closed"])
         err = capsys.readouterr().err
         assert code == 3
         assert "did not converge" in err
+
+    def test_nan_matvec_is_resource_error(self):
+        """An operator that returns NaN, from the dtype probe on or only after
+        the first restart (20 products), ends the solve there, naming d and k."""
+        a = np.diag(np.arange(100.0)) + np.eye(100, k=1) + np.eye(100, k=-1)
+        for first_bad in (1, 25):
+            calls = []
+
+            def nan_from(v):
+                calls.append(1)
+                return np.full_like(v, np.nan) if len(calls) >= first_bad else a @ v
+
+            with pytest.raises(ResourceError,
+                               match=r"d=100, k=2\): the operator returned a NaN"):
+                linalg.lowest_eigenpairs(nan_from, 100, below=0.5)
+            assert len(calls) == first_bad
 
 
 class TestZeroHamiltonian:
@@ -280,14 +295,6 @@ class TestZeroHamiltonian:
             detectability.dl_norm_check(h)
         rank, basis = ham.ground_space(h)
         assert rank == h.dim and basis.shape == (h.dim, h.dim)
-
-    def test_arpack_error_is_resource_error(self, monkeypatch):
-        def failing(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackError(-9)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
-        with pytest.raises(ResourceError, match=r"d=100, k=2"):
-            linalg.lowest_eigenpairs(lambda v: v, 100, below=0.5)
 
 
 class TestDimensionCap:
