@@ -220,6 +220,12 @@ def frame_potential(mu: DirectionDistribution, t: int) -> float:
     return float(mu.weights @ (dots ** int(t)) @ mu.weights)
 
 
+def _misses_moment(sym: DirectionDistribution, k: int) -> bool:
+    """Whether the symmetrized distribution sym misses the spherical frame
+    potential F_k = 1/(k+1) of an even order k."""
+    return abs(frame_potential(sym, k) - 1.0 / (k + 1)) > DESIGN_TOL
+
+
 def is_design(mu: DirectionDistribution, t: int) -> bool:
     """Whether the symmetrized distribution is a spherical t-design.
 
@@ -227,21 +233,17 @@ def is_design(mu: DirectionDistribution, t: int) -> bool:
     moments of the symmetrized distribution vanish identically.
     """
     sym = symmetrize(mu)
-    for k in range(2, int(t) + 1, 2):
-        if abs(frame_potential(sym, k) - 1.0 / (k + 1)) > DESIGN_TOL:
-            return False
-    return True
+    return not any(_misses_moment(sym, k) for k in range(2, int(t) + 1, 2))
 
 
 def design_order(mu: DirectionDistribution) -> int:
     """Largest t <= MAX_DESIGN_ORDER for which the symmetrized distribution is
     a t-design."""
-    order = 1
-    for k in range(2, MAX_DESIGN_ORDER + 1, 2):
-        if abs(frame_potential(symmetrize(mu), k) - 1.0 / (k + 1)) > DESIGN_TOL:
-            break
-        order = k + 1
-    return min(order, MAX_DESIGN_ORDER)
+    sym = symmetrize(mu)
+    k = 2  # the first even order the distribution misses
+    while k <= MAX_DESIGN_ORDER and not _misses_moment(sym, k):
+        k += 2
+    return min(k - 1, MAX_DESIGN_ORDER)
 
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0

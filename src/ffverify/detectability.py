@@ -17,7 +17,7 @@ from .errors import InputError
 from .graph import Edge
 from .hamiltonian import (FFHamiltonian, commutation_structure, ground_space,
                           spectral_gap_gamma)
-from .tolerances import BOUND_CHECK_TOL, PROJECTOR_INEQ_TOL, UNIT_SV_TOL
+from .tolerances import BOUND_CHECK_TOL, PROJECTOR_INEQ_TOL
 
 
 def _bound_chain(energy: float, zeta: float, s: float, g_tilde: int, g: int) -> tuple[float, ...]:
@@ -51,22 +51,25 @@ def _complement_product(h: FFHamiltonian, edges: Sequence[Edge],
     return vec
 
 
-def _product_norm_sq(h: FFHamiltonian, ordering: Sequence[Edge],
-                     basis: np.ndarray) -> float:
-    """||(1 - Q0) (1-P_1)...(1-P_q) (1 - Q0)||^2.
+def _product_norm_sq(h: FFHamiltonian, ordering: Sequence[Edge]) -> float:
+    """||(1 - Q0) (1-P_1)...(1-P_q) (1 - Q0)||^2, in H's solve space.
 
     Q0 commutes with every projector, so the inner complements collapse and
-    only the two outer deflations remain.
+    only the two outer deflations remain.  When every P_e is SU(2)-invariant
+    the product is too, so its norm is reached in H's sector, with Q0 the
+    projector onto H's kernel there.
     """
+    kernel = h._low_spectrum[3]
+
     def apply_m(v):
-        v = _complement_product(h, reversed(ordering), linalg.deflate(basis, v))
-        return linalg.deflate(basis, v)
+        v = _complement_product(h, reversed(ordering), linalg.deflate(kernel, v))
+        return linalg.deflate(kernel, v)
 
     def apply_m_adjoint(v):
-        v = _complement_product(h, ordering, linalg.deflate(basis, v))
-        return linalg.deflate(basis, v)
+        v = _complement_product(h, ordering, linalg.deflate(kernel, v))
+        return linalg.deflate(kernel, v)
 
-    norm = linalg.product_operator_norm(apply_m, apply_m_adjoint, h.dim)
+    norm = linalg.product_operator_norm(apply_m, apply_m_adjoint, len(kernel))
     return norm * norm
 
 
@@ -74,8 +77,7 @@ def dl_norm_check(h: FFHamiltonian, ordering: Sequence[Edge] | None = None) -> D
     """Product-norm bound check for a frustration-free Hamiltonian."""
     structure = commutation_structure(h, ordering)
     gamma = spectral_gap_gamma(h)
-    _, basis = ground_space(h)
-    measured = _product_norm_sq(h, structure.ordering, basis)
+    measured = _product_norm_sq(h, structure.ordering)
     bounds = _bound_chain(gamma, structure.zeta, structure.s,
                           structure.g_tilde, structure.g)
     return DLReport(measured=measured, bounds=bounds,
@@ -151,9 +153,7 @@ def projector_pair_check(p: np.ndarray, q: np.ndarray, psi: np.ndarray) -> PairC
     p = _require_projector(p, "P")
     q = _require_projector(q, "Q")
     psi = np.asarray(psi, dtype=complex)
-    svals = linalg.singular_values(p @ q)
-    below = svals[svals < 1.0 - UNIT_SV_TOL]
-    s = float(below[0]) if len(below) else 0.0
+    s = linalg.largest_nonunit_singular_value(p @ q)
     lhs = float(np.linalg.norm(p @ (psi - q @ psi)))
     rhs = float(np.linalg.norm(p @ psi) + s * np.linalg.norm(q @ psi))
     return PairCheck(lhs=lhs, rhs=rhs, s=s)

@@ -9,7 +9,10 @@ H is solved in its solve space: the lowest total-S_z sector
 spin (d_v - 1)/2 in the basis m = S, ..., -S (every AKLT Hamiltonian), and
 the full space otherwise.  Every multiplet has a member in the sector, so
 gamma is exact there; the full ground basis is rebuilt from the sector's
-kernel with the ladder operators (`linalg.Sector.multiplets`).
+kernel with the ladder operators (`linalg.Sector.multiplets`).  Each
+projector has one plan per space, and `apply` and `apply_edge` pick the
+sector's plans for a vector of the sector's length, so the detectability
+product (`detectability.dl_norm_check`) runs in the same space as H's solve.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from . import linalg
 from .errors import DegenerateSpectrum, InputError, NotFrustrationFree
 from .graph import Edge, Hypergraph
 from .linalg import ApplyPlan
-from .tolerances import COMMUTE_TOL, GROUND_TOL, UNIT_SV_TOL, check_dim
+from .tolerances import COMMUTE_TOL, GROUND_TOL, check_dim
 
 # best_zeta_ordering tries every permutation up to this many edges
 EXHAUSTIVE_ORDERING_EDGES = 7
@@ -91,8 +94,8 @@ class FFHamiltonian:
         return None
 
     @cached_property
-    def _sector_plans(self) -> list[linalg.SectorPlan]:
-        return self._sector.sum_plans([(p, e) for e, p in self.projectors.items()])
+    def _sector_plans(self) -> dict[Edge, linalg.SectorPlan]:
+        return {e: self._sector.plan(p, e) for e, p in self.projectors.items()}
 
     @cached_property
     def dtype(self) -> np.dtype:
@@ -101,15 +104,17 @@ class FFHamiltonian:
                                        for p in self.projectors.values()))
 
     def apply_edge(self, e: Edge, vec: np.ndarray) -> np.ndarray:
-        """P_e |vec> in the full space."""
-        return self._plans[e](vec)
+        """P_e |vec> on a full-space vector or, when H has a sector, a sector
+        vector."""
+        plans = self._plans if len(vec) == self.dim else self._sector_plans
+        return plans[e](vec)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """H |vec> as a sum of local applications, on a full-space vector or,
         when H has a sector, a sector vector."""
-        plans = self._plans.values() if len(vec) == self.dim else self._sector_plans
+        plans = self._plans if len(vec) == self.dim else self._sector_plans
         out = np.zeros(vec.shape, dtype=np.result_type(self.dtype, vec.dtype))
-        for plan in plans:
+        for plan in plans.values():
             out += plan(vec)
         return out
 
@@ -147,9 +152,7 @@ class FFHamiltonian:
             if linalg.commutator_norm(a, b) > COMMUTE_TOL:
                 noncomm[e].append(f)
                 noncomm[f].append(e)
-            svals = linalg.singular_values(a @ b)
-            below = svals[svals < 1.0 - UNIT_SV_TOL]
-            pair_s[frozenset((e, f))] = float(below[0]) if len(below) else 0.0
+            pair_s[frozenset((e, f))] = linalg.largest_nonunit_singular_value(a @ b)
         return pair_s, noncomm
 
 

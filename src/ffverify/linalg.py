@@ -19,11 +19,11 @@ in real arithmetic, complex ones in complex.
 A node of dimension d carries spin (d - 1)/2 in the basis m = S, ..., -S
 (`spin_operators`).  Operators whose local matrices are all SU(2)-invariant
 (`is_su2_invariant`) are solved in a `Sector`, the states of lowest total
-S_z, where every multiplet has a member: `Sector.plan` and `Sector.sum_plans`
-compile local matrices into `SectorPlan`s that act on sector vectors without
-building a full-space vector or a sparse matrix, and `Sector.multiplets`
-rebuilds the full-space multiplets of a sector kernel with the ladder
-operators.
+S_z, where every multiplet has a member: `Sector.plan` compiles one local
+matrix into a `SectorPlan` that acts on sector vectors without building a
+full-space vector or a sparse matrix, one plan per local operator as in the
+full space, and `Sector.multiplets` rebuilds the full-space multiplets of a
+sector kernel with the ladder operators.
 
 Every solve goes through `_eigsh`, which alone sets the solver policy:
 LANCZOS_TOL, a fixed start vector, LANCZOS_MAX_RESTARTS, solver failures as
@@ -48,8 +48,8 @@ import numpy as np
 
 from .errors import InputError, InvariantViolation, ResourceError
 from .tolerances import (COMMUTE_TOL, DENSE_EIG_LIMIT, HERMITIAN_TOL, LANCZOS_MAX_RESTARTS,
-                         LANCZOS_TOL, PROJECTOR_TOL, REAL_TOL, SECTOR_BATCH_ENTRIES,
-                         SPIN_CLUSTER_TOL)
+                         LANCZOS_TOL, PROJECTOR_TOL, REAL_TOL, SPIN_CLUSTER_TOL,
+                         UNIT_SV_TOL)
 
 NodeDims = Mapping[int, int]
 
@@ -184,6 +184,14 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.svd(matrix, compute_uv=False)
 
 
+def largest_nonunit_singular_value(matrix: np.ndarray) -> float:
+    """Largest singular value below 1 - UNIT_SV_TOL, or 0.0 if there is none:
+    the s of two projectors P, Q, read off PQ."""
+    svals = singular_values(matrix)
+    below = svals[svals < 1.0 - UNIT_SV_TOL]
+    return float(below[0]) if len(below) else 0.0
+
+
 def _check_finite(matrix: np.ndarray) -> None:
     """Refuse NaN and infinite entries, which LAPACK would turn into NaN
     results or a convergence failure."""
@@ -261,35 +269,33 @@ def is_su2_invariant(matrix: np.ndarray, dims: Sequence[int]) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class SectorPlan:
-    """Precompiled application of a sum of local operators, each conserving
-    its support's total S_z, to sector vectors.
+    """Precompiled application of one local operator, which conserves its
+    support's total S_z, to sector vectors.
 
-    Row k of `perm` lists the sector's states grouped by the S_z of term k's
-    support; within a group, local state major and the rest of the state
-    minor, so the group is a (local states, rest states) matrix that one
-    block of the term multiplies in place.  The terms share the group
-    boundaries, so each group is one batched matmul over the terms; `inverse`
-    gathers every term's result back to sector order.  1 x 1 blocks scale,
-    and a group whose blocks are all 1 is left out."""
+    `perm` lists the sector's states grouped by the S_z of the support;
+    within a group, local state major and the rest of the state minor, so the
+    group is a (local states, rest states) matrix that one block multiplies in
+    place, and `inverse` gathers the result back to sector order.  Both are
+    the support's layout, shared by every plan on it.  1 x 1 blocks scale,
+    and a group whose block is 1 is left out."""
 
-    perm: np.ndarray        # (terms, sector dim)
-    inverse: np.ndarray     # (terms, sector dim) flat indices into the gathered terms
-    groups: tuple[tuple[np.ndarray, int, int], ...]  # ((terms, n, n) blocks, start, stop)
+    perm: np.ndarray        # (sector dim,)
+    inverse: np.ndarray     # (sector dim,) the inverse permutation
+    groups: tuple[tuple[np.ndarray, int, int], ...]  # ((n, n) block, start, stop)
     dtype: np.dtype
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
-        """The sum on a sector vector, or on each column of an (n, b) block
-        of them."""
+        """The operator on a sector vector, or on each column of an (n, b)
+        block of them."""
         x = vec.astype(np.result_type(self.dtype, vec.dtype), copy=False)[self.perm]
-        for blocks, start, stop in self.groups:
+        for block, start, stop in self.groups:
             # a block's columns ride along as the minor part of the rest states
-            part = x[:, start:stop].reshape(blocks.shape[:2] + (-1,))
-            if blocks.shape[1] == 1:
-                part *= blocks
+            part = x[start:stop].reshape(len(block), -1)
+            if len(block) == 1:
+                part *= block
             else:
-                part[...] = blocks @ part
-        terms = x.reshape((-1,) + vec.shape[1:])[self.inverse]
-        return terms[0] if len(terms) == 1 else terms.sum(axis=0)
+                part[...] = block @ part
+        return x[self.inverse]
 
 
 class _Layout(NamedTuple):
@@ -344,7 +350,7 @@ class Sector:
         return sum(d - 1 for d in self.shape) % 2
 
     def _layout(self, support: tuple[int, ...]) -> _Layout:
-        """The layout of every SectorPlan term on `support`, built once."""
+        """The layout of every SectorPlan on `support`, built once."""
         if support not in self._layouts:
             axes = [self.node_order.index(v) for v in support]
             dims = [self.shape[a] for a in axes]
@@ -367,46 +373,20 @@ class Sector:
         return self._layouts[support]
 
     def plan(self, matrix: np.ndarray, support: Sequence[int]) -> SectorPlan:
-        """Compile one local operator that conserves its support's total S_z."""
-        return self.sum_plans([(matrix, support)])[0]
-
-    def sum_plans(self, terms: Sequence[tuple[np.ndarray, Sequence[int]]]) -> list[SectorPlan]:
-        """Compile local operators (matrix, support), each conserving its
-        support's total S_z, into SectorPlans whose results add up to the
-        sum of the terms; terms with the same group sizes share a plan of at
-        most SECTOR_BATCH_ENTRIES gathered entries.  Matrices are stored
-        through `real_if_close`, as in `make_plan`."""
-        node_dims = dict(zip(self.node_order, self.shape))
-        alike: dict[tuple, list] = {}
-        for matrix, support in terms:
-            matrix, support, dims = _check_support(matrix, support, self.node_order, node_dims)
-            matrix = real_if_close(matrix)
-            local_sum = np.indices(dims).reshape(len(dims), -1).sum(axis=0)
-            leak = np.abs(matrix[local_sum[:, None] != local_sum]).max(initial=0.0)
-            if leak > COMMUTE_TOL:
-                raise InputError(f"operator on {support} changes S_z ({leak:.2e})")
-            layout = self._layout(support)
-            key = tuple((len(states), start, stop) for states, start, stop in layout.groups)
-            alike.setdefault(key, []).append((matrix, layout))
-        per_plan = max(1, SECTOR_BATCH_ENTRIES // self.dim)
-        return [self._batch(members[first:first + per_plan])
-                for members in alike.values() for first in range(0, len(members), per_plan)]
-
-    def _batch(self, members: list[tuple[np.ndarray, _Layout]]) -> SectorPlan:
-        """One SectorPlan for terms (matrix, layout) with the same group sizes."""
-        groups = []
-        for j, (states, start, stop) in enumerate(members[0][1].groups):
-            blocks = np.stack([m[np.ix_(layout.groups[j][0], layout.groups[j][0])]
-                               for m, layout in members])
-            if len(states) > 1 or np.any(blocks != 1):
-                groups.append((blocks, start, stop))
-        if len(members) == 1:  # views: the plans of one support share its layout
-            perm, inverse = members[0][1].perm[None], members[0][1].inverse[None]
-        else:
-            perm = np.stack([layout.perm for _, layout in members])
-            inverse = np.stack([layout.inverse + k * self.dim
-                                for k, (_, layout) in enumerate(members)])
-        return SectorPlan(perm, inverse, tuple(groups), np.result_type(*(m for m, _ in members)))
+        """Compile one local operator that conserves its support's total S_z.
+        The matrix is stored through `real_if_close`, as in `make_plan`."""
+        matrix, support, dims = _check_support(matrix, support, self.node_order,
+                                               dict(zip(self.node_order, self.shape)))
+        matrix = real_if_close(matrix)
+        local_sum = np.indices(dims).reshape(len(dims), -1).sum(axis=0)
+        leak = np.abs(matrix[local_sum[:, None] != local_sum]).max(initial=0.0)
+        if leak > COMMUTE_TOL:
+            raise InputError(f"operator on {support} changes S_z ({leak:.2e})")
+        layout = self._layout(support)
+        groups = tuple((matrix[np.ix_(states, states)], start, stop)
+                       for states, start, stop in layout.groups
+                       if len(states) > 1 or matrix[states[0], states[0]] != 1)
+        return SectorPlan(layout.perm, layout.inverse, groups, matrix.dtype)
 
     def lift(self, vecs: np.ndarray) -> np.ndarray:
         """Sector vectors (or the columns of a matrix of them) in the full space."""

@@ -36,6 +36,9 @@ class Protocol:
         h = self.hamiltonian
         if not self.cover.covers(h.graph):
             raise InputError("cover does not match the Hamiltonian's edge set")
+        extra = set(self.bond_ops) - set(h.graph.edges)
+        if extra:
+            raise InputError(f"bond operators for unknown edges {sorted(extra)}")
         ops = {}
         for e in h.graph.edges:
             if e not in self.bond_ops:
@@ -104,7 +107,7 @@ class Protocol:
         plans = self._plans if len(vec) == self.hamiltonian.dim else self._sector_plans
         out = vec
         for e in matching:
-            out = plans[tuple(sorted(e))](out)
+            out = plans[e](out)
         return out
 
     def apply_omega(self, vec: np.ndarray) -> np.ndarray:

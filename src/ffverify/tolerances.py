@@ -42,11 +42,6 @@ REAL_TOL = 1e-14
 # a single Lanczos basis
 DENSE_EIG_LIMIT = 64
 
-# a summed sector plan gathers at most this many vector entries per apply
-# (its terms times the sector dimension; one term may need more): 256 KB of
-# float64 stays in cache, and larger batches measured slower on closed chain 10
-SECTOR_BATCH_ENTRIES = 1 << 15
-
 # thick restarts one Lanczos solve may take before it gives up
 LANCZOS_MAX_RESTARTS = 300
 

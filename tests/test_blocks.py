@@ -50,7 +50,7 @@ class TestApplyPlan:
 class TestSectorPlan:
     NODE_DIMS = test_sector.TestSector.NODE_DIMS
 
-    @pytest.mark.parametrize("support", [(0, 1), (3, 0), (2,), (0, 2, 3)])
+    @pytest.mark.parametrize("support", [(0, 1), (3, 0), (2,), (0, 2, 3), (0, 3), (1, 2)])
     @pytest.mark.parametrize("field", FIELDS)
     def test_one_term_block_matches_columns(self, support, field):
         rng = np.random.default_rng(3)
@@ -58,20 +58,6 @@ class TestSectorPlan:
         matrix = test_sector.TestSector.conserving(
             rng, [self.NODE_DIMS[v] for v in support], real=field == "real")
         assert_columnwise(sector.plan(matrix, support), random_block(rng, sector.dim, field))
-
-    @pytest.mark.parametrize("field", FIELDS)
-    def test_batched_block_matches_columns(self, field):
-        rng = np.random.default_rng(4)
-        sector = linalg.Sector.of(tuple(self.NODE_DIMS), self.NODE_DIMS)
-        supports = [(0, 1), (0, 1), (0, 3), (3, 0), (1, 2)]
-        terms = [(test_sector.TestSector.conserving(
-            rng, [self.NODE_DIMS[v] for v in sup], real=field == "real"), sup)
-            for sup in supports]
-        plans = sector.sum_plans(terms)
-        assert len(plans) < len(terms)
-        block = random_block(rng, sector.dim, field)
-        for plan in plans:
-            assert_columnwise(plan, block)
 
 
 @pytest.fixture(scope="module")

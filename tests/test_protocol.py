@@ -306,6 +306,14 @@ class TestProtocolValidation:
         with pytest.raises(InputError):
             proto.Protocol(chain4, cover, ops)
 
+    def test_bond_operators_for_unknown_edges(self, chain4, icosahedron):
+        cover = G.edge_coloring(chain4.graph)
+        ops = {e: aklt.bond_operator(aklt.bond(chain4, e), icosahedron)
+               for e in chain4.graph.edges}
+        op = ops[(0, 1)]
+        with pytest.raises(InputError, match=r"unknown edges \[\(3, 4\), \(7, 9\)\]"):
+            proto.Protocol(chain4, cover, {**ops, (3, 4): op, (7, 9): op})
+
     def test_operator_must_fix_subspace(self, chain4):
         cover = G.edge_coloring(chain4.graph)
         broken = {}

@@ -1,13 +1,15 @@
 """The lowest total-S_z sector: its states and apply plans, and the sector
-solves of gamma, the ground space and nu against the full-space solves of
-basis-rotated copies, which fail the SU(2) check."""
+solves of gamma, the ground space, nu and the detectability-lemma product
+norm against the full-space solves of basis-rotated copies, which fail the
+SU(2) check."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from ffverify import aklt, graph as G, hamiltonian as ham, linalg, protocol as proto
+from ffverify import aklt, detectability as dl, graph as G, hamiltonian as ham, linalg, \
+    protocol as proto
 from ffverify.errors import InputError
 
 import oracles
@@ -103,6 +105,17 @@ class TestSectorAgainstRotatedCopy:
         omega_dim = h.dim if protocol._sector is None else h._sector.dim
         assert sector_solves[-1] == omega_dim
 
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_dl_product_norm(self, name, solve_dims):
+        """The detectability-lemma product commutes with total spin, so its
+        norm, solved in H's sector, is the full-space one."""
+        h = INSTANCES[name]()
+        measured = dl.dl_norm_check(h).measured
+        # the low-spectrum solves, then the product's
+        assert len(solve_dims) >= 2 and solve_dims == [h._sector.dim] * len(solve_dims)
+        oracle = dl.dl_norm_check(oracles.basis_rotated(h, seed=1)).measured
+        assert abs(measured - oracle) < 1e-10
+
 
 class TestPaths:
     def test_random_instance_takes_full_path(self, solve_dims):
@@ -169,19 +182,21 @@ class TestSector:
         assert np.max(np.abs(sector.plan(matrix, support)(vec) - full[sector.index])) < 1e-12
         assert np.linalg.norm(np.delete(full, sector.index)) < 1e-12
 
-    @pytest.mark.parametrize("entries", [1, 1 << 15], ids=["one-term-plans", "batched"])
-    def test_sum_plans_match_full_space_sum(self, entries, monkeypatch):
-        """Terms with equal group sizes (the three (3, 3) supports, the real
-        and complex (0, 1) terms) share a plan when the batch allows it."""
-        monkeypatch.setattr(linalg, "SECTOR_BATCH_ENTRIES", entries)
+    def test_sum_of_plans_matches_full_space_sum(self):
+        """A sum of one-term plans, real and complex, some on one support
+        (which then share its layout), as H's apply adds them up."""
         rng = np.random.default_rng(6)
         order = tuple(self.NODE_DIMS)
         sector = linalg.Sector.of(order, self.NODE_DIMS)
         supports = [(0, 1), (0, 1), (0, 3), (3, 0), (3, 0), (1, 2), (2,), (0, 2, 3)]
         terms = [(self.conserving(rng, [self.NODE_DIMS[v] for v in sup], real=k % 2 == 0), sup)
                  for k, sup in enumerate(supports)]
-        plans = sector.sum_plans(terms)
-        assert len(plans) == (len(terms) if entries == 1 else 5)
+        plans = [sector.plan(m, sup) for m, sup in terms]
+        assert {plan.dtype for plan in plans} == {np.dtype(float), np.dtype(complex)}
+        assert plans[3].perm is plans[4].perm and plans[3].inverse is plans[4].inverse
+        for plan in plans:
+            assert plan.perm.shape == plan.inverse.shape == (sector.dim,)
+            assert all(block.ndim == 2 for block, _, _ in plan.groups)
         vec = rng.standard_normal(sector.dim)
         full = sum(linalg.make_plan(m, sup, order, self.NODE_DIMS)(sector.lift(vec))
                    for m, sup in terms)

@@ -172,12 +172,14 @@ def test_blas_thread_policy_has_one_home():
 def test_sector_path_builds_no_full_space_plans(icosahedron):
     """On the sector path only the ladder operators of `Sector.multiplets` act
     on full-space vectors: H's and Omega's dtypes come from their matrices, not
-    from full-space plans."""
-    from ffverify import aklt, graph, hamiltonian, protocol
+    from full-space plans, and the detectability-lemma product runs in H's
+    sector."""
+    from ffverify import aklt, detectability, graph, hamiltonian, protocol
 
     h = aklt.aklt_hamiltonian(graph.chain(6, closed=True))
     p = protocol.build_protocol(h, graph.edge_coloring(h.graph), icosahedron)
     hamiltonian.low_spectrum(h)
     protocol.measured_gap(p)
+    detectability.dl_norm_check(h)
     assert h._sector is not None and p._sector is not None
     assert "_plans" not in set(vars(h)) | set(vars(p))
