@@ -30,29 +30,36 @@ def coherent_extremes(twice_s: int, direction) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors of the spin component along `direction` with eigenvalues
     +S and -S, phase fixed by making the largest amplitude real positive.
 
-    Closed form of the spin-coherent state along (theta, phi): amplitudes
-    sqrt(C(2S, S+m)) cos^(S+m)(theta/2) sin^(S-m)(theta/2) e^(-i m phi) for
-    m = S, ..., -S; the -S eigenvector is the +S one along -direction
-    (theta -> pi - theta, phi -> phi + pi), up to a global phase."""
+    `direction` is one unit 3-vector, or an (n, 3) block of them; a block
+    gives (n, 2S + 1) arrays whose row i belongs to direction i, and one
+    direction is its n = 1 row.  Closed form of the spin-coherent state along
+    (theta, phi): amplitudes sqrt(C(2S, S+m)) cos^(S+m)(theta/2)
+    sin^(S-m)(theta/2) e^(-i m phi) for m = S, ..., -S; the -S eigenvector is
+    the +S one along -direction (theta -> pi - theta, phi -> phi + pi), up to
+    a global phase."""
     if twice_s < 1:
         raise InputError("spin must be at least 1/2")
     r = np.asarray(direction, dtype=float)
-    if r.shape != (3,) or abs(np.linalg.norm(r) - 1.0) > UNIT_VECTOR_TOL:
-        raise InputError("direction must be a unit 3-vector")
-    x, y, z = r
-    theta = math.atan2(math.hypot(x, y), z)
-    phi = math.atan2(y, x)
+    if r.ndim not in (1, 2) or r.shape[-1:] != (3,) or r.size == 0:
+        raise InputError("direction must be a unit 3-vector or an (n, 3) block of them")
+    rows = r.reshape(-1, 3)
+    if np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() > UNIT_VECTOR_TOL:
+        raise InputError("every direction must be a unit 3-vector")
+    x, y, z = rows.T[:, :, None]
+    theta = np.arctan2(np.hypot(x, y), z)
+    phi = np.arctan2(y, x)
     up = np.arange(twice_s, -1, -1)     # S + m for m = S, ..., -S
     root = np.sqrt([math.comb(twice_s, k) for k in up])
     phase = np.exp(-1j * (up - twice_s / 2) * phi)
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
 
     def fix_phase(v):
-        i = int(np.argmax(np.abs(v)))
-        return v * (abs(v[i]) / v[i])
+        pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=1)[:, None], axis=1)
+        return v * (np.abs(pivot) / pivot)
 
-    return (fix_phase(root * c ** up * s ** (twice_s - up) * phase),
-            fix_phase(root * s ** up * c ** (twice_s - up) * phase * (-1.0) ** (twice_s - up)))
+    plus = fix_phase(root * c ** up * s ** (twice_s - up) * phase)
+    minus = fix_phase(root * s ** up * c ** (twice_s - up) * phase * (-1.0) ** (twice_s - up))
+    return (plus, minus) if r.ndim == 2 else (plus[0], minus[0])
 
 
 @lru_cache(maxsize=None)
@@ -134,17 +141,24 @@ def bond(h: FFHamiltonian, e) -> Bond:
     return Bond(e, h.node_dims[j] - 1, h.node_dims[k] - 1)
 
 
+def _aligned_extremes(b: Bond, directions) -> tuple[np.ndarray, np.ndarray]:
+    """|++> and |--> along each direction: the two product states a bond test
+    fails on, with the shape rule of `coherent_extremes`."""
+    plus_j, minus_j = coherent_extremes(b.twice_sj, directions)
+    plus_k, minus_k = coherent_extremes(b.twice_sk, directions)
+    lead = plus_j.shape[:-1]
+    return ((plus_j[..., :, None] * plus_k[..., None, :]).reshape(lead + (b.dim,)),
+            (minus_j[..., :, None] * minus_k[..., None, :]).reshape(lead + (b.dim,)))
+
+
 def bond_test_projector(b: Bond, direction) -> np.ndarray:
     """Two-outcome spin test along a direction: fail on aligned extremal
-    outcomes; identical for antipodal directions."""
-    plus_j, minus_j = coherent_extremes(b.twice_sj, direction)
-    plus_k, minus_k = coherent_extremes(b.twice_sk, direction)
-    both_plus = np.kron(plus_j, plus_k)
-    both_minus = np.kron(minus_j, minus_k)
-    r = np.eye(b.dim, dtype=complex)
-    r -= np.outer(both_plus, both_plus.conj())
-    r -= np.outer(both_minus, both_minus.conj())
-    return r
+    outcomes; identical for antipodal directions.  An (n, 3) block of
+    directions gives the n tests as an (n, d_e, d_e) array."""
+    both_plus, both_minus = _aligned_extremes(b, direction)
+    return (np.eye(b.dim)
+            - both_plus[..., :, None] * both_plus[..., None, :].conj()
+            - both_minus[..., :, None] * both_minus[..., None, :].conj())
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,10 +331,12 @@ class BondOperator:
 
 
 def bond_operator(b: Bond, mu: DirectionDistribution) -> BondOperator:
-    """Weighted average of the bond tests drawn from mu."""
-    omega = np.zeros((b.dim, b.dim), dtype=complex)
-    for w, r in zip(mu.weights, mu.points):
-        omega += w * bond_test_projector(b, r)
+    """Weighted average of the bond tests drawn from mu,
+    I - sum_n w_n (|++><++| + |--><--|) along direction n, as one weighted
+    Gram product of the stacked aligned extremes."""
+    stacked = np.concatenate(_aligned_extremes(b, mu.points))
+    weights = np.concatenate([mu.weights, mu.weights])
+    omega = np.eye(b.dim) - (stacked.T * weights) @ stacked.conj()
     return BondOperator(b, omega, mu)
 
 

@@ -11,8 +11,9 @@ the full space otherwise.  Every multiplet has a member in the sector, so
 gamma is exact there; the full ground basis is rebuilt from the sector's
 kernel with the ladder operators (`linalg.Sector.multiplets`).  Each
 projector has one plan per space, and `apply` and `apply_edge` pick the
-sector's plans for a vector of the sector's length, so the detectability
-product (`detectability.dl_norm_check`) runs in the same space as H's solve.
+sector's plans for a vector of the sector's length (any length but the two
+is an InputError), so the detectability product
+(`detectability.dl_norm_check`) runs in the same space as H's solve.
 """
 
 from __future__ import annotations
@@ -103,16 +104,19 @@ class FFHamiltonian:
         return np.result_type(float, *(linalg.real_if_close(p).dtype
                                        for p in self.projectors.values()))
 
+    def _plans_for(self, vec: np.ndarray) -> dict:
+        in_sector = linalg._in_sector(vec, self.dim, self._sector)
+        return self._sector_plans if in_sector else self._plans
+
     def apply_edge(self, e: Edge, vec: np.ndarray) -> np.ndarray:
         """P_e |vec> on a full-space vector or, when H has a sector, a sector
         vector."""
-        plans = self._plans if len(vec) == self.dim else self._sector_plans
-        return plans[e](vec)
+        return self._plans_for(vec)[e](vec)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """H |vec> as a sum of local applications, on a full-space vector or,
         when H has a sector, a sector vector."""
-        plans = self._plans if len(vec) == self.dim else self._sector_plans
+        plans = self._plans_for(vec)
         out = np.zeros(vec.shape, dtype=np.result_type(self.dtype, vec.dtype))
         for plan in plans.values():
             out += plan(vec)

@@ -26,7 +26,8 @@ full space, and `Sector.multiplets` rebuilds the full-space multiplets of a
 sector kernel with the ladder operators.
 
 Every solve goes through `_eigsh`, which alone sets the solver policy:
-LANCZOS_TOL, a fixed start vector, LANCZOS_MAX_RESTARTS, solver failures as
+LANCZOS_TOL, fixed start vectors from a counter-based SplitMix64 stream (no
+random-number module is loaded), LANCZOS_MAX_RESTARTS, solver failures as
 ResourceError, real or complex arithmetic as the operator returns it, and
 the BLAS thread policy: from the first Lanczos solve on, numpy's OpenBLAS
 pool runs one thread, unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -438,6 +440,20 @@ class Sector:
         return np.column_stack(basis)
 
 
+def _in_sector(vec: np.ndarray, dim: int, sector: Sector | None) -> bool:
+    """Whether vec, one vector or an (n, b) block of them, lives in `sector`
+    rather than in the full space of dimension dim, read off its length; any
+    other length is an InputError naming the lengths accepted."""
+    if len(vec) == dim:
+        return False
+    if sector is not None and len(vec) == sector.dim:
+        return True
+    accepted = f"{dim} (full space)"
+    if sector is not None:
+        accepted += f" or {sector.dim} (sector)"
+    raise InputError(f"vector of length {len(vec)}: expected {accepted}")
+
+
 # ---------------------------------------------------------------------------
 # matrix-free spectral helpers
 
@@ -477,6 +493,31 @@ def _blas_thread_policy() -> None:
                 setter(1)
 
 
+#: SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): its state increment and
+#: the multipliers of its output mix
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_SPLITMIX_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+def _start_vector(dim: int, block: int) -> np.ndarray:
+    """Unit vector number `block` of `_lanczos`'s start stream.
+
+    Entry i is SplitMix64 output number block * dim + i from seed 0 (the seed
+    of its published reference outputs), mapped to [-1, 1): a counter-based
+    generator in a few numpy uint64 array operations.  Solves so stay
+    reproducible without loading a random-number module."""
+    z = np.arange(block * dim + 1, (block + 1) * dim + 1, dtype=np.uint64)
+    z *= _SPLITMIX_GAMMA  # the state that output number block * dim + i is mixed from
+    for shift, mix in zip((30, 27), _SPLITMIX_MIX):
+        z ^= z >> shift
+        z *= mix
+    z ^= z >> 31
+    vec = (z >> 11).astype(float)  # the top 53 bits
+    vec *= 2.0 ** -52
+    vec -= 1.0
+    return vec / np.linalg.norm(vec)
+
+
 def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
              which: str) -> tuple[np.ndarray, np.ndarray]:
     """k eigenpairs at the `which` end ("SA" or "LA") of a Hermitian operator
@@ -490,15 +531,15 @@ def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
     LANCZOS_TOL max(|theta|, eps^(2/3)), ARPACK's test.  Each restart keeps
     the Ritz vectors nearest the wanted end, rotated into the basis in place,
     and the projected matrix becomes their Ritz values bordered by an arrow
-    of couplings to the residual direction.  An invariant subspace continues
-    from a fresh random vector orthogonal to the basis.  Running out of
-    LANCZOS_MAX_RESTARTS restarts, or a NaN or infinite operator output, is a
-    ResourceError.
+    of couplings to the residual direction.  The basis starts from the
+    first vector of a fixed start stream (`_start_vector`), and an invariant
+    subspace continues from the stream's next vector, made orthogonal to the
+    basis.  Running out of LANCZOS_MAX_RESTARTS restarts, or a NaN or
+    infinite operator output, is a ResourceError.
     """
     m = min(dim, max(2 * k + 1, 20))
-    rng = np.random.default_rng(7)  # fixed: reproducible solves
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
+    stream = itertools.count()  # the number of the next start-stream vector
+    v = _start_vector(dim, next(stream))
     w = matvec(v)
     basis = np.empty((m + 1, dim), dtype=np.result_type(float, w.dtype))
     basis[0] = v
@@ -509,8 +550,9 @@ def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
         return rows @ vec if real else (rows @ vec.conj()).conj()
 
     def fresh(j: int) -> np.ndarray:
-        """A random unit vector orthogonal to the first j basis rows."""
-        vec = rng.standard_normal(dim)
+        """The next start-stream vector, made orthogonal to the first j basis
+        rows and normalized."""
+        vec = _start_vector(dim, next(stream))
         for _ in range(2):
             vec = vec - coefficients(basis[:j], vec) @ basis[:j]
         return vec / np.linalg.norm(vec)

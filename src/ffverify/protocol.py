@@ -85,26 +85,32 @@ class Protocol:
         return np.result_type(float, *(linalg.real_if_close(op.matrix).dtype
                                        for op in self.bond_ops.values()))
 
+    def _compiled_test(self, e: Edge, r: np.ndarray) -> tuple[ApplyPlan, float]:
+        """A bond test's matrix on edge e as its apply plan and its normalized
+        trace tr(R)/d_e."""
+        h = self.hamiltonian
+        return (linalg.make_plan(r, e, h.node_order, h.node_dims),
+                float(np.real(np.trace(r))) / len(r))
+
     def bond_test(self, e: Edge, direction) -> tuple[ApplyPlan, float]:
         """The bond test along one direction on edge e: its apply plan and its
         normalized trace tr(R)/d_e."""
-        h = self.hamiltonian
-        b = self.bond_ops[e].bond
-        r = bond_test_projector(b, direction)
-        return (linalg.make_plan(r, e, h.node_order, h.node_dims),
-                float(np.real(np.trace(r))) / b.dim)
+        return self._compiled_test(e, bond_test_projector(self.bond_ops[e].bond, direction))
 
     @cached_property
     def design_tests(self) -> dict[Edge, tuple[tuple[ApplyPlan, float], ...]]:
         """bond_test at every support point of each finitely supported bond
-        distribution; state-independent, so built once per protocol."""
-        return {e: tuple(self.bond_test(e, r) for r in op.distribution.points)
+        distribution, from one block of test matrices per edge;
+        state-independent, so built once per protocol."""
+        return {e: tuple(self._compiled_test(e, r)
+                         for r in bond_test_projector(op.bond, op.distribution.points))
                 for e, op in self.bond_ops.items() if op.distribution is not None}
 
     def apply_test(self, matching: Sequence[Edge], vec: np.ndarray) -> np.ndarray:
         """The test operator of a matching on a full-space vector or, when
         Omega has a sector, a sector vector."""
-        plans = self._plans if len(vec) == self.hamiltonian.dim else self._sector_plans
+        in_sector = linalg._in_sector(vec, self.hamiltonian.dim, self._sector)
+        plans = self._sector_plans if in_sector else self._plans
         out = vec
         for e in matching:
             out = plans[e](out)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +49,7 @@ class PreparedState:
     dim: int
     ensemble: tuple[tuple[float, np.ndarray], ...]
     white: float = 0.0
+    _samplers: dict = field(default_factory=dict, init=False, repr=False)  # see `_sampler`
 
     def expectation(self, apply_op, normalized_trace: float) -> float:
         """tr(A sigma) for an operator given by its action on vectors and its
@@ -246,11 +247,25 @@ class _TestSampler:
         q = table[tuple(draws)]
         missing = np.isnan(q)
         if missing.any():
-            for key in np.unique(np.stack(draws)[:, missing], axis=1).T:
-                table[tuple(key)] = self.pass_probability(
+            # the missing keys as a set of index tuples: the first np.unique call
+            # of a job would add ~1.6 MB to its peak RSS
+            for key in set(zip(*(d[missing].tolist() for d in draws))):
+                table[key] = self.pass_probability(
                     [design[e][i] for e, i in zip(matching, key)])
             q = table[tuple(draws)]
         return q
+
+
+def _sampler(protocol: Protocol, state: PreparedState) -> _TestSampler:
+    """The state's sampler for the protocol, built once, so that
+    `estimate_pass_rate` and `run_many` on one state share one memo table.
+    Its values are exact and the draws do not depend on them, so sharing
+    changes no result.  MEMO_TABLE_LIMIT is part of the key because the
+    tables follow it."""
+    key = (protocol, MEMO_TABLE_LIMIT)  # a Protocol hashes by identity
+    if key not in state._samplers:
+        state._samplers[key] = _TestSampler(protocol, state)
+    return state._samplers[key]
 
 
 def _single_run(sampler: _TestSampler, rng: np.random.Generator, n_tests: int,
@@ -276,7 +291,7 @@ def run_many(protocol: Protocol, state: PreparedState, n_tests: int, runs: int,
     """Independent runs with per-run substreams derived from (seed, index)."""
     if n_tests < 1:
         raise InputError("need at least one test")
-    sampler = _TestSampler(protocol, state)
+    sampler = _sampler(protocol, state)
     return [_single_run(sampler, np.random.default_rng([seed, i]), n_tests, seed)
             for i in range(runs)]
 
@@ -286,7 +301,7 @@ def estimate_pass_rate(protocol: Protocol, state: PreparedState, n_draws: int,
     """Monte-Carlo single-test pass rate and its standard error."""
     if n_draws < 1:
         raise InputError("need at least one draw")
-    sampler = _TestSampler(protocol, state)
+    sampler = _sampler(protocol, state)
     rng = np.random.default_rng(seed)
     hits = 0
     for start in range(0, n_draws, MAX_BLOCK):

@@ -3,7 +3,7 @@
 The package computes every quantity matrix-free; each has one dense
 counterpart here: H and its ground projector, products of embedded local
 operators (test operators, bond-test products), Omega, nu from dense Omega
-and Q0, the density matrix of a prepared state, the two reference forms of
+and Q0, a bond operator summed one direction at a time, the density matrix of a prepared state, the two reference forms of
 the bond overlap trace, and the spin-coherent states by eigh.  They are
 built on `linalg.embed` and numpy/scipy only, so they stay independent of
 the apply plans and Lanczos solves they check.  Keeping the dimension small
@@ -97,6 +97,14 @@ def overlap_trace_matrix(b: aklt.Bond, r, s) -> float:
     a = aklt.bond_test_projector(b, r) - q
     bm = aklt.bond_test_projector(b, s) - q
     return float(np.real(np.trace(a @ bm)))
+
+
+def bond_operator(b: aklt.Bond, mu) -> np.ndarray:
+    """Omega_e as the weighted sum of mu's bond tests, one direction at a time."""
+    out = np.zeros((b.dim, b.dim), dtype=complex)
+    for w, r in zip(mu.weights, mu.points):
+        out += w * aklt.bond_test_projector(b, r)
+    return out
 
 
 def site_rotations(h, seed: int) -> dict[int, np.ndarray]:

@@ -59,7 +59,11 @@ class TestCoherentExtremes:
                 assert np.max(np.abs(np.outer(got, got.conj())
                                      - np.outer(want, want.conj()))) < 1e-12
 
-    @pytest.mark.parametrize("twice_s, direction", [(0, [0, 0, 1]), (2, [1, 0])])
+    @pytest.mark.parametrize("twice_s, direction", [
+        (0, [0, 0, 1]), (2, [1, 0]),
+        # blocks: empty, three-dimensional, rows of two, one non-unit row
+        (2, np.zeros((0, 3))), (2, np.zeros((2, 2, 3))), (2, [[1.0, 0]]),
+        (2, [[0, 0, 1], [0, 0, 1 + 1e-9], [1, 0, 0]])])
     def test_invalid_spin_or_direction(self, twice_s, direction):
         with pytest.raises(InputError):
             aklt.coherent_extremes(twice_s, direction)
@@ -101,6 +105,25 @@ class TestCoherentExtremes:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(InputError):
             aklt.coherent_extremes(2, [0, 0, 2])
+
+    @pytest.mark.parametrize("twice_s", [1, 2, 3, 4])
+    def test_block_matches_eigh_row_by_row(self, twice_s):
+        """An (n, 3) block gives row i's extremes for direction i: the single
+        call's, with its phase rule, and eigh's up to that phase."""
+        rng = np.random.default_rng(10 + twice_s)
+        blocks = [np.stack([random_unit_vector(rng) for _ in range(30)])]
+        blocks += [aklt.design_catalog(name).points for name in aklt.CATALOG_ORDERS]
+        for block in blocks:
+            plus, minus = aklt.coherent_extremes(twice_s, block)
+            assert plus.shape == minus.shape == (len(block), twice_s + 1)
+            for r, got in zip(block, zip(plus, minus)):
+                for row, single, want in zip(got, aklt.coherent_extremes(twice_s, r),
+                                             oracles.coherent_extremes(twice_s, r)):
+                    assert np.array_equal(row, single)
+                    pivot = row[np.argmax(np.abs(row))]
+                    assert abs(pivot.imag) < 1e-15 and pivot.real > 0
+                    assert np.max(np.abs(np.outer(row, row.conj())
+                                         - np.outer(want, want.conj()))) < 1e-14
 
 
 class TestAkltHamiltonian:
@@ -183,6 +206,22 @@ class TestBondTests:
 
 
 class TestBondOperator:
+    @pytest.mark.parametrize("name", sorted(aklt.CATALOG_ORDERS))
+    @pytest.mark.parametrize("twice_sj, twice_sk", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 4)])
+    def test_gram_product_matches_sum_of_tests(self, name, twice_sj, twice_sk):
+        b = aklt.Bond((0, 1), twice_sj, twice_sk)
+        mu = aklt.design_catalog(name)
+        op = aklt.bond_operator(b, mu)
+        assert np.max(np.abs(op.matrix - oracles.bond_operator(b, mu))) < 1e-14
+
+    def test_block_of_tests_matches_single_tests(self):
+        b = aklt.Bond((0, 1), 2, 3)
+        points = aklt.design_catalog("dodecahedron").points
+        tests = aklt.bond_test_projector(b, points)
+        assert tests.shape == (len(points), b.dim, b.dim)
+        for r, test in zip(points, tests):
+            assert np.array_equal(test, aklt.bond_test_projector(b, r))
+
     def test_single_direction_gives_zero_gap(self, chain4):
         b = aklt.bond(chain4, (0, 1))
         mu = aklt.DirectionDistribution(np.array([[0.0, 0.0, 1.0]]), np.array([1.0]))

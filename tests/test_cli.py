@@ -309,34 +309,42 @@ class TestParsing:
         assert "error" in err.lower()
 
 
-#: child process: runs `ffv` with its arguments (none: import only) and
-#: prints the scipy modules loaded afterwards
-SCIPY_PROBE = """
+#: child process: runs `ffv` with its arguments after the first (none: import
+#: only) and prints the loaded modules whose names start with the first
+MODULE_PROBE = """
 import contextlib, io, json, sys
 from ffverify import cli
+prefix, argv = sys.argv[1], sys.argv[2:]
 code = 0
-if sys.argv[1:]:
+if argv:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("scipy"))]))
+        code = cli.main(argv)
+print(json.dumps([code, sorted(name for name in sys.modules if name.startswith(prefix))]))
 """
 
 
-def scipy_modules_after(*argv) -> list[str]:
+def modules_after(prefix: str, *argv) -> list[str]:
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     env.pop("FFV_MAX_DIM", None)
-    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
+    out = subprocess.run([sys.executable, "-c", MODULE_PROBE, prefix, *argv], env=env,
                          capture_output=True, text=True, check=True, timeout=60).stdout
     code, modules = json.loads(out)
     assert code == 0
     return modules
 
 
+def scipy_modules_after(*argv) -> list[str]:
+    return modules_after("scipy", *argv)
+
+
 class TestStartup:
     """Importing scipy costs ~0.3 s and ~27 MB; no ffv command needs it, the
-    Lanczos solves and the coherent rotation included."""
+    Lanczos solves and the coherent rotation included.  Loading numpy.random
+    costs ~15 ms and 4-5 MB of a `gap` job's peak RSS; `gap` draws nothing
+    at random, and its solves take their start vectors from `linalg`'s own
+    counter-based stream."""
 
     def test_import_leaves_out_scipy(self):
         assert scipy_modules_after() == []
@@ -356,3 +364,9 @@ class TestStartup:
         assert scipy_modules_after("simulate", "--chain", "4", "--closed", "--noise",
                                    "coherent_rotation", "--runs", "2", "--tests", "5",
                                    "--pass-draws", "10") == []
+
+    @pytest.mark.parametrize("chain", ["4", "6", "8"])
+    def test_gap_leaves_out_numpy_random(self, chain):
+        # chain 4's S_z = 0 sector (19 states) is solved dense, chains 6
+        # and 8 (141 and 1107 states) by Lanczos
+        assert modules_after("numpy.random", "gap", "--chain", chain, "--closed") == []

@@ -237,3 +237,24 @@ class TestRandomInstance:
         with pytest.raises(InputError):
             ham.random_ff_instance(0, (0, 1), (2, 2), ((0, 1),), 1,
                                    projector_ranks={(0, 1): 4})
+
+
+class TestApplyLength:
+    """apply and apply_edge take a full-space vector or a sector vector; any
+    other length is an InputError naming the lengths accepted."""
+
+    def test_instance_without_sector(self):
+        h = ham.random_ff_instance(1, (0, 1, 2), (2, 2, 2), ((0, 1), (1, 2)), 1)
+        for apply in (h.apply, lambda v: h.apply_edge((0, 1), v)):
+            with pytest.raises(InputError, match=r"length 5: expected 8 \(full space\)$"):
+                apply(np.ones(5))
+            assert apply(np.ones(8)).shape == (8,)
+
+    def test_aklt_chain_with_sector(self, chain4):
+        for apply in (chain4.apply, lambda v: chain4.apply_edge((0, 1), v)):
+            for vec in (np.ones(5), np.ones((80, 2))):
+                with pytest.raises(InputError, match=r"length \d+: expected 81 \(full "
+                                                     r"space\) or 19 \(sector\)"):
+                    apply(vec)
+            assert apply(np.ones(81)).shape == (81,)
+            assert apply(np.ones((19, 2))).shape == (19, 2)

@@ -320,6 +320,52 @@ class TestLanczos:
         assert np.array_equal(vals, np.ones(k)) and vecs.dtype == np.float64
         assert np.abs(vecs.T @ vecs - np.eye(k)).max() < 1e-12
 
+    @pytest.mark.parametrize("field", [float, complex], ids=["real", "complex"])
+    def test_solves_are_bitwise_reproducible(self, field):
+        a = random_hermitian(np.random.default_rng(5), self.DIMS[1])
+        a = a.real if field is float else a
+        first, second = (linalg._lanczos(lambda v: a @ v, len(a), 4, "SA") for _ in range(2))
+        assert all(np.array_equal(x, y) for x, y in zip(first, second))
+
+    def test_start_stream_is_splitmix64(self):
+        """Entry i of start vector b is SplitMix64 output b * dim + i from seed
+        0, whose first output is the published 0xE220A8397B1DCDAF, mapped to
+        [-1, 1) by its top 53 bits and normalized."""
+        mask, state, outputs = 2 ** 64 - 1, 0, []
+        for _ in range(3 * 7):
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            outputs.append(z ^ (z >> 31))
+        assert outputs[0] == 0xE220A8397B1DCDAF
+        for block in range(3):
+            raw = np.array([(z >> 11) * 2.0 ** -52 - 1.0 for z in outputs[7 * block:][:7]])
+            assert np.array_equal(linalg._start_vector(7, block), raw / np.linalg.norm(raw))
+
+    def test_start_and_fresh_vectors_differ(self):
+        """The zero operator ends every Lanczos step in an invariant subspace:
+        the solve starts from start vector 0 and continues from vectors 1, 2,
+        ... of the stream, each made orthogonal to the basis, and no two of
+        the stream's vectors align."""
+        dim, seen = 100, []
+
+        def zero(v):
+            seen.append(v.copy())
+            return np.zeros_like(v)
+
+        linalg._lanczos(zero, dim, 1, "SA")
+        assert len(seen) == 20
+        stream = np.array([linalg._start_vector(dim, b) for b in range(len(seen))])
+        assert np.array_equal(seen[0], stream[0])
+        overlaps = np.abs(stream @ stream.T - np.eye(len(stream)))
+        assert overlaps.max() < 0.5
+        basis = np.array(seen)
+        assert np.abs(basis @ basis.T - np.eye(len(basis))).max() < 1e-12
+        # row j is stream vector j with its parts along the rows before it removed
+        for j in range(1, len(basis)):
+            rest = stream[j] - (basis[:j] @ stream[j]) @ basis[:j]
+            assert np.abs(basis[j] - rest / np.linalg.norm(rest)).max() < 1e-12
+
 
 @pytest.mark.parametrize("build", [linalg.make_plan, linalg.embed],
                          ids=["make_plan", "embed"])

@@ -34,6 +34,38 @@ class TestTestOperator:
             assert np.linalg.norm(chain4_protocol.apply_test(m, psi) - psi) < 1e-9
 
 
+class TestApplyLength:
+    """apply_test and apply_omega take a full-space vector or, when Omega has
+    a sector, a sector vector; any other length is an InputError."""
+
+    def test_aklt_chain_with_sector(self, chain4_protocol):
+        matching = chain4_protocol.cover.matchings[0]
+        for apply in (chain4_protocol.apply_omega,
+                      lambda v: chain4_protocol.apply_test(matching, v)):
+            with pytest.raises(InputError, match=r"length 5: expected 81 \(full space\) "
+                                                 r"or 19 \(sector\)"):
+                apply(np.ones(5))
+            assert apply(np.ones(19)).shape == (19,)
+
+    def test_bond_operators_without_sector(self, chain4, tetrahedron):
+        """The tetrahedron is no 4-design, so its spin-1 bond operators are not
+        SU(2)-invariant: Omega has no sector, and H's sector length is refused."""
+        p = proto.build_protocol(chain4, G.edge_coloring(chain4.graph), tetrahedron)
+        with pytest.raises(InputError, match=r"length 19: expected 81 \(full space\)$"):
+            p.apply_omega(np.ones(19))
+        assert p.apply_omega(np.ones(81)).shape == (81,)
+
+
+class TestDesignTests:
+    def test_block_built_tests_match_single_tests(self, chain4_protocol, icosahedron):
+        for e, tests in chain4_protocol.design_tests.items():
+            assert len(tests) == len(icosahedron)
+            for (plan, trace), r in zip(tests, icosahedron.points):
+                single, single_trace = chain4_protocol.bond_test(e, r)
+                assert np.array_equal(plan.matrix, single.matrix)
+                assert trace == single_trace
+
+
 class TestVerificationOperator:
     def test_single_matching_cover(self, chain4, icosahedron):
         cover = G.MatchingCover((((0, 1), (2, 3)),), (1.0,))

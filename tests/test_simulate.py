@@ -338,6 +338,35 @@ class TestExactLaw:
             assert r.accepted and r.n_passed == n
 
 
+class TestSharedSampler:
+    def test_estimate_and_runs_share_one_table(self, chain4_protocol, monkeypatch):
+        """The pass-rate estimate and the runs on one state build one sampler,
+        and the runs read the tests the estimate tabled without evaluating
+        them again; a new state gets a new sampler."""
+        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
+        built, evaluated = [], []
+        build, evaluate = sim._TestSampler.__init__, sim._TestSampler.pass_probability
+
+        def counting_build(self, *args):
+            built.append(args)
+            build(self, *args)
+
+        def counting_evaluate(self, *args):
+            evaluated.append(args)
+            return evaluate(self, *args)
+
+        monkeypatch.setattr(sim._TestSampler, "__init__", counting_build)
+        monkeypatch.setattr(sim._TestSampler, "pass_probability", counting_evaluate)
+        sim.estimate_pass_rate(chain4_protocol, state, 20000, seed=1)
+        tabled = len(evaluated)
+        assert len(built) == 1 and tabled == 288  # every icosahedron pair of 2 matchings
+        expected = sim.run_many(chain4_protocol, state, 100, runs=20, seed=2)
+        assert len(built) == 1 and len(evaluated) == tabled
+        other = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
+        assert sim.run_many(chain4_protocol, other, 100, runs=20, seed=2) == expected
+        assert len(built) == 2
+
+
 class TestUnmemoizedTests:
     """Tests outside the probability tables: isotropic bonds, and design bonds
     whose combinations exceed MEMO_TABLE_LIMIT."""
