@@ -59,7 +59,7 @@ def _product_norm_sq(h: FFHamiltonian, ordering: Sequence[Edge]) -> float:
     the product is too, so its norm is reached in H's sector, with Q0 the
     projector onto H's kernel there.
     """
-    kernel = h._low_spectrum[3]
+    kernel, _ = h._low_spectrum
 
     def apply_m(v):
         v = _complement_product(h, reversed(ordering), linalg.deflate(kernel, v))
@@ -106,6 +106,8 @@ def dl_state_check(h: FFHamiltonian, ordering: Sequence[Edge] | None,
     """Apply (1-P_1)...(1-P_q) to a normalized state orthogonal to the ground
     space and compare the surviving weight with the energy-resolved bounds."""
     psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (h.dim,):
+        raise InputError(f"state of shape {psi.shape}: expected ({h.dim},)")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise InputError("state must be normalized")
     structure = commutation_structure(h, ordering)

@@ -4,16 +4,12 @@ Provides the ground space, the spectral gap, the commutation profile
 (g, s, zeta, g~) that feeds every norm bound downstream, the edge ordering
 that minimizes zeta, and random frustration-free test instances.
 
-H is solved in its solve space: the lowest total-S_z sector
-(`linalg.Sector`) when every projector is SU(2)-invariant, node v carrying
-spin (d_v - 1)/2 in the basis m = S, ..., -S (every AKLT Hamiltonian), and
-the full space otherwise.  Every multiplet has a member in the sector, so
-gamma is exact there; the full ground basis is rebuilt from the sector's
-kernel with the ladder operators (`linalg.Sector.multiplets`).  Each
-projector has one plan per space, and `apply` and `apply_edge` pick the
-sector's plans for a vector of the sector's length (any length but the two
-is an InputError), so the detectability product
-(`detectability.dl_norm_check`) runs in the same space as H's solve.
+H's projectors are a `linalg.LocalOperators`, which decides H's solve space:
+the lowest total-S_z sector when every projector is SU(2)-invariant (every
+AKLT Hamiltonian), else the full space.  The one cached solve stays there;
+gamma and the detectability product (`detectability.dl_norm_check`) read its
+kernel, and only `ground_space` and `low_spectrum` rebuild the full ground
+basis from it, on first call (`linalg.Sector.multiplets`).
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ import numpy as np
 from . import linalg
 from .errors import DegenerateSpectrum, InputError, NotFrustrationFree
 from .graph import Edge, Hypergraph
-from .linalg import ApplyPlan
 from .tolerances import COMMUTE_TOL, GROUND_TOL, check_dim
 
 # best_zeta_ordering tries every permutation up to this many edges
@@ -78,70 +73,55 @@ class FFHamiltonian:
 
     @property
     def dim(self) -> int:
-        return math.prod(self.node_dims[v] for v in self.node_order)
+        return self.local.dim
 
     @cached_property
-    def _plans(self) -> dict[Edge, ApplyPlan]:
-        return {e: linalg.make_plan(p, e, self.node_order, self.node_dims)
-                for e, p in self.projectors.items()}
-
-    @cached_property
-    def _sector(self) -> linalg.Sector | None:
-        """The lowest total-S_z sector when every projector is SU(2)-invariant,
-        else None; built at the first solve, not with the Hamiltonian."""
-        if all(linalg.is_su2_invariant(p, [self.node_dims[v] for v in e])
-               for e, p in self.projectors.items()):
-            return linalg.Sector.of(self.node_order, self.node_dims)
-        return None
-
-    @cached_property
-    def _sector_plans(self) -> dict[Edge, linalg.SectorPlan]:
-        return {e: self._sector.plan(p, e) for e, p in self.projectors.items()}
-
-    @cached_property
-    def dtype(self) -> np.dtype:
-        """float64 when every projector is real to REAL_TOL, else complex128."""
-        return np.result_type(float, *(linalg.real_if_close(p).dtype
-                                       for p in self.projectors.values()))
-
-    def _plans_for(self, vec: np.ndarray) -> dict:
-        in_sector = linalg._in_sector(vec, self.dim, self._sector)
-        return self._sector_plans if in_sector else self._plans
+    def local(self) -> linalg.LocalOperators:
+        """The projectors as local operators: their plans, dtype and solve space."""
+        return linalg.LocalOperators(self.projectors, self.node_order, self.node_dims)
 
     def apply_edge(self, e: Edge, vec: np.ndarray) -> np.ndarray:
         """P_e |vec> on a full-space vector or, when H has a sector, a sector
         vector."""
-        return self._plans_for(vec)[e](vec)
+        return self.local.plans(vec)[e](vec)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """H |vec> as a sum of local applications, on a full-space vector or,
         when H has a sector, a sector vector."""
-        plans = self._plans_for(vec)
-        out = np.zeros(vec.shape, dtype=np.result_type(self.dtype, vec.dtype))
+        plans = self.local.plans(vec)
+        out = np.zeros(vec.shape, dtype=np.result_type(self.local.dtype, vec.dtype))
         for plan in plans.values():
             out += plan(vec)
         return out
 
     @cached_property
-    def _low_spectrum(self) -> tuple[int, np.ndarray, float | None, np.ndarray]:
-        """The solve behind `low_spectrum`, run once per Hamiltonian in its
-        solve space, and last the kernel there: the ground basis, or in a
-        sector the sector's part of it."""
-        d = self.dim
-        check_dim(d, "low-spectrum solve")
-        space = self._sector
-        n = d if space is None else space.dim
+    def _low_spectrum(self) -> tuple[np.ndarray, float | None]:
+        """H's kernel in its solve space (orthonormal columns) and gamma, the
+        smallest eigenvalue above the cluster below GROUND_TOL, from one
+        `linalg.lowest_eigenpairs` solve there.  Every multiplet has a member
+        in the sector, so gamma is exact.  gamma is None when the cluster
+        fills the space, as for H = 0 (no edges, or every projector zero)."""
+        check_dim(self.dim, "low-spectrum solve")
+        sector = self.local.sector
+        n = self.dim if sector is None else sector.dim
         if not any(p.any() for p in self.projectors.values()):
-            return d, np.eye(d), None, np.eye(n)
+            return np.eye(n), None
         vals, vecs = linalg.lowest_eigenpairs(self.apply, n, below=GROUND_TOL)
         if vals[0] >= GROUND_TOL:
             raise NotFrustrationFree(
                 f"smallest eigenvalue {vals[0]:.3e} is above tolerance {GROUND_TOL}")
         rank = int(np.sum(vals < GROUND_TOL))
-        gamma = float(vals[rank]) if rank < len(vals) else None
-        kernel = vecs[:, :rank]
-        basis = kernel if space is None else space.multiplets(kernel)
-        return basis.shape[1], basis, gamma, kernel
+        return vecs[:, :rank], float(vals[rank]) if rank < len(vals) else None
+
+    @cached_property
+    def _ground_basis(self) -> np.ndarray:
+        """The full ground basis: the kernel, or the multiplets through a
+        sector kernel (the whole space when it fills the sector)."""
+        kernel, gamma = self._low_spectrum
+        sector = self.local.sector
+        if sector is None:
+            return kernel
+        return np.eye(self.dim) if gamma is None else sector.multiplets(kernel)
 
     @cached_property
     def _pair_data(self) -> tuple[dict, dict]:
@@ -161,18 +141,10 @@ class FFHamiltonian:
 
 
 def low_spectrum(h: FFHamiltonian) -> tuple[int, np.ndarray, float | None]:
-    """Ground rank, orthonormal ground basis (dim x rank) and gamma, the
-    smallest eigenvalue above the ground cluster (eigenvalues below
-    GROUND_TOL), from one cached solve.
-
-    `linalg.lowest_eigenpairs` returns the cluster and the pair just above it,
-    in the sector when H has one: every multiplet has a member there, so
-    gamma is exact, and the ladder operators rebuild the full basis from the
-    sector's kernel without a second solve.  gamma is None when the cluster
-    fills the whole space, as it does for H = 0 (no edges, or every projector
-    zero).
-    """
-    return h._low_spectrum[:3]
+    """Ground rank, orthonormal ground basis (dim x rank) and gamma (None when
+    the ground cluster fills the space), from one cached solve."""
+    basis = h._ground_basis
+    return basis.shape[1], basis, h._low_spectrum[1]
 
 
 def ground_space(h: FFHamiltonian) -> tuple[int, np.ndarray]:
@@ -183,7 +155,7 @@ def ground_space(h: FFHamiltonian) -> tuple[int, np.ndarray]:
 
 def spectral_gap_gamma(h: FFHamiltonian) -> float:
     """Smallest eigenvalue of H above the ground cluster."""
-    _, _, gamma = low_spectrum(h)
+    _, gamma = h._low_spectrum
     if gamma is None:
         raise DegenerateSpectrum("no spectral gap: all eigenvalues sit in the ground cluster")
     return gamma
@@ -311,8 +283,8 @@ def random_ff_instance(seed: int, nodes: Sequence[int], dims: dict[int, int] | S
         avail = comp.shape[1]
         if projector_ranks is not None and e in projector_ranks:
             r = projector_ranks[e]
-            if r > avail:
-                raise InputError(f"rank {r} infeasible on edge {e} (max {avail})")
+            if not 0 <= r <= avail:
+                raise InputError(f"rank {r} infeasible on edge {e} (0 to {avail})")
         else:
             r = avail if avail == 0 else int(rng.integers(1, avail + 1))
         if r == 0:

@@ -3,27 +3,24 @@
 A local operator is a plain matrix together with its support, an ordered
 tuple of nodes whose tensor factors the matrix follows, and a mapping from
 node to dimension; `make_plan` and `embed` take the same four arguments
-(matrix, support, node_order, node_dims) and check them alike.  Local
-operators act on full-space vectors through compiled apply plans, and
-every spectral solve is matrix-free (Lanczos iteration) above
-DENSE_EIG_LIMIT; at or below it the operator is materialized by one apply to
-the identity and diagonalized by numpy's LAPACK.  Plans, and the operators
-built from them, act alike on one vector of length n and on an (n, b) block
-of b column vectors.  The dense helpers (`embed`, `eigh`, the norms) serve
-small local spaces, such as the joint support of two projectors, also on
-numpy's LAPACK, and refuse NaN and infinite entries; `embed` is also the
-kron oracle of `make_plan`.  Dense full-space oracles live with the tests.
-Operators whose local matrices are real to REAL_TOL are applied and solved
-in real arithmetic, complex ones in complex.
+(matrix, support, node_order, node_dims) and check them alike.  Compiled
+plans, and the operators built from them, act alike on one vector of length
+n and on an (n, b) block of b column vectors.  Every spectral solve is
+matrix-free (Lanczos iteration) above DENSE_EIG_LIMIT; at or below it the
+operator is materialized by one apply to the identity.  The dense helpers
+(`embed`, `eigh`, the norms) serve small local spaces on numpy's LAPACK and
+refuse NaN and infinite entries; `embed` is also the kron oracle of
+`make_plan`.  Dense full-space oracles live with the tests.  Matrices real to
+REAL_TOL are applied and solved in real arithmetic, complex ones in complex.
 
-A node of dimension d carries spin (d - 1)/2 in the basis m = S, ..., -S
-(`spin_operators`).  Operators whose local matrices are all SU(2)-invariant
-(`is_su2_invariant`) are solved in a `Sector`, the states of lowest total
-S_z, where every multiplet has a member: `Sector.plan` compiles one local
-matrix into a `SectorPlan` that acts on sector vectors without building a
-full-space vector or a sparse matrix, one plan per local operator as in the
-full space, and `Sector.multiplets` rebuilds the full-space multiplets of a
-sector kernel with the ladder operators.
+`LocalOperators`, local operators by support, is the one place that decides
+the space they act and are solved in: the `Sector` of lowest total S_z when
+every matrix is SU(2)-invariant (`is_su2_invariant`, a node of dimension d
+carrying spin (d - 1)/2 in the basis m = S, ..., -S), where every multiplet
+has a member, else the full space.  `Sector.plan` compiles one local matrix
+for sector vectors without a full-space vector or a sparse matrix;
+`Sector.lift` and `Sector.multiplets` take sector vectors and kernels to the
+full space, for callers that ask for it.
 
 Every solve goes through `_eigsh`, which alone sets the solver policy:
 LANCZOS_TOL, fixed start vectors from a counter-based SplitMix64 stream (no
@@ -440,18 +437,57 @@ class Sector:
         return np.column_stack(basis)
 
 
-def _in_sector(vec: np.ndarray, dim: int, sector: Sector | None) -> bool:
-    """Whether vec, one vector or an (n, b) block of them, lives in `sector`
-    rather than in the full space of dimension dim, read off its length; any
-    other length is an InputError naming the lengths accepted."""
-    if len(vec) == dim:
-        return False
-    if sector is not None and len(vec) == sector.dim:
-        return True
-    accepted = f"{dim} (full space)"
-    if sector is not None:
-        accepted += f" or {sector.dim} (sector)"
-    raise InputError(f"vector of length {len(vec)}: expected {accepted}")
+@dataclass(frozen=True, eq=False)
+class LocalOperators:
+    """Local operators, one matrix per support, on the nodes of node_order,
+    with their dtype, their solve space and the plans of each space, all
+    built on first use.  Built with `sector_of`, the set shares that set's
+    Sector object, and so its layouts, when both sets are invariant."""
+
+    matrices: Mapping[tuple[int, ...], np.ndarray]
+    node_order: tuple[int, ...]
+    node_dims: NodeDims
+    sector_of: LocalOperators | None = None
+
+    @property
+    def dim(self) -> int:
+        return math.prod(self.node_dims[v] for v in self.node_order)
+
+    @functools.cached_property
+    def dtype(self) -> np.dtype:
+        """float64 when every matrix is real to REAL_TOL, else complex128."""
+        return np.result_type(float, *(real_if_close(m).dtype
+                                       for m in self.matrices.values()))
+
+    @functools.cached_property
+    def sector(self) -> Sector | None:
+        """The lowest total-S_z sector when every matrix is SU(2)-invariant,
+        else None (the full space)."""
+        if not all(is_su2_invariant(m, [self.node_dims[v] for v in support])
+                   for support, m in self.matrices.items()):
+            return None
+        if self.sector_of is not None:
+            return self.sector_of.sector
+        return Sector.of(self.node_order, self.node_dims)
+
+    @functools.cached_property
+    def _full_plans(self) -> dict[tuple[int, ...], ApplyPlan]:
+        return {support: make_plan(m, support, self.node_order, self.node_dims)
+                for support, m in self.matrices.items()}
+
+    @functools.cached_property
+    def _sector_plans(self) -> dict[tuple[int, ...], SectorPlan]:
+        return {support: self.sector.plan(m, support) for support, m in self.matrices.items()}
+
+    def plans(self, vec: np.ndarray) -> dict:
+        """The plans by support for vec, one vector or an (n, b) block, picked
+        by its length: the full space's or the sector's, else an InputError."""
+        if len(vec) == self.dim:
+            return self._full_plans
+        if self.sector is not None and len(vec) == self.sector.dim:
+            return self._sector_plans
+        sector = "" if self.sector is None else f" or {self.sector.dim} (sector)"
+        raise InputError(f"vector of length {len(vec)}: expected {self.dim} (full space){sector}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Matching/coloring verification protocols: exact spectral gaps, the
 closed-form lower bounds, sample counts, and competitor cost formulas.
+
+Omega's bond operators are a `linalg.LocalOperators` that shares H's sector
+when both are SU(2)-invariant.  nu is solved and read in Omega's solve space;
+`top_excited_pair` lifts the eigenvector to the full space, once.
 """
 
 from __future__ import annotations
@@ -60,30 +64,12 @@ class Protocol:
         return min(op.gap for op in self.bond_ops.values())
 
     @cached_property
-    def _plans(self) -> dict[Edge, ApplyPlan]:
+    def local(self) -> linalg.LocalOperators:
+        """The bond operators as local operators, sharing H's sector when
+        both are SU(2)-invariant."""
         h = self.hamiltonian
-        return {e: linalg.make_plan(op.matrix, e, h.node_order, h.node_dims)
-                for e, op in self.bond_ops.items()}
-
-    @cached_property
-    def _sector(self) -> linalg.Sector | None:
-        """H's sector when every bond operator is SU(2)-invariant too, else None."""
-        h = self.hamiltonian
-        if h._sector is not None and all(
-                linalg.is_su2_invariant(op.matrix, [h.node_dims[v] for v in e])
-                for e, op in self.bond_ops.items()):
-            return h._sector
-        return None
-
-    @cached_property
-    def _sector_plans(self) -> dict[Edge, linalg.SectorPlan]:
-        return {e: self._sector.plan(op.matrix, e) for e, op in self.bond_ops.items()}
-
-    @cached_property
-    def dtype(self) -> np.dtype:
-        """float64 when every bond operator is real to REAL_TOL, else complex128."""
-        return np.result_type(float, *(linalg.real_if_close(op.matrix).dtype
-                                       for op in self.bond_ops.values()))
+        return linalg.LocalOperators({e: op.matrix for e, op in self.bond_ops.items()},
+                                     h.node_order, h.node_dims, sector_of=h.local)
 
     def _compiled_test(self, e: Edge, r: np.ndarray) -> tuple[ApplyPlan, float]:
         """A bond test's matrix on edge e as its apply plan and its normalized
@@ -109,51 +95,53 @@ class Protocol:
     def apply_test(self, matching: Sequence[Edge], vec: np.ndarray) -> np.ndarray:
         """The test operator of a matching on a full-space vector or, when
         Omega has a sector, a sector vector."""
-        in_sector = linalg._in_sector(vec, self.hamiltonian.dim, self._sector)
-        plans = self._sector_plans if in_sector else self._plans
+        plans = self.local.plans(vec)
         out = vec
         for e in matching:
             out = plans[e](out)
         return out
 
     def apply_omega(self, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(vec.shape, dtype=np.result_type(self.dtype, vec.dtype))
+        out = np.zeros(vec.shape, dtype=np.result_type(self.local.dtype, vec.dtype))
         for m, p in zip(self.cover.matchings, self.cover.probabilities):
             out += p * self.apply_test(m, vec)
         return out
 
     @cached_property
     def _top_excited(self) -> tuple[float, np.ndarray]:
-        """One solve of (1 - Q0) Omega (1 - Q0) for its largest eigenpair, in
-        real arithmetic when Omega and the ground basis are real.
-
-        With a sector, Q0 there is the projector onto H's kernel in the
-        sector, and the eigenvector is lifted to the full space."""
-        _, basis, _, kernel = self.hamiltonian._low_spectrum  # refuses d above FFV_MAX_DIM
-        space = self._sector
-        if space is None:
-            kernel = basis
+        """One solve of (1 - Q0) Omega (1 - Q0) for its largest eigenpair in
+        Omega's solve space, in real arithmetic when Omega and H's kernel are
+        real; the eigenvector stays there, deflated.  Q0 projects onto H's
+        kernel in the sector, or onto the full ground basis."""
+        h = self.hamiltonian
+        # either read runs H's solve, which refuses d above FFV_MAX_DIM
+        kernel = h._ground_basis if self.local.sector is None else h._low_spectrum[0]
 
         def deflated(v):
             return linalg.deflate(kernel, self.apply_omega(linalg.deflate(kernel, v)))
 
         lam, vec = linalg.largest_eigenpair(deflated, len(kernel))
-        vec = linalg.deflate(kernel, vec)
-        if space is not None:
-            vec = space.lift(vec)
+        return lam, linalg.deflate(kernel, vec)
+
+    @cached_property
+    def _top_excited_lifted(self) -> tuple[float, np.ndarray]:
+        lam, vec = self._top_excited
+        if self.local.sector is not None:
+            vec = self.local.sector.lift(vec)
         return lam, vec / np.linalg.norm(vec)
 
 
 def top_excited_pair(protocol: Protocol) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of (1 - Q0) Omega (1 - Q0) and its unit eigenvector
-    orthogonal to the ground space, from one cached solve per protocol."""
-    return protocol._top_excited
+    orthogonal to the ground space, in the full space: one cached solve and
+    one lift per protocol."""
+    return protocol._top_excited_lifted
 
 
 def measured_gap(protocol: Protocol) -> float:
     """Exact spectral gap 1 - ||(1 - Q0) Omega (1 - Q0)|| of the protocol's
     verification operator."""
-    lam, _ = top_excited_pair(protocol)
+    lam, _ = protocol._top_excited
     return 1.0 - lam
 
 

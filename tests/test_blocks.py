@@ -70,7 +70,7 @@ class TestOperators:
     @pytest.mark.parametrize("field", FIELDS)
     def test_hamiltonian_apply(self, closed_chain_five, space, field):
         h = complex_instance() if space == "complex-full" else closed_chain_five
-        n = h._sector.dim if space == "sector" else h.dim
+        n = h.local.sector.dim if space == "sector" else h.dim
         assert_columnwise(h.apply, random_block(np.random.default_rng(5), n, field))
 
     @pytest.mark.parametrize("space", ["full", "sector"])
@@ -78,8 +78,8 @@ class TestOperators:
     def test_apply_omega(self, closed_chain_five, icosahedron, space, field):
         h = closed_chain_five
         p = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
-        assert p._sector is not None
-        n = p._sector.dim if space == "sector" else h.dim
+        assert p.local.sector is not None
+        n = p.local.sector.dim if space == "sector" else h.dim
         assert_columnwise(p.apply_omega, random_block(np.random.default_rng(6), n, field))
 
     @pytest.mark.parametrize("basis_field", FIELDS)

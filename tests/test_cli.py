@@ -246,6 +246,87 @@ class TestSimulate:
         assert data["exact_pass_probability"] < 1.0
 
 
+#: commands whose stdout is frozen in data/cli_golden.json
+GOLDEN_COMMANDS = (
+    ("gap", "--chain", "6", "--closed"),
+    ("gap", "--chain", "6", "--closed", "--format", "csv"),
+    ("gap", "--chain", "6"),
+    ("gap", "--honeycomb", "2x1"),
+    ("gap", "--chain", "5", "--design", "isotropic"),
+    ("gap", "--chain", "8", "--closed", "--design", "tetrahedron"),
+    ("simulate", "--chain", "4", "--closed", "--seed", "5", "--noise", "worst_case",
+     "--runs", "3"),
+    ("simulate", "--chain", "4", "--closed", "--seed", "5", "--noise", "depolarizing",
+     "--runs", "3"),
+    ("simulate", "--chain", "4", "--closed", "--seed", "5", "--noise",
+     "coherent_rotation", "--runs", "3"),
+    ("check-bounds", "--instances", "20", "--seed", "7"),
+)
+GOLDEN_PATH = Path(__file__).parent / "data" / "cli_golden.json"
+#: absolute tolerance on a printed non-integer number
+GOLDEN_TOL = 1e-12
+
+
+def _cell(text: str):
+    """A CSV cell as the int, float or string it prints."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _parsed(argv, out: str):
+    """stdout as data: JSON, CSV rows, or check-bounds lines."""
+    if argv[0] == "check-bounds":
+        return out.splitlines()
+    if "csv" in argv:
+        return [[_cell(c) for c in row] for row in csv.reader(io.StringIO(out))]
+    return json.loads(out)
+
+
+def _assert_matches(got, want, where: str):
+    """Floats within GOLDEN_TOL; keys, integers, strings and None exactly."""
+    if isinstance(want, float) and not isinstance(got, bool):
+        assert isinstance(got, (int, float)) and abs(got - want) <= GOLDEN_TOL, \
+            f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            _assert_matches(a, b, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+class TestGolden:
+    """The printed results of gap, simulate and check-bounds, frozen in
+    data/cli_golden.json (regenerate with `PYTHONPATH=src python
+    tests/test_cli.py`): numbers within GOLDEN_TOL, everything else exact."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return {tuple(entry["argv"]): entry for entry in json.loads(GOLDEN_PATH.read_text())}
+
+    def test_file_lists_every_command(self, golden):
+        assert sorted(golden) == sorted(GOLDEN_COMMANDS)
+
+    @pytest.mark.parametrize("argv", GOLDEN_COMMANDS, ids=" ".join)
+    def test_output_matches(self, capsys, monkeypatch, golden, argv):
+        monkeypatch.delenv("FFV_MAX_DIM", raising=False)
+        code, out, err = run_cli(capsys, *argv)
+        want = golden[argv]
+        assert (code, err) == (want["code"], want["stderr"])
+        got, expected = _parsed(argv, out), _parsed(argv, want["stdout"])
+        if argv[0] == "simulate":
+            assert got["per_run"] == expected["per_run"]
+        _assert_matches(got, expected, " ".join(argv))
+
+
 class TestParsing:
     @pytest.mark.parametrize("argv, flag", [
         (("simulate", "--chain", "4", "--closed", "--tests", "0"), "--tests"),
@@ -370,3 +451,22 @@ class TestStartup:
         # chain 4's S_z = 0 sector (19 states) is solved dense, chains 6
         # and 8 (141 and 1107 states) by Lanczos
         assert modules_after("numpy.random", "gap", "--chain", chain, "--closed") == []
+
+
+def write_golden() -> None:
+    """Run GOLDEN_COMMANDS and write their exit codes and output to GOLDEN_PATH."""
+    import contextlib
+
+    os.environ.pop("FFV_MAX_DIM", None)
+    entries = []
+    for argv in GOLDEN_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+        entries.append({"argv": list(argv), "code": code, "stdout": out.getvalue(),
+                        "stderr": err.getvalue()})
+    GOLDEN_PATH.write_text(json.dumps(entries, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    write_golden()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ffverify import detectability as dl, hamiltonian as ham
+from ffverify import aklt, detectability as dl, graph, hamiltonian as ham
 from ffverify.errors import InputError
 
 from test_hamiltonian import commuting_family, single_projector_hamiltonian
@@ -119,6 +119,12 @@ class TestDLStateCheck:
     def test_unnormalized_rejected(self, chain4):
         with pytest.raises(InputError):
             dl.dl_state_check(chain4, None, np.ones(81))
+
+    def test_wrong_length_rejected_before_any_solve(self):
+        h = aklt.aklt_hamiltonian(graph.chain(4, closed=True))
+        with pytest.raises(InputError, match=r"shape \(5,\): expected \(81,\)"):
+            dl.dl_state_check(h, None, np.ones(5) / np.sqrt(5))
+        assert "_low_spectrum" not in vars(h)
 
 
 class TestProjectorPairCheck:

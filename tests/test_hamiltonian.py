@@ -238,6 +238,11 @@ class TestRandomInstance:
             ham.random_ff_instance(0, (0, 1), (2, 2), ((0, 1),), 1,
                                    projector_ranks={(0, 1): 4})
 
+    def test_requested_projector_rank_negative(self):
+        with pytest.raises(InputError, match=r"rank -1 infeasible on edge \(0, 1\)"):
+            ham.random_ff_instance(0, (0, 1, 2), (2, 2, 2), ((0, 1), (1, 2)), 1,
+                                   projector_ranks={(0, 1): -1})
+
 
 class TestApplyLength:
     """apply and apply_edge take a full-space vector or a sector vector; any

@@ -78,10 +78,10 @@ class TestSectorAgainstRotatedCopy:
         h = INSTANCES[name]()
         rotated = oracles.basis_rotated(h, seed=1)
         rank, basis, gamma = ham.low_spectrum(h)
-        assert solve_dims == [h._sector.dim] * len(solve_dims)
+        assert solve_dims == [h.local.sector.dim] * len(solve_dims)
         solve_dims.clear()
         oracle_rank, oracle_basis, oracle_gamma = ham.low_spectrum(rotated)
-        assert rotated._sector is None
+        assert rotated.local.sector is None
         assert solve_dims == [h.dim] * len(solve_dims)
 
         assert rank == oracle_rank == basis.shape[1]
@@ -102,7 +102,7 @@ class TestSectorAgainstRotatedCopy:
         _, oracle_basis = ham.ground_space(rotated)
         back = oracles.rotate(h, oracles.site_rotations(h, seed=1), oracle_basis, inverse=True)
         assert abs(nu - (1.0 - deflated_omega_top(protocol, back))) < 1e-10
-        omega_dim = h.dim if protocol._sector is None else h._sector.dim
+        omega_dim = h.dim if protocol.local.sector is None else h.local.sector.dim
         assert sector_solves[-1] == omega_dim
 
     @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -112,7 +112,7 @@ class TestSectorAgainstRotatedCopy:
         h = INSTANCES[name]()
         measured = dl.dl_norm_check(h).measured
         # the low-spectrum solves, then the product's
-        assert len(solve_dims) >= 2 and solve_dims == [h._sector.dim] * len(solve_dims)
+        assert len(solve_dims) >= 2 and solve_dims == [h.local.sector.dim] * len(solve_dims)
         oracle = dl.dl_norm_check(oracles.basis_rotated(h, seed=1)).measured
         assert abs(measured - oracle) < 1e-10
 
@@ -121,15 +121,15 @@ class TestPaths:
     def test_random_instance_takes_full_path(self, solve_dims):
         h = complex_instance()
         ham.low_spectrum(h)
-        assert h._sector is None and solve_dims == [h.dim]
+        assert h.local.sector is None and solve_dims == [h.dim]
 
     @pytest.mark.parametrize("design", ["tetrahedron", "octahedron"])
     def test_nu_of_low_order_designs_takes_full_path(self, design, solve_dims):
         h = aklt.aklt_hamiltonian(G.chain(5, closed=True))
         protocol = proto.build_protocol(h, G.edge_coloring(h.graph), aklt.design_catalog(design))
         nu = proto.measured_gap(protocol)
-        assert h._sector is not None and protocol._sector is None
-        assert solve_dims == [h._sector.dim, h.dim]
+        assert h.local.sector is not None and protocol.local.sector is None
+        assert solve_dims == [h.local.sector.dim, h.dim]
         dense_nu = oracles.nu(oracles.omega(protocol), oracles.ground_projector(h))
         assert abs(nu - dense_nu) < 1e-10
 
@@ -139,8 +139,8 @@ class TestPaths:
         mu = None if design == "isotropic" else aklt.design_catalog(design)
         protocol = proto.build_protocol(h, G.edge_coloring(h.graph), mu)
         lam, vec = proto.top_excited_pair(protocol)
-        assert protocol._sector is h._sector
-        assert solve_dims == [h._sector.dim] * 2
+        assert protocol.local.sector is h.local.sector
+        assert solve_dims == [h.local.sector.dim] * 2
         assert vec.shape == (h.dim,) and abs(np.linalg.norm(vec) - 1.0) < 1e-12
         omega_vec = protocol.apply_omega(vec)
         assert np.linalg.norm(omega_vec - lam * vec) < 1e-9

@@ -61,7 +61,7 @@ class TestClosedChainsReal:
     def test_rank_gamma_nu_match_dense(self, n, icosahedron):
         h = aklt.aklt_hamiltonian(G.chain(n, closed=True))
         protocol = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
-        assert h.dtype == np.float64 and protocol.dtype == np.float64
+        assert h.local.dtype == np.float64 and protocol.local.dtype == np.float64
         rank, basis, gamma = ham.low_spectrum(h)
         assert basis.dtype == np.float64
 
@@ -162,7 +162,7 @@ class TestComplexInstance:
     def test_stays_complex_and_matches_dense(self):
         h = complex_instance()
         assert h.dim > DENSE_EIG_LIMIT
-        assert h.dtype == np.complex128
+        assert h.local.dtype == np.complex128
         rank, basis, gamma = ham.low_spectrum(h)
         assert basis.dtype == np.complex128
         vals, _ = linalg.eigh(oracles.hamiltonian(h))
@@ -231,7 +231,7 @@ class TestOneSolve:
     def test_worst_case_state_then_nu_is_one_omega_call(self, icosahedron, monkeypatch):
         h = aklt.aklt_hamiltonian(G.chain(7, closed=True))
         protocol = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
-        assert (h.dim, h._sector.dim) == (2187, 393)
+        assert (h.dim, h.local.sector.dim) == (2187, 393)
         ham.ground_space(h)  # the H solve
         calls = []
         lanczos = linalg._lanczos

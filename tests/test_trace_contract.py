@@ -4,8 +4,8 @@
 a word, so a renamed function would read as a per-layer metric of zero.
 These tests load the two benchmark scripts read-only and resolve every name
 they use, and check that each eigensolve goes through a traced name, that
-building an instance builds no solve space, and that the BLAS thread policy
-has one home.
+building an instance builds no solve space, that `gap` builds no full-space
+vector on the sector path, and that the BLAS thread policy has one home.
 """
 
 import ast
@@ -17,6 +17,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -140,10 +141,12 @@ def test_setup_probe_builds_no_solve_space(replay, monkeypatch):
     monkeypatch.setattr(protocol, "build_protocol", capture)
     replay._setup(["gap", "--chain", "6", "--closed"])
     (p,) = built
-    lazy = {"_sector", "_sector_plans", "_low_spectrum", "_top_excited"}
-    assert not lazy & (set(vars(p.hamiltonian)) | set(vars(p)))
+    solves = {"_low_spectrum", "_top_excited"}
+    lazy = {"sector", "_sector_plans"}
+    assert not solves & (set(vars(p.hamiltonian)) | set(vars(p)))
+    assert not lazy & (set(vars(p.hamiltonian.local)) | set(vars(p.local)))
     protocol.measured_gap(p)
-    assert {"_sector", "_sector_plans"} <= set(vars(p.hamiltonian)) & set(vars(p))
+    assert lazy <= set(vars(p.hamiltonian.local)) & set(vars(p.local))
 
 
 def test_blas_thread_policy_has_one_home():
@@ -181,5 +184,59 @@ def test_sector_path_builds_no_full_space_plans(icosahedron):
     hamiltonian.low_spectrum(h)
     protocol.measured_gap(p)
     detectability.dl_norm_check(h)
-    assert h._sector is not None and p._sector is not None
-    assert "_plans" not in set(vars(h)) | set(vars(p))
+    assert h.local.sector is not None and p.local.sector is not None
+    assert "_full_plans" not in set(vars(h.local)) | set(vars(p.local))
+
+
+@pytest.fixture
+def full_space_calls(monkeypatch):
+    """(name, shape of the first array argument) of each call that builds
+    full-space vectors or plans, as they run."""
+    from ffverify import linalg
+
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, next(a.shape for a in args if isinstance(a, np.ndarray))))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("multiplets", "lift"):
+        monkeypatch.setattr(linalg.Sector, name, recording(name, getattr(linalg.Sector, name)))
+    monkeypatch.setattr(linalg, "make_plan", recording("make_plan", linalg.make_plan))
+    return calls
+
+
+def test_gap_stays_in_the_sector(icosahedron, full_space_calls):
+    """gamma, nu and the detectability-lemma product need only H's kernel in
+    the sector: `gap_report` and `dl_norm_check` build no full ground basis,
+    lift no vector and compile no full-space plan."""
+    from ffverify import aklt, detectability, graph, protocol
+
+    h = aklt.aklt_hamiltonian(graph.chain(6, closed=True))
+    p = protocol.build_protocol(h, graph.edge_coloring(h.graph), icosahedron)
+    protocol.gap_report(p)
+    detectability.dl_norm_check(h)
+    assert full_space_calls == []
+    assert h.local.sector is not None and p.local.sector is h.local.sector
+    assert "_full_plans" not in set(vars(h.local)) | set(vars(p.local))
+
+
+def test_worst_case_state_lifts_once(icosahedron, full_space_calls):
+    """The worst-case state needs the full ground basis and Omega's top
+    eigenvector in the full space: one `multiplets` call, which lifts H's
+    sector kernel, and one lift of the eigenvector, however often either is
+    read."""
+    from ffverify import aklt, graph, protocol, simulate
+
+    h = aklt.aklt_hamiltonian(graph.chain(6, closed=True))
+    p = protocol.build_protocol(h, graph.edge_coloring(h.graph), icosahedron)
+    spec = simulate.NoiseSpec("worst_case", 0.1)
+    state = simulate.prepare_state(p, spec)
+    simulate.prepare_state(p, spec)
+    protocol.measured_gap(p)
+    sector_dim = h.local.sector.dim
+    assert [c for c in full_space_calls if c[0] != "make_plan"] == [
+        ("multiplets", (sector_dim, 1)), ("lift", (sector_dim, 1)), ("lift", (sector_dim,))]
+    assert state.ensemble[-1][1] is protocol.top_excited_pair(p)[1]
