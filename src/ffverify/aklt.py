@@ -43,7 +43,7 @@ def coherent_extremes(twice_s: int, direction) -> tuple[np.ndarray, np.ndarray]:
     if r.ndim not in (1, 2) or r.shape[-1:] != (3,) or r.size == 0:
         raise InputError("direction must be a unit 3-vector or an (n, 3) block of them")
     rows = r.reshape(-1, 3)
-    if np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() > UNIT_VECTOR_TOL:
+    if not np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= UNIT_VECTOR_TOL:
         raise InputError("every direction must be a unit 3-vector")
     x, y, z = rows.T[:, :, None]
     theta = np.arctan2(np.hypot(x, y), z)
@@ -172,6 +172,8 @@ class DirectionDistribution:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
             raise InputError("points must be a nonempty (n, 3) array")
+        if not np.isfinite(pts).all():
+            raise InputError("points must be finite")
         norms = np.linalg.norm(pts, axis=1)
         if np.max(np.abs(norms - 1.0)) > UNIT_VECTOR_TOL:
             raise InputError("all points must lie on the unit sphere")
@@ -181,6 +183,8 @@ class DirectionDistribution:
             w = np.asarray(self.weights, dtype=float)
         if w.shape != (len(pts),) or np.any(w < 0):
             raise InputError("weights must be nonnegative, one per point")
+        if not np.isfinite(w).all():
+            raise InputError("weights must be finite")
         if abs(w.sum() - 1.0) > PROB_SUM_TOL:
             raise InputError(f"weights sum to {w.sum()}, expected 1")
         pts.setflags(write=False)
@@ -216,7 +220,11 @@ class DirectionDistribution:
     @classmethod
     def from_file(cls, path) -> "DirectionDistribution":
         with open(path) as fh:
-            return cls.from_json(fh.read())
+            text = fh.read()
+        try:
+            return cls.from_json(text)
+        except InputError as exc:
+            raise InputError(f"design file {path}: {exc}") from exc
 
 
 def symmetrize(mu: DirectionDistribution) -> DirectionDistribution:

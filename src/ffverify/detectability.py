@@ -54,20 +54,19 @@ def _complement_product(h: FFHamiltonian, edges: Sequence[Edge],
 def _product_norm_sq(h: FFHamiltonian, ordering: Sequence[Edge]) -> float:
     """||(1 - Q0) (1-P_1)...(1-P_q) (1 - Q0)||^2, in H's solve space.
 
-    Q0 commutes with every projector, so the inner complements collapse and
-    only the two outer deflations remain.  When every P_e is SU(2)-invariant
-    the product is too, so its norm is reached in H's sector, with Q0 the
-    projector onto H's kernel there.
+    Q0 commutes with every projector and is idempotent, so the product is
+    M = (1-P_1)...(1-P_q)(1 - Q0), and one apply of M^dagger M deflates twice:
+    once in M and once in M^dagger = (1 - Q0)(1-P_q)...(1-P_1).  When every
+    P_e is SU(2)-invariant the product is too, so its norm is reached in H's
+    sector, with Q0 the projector onto H's kernel there.
     """
     kernel, _ = h._low_spectrum
 
     def apply_m(v):
-        v = _complement_product(h, reversed(ordering), linalg.deflate(kernel, v))
-        return linalg.deflate(kernel, v)
+        return _complement_product(h, reversed(ordering), linalg.deflate(kernel, v))
 
     def apply_m_adjoint(v):
-        v = _complement_product(h, ordering, linalg.deflate(kernel, v))
-        return linalg.deflate(kernel, v)
+        return linalg.deflate(kernel, _complement_product(h, ordering, v))
 
     norm = linalg.product_operator_norm(apply_m, apply_m_adjoint, len(kernel))
     return norm * norm

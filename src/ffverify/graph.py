@@ -141,8 +141,8 @@ class MatchingCover:
                 raise InputError(f"matching {m} repeats an edge")
             if not _is_matching(m):
                 raise InputError(f"{m} is not a matching (adjacent edges)")
-        if any(p < 0 for p in probs):
-            raise InputError("probabilities must be nonnegative")
+        if not all(0 <= p < float("inf") for p in probs):
+            raise InputError("probabilities must be finite and nonnegative")
         if abs(sum(probs) - 1.0) > PROB_SUM_TOL:
             raise InputError(f"probabilities sum to {sum(probs)}, expected 1")
         object.__setattr__(self, "matchings", matchings)

@@ -250,6 +250,8 @@ def random_ff_instance(seed: int, nodes: Sequence[int], dims: dict[int, int] | S
     Draws a Haar-random `ground_rank`-dimensional subspace, then for each edge
     a random local projector annihilating it.  The actual zero-energy space may
     exceed the planted one; the frustration-free property always holds.
+    `projector_ranks` fixes the rank on some edges, keyed by their nodes in
+    any order; a key that names no edge is an InputError.
     """
     nodes = tuple(int(v) for v in nodes)
     if not isinstance(dims, dict):
@@ -258,6 +260,14 @@ def random_ff_instance(seed: int, nodes: Sequence[int], dims: dict[int, int] | S
     total = math.prod(dims[v] for v in g.vertices)
     if not 1 <= ground_rank <= total:
         raise InputError(f"ground rank {ground_rank} infeasible in dimension {total}")
+    ranks = {}
+    for key, r in (projector_ranks or {}).items():
+        e = tuple(sorted(key))
+        if e not in g.edges:
+            raise InputError(f"projector rank for {key}, which is not an edge")
+        if e in ranks:
+            raise InputError(f"projector rank for edge {e} given twice")
+        ranks[e] = r
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((total, ground_rank)) + 1j * rng.standard_normal((total, ground_rank))
     basis, _ = np.linalg.qr(raw)
@@ -281,8 +291,8 @@ def random_ff_instance(seed: int, nodes: Sequence[int], dims: dict[int, int] | S
         keep = int(np.sum(sv > 1e-10))
         comp = u[:, keep:]  # orthonormal basis of the allowed subspace
         avail = comp.shape[1]
-        if projector_ranks is not None and e in projector_ranks:
-            r = projector_ranks[e]
+        if e in ranks:
+            r = ranks[e]
             if not 0 <= r <= avail:
                 raise InputError(f"rank {r} infeasible on edge {e} (0 to {avail})")
         else:

@@ -25,21 +25,18 @@ full space, for callers that ask for it.
 Every solve goes through `_eigsh`, which alone sets the solver policy:
 LANCZOS_TOL, fixed start vectors from a counter-based SplitMix64 stream (no
 random-number module is loaded), LANCZOS_MAX_RESTARTS, solver failures as
-ResourceError, real or complex arithmetic as the operator returns it, and
-the BLAS thread policy: from the first Lanczos solve on, numpy's OpenBLAS
-pool runs one thread, unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
-OMP_NUM_THREADS is set.  Above the dense floor `_lanczos`, a thick-restart
-Lanczos on numpy alone, does the work; complex operators run it in complex
-arithmetic, Hermitian throughout.
+ResourceError, and real or complex arithmetic as the operator returns it.
+Above the dense floor `_lanczos`, a thick-restart Lanczos on numpy alone,
+does the work; complex operators run it in complex arithmetic, Hermitian
+throughout.  BLAS threads are numpy's: set OPENBLAS_NUM_THREADS to change
+them.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -498,37 +495,6 @@ def deflate(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return vec - basis @ (basis.conj().T @ vec)
 
 
-@functools.cache
-def _blas_thread_policy() -> None:
-    """Run numpy's OpenBLAS pool on one thread, once.
-
-    The pool starts with one thread per core.  A Lanczos solve makes many
-    small BLAS calls (the apply kernels' small matmuls, products with a few
-    dozen basis rows), and a second thread gains nothing on them: closed
-    chains 10 and 12 take the same time within noise on one thread and on
-    two, so one thread leaves the other cores free.  A thread count the user
-    set in the environment is left alone.
-    """
-    if any(name in os.environ
-           for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
-        return
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:  # not Linux: no loaded libraries to look up
-        return
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        # numpy's ILP64 build, and the LP64 one some platforms ship
-        for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
-                setter(1)
-
-
 #: SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): its state increment and
 #: the multipliers of its output mix
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -666,9 +632,9 @@ def _eigsh(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
     Up to DENSE_EIG_LIMIT the operator is materialized by one apply to the
     identity, a block of dim columns, and diagonalized by numpy's LAPACK.
     Above it `_lanczos` runs thick-restart Lanczos within
-    LANCZOS_MAX_RESTARTS restarts, after the BLAS thread policy
-    (`_blas_thread_policy`); running out of restarts, or a NaN or infinite
-    operator output, is a ResourceError.
+    LANCZOS_MAX_RESTARTS restarts; running out of restarts, or a NaN or
+    infinite operator output, is a ResourceError, as is asking for k >= dim - 1
+    pairs.  BLAS runs on the threads numpy started with.
     """
     if dim <= DENSE_EIG_LIMIT:
         matrix = matvec(np.eye(dim))
@@ -678,7 +644,6 @@ def _eigsh(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
     if k >= dim - 1:
         raise ResourceError(
             f"{k} eigenpairs of dimension {dim} saturate the iterative eigensolver")
-    _blas_thread_policy()
     return _lanczos(matvec, dim, k, which)
 
 

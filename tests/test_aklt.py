@@ -63,7 +63,9 @@ class TestCoherentExtremes:
         (0, [0, 0, 1]), (2, [1, 0]),
         # blocks: empty, three-dimensional, rows of two, one non-unit row
         (2, np.zeros((0, 3))), (2, np.zeros((2, 2, 3))), (2, [[1.0, 0]]),
-        (2, [[0, 0, 1], [0, 0, 1 + 1e-9], [1, 0, 0]])])
+        (2, [[0, 0, 1], [0, 0, 1 + 1e-9], [1, 0, 0]]),
+        # a NaN norm fails every comparison with the tolerance
+        (2, [np.nan, 0, 1])])
     def test_invalid_spin_or_direction(self, twice_s, direction):
         with pytest.raises(InputError):
             aklt.coherent_extremes(twice_s, direction)
@@ -383,6 +385,15 @@ class TestDirectionDistributionValidation:
         pts = np.array([[0, 0, 1.0], [0, 1.0, 0]])
         with pytest.raises(InputError):
             aklt.DirectionDistribution(pts, np.array([1.5, -0.5]))
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("field, text", [
+        ("points", '{{"points": [[0, 0, 1], [0, {bad}, 1]]}}'),
+        ("weights", '{{"points": [[0, 0, 1], [0, 0, -1]], "weights": [1.0, {bad}]}}'),
+    ], ids=["points", "weights"])
+    def test_non_finite_json(self, field, text, bad):
+        with pytest.raises(InputError, match=f"{field} must be finite"):
+            aklt.DirectionDistribution.from_json(text.format(bad=bad))
 
 
 class TestOverlapTrace:

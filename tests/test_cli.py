@@ -94,6 +94,19 @@ class TestGap:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("text", [
+        '{"points": [[0, 0, 1], [0, NaN, 1]]}',
+        '{"points": [[0, 0, 1], [0, 0, -1]], "weights": [NaN, 0.5]}',
+    ], ids=["point", "weight"])
+    def test_non_finite_design_file(self, capsys, tmp_path, text):
+        path = tmp_path / "mu.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "gap", "--chain", "4", "--closed",
+                                 "--design", str(path))
+        field = "points" if "weights" not in text else "weights"
+        assert (code, out) == (2, "")
+        assert err == f"error: design file {path}: {field} must be finite\n"
+
     def test_custom_design_file(self, capsys, tmp_path):
         from ffverify import aklt
         path = tmp_path / "mu.json"
@@ -261,6 +274,8 @@ GOLDEN_COMMANDS = (
     ("simulate", "--chain", "4", "--closed", "--seed", "5", "--noise",
      "coherent_rotation", "--runs", "3"),
     ("check-bounds", "--instances", "20", "--seed", "7"),
+    ("gap", "--square", "3x2"),
+    ("simulate", "--chain", "4", "--closed", "--seed", "5", "--runs", "3", "--format", "csv"),
 )
 GOLDEN_PATH = Path(__file__).parent / "data" / "cli_golden.json"
 #: absolute tolerance on a printed non-integer number
@@ -322,7 +337,7 @@ class TestGolden:
         want = golden[argv]
         assert (code, err) == (want["code"], want["stderr"])
         got, expected = _parsed(argv, out), _parsed(argv, want["stdout"])
-        if argv[0] == "simulate":
+        if argv[0] == "simulate" and "csv" not in argv:
             assert got["per_run"] == expected["per_run"]
         _assert_matches(got, expected, " ".join(argv))
 

@@ -111,6 +111,15 @@ class TestEdgeColoring:
         with pytest.raises(InputError):
             G.edge_coloring(G.Hypergraph((1,), ()))
 
+    def test_bipartite_alternating_path_swap(self):
+        """Edge (0, 4) comes last and finds no color free at both ends, so the
+        alternating path from 4 swaps two colors; max-degree colors still do."""
+        g = G.Hypergraph(range(6), [(1, 5), (2, 4), (1, 4), (2, 5), (0, 5), (0, 4)])
+        cover = G.edge_coloring(g)
+        assert len(cover) == G.max_degree(g) == 3
+        assert cover.covers(g) and cover.is_coloring()
+        assert all(vertex_disjoint(m) for m in cover.matchings)
+
     def test_hypergraph_greedy(self):
         g = G.Hypergraph(tuple(range(6)),
                          ((0, 1, 2), (2, 3), (3, 4, 5), (0, 5), (1, 4)))
@@ -160,6 +169,11 @@ class TestMatchingCover:
     def test_negative_probability(self):
         with pytest.raises(InputError):
             G.MatchingCover((((1, 2),), ((3, 4),)), (1.5, -0.5))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_probability(self, bad):
+        with pytest.raises(InputError, match="probabilities must be finite"):
+            G.MatchingCover((((1, 2),), ((3, 4),)), (1.0, bad))
 
     def test_member_must_be_matching(self):
         with pytest.raises(InputError):

@@ -238,6 +238,24 @@ class TestRandomInstance:
             ham.random_ff_instance(0, (0, 1), (2, 2), ((0, 1),), 1,
                                    projector_ranks={(0, 1): 4})
 
+    def test_projector_rank_keys_in_any_node_order(self):
+        edges = ((0, 1), (1, 2))
+        with pytest.raises(InputError, match=r"rank 3 infeasible on edge \(0, 1\)"):
+            ham.random_ff_instance(0, (0, 1, 2), (2, 2, 2), edges, 1,
+                                   projector_ranks={(1, 0): 3})
+        h = ham.random_ff_instance(0, (0, 1, 2), (2, 2, 2), edges, 1,
+                                   projector_ranks={(1, 0): 2})
+        assert np.linalg.matrix_rank(h.projectors[(0, 1)]) == 2
+
+    @pytest.mark.parametrize("ranks, message", [
+        ({(0, 2): 1}, r"\(0, 2\), which is not an edge"),
+        ({(0, 1): 1, (1, 0): 2}, r"edge \(0, 1\) given twice"),
+    ], ids=["not-an-edge", "twice"])
+    def test_projector_rank_key_refused(self, ranks, message):
+        with pytest.raises(InputError, match=message):
+            ham.random_ff_instance(0, (0, 1, 2), (2, 2, 2), ((0, 1), (1, 2)), 1,
+                                   projector_ranks=ranks)
+
     def test_requested_projector_rank_negative(self):
         with pytest.raises(InputError, match=r"rank -1 infeasible on edge \(0, 1\)"):
             ham.random_ff_instance(0, (0, 1, 2), (2, 2, 2), ((0, 1), (1, 2)), 1,

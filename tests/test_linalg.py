@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ffverify import linalg
-from ffverify.errors import InputError
+from ffverify.errors import InputError, ResourceError
 from ffverify.tolerances import DENSE_EIG_LIMIT
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -252,6 +252,12 @@ class TestMatrixFree:
         assert vecs.dtype == vec.dtype == np.float64
         assert np.allclose(vals, [2.0]) and abs(top - 2.0) < 1e-12
 
+    def test_saturating_request_is_a_resource_error(self):
+        """Every eigenvalue of the zero operator lies below 1, so k doubles
+        until it reaches dim - 1 pairs, more than Lanczos can deliver."""
+        with pytest.raises(ResourceError, match="saturate the iterative eigensolver"):
+            linalg.lowest_eigenpairs(lambda v: 0.0 * v, 70, below=1.0)
+
     def test_product_operator_norm_matches_svd(self):
         rng = np.random.default_rng(13)
         m = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
@@ -461,17 +467,23 @@ def user_pools():
     return probe_pools(OPENBLAS_NUM_THREADS="2")
 
 
+@pytest.fixture(scope="module")
+def one_thread_pools():
+    return probe_pools(OPENBLAS_NUM_THREADS="1")
+
+
 class TestBlasThreadPolicy:
+    """ffverify leaves numpy's BLAS threads as numpy started them."""
+
     def test_import_and_build_leave_pools_alone(self, default_pools):
         assert default_pools["built"] == default_pools["start"]
         assert default_pools["scipy_built"] == []
 
-    def test_lanczos_solve_sets_one_thread_per_pool(self, default_pools):
+    def test_solve_leaves_pools_alone(self, default_pools, user_pools):
         # the solve loads no other BLAS: numpy's pool is the only one
-        solved = default_pools["solved"]
-        assert set(solved) == set(default_pools["start"])
-        assert solved == {name: 1 for name in solved}
-        assert default_pools["scipy_solved"] == []
+        for pools in (default_pools, user_pools):
+            assert pools["solved"] == pools["start"]
+            assert pools["scipy_solved"] == []
 
     def test_user_thread_count_wins(self, user_pools):
         # OpenBLAS caps the variable at the cores it may run on
@@ -480,7 +492,7 @@ class TestBlasThreadPolicy:
         if len(os.sched_getaffinity(0)) >= 2:
             assert set(solved.values()) == {2}
 
-    def test_results_independent_of_thread_count(self, default_pools, user_pools):
+    def test_results_independent_of_thread_count(self, default_pools, one_thread_pools):
         for key in ("gamma", "nu_measured"):
-            assert default_pools["row"][key] == pytest.approx(user_pools["row"][key],
+            assert default_pools["row"][key] == pytest.approx(one_thread_pools["row"][key],
                                                               abs=1e-10)

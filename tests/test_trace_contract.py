@@ -5,7 +5,7 @@ a word, so a renamed function would read as a per-layer metric of zero.
 These tests load the two benchmark scripts read-only and resolve every name
 they use, and check that each eigensolve goes through a traced name, that
 building an instance builds no solve space, that `gap` builds no full-space
-vector on the sector path, and that the BLAS thread policy has one home.
+vector on the sector path, and that no module touches BLAS threads.
 """
 
 import ast
@@ -149,27 +149,16 @@ def test_setup_probe_builds_no_solve_space(replay, monkeypatch):
     assert lazy <= set(vars(p.hamiltonian.local)) & set(vars(p.local))
 
 
-def test_blas_thread_policy_has_one_home():
-    """Only linalg sets BLAS threads, in one function that only `_eigsh` calls,
-    so import and instance building never change them."""
+def test_no_module_sets_blas_threads():
+    """BLAS threads are numpy's: no module loads a shared library, reads the
+    process's memory map or sets a thread count."""
     import ffverify
 
     package = Path(ffverify.__file__).resolve().parent
-    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
-    assert [name for name, text in sources.items() if "set_num_threads" in text] == ["linalg"]
-    trees = {name: ast.parse(text) for name, text in sources.items()}
-    functions = {node.name: node for node in ast.walk(trees["linalg"])
-                 if isinstance(node, ast.FunctionDef)}
-    setters = [name for name, fn in functions.items()
-               if "set_num_threads" in ast.get_source_segment(sources["linalg"], fn)]
-    assert len(setters) == 1
-
-    def uses(tree) -> int:
-        return sum(isinstance(node, ast.Name) and node.id == setters[0]
-                   or isinstance(node, ast.Attribute) and node.attr == setters[0]
-                   for node in ast.walk(tree))
-
-    assert sum(uses(tree) for tree in trees.values()) == uses(functions["_eigsh"]) == 1
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        for word in ("set_num_threads", "ctypes", "/proc/self/maps"):
+            assert word not in text, f"{path.name} mentions {word}"
 
 
 def test_sector_path_builds_no_full_space_plans(icosahedron):
@@ -186,6 +175,39 @@ def test_sector_path_builds_no_full_space_plans(icosahedron):
     detectability.dl_norm_check(h)
     assert h.local.sector is not None and p.local.sector is not None
     assert "_full_plans" not in set(vars(h.local)) | set(vars(p.local))
+
+
+def test_product_gram_apply_deflates_twice(monkeypatch):
+    """The detectability-lemma product is M = (1-P_1)...(1-P_q)(1 - Q0): one
+    apply of M^dagger M deflates once in M and once in M^dagger, and applies
+    every projector once in each."""
+    from ffverify import aklt, detectability, graph, hamiltonian, linalg
+
+    h = aklt.aklt_hamiltonian(graph.chain(6, closed=True))
+    operators = []
+    norm = linalg.product_operator_norm
+
+    def capture(apply_m, apply_m_adjoint, dim):
+        operators.append((apply_m, apply_m_adjoint, dim))
+        return norm(apply_m, apply_m_adjoint, dim)
+
+    monkeypatch.setattr(linalg, "product_operator_norm", capture)
+    detectability.dl_norm_check(h)
+    ((apply_m, apply_m_adjoint, dim),) = operators
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "deflate", counting("deflate", linalg.deflate))
+    monkeypatch.setattr(hamiltonian.FFHamiltonian, "apply_edge",
+                        counting("apply_edge", hamiltonian.FFHamiltonian.apply_edge))
+    apply_m_adjoint(apply_m(np.ones(dim)))
+    assert calls.count("deflate") == 2
+    assert calls.count("apply_edge") == 2 * len(h.graph.edges)
 
 
 @pytest.fixture
