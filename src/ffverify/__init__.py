@@ -20,9 +20,9 @@ from .aklt import (Bond, BondOperator, DirectionDistribution,
                    frame_potential, is_design, isotropic_bond_operator,
                    overlap_trace, spin_operators, symmetrize, trace_floor)
 from .protocol import (GapReport, Protocol, aklt_protocol_bounds, build_protocol,
-                       coloring_gap_bound, competitor_costs, gap_factor,
-                       gap_report, matching_gap_bounds, measured_gap,
-                       sample_count, sample_count_from_bounds)
+                       coloring_gap_bound, gap_factor, gap_report,
+                       matching_gap_bounds, measured_gap, sample_count,
+                       sample_count_from_bounds)
 from .simulate import (NoiseSpec, PreparedState, RunResult,
                        acceptance_probability, estimate_pass_rate, prepare_state,
                        run_many)

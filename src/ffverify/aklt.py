@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .errors import InputError
+from .errors import InputError, InvariantViolation
 from .graph import Hypergraph, Edge, degree
 from .hamiltonian import FFHamiltonian
 from .linalg import spin_operators
@@ -80,7 +80,7 @@ def coupled_spin_projector(twice_sj: int, twice_sk: int) -> np.ndarray:
     mask = np.abs(vals - target) < SPIN_CLUSTER_TOL
     rank = int(np.sum(mask))
     if rank != twice_sj + twice_sk + 1:
-        raise InputError(
+        raise InvariantViolation(
             f"top spin sector has rank {rank}, expected {twice_sj + twice_sk + 1}")
     v = vecs[:, mask]
     p = v @ v.conj().T
@@ -177,10 +177,7 @@ class DirectionDistribution:
         norms = np.linalg.norm(pts, axis=1)
         if np.max(np.abs(norms - 1.0)) > UNIT_VECTOR_TOL:
             raise InputError("all points must lie on the unit sphere")
-        if self.weights is None:
-            w = np.full(len(pts), 1.0 / len(pts))
-        else:
-            w = np.asarray(self.weights, dtype=float)
+        w = np.asarray(self.weights, dtype=float)
         if w.shape != (len(pts),) or np.any(w < 0):
             raise InputError("weights must be nonnegative, one per point")
         if not np.isfinite(w).all():
@@ -409,7 +406,7 @@ def bond_design_report(b: Bond, mu: DirectionDistribution) -> BondDesignReport:
 
     p = b.top_projector
     q = b.ground_projector
-    closed = q + ((t - 1) / (t + 1)) * p
+    closed = isotropic_bond_operator(b).matrix
     matches = linalg.operator_norm(op.matrix - closed) < DESIGN_TOL
 
     # best homogeneous fit: lambda = tr[(Omega - Q) P] / tr P

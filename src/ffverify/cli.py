@@ -143,12 +143,11 @@ def cmd_compare(args) -> int:
     n_strong, _ = proto.sample_count_from_bounds(
         m=2, nu_e=2.0 / 5.0, epsilon=args.epsilon, delta=args.delta,
         gamma=args.gamma, s=0.5, g=2)
-    for n in sizes:
-        costs = proto.competitor_costs(args.epsilon, args.delta, gamma=args.gamma,
-                                       n=n, edge_count=n, kappa=args.kappa,
-                                       alpha=args.alpha)
+    for n in sizes:  # a closed chain of n nodes has n edges
         rows.append({"n": n, "coloring_N": n_strong,
-                     "HKSE_N": costs["HKSE"], "BHSRE_N": costs["BHSRE"]})
+                     "HKSE_N": proto.hkse_cost(n, args.gamma, args.epsilon, args.delta),
+                     "BHSRE_N": proto.bhsre_lower(n, args.gamma, args.epsilon, args.delta,
+                                                  args.kappa, args.alpha)})
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")

@@ -28,6 +28,12 @@ def _bound_chain(energy: float, zeta: float, s: float, g_tilde: int, g: int) -> 
     return tuple(out)
 
 
+def _chain_holds(first: float, bounds: tuple[float, ...]) -> bool:
+    """Whether first <= bounds[0] <= bounds[1] <= ..., each up to BOUND_CHECK_TOL."""
+    chain = (first,) + bounds
+    return all(a <= b + BOUND_CHECK_TOL for a, b in zip(chain, chain[1:]))
+
+
 @dataclass(frozen=True)
 class DLReport:
     """Measured product norm squared against its four upper bounds."""
@@ -39,8 +45,7 @@ class DLReport:
 
     @property
     def passed(self) -> bool:
-        chain = (self.measured,) + self.bounds
-        return all(a <= b + BOUND_CHECK_TOL for a, b in zip(chain, chain[1:]))
+        return _chain_holds(self.measured, self.bounds)
 
 
 def _complement_product(h: FFHamiltonian, edges: Sequence[Edge],
@@ -96,8 +101,7 @@ class StateCheck:
     def passed(self) -> bool:
         if self.energy is None:
             return True  # vacuous: phi = 0
-        chain = (self.phi_norm_sq,) + self.bounds
-        return all(a <= b + BOUND_CHECK_TOL for a, b in zip(chain, chain[1:]))
+        return _chain_holds(self.phi_norm_sq, self.bounds)
 
 
 def dl_state_check(h: FFHamiltonian, ordering: Sequence[Edge] | None,

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateSpectrum, InputError, NotFrustrationFree
+from .errors import DegenerateSpectrum, InputError, InvariantViolation, NotFrustrationFree
 from .graph import Edge, Hypergraph
 from .tolerances import COMMUTE_TOL, GROUND_TOL, check_dim
 
@@ -185,7 +185,7 @@ class CommutationStructure:
         s2 = self.s ** 2
         chain = (self.zeta, s2 * self.g_tilde, s2 * self.g ** 2, float(self.g ** 2))
         if any(lo > hi + 1e-12 for lo, hi in zip(chain, chain[1:])):
-            raise InputError(f"profile chain violated: {chain}")
+            raise InvariantViolation(f"profile chain violated: {chain}")
 
 
 def commutation_structure(h: FFHamiltonian,
@@ -243,15 +243,12 @@ def best_zeta_ordering(h: FFHamiltonian) -> tuple[tuple[Edge, ...], float]:
 
 
 def random_ff_instance(seed: int, nodes: Sequence[int], dims: dict[int, int] | Sequence[int],
-                       edges: Iterable[Iterable[int]], ground_rank: int,
-                       projector_ranks: dict[Edge, int] | None = None) -> FFHamiltonian:
+                       edges: Iterable[Iterable[int]], ground_rank: int) -> FFHamiltonian:
     """Random frustration-free instance with a planted shared null space.
 
     Draws a Haar-random `ground_rank`-dimensional subspace, then for each edge
     a random local projector annihilating it.  The actual zero-energy space may
     exceed the planted one; the frustration-free property always holds.
-    `projector_ranks` fixes the rank on some edges, keyed by their nodes in
-    any order; a key that names no edge is an InputError.
     """
     nodes = tuple(int(v) for v in nodes)
     if not isinstance(dims, dict):
@@ -260,14 +257,6 @@ def random_ff_instance(seed: int, nodes: Sequence[int], dims: dict[int, int] | S
     total = math.prod(dims[v] for v in g.vertices)
     if not 1 <= ground_rank <= total:
         raise InputError(f"ground rank {ground_rank} infeasible in dimension {total}")
-    ranks = {}
-    for key, r in (projector_ranks or {}).items():
-        e = tuple(sorted(key))
-        if e not in g.edges:
-            raise InputError(f"projector rank for {key}, which is not an edge")
-        if e in ranks:
-            raise InputError(f"projector rank for edge {e} given twice")
-        ranks[e] = r
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((total, ground_rank)) + 1j * rng.standard_normal((total, ground_rank))
     basis, _ = np.linalg.qr(raw)
@@ -291,15 +280,10 @@ def random_ff_instance(seed: int, nodes: Sequence[int], dims: dict[int, int] | S
         keep = int(np.sum(sv > 1e-10))
         comp = u[:, keep:]  # orthonormal basis of the allowed subspace
         avail = comp.shape[1]
-        if e in ranks:
-            r = ranks[e]
-            if not 0 <= r <= avail:
-                raise InputError(f"rank {r} infeasible on edge {e} (0 to {avail})")
-        else:
-            r = avail if avail == 0 else int(rng.integers(1, avail + 1))
-        if r == 0:
+        if avail == 0:
             p = np.zeros((d_e, d_e), dtype=complex)
         else:
+            r = int(rng.integers(1, avail + 1))
             mix = rng.standard_normal((avail, avail)) + 1j * rng.standard_normal((avail, avail))
             q, _ = np.linalg.qr(comp @ mix)
             v = q[:, :r]

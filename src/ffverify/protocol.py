@@ -1,9 +1,12 @@
 """Matching/coloring verification protocols: exact spectral gaps, the
-closed-form lower bounds, sample counts, and competitor cost formulas.
+closed-form lower bounds, sample counts, and the sample costs of the
+competing schemes, one function per formula.
 
 Omega's bond operators are a `linalg.LocalOperators` that shares H's sector
 when both are SU(2)-invariant.  nu is solved and read in Omega's solve space;
-`top_excited_pair` lifts the eigenvector to the full space, once.
+`top_excited_pair` lifts the eigenvector to the full space, once.  Bond tests
+are compiled per block of directions (`Protocol.bond_tests`), for the design
+points once per protocol and for isotropic draws once per block of draws.
 """
 
 from __future__ import annotations
@@ -71,25 +74,20 @@ class Protocol:
         return linalg.LocalOperators({e: op.matrix for e, op in self.bond_ops.items()},
                                      h.node_order, h.node_dims, sector_of=h.local)
 
-    def _compiled_test(self, e: Edge, r: np.ndarray) -> tuple[ApplyPlan, float]:
-        """A bond test's matrix on edge e as its apply plan and its normalized
+    def bond_tests(self, e: Edge, directions) -> tuple[tuple[ApplyPlan, float], ...]:
+        """The bond tests on edge e along an (n, 3) block of directions, from
+        one block of test matrices: each as its apply plan and its normalized
         trace tr(R)/d_e."""
         h = self.hamiltonian
-        return (linalg.make_plan(r, e, h.node_order, h.node_dims),
-                float(np.real(np.trace(r))) / len(r))
-
-    def bond_test(self, e: Edge, direction) -> tuple[ApplyPlan, float]:
-        """The bond test along one direction on edge e: its apply plan and its
-        normalized trace tr(R)/d_e."""
-        return self._compiled_test(e, bond_test_projector(self.bond_ops[e].bond, direction))
+        return tuple((linalg.make_plan(r, e, h.node_order, h.node_dims),
+                      float(np.real(np.trace(r))) / len(r))
+                     for r in bond_test_projector(self.bond_ops[e].bond, directions))
 
     @cached_property
     def design_tests(self) -> dict[Edge, tuple[tuple[ApplyPlan, float], ...]]:
-        """bond_test at every support point of each finitely supported bond
-        distribution, from one block of test matrices per edge;
-        state-independent, so built once per protocol."""
-        return {e: tuple(self._compiled_test(e, r)
-                         for r in bond_test_projector(op.bond, op.distribution.points))
+        """bond_tests at the support points of each finitely supported bond
+        distribution; state-independent, so built once per protocol."""
+        return {e: self.bond_tests(e, op.distribution.points)
                 for e, op in self.bond_ops.items() if op.distribution is not None}
 
     def apply_test(self, matching: Sequence[Edge], vec: np.ndarray) -> np.ndarray:
@@ -374,26 +372,6 @@ def gkea_costs(modes: int, epsilon: float, delta: float) -> tuple[int, int]:
     general = math.ceil(2.0 * modes ** 4 * log_term / epsilon ** 2)
     gapped = math.ceil(modes ** 2 * math.log(modes) ** 2 * log_term / (2.0 * epsilon ** 2))
     return general, gapped
-
-
-def competitor_costs(epsilon: float, delta: float, gamma: float | None = None,
-                     n: int | None = None, edge_count: int | None = None,
-                     kappa: int = 2, alpha: float | None = None,
-                     r: float | None = None, modes: int | None = None) -> dict:
-    """Evaluate every competitor formula whose inputs were supplied."""
-    out: dict = {}
-    if edge_count is not None and gamma is not None:
-        out["HKSE"] = hkse_cost(edge_count, gamma, epsilon, delta)
-        out["HKSE_approx"] = hkse_cost_approx(edge_count, gamma, epsilon, delta)
-    if n is not None and gamma is not None:
-        out["BHSRE"] = bhsre_lower(n, gamma, epsilon, delta, kappa, alpha)
-    if n is not None and r is not None:
-        out["TM_lower"] = tm_lower(n, r)
-    if modes is not None:
-        general, gapped = gkea_costs(modes, epsilon, delta)
-        out["GKEA_general"] = general
-        out["GKEA_gapped"] = gapped
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,8 @@ class _TestSampler:
     A test is one bond test (plan, tr(R)/d_e) per bond of its matching. Bonds
     with a finite direction distribution draw support-point indices and reuse
     the bond tests of `Protocol.design_tests`; isotropic bonds draw unit
-    vectors and build their bond tests per draw. A matching whose bonds all
+    vectors and build their bond tests per block of draws, from one
+    `Protocol.bond_tests` call per bond. A matching whose bonds all
     draw indices keeps a table of pass probabilities indexed by them (one
     axis per bond), lazily filled and NaN meaning not yet computed, so blocks
     of repeated tests cost a handful of array operations.
@@ -241,9 +242,10 @@ class _TestSampler:
         design = self.protocol.design_tests
         table = self._tables[l]
         if table is None:  # nothing to memoize: evaluate test by test
-            return np.array([self.pass_probability(
-                [design[e][d[t]] if e in design else self.protocol.bond_test(e, d[t])
-                 for e, d in zip(matching, draws)]) for t in range(count)])
+            per_bond = [[design[e][i] for i in d] if e in design
+                        else self.protocol.bond_tests(e, d) for e, d in zip(matching, draws)]
+            return np.array([self.pass_probability([tests[t] for tests in per_bond])
+                             for t in range(count)])
         q = table[tuple(draws)]
         missing = np.isnan(q)
         if missing.any():
@@ -260,12 +262,10 @@ def _sampler(protocol: Protocol, state: PreparedState) -> _TestSampler:
     """The state's sampler for the protocol, built once, so that
     `estimate_pass_rate` and `run_many` on one state share one memo table.
     Its values are exact and the draws do not depend on them, so sharing
-    changes no result.  MEMO_TABLE_LIMIT is part of the key because the
-    tables follow it."""
-    key = (protocol, MEMO_TABLE_LIMIT)  # a Protocol hashes by identity
-    if key not in state._samplers:
-        state._samplers[key] = _TestSampler(protocol, state)
-    return state._samplers[key]
+    changes no result."""
+    if protocol not in state._samplers:  # a Protocol hashes by identity
+        state._samplers[protocol] = _TestSampler(protocol, state)
+    return state._samplers[protocol]
 
 
 def _single_run(sampler: _TestSampler, rng: np.random.Generator, n_tests: int,

@@ -46,11 +46,20 @@ def test_criterion_01_sample_cost_table():
         bhsre = proto.bhsre_lower(100, 0.350, 0.01, 0.01, kappa=2)
         assert abs(bhsre - 2.32e9) / 2.32e9 <= 0.01
 
-        # the coloring-protocol count does not depend on the chain length
-        for n in range(20, 201, 20):
+        # the coloring-protocol count does not depend on the chain length;
+        # every competitor cost on a closed chain of n edges grows with n
+        sizes = range(20, 201, 20)
+        costs = []
+        for n in sizes:
             again, _ = proto.sample_count_from_bounds(
                 m=2, nu_e=2 / 5, epsilon=0.01, delta=0.01, gamma=0.350, s=0.5, g=2)
             assert again == n_strong
+            exact = proto.hkse_cost(n, 0.350, 0.01, 0.01)
+            assert abs(proto.hkse_cost_approx(n, 0.350, 0.01, 0.01) - exact) <= 0.01 * exact
+            costs.append((exact, proto.bhsre_lower(n, 0.350, 0.01, 0.01, kappa=2),
+                          proto.tm_lower(n, 1.0), *proto.gkea_costs(n, 0.01, 0.01)))
+        for column in zip(*costs):
+            assert n_strong < column[0] and all(a < b for a, b in zip(column, column[1:]))
 
 
 def test_criterion_02_honeycomb_numbers():
@@ -80,6 +89,7 @@ def test_criterion_03_bond_operator_equivalences(chain4, icosahedron, tetrahedro
         assert not rep.is_homogeneous
         assert not rep.is_design
         assert rep.statements_agree
+        assert rep.passed
 
 
 def test_criterion_04_frame_potentials(icosahedron):
@@ -235,5 +245,17 @@ def test_criterion_13_aklt_gap_floor_and_zeta_ordering(icosahedron):
             gamma = ham.spectral_gap_gamma(h)
             floor = proto.aklt_protocol_bounds(h.graph, gamma)["gap_floor"]
             assert floor <= proto.measured_gap(protocol)
-            _, zeta = ham.best_zeta_ordering(h)
+            ordering, zeta = ham.best_zeta_ordering(h)
             assert zeta <= ham.commutation_structure(h).zeta
+            # the zeta-optimal ordering tightens the product-norm bound
+            report = dl.dl_norm_check(h, ordering)
+            assert report.passed
+            assert report.bounds[0] <= dl.dl_norm_check(h).bounds[0]
+
+        # the sample ceiling does not grow with the lattice; the large-degree
+        # variant's does
+        ceilings = [proto.aklt_protocol_bounds(G.chain(n, closed=True), 0.350, 0.01, 0.01)
+                    for n in range(20, 201, 20)]
+        assert len({c["n_ceiling"] for c in ceilings}) == 1
+        large = [c["large_degree_n"] for c in ceilings]
+        assert all(a < b for a, b in zip(large, large[1:]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ffverify import aklt, graph as G, hamiltonian as ham, linalg
-from ffverify.errors import InputError
+from ffverify.errors import InputError, InvariantViolation
 
 import oracles
 from conftest import random_direction_distribution, random_rotation, random_unit_vector
@@ -175,6 +175,17 @@ class TestAkltHamiltonian:
         assert h.node_dims[0] == 4    # degree 3 -> spin 3/2
         assert h.node_dims[1] == 2    # leaves are spin 1/2
 
+    def test_edgeless_graph_rejected(self):
+        with pytest.raises(InputError, match="graph has no edges"):
+            aklt.aklt_hamiltonian(G.Hypergraph((0, 1), ()))
+
+    def test_projector_rank_mismatch_is_an_invariant_violation(self, monkeypatch):
+        # no eigenvalue of (S_j + S_k)^2 lies strictly within 0 of S_E(S_E + 1)
+        monkeypatch.setattr(aklt, "SPIN_CLUSTER_TOL", 0.0)
+        aklt.coupled_spin_projector.cache_clear()
+        with pytest.raises(InvariantViolation, match="top spin sector has rank 0, expected 3"):
+            aklt.coupled_spin_projector(1, 1)
+
 
 class TestBondTests:
     def test_chain_bond_trace(self, chain4):
@@ -284,6 +295,10 @@ class TestBondOperator:
         for _ in range(20):
             mu = random_direction_distribution(rng, int(rng.integers(1, 9)))
             assert aklt.bond_operator(b, mu).gap <= cap + 1e-9
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(InputError, match="bond operator has the wrong dimension"):
+            aklt.BondOperator(aklt.Bond((0, 1), 2, 2), np.eye(3), None)
 
 
 class TestIsotropic:

@@ -250,6 +250,12 @@ class TestSimulate:
         _, out_b, _ = run_cli(capsys, *args)
         assert out_a == out_b
 
+    def test_depolarizing_noise_out_of_reach(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--chain", "4", "--closed",
+                                 "--noise", "depolarizing", "--noise-epsilon", "0.99")
+        assert (code, out) == (2, "")
+        assert err == "error: infidelity 0.99 unreachable by depolarizing noise\n"
+
     def test_noise_mode_flag(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--chain", "4", "--closed",
                                "--noise", "depolarizing", "--noise-epsilon", "0.1",
@@ -276,6 +282,9 @@ GOLDEN_COMMANDS = (
     ("check-bounds", "--instances", "20", "--seed", "7"),
     ("gap", "--square", "3x2"),
     ("simulate", "--chain", "4", "--closed", "--seed", "5", "--runs", "3", "--format", "csv"),
+    ("simulate", "--chain", "4", "--closed", "--design", "isotropic", "--seed", "5",
+     "--runs", "3", "--tests", "200", "--pass-draws", "500"),
+    ("compare", "--kappa", "3", "--alpha", "0.5", "--n-max", "60"),
 )
 GOLDEN_PATH = Path(__file__).parent / "data" / "cli_golden.json"
 #: absolute tolerance on a printed non-integer number

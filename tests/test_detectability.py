@@ -218,3 +218,14 @@ class TestUnionGapCheck:
             ps = [dl.random_projector(rng, dim, int(rng.integers(1, dim)))
                   for _ in range(m)]
             assert dl.union_gap_check(ps).passed
+
+
+class TestRandomProjector:
+    @pytest.mark.parametrize("rank", [-1, 4])
+    def test_rank_out_of_range(self, rank):
+        with pytest.raises(InputError, match="rank out of range"):
+            dl.random_projector(np.random.default_rng(0), 3, rank)
+
+    def test_rank_zero_is_the_zero_projector(self):
+        p = dl.random_projector(np.random.default_rng(0), 3, 0)
+        assert p.shape == (3, 3) and not p.any()

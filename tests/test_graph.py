@@ -184,6 +184,19 @@ class TestMatchingCover:
         prop = cover.with_proportional_probabilities()
         assert prop.probabilities == (2 / 3, 1 / 3)
 
+    @pytest.mark.parametrize("matchings, probabilities, message", [
+        ((((1, 2),), ((3, 4),)), (1.0,), "one probability per matching"),
+        ((), (), "at least one matching"),
+        ((((1, 2), (2, 1)),), (1.0,), r"matching \(\(1, 2\), \(1, 2\)\) repeats an edge"),
+    ], ids=["missing-probability", "no-matching", "repeated-edge"])
+    def test_refused(self, matchings, probabilities, message):
+        with pytest.raises(InputError, match=message):
+            G.MatchingCover(matchings, probabilities)
+
+    def test_overlapping_matchings_are_no_coloring(self):
+        cover = G.MatchingCover((((1, 2),), ((1, 2), (3, 4))), (0.5, 0.5))
+        assert not cover.is_coloring()
+
 
 class TestGenerators:
     def test_open_chain(self):
@@ -221,6 +234,16 @@ class TestGenerators:
     def test_honeycomb_open_degrees(self):
         g = G.honeycomb_lattice(2, 2)
         assert G.max_degree(g) == 3
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: G.chain(2, closed=True), "closed chain needs at least 3 vertices"),
+        (lambda: G.square_lattice(1, 3), r"square lattice needs width, height >= 2"),
+        (lambda: G.honeycomb_lattice(1, 2, periodic=True),
+         r"periodic honeycomb lattice needs width, height >= 2"),
+    ], ids=["closed-chain-2", "square-1x3", "periodic-honeycomb-1x2"])
+    def test_too_small(self, build, message):
+        with pytest.raises(InputError, match=message):
+            build()
 
 
 class TestJson:

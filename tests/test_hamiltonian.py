@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ffverify import aklt, graph as G, hamiltonian as ham, linalg
-from ffverify.errors import (DegenerateSpectrum, InputError, NotFrustrationFree)
+from ffverify.errors import (DegenerateSpectrum, InputError, InvariantViolation,
+                             NotFrustrationFree)
 
 import oracles
 
@@ -73,6 +74,16 @@ class TestValidation:
         }, {0: 2, 1: 2})
         with pytest.raises(NotFrustrationFree):
             ham.ground_space(h)
+
+    def test_missing_node_dimension(self):
+        with pytest.raises(InputError, match=r"no dimension for nodes \[1\]"):
+            ham.FFHamiltonian(G.chain(2), {(0, 1): np.zeros((4, 4))}, {0: 2})
+
+    def test_violated_profile_chain_is_an_invariant_violation(self):
+        # zeta = 1 exceeds s^2 g~ = 0.25, which no ordering allows
+        with pytest.raises(InvariantViolation, match="profile chain violated"):
+            ham.CommutationStructure(g=1, s=0.5, g_tilde=1, zeta=1.0, ordering=(),
+                                     pair_s={}, noncommuting={})
 
 
 def ground_projector(h):
@@ -232,34 +243,6 @@ class TestRandomInstance:
     def test_infeasible_rank(self):
         with pytest.raises(InputError):
             ham.random_ff_instance(0, (0, 1), (2, 2), ((0, 1),), ground_rank=5)
-
-    def test_requested_projector_rank_infeasible(self):
-        with pytest.raises(InputError):
-            ham.random_ff_instance(0, (0, 1), (2, 2), ((0, 1),), 1,
-                                   projector_ranks={(0, 1): 4})
-
-    def test_projector_rank_keys_in_any_node_order(self):
-        edges = ((0, 1), (1, 2))
-        with pytest.raises(InputError, match=r"rank 3 infeasible on edge \(0, 1\)"):
-            ham.random_ff_instance(0, (0, 1, 2), (2, 2, 2), edges, 1,
-                                   projector_ranks={(1, 0): 3})
-        h = ham.random_ff_instance(0, (0, 1, 2), (2, 2, 2), edges, 1,
-                                   projector_ranks={(1, 0): 2})
-        assert np.linalg.matrix_rank(h.projectors[(0, 1)]) == 2
-
-    @pytest.mark.parametrize("ranks, message", [
-        ({(0, 2): 1}, r"\(0, 2\), which is not an edge"),
-        ({(0, 1): 1, (1, 0): 2}, r"edge \(0, 1\) given twice"),
-    ], ids=["not-an-edge", "twice"])
-    def test_projector_rank_key_refused(self, ranks, message):
-        with pytest.raises(InputError, match=message):
-            ham.random_ff_instance(0, (0, 1, 2), (2, 2, 2), ((0, 1), (1, 2)), 1,
-                                   projector_ranks=ranks)
-
-    def test_requested_projector_rank_negative(self):
-        with pytest.raises(InputError, match=r"rank -1 infeasible on edge \(0, 1\)"):
-            ham.random_ff_instance(0, (0, 1, 2), (2, 2, 2), ((0, 1), (1, 2)), 1,
-                                   projector_ranks={(0, 1): -1})
 
 
 class TestApplyLength:

@@ -162,6 +162,13 @@ class TestEigh:
         with pytest.raises(InputError, match="NaN or infinite"):
             linalg.eigh(np.array([[bad, 0], [0, 1]]))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(InputError, match="eigh needs a square matrix"):
+            linalg.eigh(np.ones((2, 3)))
+
+    def test_idempotent_non_hermitian_is_no_projector(self):
+        assert not linalg.is_projector(np.array([[1, 1], [0, 0]], dtype=complex))
+
 
 class TestNorms:
     def test_projector_norm_one(self):

@@ -61,7 +61,7 @@ class TestDesignTests:
         for e, tests in chain4_protocol.design_tests.items():
             assert len(tests) == len(icosahedron)
             for (plan, trace), r in zip(tests, icosahedron.points):
-                single, single_trace = chain4_protocol.bond_test(e, r)
+                (single, single_trace), = chain4_protocol.bond_tests(e, r[None])
                 assert np.array_equal(plan.matrix, single.matrix)
                 assert trace == single_trace
 
@@ -195,6 +195,15 @@ class TestMatchingGapBounds:
         with pytest.raises(InputError):
             proto.matching_gap_bounds(2, 0.4, 0.35, 1.0, 2)
 
+    @pytest.mark.parametrize("bound, message", [
+        (lambda: proto.matching_gap_bounds(1, 0.4, 0.35, 0.5, 2), "need at least two matchings"),
+        (lambda: proto.sample_count_from_bounds(2, 0.0, 0.01, 0.01, 0.35, 0.5, 2),
+         "gap bounds are not positive"),
+    ], ids=["one-matching", "zero-bond-gap"])
+    def test_refused(self, bound, message):
+        with pytest.raises(InputError, match=message):
+            bound()
+
 
 class TestColoringGapBound:
     def test_chain_value(self):
@@ -292,11 +301,6 @@ class TestCompetitors:
         for epsilon, delta in ((0.0, 0.01), (0.01, 0.0), (0.01, 2.0)):
             with pytest.raises(InputError):
                 proto.hkse_cost_approx(10, 0.35, epsilon, delta)
-
-    def test_competitor_table_keys(self):
-        table = proto.competitor_costs(0.01, 0.01, gamma=0.35, n=100,
-                                       edge_count=100, r=1.0, modes=8)
-        assert {"HKSE", "BHSRE", "TM_lower", "GKEA_general", "GKEA_gapped"} <= set(table)
 
 
 class TestAkltProtocolBounds:

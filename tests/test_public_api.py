@@ -1,4 +1,5 @@
-"""Every public name of ffverify has a production caller.
+"""Every public name of ffverify, and every optional parameter of a public
+function or method, has a production caller.
 
 A public name is a module-level function or class of `src/ffverify/` whose
 name does not start with an underscore, a public method of such a class, or
@@ -6,7 +7,9 @@ a name `__init__.py` exports.  Its callers are the package's other modules,
 the benchmark scripts and the acceptance suite; the unit tests do not count,
 so a utility only they call shows here.  A reference is the name as an
 identifier or an attribute anywhere in those files; definitions and imports
-are not references.
+are not references.  An optional parameter is passed by a call to a callee
+of its function's name that gives it by keyword, reaches its position, or
+unpacks `*args` or `**kwargs`.
 """
 
 import ast
@@ -53,3 +56,71 @@ def test_every_public_name_has_a_production_caller():
     used = set().union(*(referenced(path) for path in CALLERS))
     missing = sorted(q for q, name in names.items() if name not in used)
     assert not missing, f"{len(missing)} public names have no production caller: {missing}"
+
+
+def optional_parameters() -> dict[str, tuple[str, int | None]]:
+    """Qualified parameter -> (its keyword, its position among the arguments
+    a call passes, or None when it is keyword-only), for every defaulted
+    parameter of a public module-level function or of a public method of a
+    public class."""
+    out = {}
+
+    def add(qualified: str, fn: ast.FunctionDef, bound: bool):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        if bound:
+            positional = positional[1:]
+        for i, a in enumerate(positional[len(positional) - len(args.defaults):],
+                              start=len(positional) - len(args.defaults)):
+            out[f"{qualified}.{a.arg}"] = (a.arg, i)
+        for a, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                out[f"{qualified}.{a.arg}"] = (a.arg, None)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                add(f"{path.stem}.{node.name}", node, bound=False)
+                continue
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in f.decorator_list)
+                    add(f"{path.stem}.{node.name}.{f.name}", f, bound=not static)
+    return out
+
+
+def passed_parameters(path: Path) -> set[tuple[str, str | int]]:
+    """(callee name, keyword) and (callee name, position) for every argument
+    a call in the file passes; a starred argument or ** mapping passes
+    every keyword and position, written (callee name, "*")."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        if name is None:
+            continue
+        for i, a in enumerate(node.args):
+            out.add((name, "*" if isinstance(a, ast.Starred) else i))
+        for k in node.keywords:
+            out.add((name, "*" if k.arg is None else k.arg))
+    return out
+
+
+def test_every_optional_parameter_has_a_production_caller():
+    params = optional_parameters()
+    assert {"protocol.gap_report.gamma", "graph.chain.closed"} <= set(params)
+    passed = set().union(*(passed_parameters(path) for path in CALLERS))
+    missing = []
+    for qualified, (keyword, position) in sorted(params.items()):
+        callee = qualified.split(".")[-2]
+        if not {(callee, keyword), (callee, position), (callee, "*")} & passed:
+            missing.append(qualified)
+    assert not missing, \
+        f"{len(missing)} optional parameters have no production caller: {missing}"

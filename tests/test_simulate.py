@@ -158,7 +158,7 @@ class TestDenseOracle:
             if dist is None:  # isotropic: continuous directions, no table
                 directions = [v / np.linalg.norm(v)
                               for v in rng.standard_normal((len(matching), 3))]
-                q = sampler.pass_probability([protocol.bond_test(e, r)
+                q = sampler.pass_probability([protocol.bond_tests(e, [r])[0]
                                               for e, r in zip(matching, directions)])
                 checked = [(directions, q)]
             else:
@@ -210,7 +210,8 @@ class TestMixedMatching:
             for _ in range(3):
                 i = int(rng.integers(len(icosahedron)))
                 r = random_unit_vector(rng)
-                q = sampler.pass_probability([mixed.design_tests[e][i], mixed.bond_test(f, r)])
+                q = sampler.pass_probability([mixed.design_tests[e][i],
+                                              mixed.bond_tests(f, [r])[0]])
                 t = oracles.local_product(mixed.hamiltonian, [
                     (aklt.bond_test_projector(mixed.bond_ops[e].bond, icosahedron.points[i]), e),
                     (aklt.bond_test_projector(mixed.bond_ops[f].bond, r), f)])
@@ -375,9 +376,26 @@ class TestUnmemoizedTests:
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
         memo = sim.estimate_pass_rate(chain4_protocol, state, 1000, seed=8)
         monkeypatch.setattr(sim, "MEMO_TABLE_LIMIT", 100)  # chain 4 tables hold 144
-        assert not sim._TestSampler(chain4_protocol, state).memoized
+        # a fresh state, so that its sampler is built under the patched limit
+        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
         # the same draws, each evaluated exactly without a table
         assert sim.estimate_pass_rate(chain4_protocol, state, 1000, seed=8) == memo
+        assert not sim._sampler(chain4_protocol, state).memoized
+
+    def test_isotropic_block_matches_single_tests(self, chain4):
+        """A block of isotropic draws, compiled with one bond_tests call per
+        bond, gives the pass probabilities of its tests compiled one by one."""
+        p = proto.build_protocol(chain4, G.edge_coloring(chain4.graph), None)
+        state = sim.prepare_state(p, sim.NoiseSpec("worst_case", 0.3))
+        sampler = sim._TestSampler(p, state)
+        matching = p.cover.matchings[0]
+        q = sampler._matching_block(0, matching, np.random.default_rng(5), 8)
+        rng = np.random.default_rng(5)  # the block's draws again
+        draws = [v / np.linalg.norm(v, axis=1, keepdims=True)
+                 for v in (rng.standard_normal((8, 3)) for _ in matching)]
+        assert list(q) == [sampler.pass_probability([p.bond_tests(e, d[t:t + 1])[0]
+                                                     for e, d in zip(matching, draws)])
+                           for t in range(8)]
 
     def test_empty_matching(self, chain4, icosahedron):
         # a cover may hold an empty matching: its test passes surely
