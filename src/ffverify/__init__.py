@@ -9,7 +9,7 @@ from .errors import (DegenerateSpectrum, InputError, InvariantViolation,
                      NotFrustrationFree, ResourceError)
 from .graph import (Hypergraph, MatchingCover, chain, degree, edge_coloring,
                     honeycomb_lattice, max_degree, square_lattice, trivial_cover)
-from .linalg import eigh, embed, operator_norm, singular_values
+from .linalg import eigh, embed, operator_norm, singular_values, spin_operators
 from .hamiltonian import (FFHamiltonian, best_zeta_ordering, commutation_structure,
                           ground_space, random_ff_instance, spectral_gap_gamma)
 from .detectability import (DLReport, dl_norm_check, dl_state_check,
@@ -18,7 +18,7 @@ from .aklt import (Bond, BondOperator, DirectionDistribution,
                    aklt_hamiltonian, bond, bond_design_report, bond_operator,
                    bond_test_projector, coherent_extremes, design_catalog,
                    frame_potential, is_design, isotropic_bond_operator,
-                   overlap_trace, spin_operators, symmetrize, trace_floor)
+                   overlap_trace, symmetrize, trace_floor)
 from .protocol import (GapReport, Protocol, aklt_protocol_bounds, build_protocol,
                        coloring_gap_bound, gap_factor, gap_report,
                        matching_gap_bounds, measured_gap, sample_count,

@@ -19,7 +19,6 @@ from . import linalg
 from .errors import InputError, InvariantViolation
 from .graph import Hypergraph, Edge, degree
 from .hamiltonian import FFHamiltonian
-from .linalg import spin_operators
 from .tolerances import DESIGN_TOL, PROB_SUM_TOL, SPIN_CLUSTER_TOL, UNIT_VECTOR_TOL
 
 # design_order checks frame potentials up to this order
@@ -69,11 +68,8 @@ def coupled_spin_projector(twice_sj: int, twice_sk: int) -> np.ndarray:
     Built from the eigendecomposition of (S_j + S_k)^2 with eigenvalue
     clustering, avoiding explicit recoupling tables.
     """
-    dj, dk = twice_sj + 1, twice_sk + 1
-    total = np.zeros((dj * dk, dj * dk), dtype=complex)
-    for a, b in zip(spin_operators(twice_sj)[:3], spin_operators(twice_sk)[:3]):
-        joint = np.kron(a, np.eye(dk)) + np.kron(np.eye(dj), b)
-        total += joint @ joint
+    dims = (twice_sj + 1, twice_sk + 1)
+    total = sum(t @ t for t in (linalg._total_spin(dims, c) for c in range(3)))
     s_e = (twice_sj + twice_sk) / 2
     target = s_e * (s_e + 1)
     vals, vecs = linalg.eigh(total)
@@ -196,10 +192,6 @@ class DirectionDistribution:
     def uniform(cls, points) -> "DirectionDistribution":
         points = np.asarray(points, dtype=float)
         return cls(points, np.full(len(points), 1.0 / len(points)))
-
-    def to_json(self) -> str:
-        return json.dumps({"points": self.points.tolist(),
-                           "weights": self.weights.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "DirectionDistribution":

@@ -2,6 +2,8 @@
 
 Commands: gap, samples, compare, check-bounds, simulate.
 Exit codes: 0 success, 2 input error, 3 resource error, 4 invariant violation.
+Every output schema lives here: the CSV columns of each command, and
+`_emit`, the one writer of CSV and JSON.
 """
 
 from __future__ import annotations
@@ -24,6 +26,13 @@ from .tolerances import check_dim
 #: extrapolated; pass --gamma explicitly for anything else)
 DEFAULT_GAMMA_CHAIN = 0.350
 DEFAULT_GAMMA_HONEYCOMB = 0.10
+
+#: the documented CSV schemas: rows of gap and samples, rows of compare, and
+#: simulate's per-run rows
+REPORT_COLUMNS = ("n", "m", "gamma", "nu_measured", "thm1_strong", "thm1_weak",
+                  "thm2", "N", "N_strong", "N_weak", "HKSE", "BHSRE")
+COMPARE_COLUMNS = ("n", "coloring_N", "HKSE_N", "BHSRE_N")
+RUN_COLUMNS = ("run", "n_tests", "n_passed", "accepted", "seed")
 
 
 def _build_graph(args) -> graphs.Hypergraph:
@@ -66,18 +75,24 @@ def _build_protocol(args, h: ham.FFHamiltonian, mu) -> proto.Protocol:
     return proto.build_protocol(h, cover, mu)
 
 
-def _write(args, text: str) -> None:
-    """Write text to --out as it is, or to stdout ending in one newline."""
+def _emit(args, data: list[dict] | dict, columns: tuple[str, ...]) -> None:
+    """Write data as sorted-key JSON or, with --format csv, its rows as CSV:
+    the header `columns`, then one line per row, missing or None cells blank.
+    The text goes to --out as it is, or to stdout ending in one newline."""
+    if args.format == "json":
+        text = json.dumps(data, indent=2, sort_keys=True)
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(["" if row.get(c) is None else row[c] for c in columns]
+                         for row in data)
+        text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit(args, rows: list[dict]) -> None:
-    to_text = proto.report_rows_to_csv if args.format == "csv" else proto.report_rows_to_json
-    _write(args, to_text(rows))
 
 
 def _check_dim(h: ham.FFHamiltonian) -> None:
@@ -108,7 +123,7 @@ def cmd_gap(args) -> int:
     if row["m"] >= 2:
         row["N_strong"], row["N_weak"] = proto.sample_count_from_bounds(
             row["m"], row["nu_E"], args.epsilon, args.delta, row["gamma"], row["s"], row["g"])
-    _emit(args, [row])
+    _emit(args, [row], REPORT_COLUMNS)
     return 0
 
 
@@ -128,7 +143,7 @@ def cmd_samples(args) -> int:
                     "thm1_strong": strong, "thm1_weak": weak,
                     "N": proto.sample_count(strong, args.epsilon, args.delta),
                     "N_strong": n_strong, "N_weak": n_weak})
-    _emit(args, [row])
+    _emit(args, [row], REPORT_COLUMNS)
     return 0
 
 
@@ -149,14 +164,9 @@ def cmd_compare(args) -> int:
                      "BHSRE_N": proto.bhsre_lower(n, args.gamma, args.epsilon, args.delta,
                                                   args.kappa, args.alpha)})
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "coloring_N", "HKSE_N", "BHSRE_N"])
         for r in rows:
-            w.writerow([r["n"], r["coloring_N"], f"{r['HKSE_N']:.6e}", f"{r['BHSRE_N']:.6e}"])
-        _write(args, buf.getvalue())
-    else:
-        _emit(args, rows)
+            r["HKSE_N"], r["BHSRE_N"] = f"{r['HKSE_N']:.6e}", f"{r['BHSRE_N']:.6e}"
+    _emit(args, rows, COMPARE_COLUMNS)
     return 0
 
 
@@ -221,22 +231,15 @@ def cmd_simulate(args) -> int:
     n_tests = args.tests or proto.sample_count(nu, args.epsilon, args.delta)
     rate, stderr = sims.estimate_pass_rate(protocol, state, args.pass_draws, args.seed)
     runs = sims.run_many(protocol, state, n_tests, args.runs, args.seed)
+    records = [{"run": i, "n_tests": r.n_tests, "n_passed": r.n_passed,
+                "accepted": r.accepted, "seed": r.seed} for i, r in enumerate(runs)]
     if args.format == "csv":
-        text = sims.runs_to_csv(runs)
+        data = [{**r, "accepted": int(r["accepted"])} for r in records]
     else:
-        summary = sims.aggregate(runs)
-        out = {
-            "nu": nu,
-            "exact_pass_probability": exact,
-            "empirical_pass_rate": rate,
-            "pass_rate_stderr": stderr,
-            "n_tests": n_tests,
-            "delta": args.delta,
-            **summary,
-            "per_run": sims.run_records(runs),
-        }
-        text = json.dumps(out, indent=2, sort_keys=True)
-    _write(args, text)
+        data = {"nu": nu, "exact_pass_probability": exact, "empirical_pass_rate": rate,
+                "pass_rate_stderr": stderr, "n_tests": n_tests, "delta": args.delta,
+                **sims.aggregate(runs), "per_run": records}
+    _emit(args, data, RUN_COLUMNS)
     return 0
 
 

@@ -81,10 +81,6 @@ class Hypergraph:
             out.update(u for u in e if u != v)
         return tuple(sorted(out))
 
-    def to_json(self) -> str:
-        return json.dumps({"vertices": list(self.vertices),
-                           "edges": [list(e) for e in self.edges]})
-
     @classmethod
     def from_json(cls, text: str) -> "Hypergraph":
         try:

@@ -7,17 +7,15 @@ when both are SU(2)-invariant.  nu is solved and read in Omega's solve space;
 `top_excited_pair` lifts the eigenvector to the full space, once.  Bond tests
 are compiled per block of directions (`Protocol.bond_tests`), for the design
 points once per protocol and for isotropic draws once per block of draws.
+Results are numbers and `GapReport.to_dict` rows; `cli` prints them.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -372,25 +370,3 @@ def gkea_costs(modes: int, epsilon: float, delta: float) -> tuple[int, int]:
     general = math.ceil(2.0 * modes ** 4 * log_term / epsilon ** 2)
     gapped = math.ceil(modes ** 2 * math.log(modes) ** 2 * log_term / (2.0 * epsilon ** 2))
     return general, gapped
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-REPORT_COLUMNS = ("n", "m", "gamma", "nu_measured", "thm1_strong", "thm1_weak",
-                  "thm2", "N", "N_strong", "N_weak", "HKSE", "BHSRE")
-
-
-def report_rows_to_csv(rows: Sequence[Mapping]) -> str:
-    """CSV text with the documented column schema; absent entries left blank."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for row in rows:
-        writer.writerow(["" if row.get(c) is None else row.get(c) for c in REPORT_COLUMNS])
-    return buf.getvalue()
-
-
-def report_rows_to_json(rows: Sequence[Mapping]) -> str:
-    return json.dumps([{k: v for k, v in row.items()} for row in rows],
-                      indent=2, sort_keys=True)

@@ -4,13 +4,12 @@ States are carried as pure-state ensembles plus a weight on I/d, so single
 tests cost a handful of small tensor contractions and never a d x d matrix.
 Each test draws a matching, then one direction per bond; the test passes iff
 every bond test passes, and the joint pass probability is evaluated exactly
-before a single Bernoulli draw.
+before a single Bernoulli draw.  Runs come back as `RunResult`s, which
+`aggregate` summarizes and `cli` prints.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -18,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .aklt import spin_operators
 from .errors import InputError
 from .hamiltonian import ground_space
 from .protocol import Protocol, top_excited_pair
@@ -101,7 +99,7 @@ def prepare_state(protocol: Protocol, spec: NoiseSpec) -> PreparedState:
     psi = basis[:, 0]
     first = h.node_order[0]
     # exp(-i theta S_x) = U exp(-i theta diag(s)) U^dagger from S_x = U diag(s) U^dagger
-    spins, axes = linalg.eigh(spin_operators(h.node_dims[first] - 1)[0])
+    spins, axes = linalg.eigh(linalg.spin_operators(h.node_dims[first] - 1)[0])
 
     def rotated(theta):
         u = (axes * np.exp(-1j * theta * spins)) @ axes.conj().T
@@ -113,15 +111,31 @@ def prepare_state(protocol: Protocol, spec: NoiseSpec) -> PreparedState:
     return PreparedState(d, ((1.0, rotated(_solve_rotation_angle(infidelity, eps))),))
 
 
+# angles on one period of the infidelity, scanned when no doubling reaches eps
+ROTATION_GRID = 4096
+
+
 def _solve_rotation_angle(infidelity, eps: float) -> float:
-    """The angle in (0, hi] where `infidelity` reaches eps, by bisection to
-    1e-14, hi being the first doubling of 1e-3 that reaches it."""
-    hi = 1e-3
-    while infidelity(hi) < eps:
+    """An angle where `infidelity` reaches eps, by bisection to 1e-14 on
+    (lo, hi]: hi is the first doubling of 1e-3 that reaches eps, lo = 0 or,
+    when no doubling up to 64 does, hi is the first angle of a fixed grid on
+    one period (0, 2 pi] that does and lo the grid angle before it.  The
+    infidelity has period 2 pi because one node's S_x eigenvalues differ by
+    integers, so one period holds every value it takes."""
+    lo, hi = 0.0, 1e-3
+    while hi <= 64.0 and infidelity(hi) < eps:
         hi *= 2.0
-        if hi > 64.0:
-            raise InputError("coherent rotation cannot reach the requested infidelity")
-    lo = 0.0
+    if hi > 64.0:
+        grid = 2.0 * math.pi * np.arange(ROTATION_GRID + 1) / ROTATION_GRID
+        reached = 0.0
+        for lo, hi in zip(grid, grid[1:]):
+            value = infidelity(hi)
+            if value >= eps:
+                break
+            reached = max(reached, value)
+        else:
+            raise InputError(f"coherent rotation cannot reach infidelity {eps}: "
+                             f"{ROTATION_GRID} angles on one period reach at most {reached}")
     while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # no float strictly between: the bracket is one ulp wide
@@ -325,23 +339,3 @@ def aggregate(results: Sequence[RunResult]) -> dict:
         "acceptance_rate": accepted / len(results),
         "mean_passed": sum(r.n_passed for r in results) / len(results),
     }
-
-
-RUN_COLUMNS = ("run", "n_tests", "n_passed", "accepted", "seed")
-
-
-def runs_to_csv(results: Sequence[RunResult]) -> str:
-    """Per-run CSV with the documented column schema."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RUN_COLUMNS)
-    for i, r in enumerate(results):
-        writer.writerow([i, r.n_tests, r.n_passed, int(r.accepted), r.seed])
-    return buf.getvalue()
-
-
-def run_records(results: Sequence[RunResult]) -> list[dict]:
-    """Per-run records with the documented column names."""
-    return [{"run": i, "n_tests": r.n_tests, "n_passed": r.n_passed,
-             "accepted": r.accepted, "seed": r.seed}
-            for i, r in enumerate(results)]

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import numpy as np
@@ -12,37 +13,37 @@ from conftest import random_direction_distribution, random_rotation, random_unit
 
 class TestSpinOperators:
     def test_spin_half_is_half_pauli(self):
-        sx, sy, sz = aklt.spin_operators(1)
+        sx, sy, sz = linalg.spin_operators(1)
         assert np.allclose(sx, [[0, 0.5], [0.5, 0]])
         assert np.allclose(sy, [[0, -0.5j], [0.5j, 0]])
         assert np.allclose(sz, [[0.5, 0], [0, -0.5]])
 
     def test_spin_one_sz_eigenvalues(self):
-        _, _, sz = aklt.spin_operators(2)
+        _, _, sz = linalg.spin_operators(2)
         assert np.allclose(np.diag(sz), [1, 0, -1])
 
     @pytest.mark.parametrize("twice_s", [1, 2, 3, 4, 6])
     def test_commutation_relations(self, twice_s):
-        sx, sy, sz = aklt.spin_operators(twice_s)
+        sx, sy, sz = linalg.spin_operators(twice_s)
         assert np.max(np.abs(sx @ sy - sy @ sx - 1j * sz)) < 1e-12
         assert np.max(np.abs(sy @ sz - sz @ sy - 1j * sx)) < 1e-12
         assert np.max(np.abs(sz @ sx - sx @ sz - 1j * sy)) < 1e-12
 
     @pytest.mark.parametrize("twice_s", [1, 2, 3, 5])
     def test_casimir(self, twice_s):
-        sx, sy, sz = aklt.spin_operators(twice_s)
+        sx, sy, sz = linalg.spin_operators(twice_s)
         s = twice_s / 2
         total = sx @ sx + sy @ sy + sz @ sz
         assert np.allclose(total, s * (s + 1) * np.eye(twice_s + 1))
 
     def test_traceless(self):
         for twice_s in (1, 2, 5):
-            _, _, sz = aklt.spin_operators(twice_s)
+            _, _, sz = linalg.spin_operators(twice_s)
             assert abs(np.trace(sz)) < 1e-12
 
     def test_invalid_spin(self):
         with pytest.raises(InputError):
-            aklt.spin_operators(0)
+            linalg.spin_operators(0)
 
 
 class TestCoherentExtremes:
@@ -377,7 +378,8 @@ class TestCatalog:
 
     def test_distribution_json_round_trip(self, icosahedron, tmp_path):
         path = tmp_path / "mu.json"
-        path.write_text(icosahedron.to_json())
+        path.write_text(json.dumps({"points": icosahedron.points.tolist(),
+                                    "weights": icosahedron.weights.tolist()}))
         loaded = aklt.DirectionDistribution.from_file(path)
         assert np.allclose(loaded.points, icosahedron.points)
         assert np.allclose(loaded.weights, icosahedron.weights)
@@ -388,6 +390,10 @@ class TestCatalog:
 
 
 class TestDirectionDistributionValidation:
+    def test_no_points(self):
+        with pytest.raises(InputError, match=r"points must be a nonempty \(n, 3\) array"):
+            aklt.DirectionDistribution(np.zeros((0, 3)), np.zeros(0))
+
     def test_non_unit_point(self):
         with pytest.raises(InputError):
             aklt.DirectionDistribution(np.array([[0, 0, 2.0]]), np.array([1.0]))

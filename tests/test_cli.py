@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ffverify import cli, graph as G
+from ffverify import cli
 
 
 def run_cli(capsys, *argv):
@@ -39,7 +39,8 @@ class TestGap:
 
     def test_design_order_warning(self, capsys, tmp_path):
         path = tmp_path / "g.json"
-        path.write_text(G.chain(4, closed=True).to_json())
+        path.write_text(json.dumps({"vertices": [0, 1, 2, 3],
+                                    "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}))
         code, _, err = run_cli(capsys, "gap", "--graph", str(path),
                                "--design", "octahedron")
         assert code == 0
@@ -110,7 +111,9 @@ class TestGap:
     def test_custom_design_file(self, capsys, tmp_path):
         from ffverify import aklt
         path = tmp_path / "mu.json"
-        path.write_text(aklt.design_catalog("icosahedron").to_json())
+        mu = aklt.design_catalog("icosahedron")
+        path.write_text(json.dumps({"points": mu.points.tolist(),
+                                    "weights": mu.weights.tolist()}))
         code, out, _ = run_cli(capsys, "gap", "--chain", "4", "--closed",
                                "--design", str(path))
         assert code == 0
@@ -285,6 +288,14 @@ GOLDEN_COMMANDS = (
     ("simulate", "--chain", "4", "--closed", "--design", "isotropic", "--seed", "5",
      "--runs", "3", "--tests", "200", "--pass-draws", "500"),
     ("compare", "--kappa", "3", "--alpha", "0.5", "--n-max", "60"),
+    ("samples", "--m", "2", "--nu-e", "0.4", "--gamma", "0.35", "--s", "0.5", "--g", "2",
+     "--format", "csv"),
+    ("samples", "--nu", "0.1"),
+    # no runs: the summary's rate and mean are null
+    ("simulate", "--chain", "4", "--closed", "--seed", "5", "--runs", "0",
+     "--pass-draws", "200"),
+    # proportional probabilities on a coloring: the thm2 cell is filled
+    ("gap", "--chain", "5", "--closed", "--p", "proportional", "--format", "csv"),
 )
 GOLDEN_PATH = Path(__file__).parent / "data" / "cli_golden.json"
 #: absolute tolerance on a printed non-integer number

@@ -27,6 +27,9 @@ class TestDegree:
     def test_honeycomb_fragment_max_degree(self):
         assert G.max_degree(G.honeycomb_lattice(3, 3)) == 3
 
+    def test_max_degree_of_no_vertices(self):
+        assert G.max_degree(G.Hypergraph((), ())) == 0
+
     def test_unknown_vertex(self):
         with pytest.raises(InputError):
             G.degree(path123(), 99)
@@ -193,6 +196,15 @@ class TestMatchingCover:
         with pytest.raises(InputError, match=message):
             G.MatchingCover(matchings, probabilities)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: G.MatchingCover(((),), (1.0,)).with_proportional_probabilities(),
+         "cover has no edges"),
+        (lambda: G.trivial_cover(G.Hypergraph((0, 1), ())), "cannot cover an empty edge set"),
+    ], ids=["proportional", "trivial"])
+    def test_no_edges_to_cover(self, build, message):
+        with pytest.raises(InputError, match=message):
+            build()
+
     def test_overlapping_matchings_are_no_coloring(self):
         cover = G.MatchingCover((((1, 2),), ((1, 2), (3, 4))), (0.5, 0.5))
         assert not cover.is_coloring()
@@ -240,20 +252,25 @@ class TestGenerators:
         (lambda: G.square_lattice(1, 3), r"square lattice needs width, height >= 2"),
         (lambda: G.honeycomb_lattice(1, 2, periodic=True),
          r"periodic honeycomb lattice needs width, height >= 2"),
-    ], ids=["closed-chain-2", "square-1x3", "periodic-honeycomb-1x2"])
+        (lambda: G.honeycomb_lattice(0, 1), r"honeycomb lattice needs width, height >= 1"),
+    ], ids=["closed-chain-2", "square-1x3", "periodic-honeycomb-1x2", "honeycomb-0x1"])
     def test_too_small(self, build, message):
         with pytest.raises(InputError, match=message):
             build()
 
 
+def graph_json(g: G.Hypergraph) -> str:
+    return json.dumps({"vertices": list(g.vertices), "edges": [list(e) for e in g.edges]})
+
+
 class TestJson:
     def test_round_trip(self):
         g = G.honeycomb_lattice(2, 2)
-        assert G.Hypergraph.from_json(g.to_json()) == g
+        assert G.Hypergraph.from_json(graph_json(g)) == g
 
     def test_schema(self):
-        data = json.loads(G.chain(3).to_json())
-        assert set(data) == {"vertices", "edges"}
+        text = '{"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]]}'
+        assert G.Hypergraph.from_json(text) == G.chain(3)
 
     def test_malformed(self):
         with pytest.raises(InputError):
@@ -262,5 +279,5 @@ class TestJson:
     def test_file_round_trip(self, tmp_path):
         g = G.Hypergraph(range(4), combinations(range(4), 2))
         path = tmp_path / "g.json"
-        path.write_text(g.to_json())
+        path.write_text(graph_json(g))
         assert G.Hypergraph.from_file(path) == g

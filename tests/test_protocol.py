@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ffverify import aklt, graph as G, hamiltonian as ham, linalg, protocol as proto
+from ffverify import aklt, cli, graph as G, hamiltonian as ham, linalg, protocol as proto
 from ffverify.errors import InputError
 
 import oracles
@@ -302,6 +302,21 @@ class TestCompetitors:
             with pytest.raises(InputError):
                 proto.hkse_cost_approx(10, 0.35, epsilon, delta)
 
+    @pytest.mark.parametrize("cost, message", [
+        (lambda: proto.hkse_cost(0, 0.35, 0.01, 0.01), "edge count and gamma"),
+        (lambda: proto.hkse_cost_approx(10, math.inf, 0.01, 0.01), "edge count and gamma"),
+        (lambda: proto.bhsre_lower(0, 0.35, 0.01, 0.01, 2), "n and gamma"),
+        (lambda: proto.tm_lower(5, 0), "n and R"),
+        (lambda: proto.gkea_costs(1, 0.01, 0.01), "at least two modes"),
+        (lambda: proto.aklt_protocol_bounds(G.chain(4), 0.0), "gamma must be positive"),
+        (lambda: proto.aklt_protocol_bounds(G.Hypergraph((0, 1), ()), 0.35),
+         "graph has no edges"),
+    ], ids=["hkse-no-edges", "hkse-approx-infinite-gamma", "bhsre-n-0", "tm-r-0",
+            "gkea-one-mode", "aklt-gamma-0", "aklt-no-edges"])
+    def test_out_of_range(self, cost, message):
+        with pytest.raises(InputError, match=message):
+            cost()
+
 
 class TestAkltProtocolBounds:
     def test_chain_floor(self):
@@ -350,6 +365,13 @@ class TestProtocolValidation:
         with pytest.raises(InputError, match=r"unknown edges \[\(3, 4\), \(7, 9\)\]"):
             proto.Protocol(chain4, cover, {**ops, (3, 4): op, (7, 9): op})
 
+    def test_operator_filed_under_another_edge(self, chain4, icosahedron):
+        ops = {e: aklt.bond_operator(aklt.bond(chain4, e), icosahedron)
+               for e in chain4.graph.edges}
+        ops[(0, 1)] = ops[(1, 2)]
+        with pytest.raises(InputError, match=r"bond operator for \(1, 2\) filed under \(0, 1\)"):
+            proto.Protocol(chain4, G.edge_coloring(chain4.graph), ops)
+
     def test_operator_must_fix_subspace(self, chain4):
         cover = G.edge_coloring(chain4.graph)
         broken = {}
@@ -375,13 +397,17 @@ class TestGapReport:
         gamma = report.parameters["gamma"]
         assert abs(report.nu_measured - (2 / 5) * gamma / 4) < 1e-9
 
-    def test_report_serialization(self, chain4_protocol):
-        report = proto.gap_report(chain4_protocol)
-        data = report.to_dict()
+    def test_report_serialization(self, chain4_protocol, capsys):
+        data = proto.gap_report(chain4_protocol).to_dict()
         assert "nu_measured" in data and "gamma" in data
-        text = proto.report_rows_to_csv([data])
-        header = text.splitlines()[0]
-        assert header == ",".join(proto.REPORT_COLUMNS)
+        # the CLI's defaults build chain4_protocol: its row is this report
+        assert cli.main(["gap", "--chain", "4", "--closed", "--format", "csv"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == ("n,m,gamma,nu_measured,thm1_strong,thm1_weak,thm2,"
+                          "N,N_strong,N_weak,HKSE,BHSRE")
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert float(cells["nu_measured"]) == data["nu_measured"]
+        assert cells["HKSE"] == cells["BHSRE"] == ""
 
     def test_proportional_equals_uniform_for_balanced_coloring(self, chain4, icosahedron):
         cover = G.edge_coloring(chain4.graph).with_proportional_probabilities()

@@ -10,7 +10,7 @@ import pytest
 
 from ffverify import aklt, detectability as dl, graph as G, hamiltonian as ham, linalg, \
     protocol as proto
-from ffverify.errors import InputError
+from ffverify.errors import InputError, InvariantViolation
 
 import oracles
 from test_spectral import complex_instance, open_spin_one_chain
@@ -155,6 +155,14 @@ class TestSector:
         lowest = min(abs(t) for t in twice_sz)
         assert sector.twice_m == lowest == sum(d - 1 for d in dims) % 2
         assert sector.index.tolist() == [i for i, t in enumerate(twice_sz) if t == lowest]
+
+    def test_multiplets_refuse_a_vector_of_no_spin(self, chain4):
+        """A random sector vector mixes spins, so S^+ S^- on its span has an
+        eigenvalue of no multiplet."""
+        sector = linalg.Sector.of(chain4.node_order, chain4.node_dims)
+        v = np.random.default_rng(3).standard_normal(sector.dim)
+        with pytest.raises(InvariantViolation, match="on the kernel belongs to no spin"):
+            sector.multiplets((v / np.linalg.norm(v))[:, None])
 
     NODE_DIMS = {0: 3, 1: 2, 2: 4, 3: 3}
 

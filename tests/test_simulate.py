@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ffverify import aklt, graph as G, hamiltonian as ham, linalg, protocol as proto
-from ffverify import simulate as sim
+from ffverify import cli, simulate as sim
 from ffverify.errors import InputError
 
 import oracles
@@ -104,6 +104,33 @@ class TestPrepareState:
         assert abs(sim._solve_rotation_angle(infidelity, eps) - expected) < 1e-12
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("coherent_rotation", eps))
         assert np.abs(state.ensemble[0][1] - rotated(expected)).max() < 1e-12
+
+    @pytest.mark.parametrize("closed, eps", [(True, 0.9995), (True, 0.99999), (False, 0.9)],
+                             ids=["closed-0.9995", "closed-0.99999", "open-0.9"])
+    def test_coherent_rotation_past_the_doublings(self, icosahedron, closed, eps):
+        """No doubling of 1e-3 up to 64 reaches these infidelities; the scan
+        of one period does.  On the closed chain the overlap is
+        (1 + 2 cos theta)/3, so the infidelity peaks at 1 near 2 pi/3 between
+        the doublings 2.048 and 4.096; on the open chain's spin-1/2 end it is
+        sin^2(theta/2), which peaks at pi."""
+        h = aklt.aklt_hamiltonian(G.chain(4, closed=closed))
+        p = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
+        state = sim.prepare_state(p, sim.NoiseSpec("coherent_rotation", eps))
+        _, basis = ham.ground_space(h)
+        v = state.ensemble[0][1]
+        assert abs(1.0 - np.linalg.norm(basis.conj().T @ v) ** 2 - eps) < 1e-10
+
+    @pytest.mark.parametrize("eps, code", [("0.9995", 0), ("0.9999999999", 2)])
+    def test_coherent_rotation_exit_codes(self, capsys, eps, code):
+        assert cli.main(["simulate", "--chain", "4", "--closed", "--noise",
+                         "coherent_rotation", "--noise-epsilon", eps, "--runs", "1",
+                         "--tests", "5", "--pass-draws", "10"]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:  # the grid angle nearest 2 pi/3 reaches 1 - 8.7e-8
+            assert err.startswith(f"error: coherent rotation cannot reach infidelity {eps}: "
+                                  "4096 angles on one period reach at most 0.99999991")
 
 
 class TestAcceptanceProbability:
@@ -273,6 +300,11 @@ class TestRunVerification:
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.0))
         with pytest.raises(InputError):
             sim.run_many(chain4_protocol, state, 0, runs=1, seed=1)
+
+    def test_no_draws(self, chain4_protocol):
+        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.0))
+        with pytest.raises(InputError, match="need at least one draw"):
+            sim.estimate_pass_rate(chain4_protocol, state, 0, seed=1)
 
     def test_result_validation(self):
         with pytest.raises(InputError):
@@ -473,19 +505,32 @@ class TestAggregate:
 
 
 class TestRunSerialization:
-    def test_csv(self):
+    """simulate's per-run rows as `ffv simulate` prints them, for given runs."""
+
+    @staticmethod
+    def printed(monkeypatch, capsys, results, *flags):
+        monkeypatch.setattr(sim, "run_many", lambda *args: results)
+        assert cli.main(["simulate", "--chain", "4", "--closed", "--runs", "2",
+                         "--tests", "5", "--pass-draws", "10", *flags]) == 0
+        return capsys.readouterr().out
+
+    def test_csv(self, monkeypatch, capsys):
         import csv
         import io
         results = [sim.RunResult(10, 10, True, 0), sim.RunResult(10, 3, False, 0)]
-        rows = list(csv.DictReader(io.StringIO(sim.runs_to_csv(results))))
+        out = self.printed(monkeypatch, capsys, results, "--format", "csv")
+        assert out.splitlines()[0] == "run,n_tests,n_passed,accepted,seed"
+        rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 2
-        assert rows[0]["accepted"] == "1"
+        assert rows[0]["accepted"] == "1" and rows[1]["accepted"] == "0"
         assert rows[1]["n_passed"] == "3"
 
-    def test_json(self):
+    def test_json(self, monkeypatch, capsys):
+        import json
         results = [sim.RunResult(5, 5, True, 7), sim.RunResult(5, 2, False, 7)]
-        records = sim.run_records(results)
-        assert list(records[0]) == list(sim.RUN_COLUMNS)
+        records = json.loads(self.printed(monkeypatch, capsys, results))["per_run"]
+        # printed with sorted keys
+        assert list(records[0]) == ["accepted", "n_passed", "n_tests", "run", "seed"]
         assert records[0] == {"run": 0, "n_tests": 5, "n_passed": 5, "accepted": True,
                               "seed": 7}
         assert records[1]["run"] == 1 and records[1]["accepted"] is False
