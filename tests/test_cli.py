@@ -296,6 +296,11 @@ GOLDEN_COMMANDS = (
      "--pass-draws", "200"),
     # proportional probabilities on a coloring: the thm2 cell is filled
     ("gap", "--chain", "5", "--closed", "--p", "proportional", "--format", "csv"),
+    # the open chain's spin-1/2 end peaks at pi: no doubling of 1e-3 reaches 0.9
+    ("simulate", "--chain", "5", "--noise", "coherent_rotation", "--noise-epsilon", "0.9",
+     "--seed", "5", "--runs", "3", "--tests", "50", "--pass-draws", "200"),
+    ("simulate", "--honeycomb", "2x1", "--noise", "coherent_rotation", "--noise-epsilon",
+     "0.5", "--seed", "5", "--runs", "3", "--tests", "50", "--pass-draws", "200"),
 )
 GOLDEN_PATH = Path(__file__).parent / "data" / "cli_golden.json"
 #: absolute tolerance on a printed non-integer number
