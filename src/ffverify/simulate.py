@@ -5,7 +5,8 @@ tests cost a handful of small tensor contractions and never a d x d matrix.
 Each test draws a matching, then one direction per bond; the test passes iff
 every bond test passes, and the joint pass probability is evaluated exactly
 before a single Bernoulli draw.  Runs come back as `RunResult`s, which
-`aggregate` summarizes and `cli` prints.
+`aggregate` summarizes and `cli` prints.  Every noise model is calibrated to
+its infidelity in closed form.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def prepare_state(protocol: Protocol, spec: NoiseSpec) -> PreparedState:
     worst_case mixes the ground state with the top excited eigenvector of the
     verification operator, saturating the pass-probability law exactly;
     depolarizing mixes in white noise calibrated to the same infidelity;
-    coherent_rotation rotates one node until the infidelity is reached.
+    coherent_rotation rotates one node by the least angle that reaches it.
     """
     h = protocol.hamiltonian
     d = h.dim
@@ -95,47 +96,37 @@ def prepare_state(protocol: Protocol, spec: NoiseSpec) -> PreparedState:
         parts = tuple((x * (1.0 - w), v) for x, v in _ground_density(basis))
         return PreparedState(d, parts, white=w)
 
-    # coherent_rotation: rotate the first node about x until the overlap drops
-    psi = basis[:, 0]
+    # coherent_rotation: exp(-i theta S_x) on the first node takes psi = basis[:, 0]
+    # to sum_k exp(-i theta s_k) Pi_k psi, Pi_k the node's S_x eigenprojectors
     first = h.node_order[0]
-    # exp(-i theta S_x) = U exp(-i theta diag(s)) U^dagger from S_x = U diag(s) U^dagger
     spins, axes = linalg.eigh(linalg.spin_operators(h.node_dims[first] - 1)[0])
+    parts = np.stack([linalg.make_plan(np.outer(a, a.conj()), (first,), h.node_order,
+                                       h.node_dims)(basis[:, 0]) for a in axes.T], axis=1)
+    theta = _solve_rotation_angle(basis.conj().T @ parts, spins, eps)
+    return PreparedState(d, ((1.0, parts @ np.exp(-1j * theta * spins)),))
 
-    def rotated(theta):
-        u = (axes * np.exp(-1j * theta * spins)) @ axes.conj().T
-        return linalg.make_plan(u, (first,), h.node_order, h.node_dims)(psi)
+
+def _solve_rotation_angle(overlaps: np.ndarray, spins: np.ndarray, eps: float) -> float:
+    """The least angle in (0, 2 pi] where 1 - ||overlaps exp(-i theta spins)||^2
+    reaches eps, bisected to 1e-14.  The spins differ by integers, so in
+    w = exp(-i theta) the fidelity is sum_m a_m w^m, a_m the m-th diagonal sum
+    of overlaps^dagger overlaps; it is monotone between the angles of the roots
+    of sum_m m a_m w^(m + 2S), its derivative (roots off the unit circle only
+    add points)."""
 
     def infidelity(theta):
-        return 1.0 - float(np.linalg.norm(basis.conj().T @ rotated(theta)) ** 2)
+        return 1.0 - float(np.linalg.norm(overlaps @ np.exp(-1j * theta * spins)) ** 2)
 
-    return PreparedState(d, ((1.0, rotated(_solve_rotation_angle(infidelity, eps))),))
-
-
-# angles on one period of the infidelity, scanned when no doubling reaches eps
-ROTATION_GRID = 4096
-
-
-def _solve_rotation_angle(infidelity, eps: float) -> float:
-    """An angle where `infidelity` reaches eps, by bisection to 1e-14 on
-    (lo, hi]: hi is the first doubling of 1e-3 that reaches eps, lo = 0 or,
-    when no doubling up to 64 does, hi is the first angle of a fixed grid on
-    one period (0, 2 pi] that does and lo the grid angle before it.  The
-    infidelity has period 2 pi because one node's S_x eigenvalues differ by
-    integers, so one period holds every value it takes."""
-    lo, hi = 0.0, 1e-3
-    while hi <= 64.0 and infidelity(hi) < eps:
-        hi *= 2.0
-    if hi > 64.0:
-        grid = 2.0 * math.pi * np.arange(ROTATION_GRID + 1) / ROTATION_GRID
-        reached = 0.0
-        for lo, hi in zip(grid, grid[1:]):
-            value = infidelity(hi)
-            if value >= eps:
-                break
-            reached = max(reached, value)
-        else:
-            raise InputError(f"coherent rotation cannot reach infidelity {eps}: "
-                             f"{ROTATION_GRID} angles on one period reach at most {reached}")
+    gram = overlaps.conj().T @ overlaps
+    top = len(spins) - 1
+    turns = np.roots([m * np.trace(gram, offset=m) for m in range(top, -top - 1, -1)])
+    points = [0.0, *np.sort(np.mod(-np.angle(turns), 2.0 * math.pi)), 2.0 * math.pi]
+    values = [infidelity(t) for t in points]
+    k = next((k for k in range(1, len(points)) if values[k] >= eps), None)
+    if k is None:
+        raise InputError(f"coherent rotation cannot reach infidelity {eps}: "
+                         f"its maximum over one period is {max(values)!r}")
+    lo, hi = points[k - 1], points[k]
     while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # no float strictly between: the bracket is one ulp wide
@@ -186,6 +177,10 @@ MAX_BLOCK = 4096
 # test by test: its table would cost memory and would rarely be hit
 MEMO_TABLE_LIMIT = 1 << 20
 
+# isotropic draws compiled into bond tests at a time: a whole MAX_BLOCK would
+# hold 4096 plans and test matrices per bond, and a few hundred run as fast
+COMPILE_SLICE = 256
+
 
 class _TestSampler:
     """Draws blocks of tests and evaluates their exact pass probabilities.
@@ -193,8 +188,8 @@ class _TestSampler:
     A test is one bond test (plan, tr(R)/d_e) per bond of its matching. Bonds
     with a finite direction distribution draw support-point indices and reuse
     the bond tests of `Protocol.design_tests`; isotropic bonds draw unit
-    vectors and build their bond tests per block of draws, from one
-    `Protocol.bond_tests` call per bond. A matching whose bonds all
+    vectors and build their bond tests per slice of COMPILE_SLICE draws, from
+    one `Protocol.bond_tests` call per bond. A matching whose bonds all
     draw indices keeps a table of pass probabilities indexed by them (one
     axis per bond), lazily filled and NaN meaning not yet computed, so blocks
     of repeated tests cost a handful of array operations.
@@ -256,10 +251,14 @@ class _TestSampler:
         design = self.protocol.design_tests
         table = self._tables[l]
         if table is None:  # nothing to memoize: evaluate test by test
-            per_bond = [[design[e][i] for i in d] if e in design
-                        else self.protocol.bond_tests(e, d) for e, d in zip(matching, draws)]
-            return np.array([self.pass_probability([tests[t] for tests in per_bond])
-                             for t in range(count)])
+            q = np.empty(count)
+            for start in range(0, count, COMPILE_SLICE):
+                part = slice(start, start + COMPILE_SLICE)
+                per_bond = [[design[e][i] for i in d[part]] if e in design else
+                            self.protocol.bond_tests(e, d[part]) for e, d in zip(matching, draws)]
+                q[part] = [self.pass_probability([tests[t] for tests in per_bond])
+                           for t in range(q[part].size)]
+            return q
         q = table[tuple(draws)]
         missing = np.isnan(q)
         if missing.any():

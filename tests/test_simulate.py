@@ -14,6 +14,43 @@ def chain4_protocol(chain4, icosahedron):
     return proto.build_protocol(chain4, G.edge_coloring(chain4.graph), icosahedron)
 
 
+@pytest.fixture
+def rotation_angles(monkeypatch) -> list[float]:
+    """The angles `prepare_state` rotates node 0 by, recorded as they are solved."""
+    angles = []
+    solve = sim._solve_rotation_angle
+
+    def recording(*args):
+        angles.append(solve(*args))
+        return angles[-1]
+
+    monkeypatch.setattr(sim, "_solve_rotation_angle", recording)
+    return angles
+
+
+def rotation_oracle(h):
+    """The infidelity 1 - ||Q0 exp(-i theta S_x) psi||^2 of the first ground
+    vector rotated on node 0, for an array of angles: each rotation by expm,
+    and its action on psi as the sum over matrix units E_ab of
+    u_ab (E_ab on node 0) psi, each embedded densely."""
+    import scipy.linalg
+
+    _, basis = ham.ground_space(h)
+    first = h.node_order[0]
+    sx = linalg.spin_operators(h.node_dims[first] - 1)[0]
+    n = len(sx)
+    overlaps = np.stack([basis.conj().T @ linalg.embed(unit, (first,), h.node_order,
+                                                       h.node_dims) @ basis[:, 0]
+                         for unit in np.eye(n * n).reshape(n * n, n, n)])
+
+    def infidelity(thetas):
+        thetas = np.asarray(thetas, dtype=float)
+        u = scipy.linalg.expm(-1j * thetas[:, None, None] * sx)
+        return 1.0 - np.linalg.norm(u.reshape(len(thetas), -1) @ overlaps, axis=1) ** 2
+
+    return infidelity
+
+
 class TestNoiseSpec:
     def test_unknown_mode(self):
         with pytest.raises(InputError):
@@ -79,9 +116,11 @@ class TestPrepareState:
         assert abs(purity - 1) < 1e-9
 
     @pytest.mark.parametrize("eps", [0.03, 0.2])
-    def test_coherent_rotation_angle_matches_brentq(self, chain4, chain4_protocol, eps):
-        """The bisected angle agrees with scipy's brentq on the same bracket,
-        and the state is exp(-i theta S_x), by expm, on the first node."""
+    def test_coherent_rotation_angle_matches_brentq(self, chain4, chain4_protocol, eps,
+                                                    rotation_angles):
+        """The solved angle agrees with scipy's brentq on the full-space
+        infidelity, and the state is exp(-i theta S_x), by expm, on the first
+        node."""
         import scipy.linalg
         import scipy.optimize
 
@@ -94,25 +133,22 @@ class TestPrepareState:
             full = linalg.embed(u, (first,), chain4.node_order, chain4.node_dims)
             return full @ basis[:, 0]
 
-        def infidelity(theta):
-            return 1.0 - float(np.linalg.norm(basis.conj().T @ rotated(theta)) ** 2)
-
+        oracle = rotation_oracle(chain4)
         hi = 1e-3
-        while infidelity(hi) < eps:
+        while oracle([hi])[0] < eps:
             hi *= 2.0
-        expected = scipy.optimize.brentq(lambda t: infidelity(t) - eps, 0.0, hi, xtol=1e-14)
-        assert abs(sim._solve_rotation_angle(infidelity, eps) - expected) < 1e-12
+        expected = scipy.optimize.brentq(lambda t: oracle([t])[0] - eps, 0.0, hi, xtol=1e-14)
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("coherent_rotation", eps))
+        assert abs(rotation_angles[-1] - expected) < 1e-12
         assert np.abs(state.ensemble[0][1] - rotated(expected)).max() < 1e-12
 
     @pytest.mark.parametrize("closed, eps", [(True, 0.9995), (True, 0.99999), (False, 0.9)],
                              ids=["closed-0.9995", "closed-0.99999", "open-0.9"])
     def test_coherent_rotation_past_the_doublings(self, icosahedron, closed, eps):
-        """No doubling of 1e-3 up to 64 reaches these infidelities; the scan
-        of one period does.  On the closed chain the overlap is
-        (1 + 2 cos theta)/3, so the infidelity peaks at 1 near 2 pi/3 between
-        the doublings 2.048 and 4.096; on the open chain's spin-1/2 end it is
-        sin^2(theta/2), which peaks at pi."""
+        """Infidelities near the peak, far from the angle 0.  On the closed
+        chain the overlap is (1 + 2 cos theta)/3, so the infidelity peaks at 1
+        at 2 pi/3; on the open chain's spin-1/2 end it is sin^2(theta/2),
+        which peaks at pi."""
         h = aklt.aklt_hamiltonian(G.chain(4, closed=closed))
         p = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
         state = sim.prepare_state(p, sim.NoiseSpec("coherent_rotation", eps))
@@ -120,17 +156,47 @@ class TestPrepareState:
         v = state.ensemble[0][1]
         assert abs(1.0 - np.linalg.norm(basis.conj().T @ v) ** 2 - eps) < 1e-10
 
-    @pytest.mark.parametrize("eps, code", [("0.9995", 0), ("0.9999999999", 2)])
-    def test_coherent_rotation_exit_codes(self, capsys, eps, code):
+    @pytest.mark.parametrize("n, closed", [(4, True), (5, False)], ids=["closed-4", "open-5"])
+    def test_coherent_rotation_angle_is_the_least(self, icosahedron, rotation_angles, n,
+                                                  closed):
+        """The solved angle reaches eps on the full-space oracle, and no angle
+        of a 10^4-point grid on (0, theta) does."""
+        h = aklt.aklt_hamiltonian(G.chain(n, closed=closed))
+        p = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
+        infidelity = rotation_oracle(h)
+        for eps in (0.01, 0.2, 0.5, 0.9, 0.999):
+            sim.prepare_state(p, sim.NoiseSpec("coherent_rotation", eps))
+            theta = rotation_angles[-1]
+            assert abs(infidelity([theta])[0] - eps) < 1e-10
+            assert infidelity(np.linspace(0.0, theta, 10**4 + 2)[1:-1]).max() < eps
+
+    @pytest.mark.parametrize("eps, code", [("0.9995", 0), ("0.9999999999", 0)])
+    def test_coherent_rotation_exit_codes(self, capsys, chain4, chain4_protocol, eps, code):
+        """The closed chain of 4 reaches every infidelity below its peak 1 at
+        2 pi/3, however close to it."""
         assert cli.main(["simulate", "--chain", "4", "--closed", "--noise",
                          "coherent_rotation", "--noise-epsilon", eps, "--runs", "1",
                          "--tests", "5", "--pass-draws", "10"]) == code
-        err = capsys.readouterr().err
-        if code == 0:
-            assert err == ""
-        else:  # the grid angle nearest 2 pi/3 reaches 1 - 8.7e-8
-            assert err.startswith(f"error: coherent rotation cannot reach infidelity {eps}: "
-                                  "4096 angles on one period reach at most 0.99999991")
+        assert capsys.readouterr().err == ""
+        state = sim.prepare_state(chain4_protocol,
+                                  sim.NoiseSpec("coherent_rotation", float(eps)))
+        _, basis = ham.ground_space(chain4)
+        v = state.ensemble[0][1]
+        assert abs(1.0 - np.linalg.norm(basis.conj().T @ v) ** 2 - float(eps)) < 1e-10
+
+    def test_coherent_rotation_refuses_eps_above_its_maximum(self, icosahedron):
+        """The open spin-1 chain of 3 with free ends has ground rank 4, and
+        rotating node 0 leaves at least 1/9 of the weight in the ground space:
+        eps = 0.9 is refused with the maximum 8/9 in the message."""
+        g = G.chain(3)
+        h = ham.FFHamiltonian(g, {e: aklt.coupled_spin_projector(2, 2) for e in g.edges},
+                              {v: 3 for v in range(3)})
+        assert ham.ground_space(h)[0] == 4
+        p = proto.build_protocol(h, G.edge_coloring(g), icosahedron)
+        with pytest.raises(InputError, match="cannot reach infidelity 0.9: its maximum over "
+                                             "one period is ") as info:
+            sim.prepare_state(p, sim.NoiseSpec("coherent_rotation", 0.9))
+        assert abs(float(str(info.value).rsplit(" ", 1)[1]) - 8 / 9) < 1e-12
 
 
 class TestAcceptanceProbability:
@@ -428,6 +494,29 @@ class TestUnmemoizedTests:
         assert list(q) == [sampler.pass_probability([p.bond_tests(e, d[t:t + 1])[0]
                                                      for e, d in zip(matching, draws)])
                            for t in range(8)]
+
+    def test_isotropic_slices_match_one_block(self, chain4, monkeypatch):
+        """A block of isotropic draws larger than COMPILE_SLICE is compiled
+        slice by slice, and gives the pass probabilities of the same draws
+        compiled at once."""
+        p = proto.build_protocol(chain4, G.edge_coloring(chain4.graph), None)
+        state = sim.prepare_state(p, sim.NoiseSpec("worst_case", 0.3))
+        sampler = sim._TestSampler(p, state)
+        matching = p.cover.matchings[0]
+        size, count = sim.COMPILE_SLICE, 2 * sim.COMPILE_SLICE + 3
+        compiled = []
+        bond_tests = proto.Protocol.bond_tests
+
+        def recording(self, e, directions):
+            compiled.append(len(directions))
+            return bond_tests(self, e, directions)
+
+        monkeypatch.setattr(proto.Protocol, "bond_tests", recording)
+        sliced = sampler._matching_block(0, matching, np.random.default_rng(5), count)
+        assert compiled == [size] * len(matching) * 2 + [3] * len(matching)
+        monkeypatch.setattr(sim, "COMPILE_SLICE", count)
+        whole = sampler._matching_block(0, matching, np.random.default_rng(5), count)
+        assert list(sliced) == list(whole)
 
     def test_empty_matching(self, chain4, icosahedron):
         # a cover may hold an empty matching: its test passes surely

@@ -5,7 +5,8 @@ a word, so a renamed function would read as a per-layer metric of zero.
 These tests load the two benchmark scripts read-only and resolve every name
 they use, and check that each eigensolve goes through a traced name, that
 building an instance builds no solve space, that `gap` builds no full-space
-vector on the sector path, and that no module touches BLAS threads.
+vector on the sector path, that the coherent rotation compiles one plan per
+spin state, and that no module touches BLAS threads.
 """
 
 import ast
@@ -262,3 +263,18 @@ def test_worst_case_state_lifts_once(icosahedron, full_space_calls):
     assert [c for c in full_space_calls if c[0] != "make_plan"] == [
         ("multiplets", (sector_dim, 1)), ("lift", (sector_dim, 1)), ("lift", (sector_dim,))]
     assert state.ensemble[-1][1] is protocol.top_excited_pair(p)[1]
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.9995])
+def test_coherent_rotation_compiles_one_plan_per_spin_state(icosahedron, full_space_calls, eps):
+    """The coherent rotation's calibration costs 2S + 1 passes over the state
+    (one plan per S_x eigenvector of node 0), whatever eps is: the angle is
+    solved on their ground-space overlaps, not on rotated states."""
+    from ffverify import aklt, graph, hamiltonian, protocol, simulate
+
+    h = aklt.aklt_hamiltonian(graph.chain(4, closed=True))
+    p = protocol.build_protocol(h, graph.edge_coloring(h.graph), icosahedron)
+    hamiltonian.ground_space(h)
+    full_space_calls.clear()
+    simulate.prepare_state(p, simulate.NoiseSpec("coherent_rotation", eps))
+    assert [c for c in full_space_calls if c[0] == "make_plan"] == [("make_plan", (3, 3))] * 3
