@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ffverify import aklt, graph as G, hamiltonian as ham, linalg
 from ffverify.errors import (DegenerateSpectrum, InputError, InvariantViolation,
                              NotFrustrationFree)
+from ffverify.tolerances import COMMUTE_TOL
 
 import oracles
 
@@ -222,6 +225,86 @@ class TestSpectralProfile:
             assert s2 * prof.g_tilde <= s2 * prof.g ** 2 + 1e-12
             assert s2 * prof.g ** 2 <= prof.g ** 2 + 1e-12
             assert ham.spectral_gap_gamma(h) > 0
+
+
+def _pair_definitions(h):
+    """Commutation flags by a dense commutator, and s_jk, for every pair of
+    edges sharing a node, both on the pair's joint support (edges with
+    disjoint supports commute exactly)."""
+    flags, s_jk = {}, {}
+    edges = h.graph.edges
+    for i, e in enumerate(edges):
+        for f in edges[i + 1:]:
+            if not set(e) & set(f):
+                continue
+            nodes = tuple(sorted(set(e) | set(f)))
+            a = linalg.embed(h.projectors[e], e, nodes, h.node_dims)
+            b = linalg.embed(h.projectors[f], f, nodes, h.node_dims)
+            key = frozenset((e, f))
+            flags[key] = np.linalg.norm(a @ b - b @ a, 2) > COMMUTE_TOL
+            s_jk[key] = linalg.largest_nonunit_singular_value(a @ b)
+    return flags, s_jk
+
+
+def _profile_from_definitions(edges, flags, s_jk, ordering):
+    """(g, s, zeta, g~) as the paper defines them, for one ordering."""
+    def noncommuting(e, f):
+        return flags.get(frozenset((e, f)), False)
+
+    g = max((sum(noncommuting(e, f) for f in edges if f != e) for e in edges), default=0)
+    s = max((s_jk[k] for k, flag in flags.items() if flag), default=0.0)
+    # A_k: the edges before k in the ordering that do not commute with k
+    a_sets = {k: {j for j in ordering[:ordering.index(k)] if noncommuting(j, k)}
+              for k in ordering}
+    g_k = {k: len(a) for k, a in a_sets.items()}
+    zeta = max((sum(g_k[k] * s_jk[frozenset((j, k))] ** 2
+                    for k in ordering if j in a_sets[k]) for j in ordering), default=0.0)
+    g_tilde = max((sum(g_k[k] for k in ordering if j in a_sets[k]) for j in ordering),
+                  default=0)
+    return g, s, zeta, g_tilde
+
+
+def _triangle_instance(seed):
+    rng = np.random.default_rng(seed)
+    dims = [int(d) for d in rng.integers(2, 4, size=3)]
+    return ham.random_ff_instance(seed, (0, 1, 2), dims, ((0, 1), (1, 2), (0, 2)),
+                                  ground_rank=int(rng.integers(1, 3)))
+
+
+class TestProfileDefinitions:
+    """commutation_structure against g, s, zeta and g~ computed straight from
+    their definitions, equal to the last bit on shuffled orderings."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: aklt.aklt_hamiltonian(G.chain(7, closed=True)),
+        lambda: aklt.aklt_hamiltonian(G.square_lattice(3, 3, periodic=True)),
+        lambda: aklt.aklt_hamiltonian(G.honeycomb_lattice(2, 2, periodic=True)),
+        *[lambda seed=seed: _triangle_instance(seed) for seed in range(8)],
+    ], ids=["chain7-closed", "square3x3-periodic", "honeycomb2x2-periodic",
+            *[f"triangle-{seed}" for seed in range(8)]])
+    def test_profile_matches_definitions(self, make):
+        h = make()
+        edges = h.graph.edges
+        flags, s_jk = _pair_definitions(h)
+        rng = np.random.default_rng(len(edges))
+        orderings = [edges] + [tuple(edges[i] for i in rng.permutation(len(edges)))
+                               for _ in range(4)]
+        for ordering in orderings:
+            prof = ham.commutation_structure(h, ordering)
+            assert prof.ordering == ordering
+            assert (prof.g, prof.s, prof.zeta, prof.g_tilde) == \
+                _profile_from_definitions(edges, flags, s_jk, ordering)
+
+    def test_best_ordering_is_the_brute_force_minimum(self):
+        h = aklt.aklt_hamiltonian(G.chain(7, closed=True))
+        edges = h.graph.edges
+        flags, s_jk = _pair_definitions(h)
+
+        def zeta_of(ordering):
+            return _profile_from_definitions(edges, flags, s_jk, ordering)[2]
+
+        best = min(itertools.permutations(edges), key=zeta_of)
+        assert ham.best_zeta_ordering(h) == (best, zeta_of(best))
 
 
 class TestRandomInstance:
