@@ -133,6 +133,8 @@ def bond(h: FFHamiltonian, e) -> Bond:
     e = tuple(sorted(int(v) for v in e))
     if e not in set(h.graph.edges):
         raise InputError(f"{e} is not an edge of the Hamiltonian")
+    if len(e) != 2:
+        raise InputError(f"{e} is not a bond: a bond joins two nodes")
     j, k = e
     return Bond(e, h.node_dims[j] - 1, h.node_dims[k] - 1)
 

@@ -20,7 +20,7 @@ from . import aklt, detectability, graph as graphs, hamiltonian as ham
 from . import protocol as proto
 from . import simulate as sims
 from .errors import InputError, InvariantViolation, ResourceError
-from .tolerances import check_dim
+from .tolerances import GROUND_TOL, check_dim
 
 #: documented gap defaults for large lattices (finite-size gaps are never
 #: extrapolated; pass --gamma explicitly for anything else)
@@ -75,6 +75,14 @@ def _build_protocol(args, h: ham.FFHamiltonian, mu) -> proto.Protocol:
     return proto.build_protocol(h, cover, mu)
 
 
+def _refuse_zero_gap(protocol: proto.Protocol) -> None:
+    """Refuse a protocol whose smallest bond gap nu_E is zero to rounding: its
+    gap bounds and sample counts do not exist."""
+    if protocol.nu_e < GROUND_TOL:
+        raise InputError(f"the protocol's gap is zero: the design gives the bond gap "
+                         f"nu_E = {protocol.nu_e:.1e} (below {GROUND_TOL:g})")
+
+
 def _emit(args, data: list[dict] | dict, columns: tuple[str, ...]) -> None:
     """Write data as sorted-key JSON or, with --format csv, its rows as CSV:
     the header `columns`, then one line per row, missing or None cells blank.
@@ -118,6 +126,7 @@ def cmd_gap(args) -> int:
               "nu_E is the minimum bond gap", file=sys.stderr)
 
     protocol = _build_protocol(args, h, mu)
+    _refuse_zero_gap(protocol)
     row = proto.gap_report(protocol, gamma=args.gamma).to_dict()
     row["N"] = proto.sample_count(row["nu_measured"], args.epsilon, args.delta)
     if row["m"] >= 2:
@@ -223,6 +232,8 @@ def cmd_simulate(args) -> int:
     h = aklt.aklt_hamiltonian(_build_graph(args))
     _check_dim(h)
     protocol = _build_protocol(args, h, _load_design(args.design))
+    if not args.tests:  # the sample count needs a gap
+        _refuse_zero_gap(protocol)
     spec = sims.NoiseSpec(args.noise, args.noise_epsilon)
     state = sims.prepare_state(protocol, spec)
 

@@ -15,17 +15,15 @@ import numpy as np
 from . import linalg
 from .errors import InputError
 from .graph import Edge
-from .hamiltonian import (FFHamiltonian, commutation_structure, ground_space,
-                          spectral_gap_gamma)
+from .hamiltonian import (CommutationStructure, FFHamiltonian, commutation_structure,
+                          ground_space, spectral_gap_gamma)
 from .tolerances import BOUND_CHECK_TOL, PROJECTOR_INEQ_TOL
 
 
-def _bound_chain(energy: float, zeta: float, s: float, g_tilde: int, g: int) -> tuple[float, ...]:
-    """(zeta, s^2 g~, s^2 g^2, g^2) each mapped through x -> x / (energy + x)."""
-    out = []
-    for x in (zeta, s * s * g_tilde, s * s * g * g, float(g * g)):
-        out.append(x / (energy + x) if energy + x > 0 else 0.0)
-    return tuple(out)
+def _bound_chain(energy: float, structure: CommutationStructure) -> tuple[float, ...]:
+    """The profile's chain (zeta, s^2 g~, s^2 g^2, g^2), each term mapped
+    through x -> x / (energy + x)."""
+    return tuple(x / (energy + x) if energy + x > 0 else 0.0 for x in structure.chain)
 
 
 def _chain_holds(first: float, bounds: tuple[float, ...]) -> bool:
@@ -82,8 +80,7 @@ def dl_norm_check(h: FFHamiltonian, ordering: Sequence[Edge] | None = None) -> D
     structure = commutation_structure(h, ordering)
     gamma = spectral_gap_gamma(h)
     measured = _product_norm_sq(h, structure.ordering)
-    bounds = _bound_chain(gamma, structure.zeta, structure.s,
-                          structure.g_tilde, structure.g)
+    bounds = _bound_chain(gamma, structure)
     return DLReport(measured=measured, bounds=bounds,
                     ordering=structure.ordering, gamma=float(gamma))
 
@@ -124,8 +121,7 @@ def dl_state_check(h: FFHamiltonian, ordering: Sequence[Edge] | None,
         return StateCheck(phi_norm_sq=0.0, energy=None,
                           bounds=(0.0, 0.0, 0.0, 0.0), ordering=structure.ordering)
     energy = float(np.real(np.vdot(phi, h.apply(phi))) / norm_sq)
-    bounds = _bound_chain(energy, structure.zeta, structure.s,
-                          structure.g_tilde, structure.g)
+    bounds = _bound_chain(energy, structure)
     return StateCheck(phi_norm_sq=norm_sq, energy=energy, bounds=bounds,
                       ordering=structure.ordering)
 

@@ -125,14 +125,17 @@ class FFHamiltonian:
 
     @cached_property
     def _pair_data(self) -> tuple[dict, dict]:
-        """Nonunit singular values and commutation flags for all adjacent pairs."""
+        """Nonunit singular values and noncommuting partners for all adjacent
+        pairs, from both projectors embedded in their joint support."""
         edges = self.graph.edges
         pair_s: dict[frozenset, float] = {}
         noncomm: dict[Edge, list[Edge]] = {e: [] for e in edges}
         for e, f in itertools.combinations(edges, 2):
             if not set(e) & set(f):
                 continue  # disjoint supports commute exactly
-            a, b = _pair_space(self, e, f)
+            nodes = tuple(sorted(set(e) | set(f)))
+            a = linalg.embed(self.projectors[e], e, nodes, self.node_dims)
+            b = linalg.embed(self.projectors[f], f, nodes, self.node_dims)
             if linalg.commutator_norm(a, b) > COMMUTE_TOL:
                 noncomm[e].append(f)
                 noncomm[f].append(e)
@@ -161,13 +164,6 @@ def spectral_gap_gamma(h: FFHamiltonian) -> float:
     return gamma
 
 
-def _pair_space(h: FFHamiltonian, e: Edge, f: Edge) -> tuple[np.ndarray, np.ndarray]:
-    """Both projectors embedded in the joint support space (small and dense)."""
-    nodes = tuple(sorted(set(e) | set(f)))
-    return (linalg.embed(h.projectors[e], e, nodes, h.node_dims),
-            linalg.embed(h.projectors[f], f, nodes, h.node_dims))
-
-
 @dataclass(frozen=True, eq=False)
 class CommutationStructure:
     """Edge-pair commutation data: g, s, and the ordering-dependent zeta, g~."""
@@ -177,15 +173,17 @@ class CommutationStructure:
     g_tilde: int
     zeta: float
     ordering: tuple[Edge, ...]
-    pair_s: dict[frozenset, float]
-    noncommuting: dict[Edge, tuple[Edge, ...]]
 
     def __post_init__(self):
-        # zeta <= s^2 g~ <= s^2 g^2 <= g^2 holds under every ordering
-        s2 = self.s ** 2
-        chain = (self.zeta, s2 * self.g_tilde, s2 * self.g ** 2, float(self.g ** 2))
+        chain = self.chain
         if any(lo > hi + 1e-12 for lo, hi in zip(chain, chain[1:])):
             raise InvariantViolation(f"profile chain violated: {chain}")
+
+    @property
+    def chain(self) -> tuple[float, float, float, float]:
+        """(zeta, s^2 g~, s^2 g^2, g^2), nondecreasing under every ordering."""
+        s, g = self.s, self.g
+        return (self.zeta, s * s * self.g_tilde, s * s * g * g, float(g * g))
 
 
 def commutation_structure(h: FFHamiltonian,
@@ -205,27 +203,20 @@ def commutation_structure(h: FFHamiltonian,
 
     pair_s, noncomm = h._pair_data
     g = max((len(v) for v in noncomm.values()), default=0)
-    s = 0.0
-    for e, fs in noncomm.items():
-        for f in fs:
-            s = max(s, pair_s[frozenset((e, f))])
+    s = max((pair_s[frozenset((e, f))] for e, fs in noncomm.items() for f in fs),
+            default=0.0)
 
     index = {e: i for i, e in enumerate(ordering)}
-    nonset = {e: set(fs) for e, fs in noncomm.items()}
-    # A_k = earlier noncommuting partners of edge k under the ordering
-    a_sets = {k: [j for j in ordering if index[j] < index[k] and j in nonset[k]]
-              for k in ordering}
-    g_k = {k: len(a_sets[k]) for k in ordering}
+    # g_k = |A_k|, A_k = the noncommuting partners of edge k earlier in the ordering
+    g_k = {k: sum(index[j] < index[k] for j in noncomm[k]) for k in ordering}
     zeta = 0.0
     g_tilde = 0
     for j in ordering:
-        later = [k for k in ordering if j in a_sets[k]]
-        zeta_j = sum(g_k[k] * pair_s[frozenset((j, k))] ** 2 for k in later)
-        zeta = max(zeta, zeta_j)
+        # the edges k whose A_k holds j, in the ordering's order
+        later = sorted((k for k in noncomm[j] if index[k] > index[j]), key=index.get)
+        zeta = max(zeta, sum(g_k[k] * pair_s[frozenset((j, k))] ** 2 for k in later))
         g_tilde = max(g_tilde, sum(g_k[k] for k in later))
-    return CommutationStructure(
-        g=g, s=s, g_tilde=g_tilde, zeta=zeta, ordering=ordering,
-        pair_s=pair_s, noncommuting={e: tuple(v) for e, v in noncomm.items()})
+    return CommutationStructure(g=g, s=s, g_tilde=g_tilde, zeta=zeta, ordering=ordering)
 
 
 def best_zeta_ordering(h: FFHamiltonian) -> tuple[tuple[Edge, ...], float]:
@@ -262,20 +253,14 @@ def random_ff_instance(seed: int, nodes: Sequence[int], dims: dict[int, int] | S
     basis, _ = np.linalg.qr(raw)
 
     order = g.vertices
-    shape = tuple(dims[v] for v in order)
+    vectors = basis.T.reshape((ground_rank,) + tuple(dims[v] for v in order))
     projectors = {}
     for e in g.edges:
-        axes = tuple(order.index(v) for v in e)
+        axes = [order.index(v) + 1 for v in e]
         d_e = math.prod(dims[v] for v in e)
-        rest = [a for a in range(len(order)) if a not in axes]
         # columns of the reshaped ground basis span the edge-local subspace the
-        # projector must annihilate
-        cols = []
-        for i in range(ground_rank):
-            t = basis[:, i].reshape(shape)
-            t = np.transpose(t, axes + tuple(rest))
-            cols.append(t.reshape(d_e, -1))
-        w = np.concatenate(cols, axis=1)
+        # projector must annihilate: vector i's columns are w's i-th block
+        w = np.moveaxis(vectors, axes, range(len(axes))).reshape(d_e, -1)
         u, sv, _ = np.linalg.svd(w, full_matrices=True)
         keep = int(np.sum(sv > 1e-10))
         comp = u[:, keep:]  # orthonormal basis of the allowed subspace

@@ -533,11 +533,18 @@ def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
     LANCZOS_TOL max(|theta|, eps^(2/3)), ARPACK's test.  Each restart keeps
     the Ritz vectors nearest the wanted end, rotated into the basis in place,
     and the projected matrix becomes their Ritz values bordered by an arrow
-    of couplings to the residual direction.  The basis starts from the
-    first vector of a fixed start stream (`_start_vector`), and an invariant
-    subspace continues from the stream's next vector, made orthogonal to the
-    basis.  Running out of LANCZOS_MAX_RESTARTS restarts, or a NaN or
-    infinite operator output, is a ResourceError.
+    of couplings to the residual direction.  That matrix stays exactly
+    tridiagonal plus the arrow: Gram-Schmidt's other coefficients, couplings
+    at the rounding level, are dropped.  The convergence test relies on it, as
+    a pair near zero must bring its residual estimate down to LANCZOS_TOL
+    eps^(2/3), about 3.7e-23: with those couplings kept in T, the sector solve
+    of the closed chain of 6 (d = 141, k = 2) ends its LANCZOS_MAX_RESTARTS
+    restarts with the pair at theta ~ -4e-16 still at an estimate of 3e-17.
+    The basis starts from the first vector of a fixed start stream
+    (`_start_vector`), and an invariant subspace continues from the stream's
+    next vector, made orthogonal to the basis.  Running out of
+    LANCZOS_MAX_RESTARTS restarts, or a NaN or infinite operator output, is a
+    ResourceError.
     """
     m = min(dim, max(2 * k + 1, 20))
     stream = itertools.count()  # the number of the next start-stream vector
@@ -572,22 +579,18 @@ def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
             if not np.isfinite(w_norm):
                 raise ResourceError(f"Lanczos failed (d={dim}, k={k}): the operator "
                                     "returned a NaN or infinite entry")
-            # classical Gram-Schmidt against the whole basis, with up to two
-            # corrections where it cancels (ARPACK's DGKS test)
-            h = coefficients(basis[:j + 1], w)
-            w = w - h @ basis[:j + 1]
-            diag[j] = h[j].real
-            norm = np.linalg.norm(w)
-            for attempt in range(3):
-                if norm > 0.717 * w_norm:
-                    break
-                if attempt == 2:  # w lies in the basis: an invariant subspace
-                    norm = 0.0
-                    break
+            # classical Gram-Schmidt against the whole basis, repeated up to
+            # twice where it cancels (ARPACK's DGKS test); only h[j] enters T
+            diag[j], norm = 0.0, w_norm
+            for _ in range(3):
                 h = coefficients(basis[:j + 1], w)
                 w = w - h @ basis[:j + 1]
                 diag[j] += h[j].real
                 w_norm, norm = norm, np.linalg.norm(w)
+                if norm > 0.717 * w_norm:
+                    break
+            else:  # w lies in the basis: an invariant subspace
+                norm = 0.0
             beta[j] = norm
             if norm > 0.0:
                 basis[j + 1] = w / norm

@@ -119,6 +119,18 @@ class TestGap:
         assert code == 0
         assert json.loads(out)[0]["nu_E"] == pytest.approx(0.4, abs=1e-9)
 
+    @pytest.mark.parametrize("command", ["gap", "simulate"])
+    def test_design_of_zero_bond_gap(self, capsys, tmp_path, command):
+        """One direction leaves every bond gap zero: the error says so and
+        names nu_E, not the bound or sample-count inputs the user never gave."""
+        path = tmp_path / "one.json"
+        path.write_text('{"points": [[0, 0, 1]], "weights": [1]}')
+        code, out, err = run_cli(capsys, command, "--chain", "4", "--closed",
+                                 "--design", str(path))
+        assert (code, out) == (2, "")
+        assert "error: the protocol's gap is zero" in err and "nu_E" in err
+        assert ("warning: design order 1" in err) == (command == "gap")
+
     def test_csv_output_to_file(self, capsys, tmp_path):
         out_file = tmp_path / "report.csv"
         code, _, _ = run_cli(capsys, "gap", "--chain", "4", "--closed",

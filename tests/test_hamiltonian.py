@@ -85,8 +85,7 @@ class TestValidation:
     def test_violated_profile_chain_is_an_invariant_violation(self):
         # zeta = 1 exceeds s^2 g~ = 0.25, which no ordering allows
         with pytest.raises(InvariantViolation, match="profile chain violated"):
-            ham.CommutationStructure(g=1, s=0.5, g_tilde=1, zeta=1.0, ordering=(),
-                                     pair_s={}, noncommuting={})
+            ham.CommutationStructure(g=1, s=0.5, g_tilde=1, zeta=1.0, ordering=())
 
 
 def ground_projector(h):
@@ -209,7 +208,8 @@ class TestSpectralProfile:
         """Max over noncommuting pairs equals max over all pairs once unit
         singular values are filtered out."""
         structure = ham.commutation_structure(chain4)
-        all_pairs = max(structure.pair_s.values())
+        pair_s, _ = chain4._pair_data
+        all_pairs = max(pair_s.values())
         assert abs(structure.s - all_pairs) < 1e-12
 
     def test_profile_invariant_chain_random_instances(self):

@@ -146,6 +146,13 @@ class TestPaths:
         assert np.linalg.norm(omega_vec - lam * vec) < 1e-9
 
 
+def test_protocol_refuses_an_edge_of_three_nodes():
+    """A bond joins two nodes; the Majumdar-Ghosh terms act on three."""
+    h = majumdar_ghosh_chain(9)
+    with pytest.raises(InputError, match=r"\(0, 1, 2\) is not a bond"):
+        proto.build_protocol(h, G.edge_coloring(h.graph), None)
+
+
 class TestSector:
     @pytest.mark.parametrize("dims", [(3, 3, 3, 3), (2, 3, 4), (2, 2, 2), (4, 1, 3), (5,)])
     def test_states_of_lowest_total_sz(self, dims):
