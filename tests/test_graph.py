@@ -144,6 +144,48 @@ class TestEdgeColoring:
         assert all(vertex_disjoint(m) for m in cover.matchings)
         assert len(cover) <= G.max_degree(g) + 1
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9),
+           st.data())
+    def test_random_bipartite_graphs_use_max_degree_colors(self, left, right, data):
+        pairs = [(i, left + j) for i in range(left) for j in range(right)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                   max_size=len(pairs), unique=True))
+        edges = data.draw(st.permutations(edges))
+        g = G.Hypergraph(range(left + right), edges)
+        cover = G.edge_coloring(g)
+        assert cover.covers(g) and cover.is_coloring()
+        assert all(vertex_disjoint(m) for m in cover.matchings)
+        assert len(cover) == G.max_degree(g)
+
+
+# Colorings as the toolkit builds them, so that a rewrite of a colorer that
+# changes any matching (and so any protocol) fails here.
+PINNED_COLORINGS = {
+    # Misra-Gries swaps a non-empty path and rotates a strict prefix of the fan
+    "paw": (G.Hypergraph(range(4), [(0, 1), (0, 2), (1, 2), (0, 3)]),
+            (((1, 2), (0, 3)), ((0, 2),), ((0, 1),))),
+    "closed-chain-5": (G.chain(5, closed=True),
+                       (((0, 1), (3, 4)), ((1, 2), (0, 4)), ((2, 3),))),
+    "K5": (G.Hypergraph(range(5), combinations(range(5), 2)),
+           (((0, 3), (1, 2)), ((0, 4), (1, 3)), ((0, 1), (2, 4)), ((0, 2), (3, 4)),
+            ((1, 4), (2, 3)))),
+    "periodic-square-3x3": (G.square_lattice(3, 3, periodic=True),
+                            (((0, 1), (3, 4), (7, 8)), ((0, 3), (4, 5), (6, 7), (2, 8)),
+                             ((1, 4), (2, 5), (0, 6)), ((1, 2), (3, 6), (4, 7), (5, 8)),
+                             ((0, 2), (3, 5), (1, 7), (6, 8)))),
+    # the graph of test_bipartite_alternating_path_swap
+    "bipartite-swap": (G.Hypergraph(range(6), [(1, 5), (2, 4), (1, 4), (2, 5), (0, 5),
+                                               (0, 4)]),
+                       (((1, 5), (0, 4)), ((1, 4), (2, 5)), ((2, 4), (0, 5)))),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_COLORINGS)
+def test_coloring_is_pinned(name):
+    g, matchings = PINNED_COLORINGS[name]
+    assert G.edge_coloring(g).matchings == matchings
+
 
 class TestChromaticIndexBounds:
     """Edge colorings of simple graphs use max degree to max degree + 1 colors."""
