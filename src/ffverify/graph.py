@@ -198,6 +198,45 @@ def _other(e: Edge, x: int) -> int:
     return e[0] if e[1] == x else e[1]
 
 
+class _EdgeColors:
+    """A partial proper edge coloring of a simple graph, with colors below
+    `ncolors`; a vertex has at most one edge of each color."""
+
+    def __init__(self, g: Hypergraph, ncolors: int):
+        self.ncolors = ncolors
+        self.incident: dict[int, list[Edge]] = {v: [] for v in g.vertices}
+        for e in g.edges:
+            for x in e:
+                self.incident[x].append(e)
+        self.color: dict[Edge, int] = {}
+
+    def _edge(self, x: int, c: int) -> Edge | None:
+        for e in self.incident[x]:
+            if self.color.get(e) == c:
+                return e
+        return None
+
+    def is_free(self, x: int, c: int) -> bool:
+        return self._edge(x, c) is None
+
+    def free(self, *xs: int) -> int | None:
+        """The smallest color free at every x in xs, or None."""
+        busy = {self.color.get(e) for x in xs for e in self.incident[x]}
+        return next((c for c in range(self.ncolors) if c not in busy), None)
+
+    def swap(self, x: int, a: int, b: int) -> int:
+        """Swap a and b on the maximal path from x alternating a, b, a, ...;
+        b must be free at x, so x ends the path.  Returns the far end."""
+        path, want = [], a
+        while (e := self._edge(x, want)) is not None:
+            path.append(e)
+            x = _other(e, x)
+            want = b if want == a else a
+        for e in path:
+            self.color[e] = b if self.color[e] == a else a
+        return x
+
+
 def _bipartite_edge_coloring(g: Hypergraph) -> dict[Edge, int]:
     """Proper edge coloring of a bipartite graph with exactly max-degree colors.
 
@@ -205,110 +244,45 @@ def _bipartite_edge_coloring(g: Hypergraph) -> dict[Edge, int]:
     swap the two candidate colors along the alternating path starting at one
     endpoint; in a bipartite graph that path can never reach the other endpoint.
     """
-    ncolors = max_degree(g)
-    at: dict[int, dict[int, Edge]] = {v: {} for v in g.vertices}
-    color: dict[Edge, int] = {}
+    colors = _EdgeColors(g, max_degree(g))
     for e in g.edges:
         u, v = e
-        common = next((c for c in range(ncolors)
-                       if c not in at[u] and c not in at[v]), None)
+        common = colors.free(u, v)
         if common is None:
-            alpha = next(c for c in range(ncolors) if c not in at[u])
-            beta = next(c for c in range(ncolors) if c not in at[v])
-            # walk the alpha/beta alternating path from v and swap it
-            x, want = v, alpha
-            path = []
-            while want in at[x]:
-                step = at[x][want]
-                path.append(step)
-                x = _other(step, x)
-                want = beta if want == alpha else alpha
-            if x == u:  # pragma: no cover - impossible in a bipartite graph
+            common = colors.free(u)
+            end = colors.swap(v, common, colors.free(v))
+            if end == u:  # pragma: no cover - impossible in a bipartite graph
                 raise InvariantViolation("alternating path closed a cycle")
-            for step in path:
-                a, b = step
-                del at[a][color[step]]
-                del at[b][color[step]]
-            for step in path:
-                new = beta if color[step] == alpha else alpha
-                color[step] = new
-                a, b = step
-                at[a][new] = step
-                at[b][new] = step
-            common = alpha
-        color[e] = common
-        at[u][common] = e
-        at[v][common] = e
-    return color
+        colors.color[e] = common
+    return colors.color
 
 
 def _misra_gries(g: Hypergraph) -> dict[Edge, int]:
     """Proper edge coloring of a simple graph with at most max-degree + 1 colors."""
-    ncolors = max_degree(g) + 1
-    incident: dict[int, list[Edge]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        incident[e[0]].append(e)
-        incident[e[1]].append(e)
-    color: dict[Edge, int] = {}
-
-    def used(x: int) -> set[int]:
-        return {color[e] for e in incident[x] if e in color}
-
-    def free(x: int) -> int:
-        busy = used(x)
-        return next(c for c in range(ncolors) if c not in busy)
-
-    def is_free(x: int, c: int) -> bool:
-        return c not in used(x)
-
+    colors = _EdgeColors(g, max_degree(g) + 1)
+    color = colors.color
     for e0 in g.edges:
         u, v = e0
         # maximal fan of u starting at v
         fan = [v]
         fan_edges = [e0]
-        in_fan = {v}
         grown = True
         while grown:
             grown = False
-            for e in incident[u]:
-                if e not in color:
-                    continue
+            for e in colors.incident[u]:
                 x = _other(e, u)
-                if x in in_fan:
-                    continue
-                if is_free(fan[-1], color[e]):
+                if e in color and x not in fan and colors.is_free(fan[-1], color[e]):
                     fan.append(x)
                     fan_edges.append(e)
-                    in_fan.add(x)
                     grown = True
                     break
-        c = free(u)
-        d = free(fan[-1])
+        c = colors.free(u)
+        d = colors.free(fan[-1])
         if c != d:
-            # invert the maximal path through u alternating colors d, c, d, ...
-            x, want, prev = u, d, None
-            path = []
-            while True:
-                nxt = next((e for e in incident[x]
-                            if e is not prev and color.get(e) == want), None)
-                if nxt is None:
-                    break
-                path.append(nxt)
-                x = _other(nxt, x)
-                want = c if want == d else d
-                prev = nxt
-            for e in path:
-                color[e] = d if color[e] == c else c
-        # rotate a prefix fan ending at a vertex where d is free
-        w = None
-        for i, x in enumerate(fan):
-            if not is_free(x, d):
-                continue
-            prefix_ok = all(is_free(fan[j - 1], color[fan_edges[j]])
-                            for j in range(1, i + 1))
-            if prefix_ok:
-                w = i
-                break
+            colors.swap(u, d, c)
+        # rotate the fan up to its first vertex where d is free; the swap
+        # keeps that prefix a fan (Misra & Gries 1992)
+        w = next((i for i, x in enumerate(fan) if colors.is_free(x, d)), None)
         if w is None:  # pragma: no cover - the fan argument guarantees a w
             raise InvariantViolation("no rotatable fan prefix found")
         for j in range(w):
