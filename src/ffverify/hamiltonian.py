@@ -233,17 +233,19 @@ def best_zeta_ordering(h: FFHamiltonian) -> tuple[tuple[Edge, ...], float]:
     return tuple(best), zeta_of(best)
 
 
-def random_ff_instance(seed: int, nodes: Sequence[int], dims: dict[int, int] | Sequence[int],
+def random_ff_instance(seed: int, nodes: Sequence[int], dims: Sequence[int],
                        edges: Iterable[Iterable[int]], ground_rank: int) -> FFHamiltonian:
     """Random frustration-free instance with a planted shared null space.
 
+    `dims` gives one local dimension per node, in the order of `nodes`.
     Draws a Haar-random `ground_rank`-dimensional subspace, then for each edge
     a random local projector annihilating it.  The actual zero-energy space may
     exceed the planted one; the frustration-free property always holds.
     """
     nodes = tuple(int(v) for v in nodes)
-    if not isinstance(dims, dict):
-        dims = {v: int(d) for v, d in zip(nodes, dims)}
+    if len(dims) != len(nodes):
+        raise InputError(f"{len(dims)} dimensions given for {len(nodes)} nodes")
+    dims = {v: int(d) for v, d in zip(nodes, dims)}
     g = Hypergraph(nodes, tuple(tuple(e) for e in edges))
     total = math.prod(dims[v] for v in g.vertices)
     if not 1 <= ground_rank <= total:

@@ -136,9 +136,9 @@ def top_excited_pair(protocol: Protocol) -> tuple[float, np.ndarray]:
 
 def measured_gap(protocol: Protocol) -> float:
     """Exact spectral gap 1 - ||(1 - Q0) Omega (1 - Q0)|| of the protocol's
-    verification operator."""
+    verification operator, clamped at 0 against rounding."""
     lam, _ = protocol._top_excited
-    return 1.0 - lam
+    return max(1.0 - lam, 0.0)
 
 
 # ---------------------------------------------------------------------------

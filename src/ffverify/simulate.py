@@ -139,10 +139,12 @@ def _solve_rotation_angle(overlaps: np.ndarray, spins: np.ndarray, eps: float) -
 
 
 def acceptance_probability(protocol: Protocol, state: PreparedState) -> float:
-    """Exact average pass probability tr(Omega sigma)."""
+    """Exact average pass probability tr(Omega sigma), clamped into [0, 1]
+    against rounding."""
     if state.dim != protocol.hamiltonian.dim:
         raise InputError("state dimension does not match the protocol")
-    return state.expectation(protocol.apply_omega, _normalized_omega_trace(protocol))
+    q = state.expectation(protocol.apply_omega, _normalized_omega_trace(protocol))
+    return min(max(q, 0.0), 1.0)
 
 
 def _normalized_omega_trace(protocol: Protocol) -> float:

@@ -131,6 +131,18 @@ class TestGap:
         assert "error: the protocol's gap is zero" in err and "nu_E" in err
         assert ("warning: design order 1" in err) == (command == "gap")
 
+    def test_zero_gap_simulation_stays_in_range(self, capsys, tmp_path):
+        """With --tests given, a zero-gap design runs; rounding must not print
+        a negative gap or a pass probability above 1."""
+        path = tmp_path / "one.json"
+        path.write_text('{"points": [[0, 0, 1]], "weights": [1]}')
+        code, out, _ = run_cli(capsys, "simulate", "--chain", "4", "--closed",
+                               "--design", str(path), "--tests", "5", "--runs", "2",
+                               "--pass-draws", "100")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["nu"], report["exact_pass_probability"]) == (0.0, 1.0)
+
     def test_csv_output_to_file(self, capsys, tmp_path):
         out_file = tmp_path / "report.csv"
         code, _, _ = run_cli(capsys, "gap", "--chain", "4", "--closed",

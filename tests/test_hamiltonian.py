@@ -327,6 +327,11 @@ class TestRandomInstance:
         with pytest.raises(InputError):
             ham.random_ff_instance(0, (0, 1), (2, 2), ((0, 1),), ground_rank=5)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 5)], ids=["short", "long"])
+    def test_one_dimension_per_node(self, dims):
+        with pytest.raises(InputError, match=f"^{len(dims)} dimensions given for 3 nodes$"):
+            ham.random_ff_instance(0, (0, 1, 2), dims, ((0, 1), (1, 2)), 1)
+
 
 class TestApplyLength:
     """apply and apply_edge take a full-space vector or a sector vector; any
