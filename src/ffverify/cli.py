@@ -241,7 +241,7 @@ def cmd_simulate(args) -> int:
     nu = proto.measured_gap(protocol)
     n_tests = args.tests or proto.sample_count(nu, args.epsilon, args.delta)
     rate, stderr = sims.estimate_pass_rate(protocol, state, args.pass_draws, args.seed)
-    runs = sims.run_many(protocol, state, n_tests, args.runs, args.seed)
+    runs = sims.run_many(exact, n_tests, args.runs, args.seed)
     records = [{"run": i, "n_tests": r.n_tests, "n_passed": r.n_passed,
                 "accepted": r.accepted, "seed": r.seed} for i, r in enumerate(runs)]
     if args.format == "csv":

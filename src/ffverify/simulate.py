@@ -2,17 +2,20 @@
 
 States are carried as pure-state ensembles plus a weight on I/d, so single
 tests cost a handful of small tensor contractions and never a d x d matrix.
-Each test draws a matching, then one direction per bond; the test passes iff
-every bond test passes, and the joint pass probability is evaluated exactly
-before a single Bernoulli draw.  Runs come back as `RunResult`s, which
-`aggregate` summarizes and `cli` prints.  Every noise model is calibrated to
-its infidelity in closed form.
+Each test passes with probability p = tr(Omega sigma) on a fresh copy of the
+state, independently of the others, so a run's first failure is geometric in
+1 - p: `run_many` draws it from that law.  The per-test sampler serves the
+Monte-Carlo pass-rate estimate: each test draws a matching, then one
+direction per bond; the test passes iff every bond test passes, and the joint
+pass probability is evaluated exactly before a single Bernoulli draw.  Runs
+come back as `RunResult`s, which `aggregate` summarizes and `cli` prints.
+Every noise model is calibrated to its infidelity in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +51,6 @@ class PreparedState:
     dim: int
     ensemble: tuple[tuple[float, np.ndarray], ...]
     white: float = 0.0
-    _samplers: dict = field(default_factory=dict, init=False, repr=False)  # see `_sampler`
 
     def expectation(self, apply_op, normalized_trace: float) -> float:
         """tr(A sigma) for an operator given by its action on vectors and its
@@ -169,10 +171,28 @@ class RunResult:
             raise InputError("passed count out of range")
 
 
-# Tests are drawn in blocks: a run's first block is small because most runs
-# of a rejected state stop early, later blocks double up to the bound, which
-# keeps the per-block arrays small.
-FIRST_BLOCK = 64
+def run_many(pass_probability: float, n_tests: int, runs: int,
+             seed: int) -> list[RunResult]:
+    """Independent runs of n_tests tests, each passing with probability
+    `pass_probability`: a run passes the tests before its first failure,
+    drawn from the geometric law on a substream derived from (seed, index)."""
+    if n_tests < 1:
+        raise InputError("need at least one test")
+    if not 0 <= pass_probability <= 1:  # also refuses NaN
+        raise InputError(f"pass probability {pass_probability!r} outside [0, 1]")
+    results = []
+    for i in range(runs):
+        passed = n_tests
+        if pass_probability < 1:  # numpy refuses geometric(0)
+            first_failure = np.random.default_rng([seed, i]).geometric(1.0 - pass_probability)
+            passed = min(int(first_failure) - 1, n_tests)
+        results.append(RunResult(n_tests=n_tests, n_passed=passed,
+                                 accepted=passed == n_tests, seed=seed))
+    return results
+
+
+# the estimate draws its tests in blocks of at most this many, which keeps
+# the per-block arrays small
 MAX_BLOCK = 4096
 
 # a matching whose design combinations exceed this many entries is evaluated
@@ -185,7 +205,8 @@ COMPILE_SLICE = 256
 
 
 class _TestSampler:
-    """Draws blocks of tests and evaluates their exact pass probabilities.
+    """Draws blocks of tests for `estimate_pass_rate` and evaluates their
+    exact pass probabilities.
 
     A test is one bond test (plan, tr(R)/d_e) per bond of its matching. Bonds
     with a finite direction distribution draw support-point indices and reuse
@@ -212,7 +233,6 @@ class _TestSampler:
             # an empty matching has no draws to index a table by
             memo = 0 < len(shape) == len(matching) and math.prod(shape) <= MEMO_TABLE_LIMIT
             self._tables.append(np.full(shape, np.nan) if memo else None)
-        self.memoized = all(t is not None for t in self._tables)
 
     def pass_probability(self, tests) -> float:
         """Exact pass probability of one test, given as its bond tests
@@ -273,50 +293,12 @@ class _TestSampler:
         return q
 
 
-def _sampler(protocol: Protocol, state: PreparedState) -> _TestSampler:
-    """The state's sampler for the protocol, built once, so that
-    `estimate_pass_rate` and `run_many` on one state share one memo table.
-    Its values are exact and the draws do not depend on them, so sharing
-    changes no result."""
-    if protocol not in state._samplers:  # a Protocol hashes by identity
-        state._samplers[protocol] = _TestSampler(protocol, state)
-    return state._samplers[protocol]
-
-
-def _single_run(sampler: _TestSampler, rng: np.random.Generator, n_tests: int,
-                seed: int) -> RunResult:
-    passed = 0
-    # a test outside the tables costs one exact evaluation, so runs that may
-    # draw one go test by test and evaluate none past the first failure
-    size, cap = (FIRST_BLOCK, MAX_BLOCK) if sampler.memoized else (1, 1)
-    while passed < n_tests:
-        size = min(size, n_tests - passed)
-        q = sampler.draw_block(rng, size)
-        failed = rng.random(size) >= q
-        if failed.any():
-            return RunResult(n_tests=n_tests, n_passed=passed + int(np.argmax(failed)),
-                             accepted=False, seed=seed)
-        passed += size
-        size = min(2 * size, cap)
-    return RunResult(n_tests=n_tests, n_passed=passed, accepted=True, seed=seed)
-
-
-def run_many(protocol: Protocol, state: PreparedState, n_tests: int, runs: int,
-             seed: int) -> list[RunResult]:
-    """Independent runs with per-run substreams derived from (seed, index)."""
-    if n_tests < 1:
-        raise InputError("need at least one test")
-    sampler = _sampler(protocol, state)
-    return [_single_run(sampler, np.random.default_rng([seed, i]), n_tests, seed)
-            for i in range(runs)]
-
-
 def estimate_pass_rate(protocol: Protocol, state: PreparedState, n_draws: int,
                        seed: int) -> tuple[float, float]:
     """Monte-Carlo single-test pass rate and its standard error."""
     if n_draws < 1:
         raise InputError("need at least one draw")
-    sampler = _sampler(protocol, state)
+    sampler = _TestSampler(protocol, state)
     rng = np.random.default_rng(seed)
     hits = 0
     for start in range(0, n_draws, MAX_BLOCK):

@@ -203,7 +203,8 @@ def test_criterion_10_statistical_law(chain4, icosahedron):
         assert abs(rate - exact) <= 3 * stderr
 
         n_tests = proto.sample_count(nu, epsilon, delta)
-        results = sim.run_many(protocol, state, n_tests, runs=10_000, seed=2020)
+        results = sim.run_many(sim.acceptance_probability(protocol, state), n_tests,
+                               runs=10_000, seed=2020)
         acceptance = sim.aggregate(results)["acceptance_rate"]
         assert acceptance <= delta + 3 * math.sqrt(delta / 10_000)
 

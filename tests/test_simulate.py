@@ -296,7 +296,6 @@ class TestMixedMatching:
 
     def test_pass_probability(self, mixed, state, icosahedron):
         sampler = sim._TestSampler(mixed, state)
-        assert not sampler.memoized
         rng = np.random.default_rng(12)
         density = oracles.density_matrix(state)
         for e, f in mixed.cover.matchings:  # e carries the design, f is isotropic
@@ -319,28 +318,32 @@ class TestMixedMatching:
 class TestRunVerification:
     def test_ground_state_always_accepted(self, chain4_protocol):
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.0))
-        for result in sim.run_many(chain4_protocol, state, 200, runs=3, seed=0):
+        p = sim.acceptance_probability(chain4_protocol, state)
+        for result in sim.run_many(p, 200, runs=3, seed=0):
             assert result.accepted
             assert result.n_passed == result.n_tests == 200
 
     def test_deterministic_given_seed(self, chain4_protocol):
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
-        a = sim.run_many(chain4_protocol, state, 100, runs=10, seed=42)
-        b = sim.run_many(chain4_protocol, state, 100, runs=10, seed=42)
-        other = sim.run_many(chain4_protocol, state, 100, runs=10, seed=43)
+        p = sim.acceptance_probability(chain4_protocol, state)
+        a = sim.run_many(p, 100, runs=10, seed=42)
+        b = sim.run_many(p, 100, runs=10, seed=42)
+        other = sim.run_many(p, 100, runs=10, seed=43)
         assert a == b
         assert [r.n_passed for r in a] != [r.n_passed for r in other]
 
     def test_run_many_deterministic(self, chain4_protocol):
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
-        a = sim.run_many(chain4_protocol, state, 50, runs=10, seed=9)
-        b = sim.run_many(chain4_protocol, state, 50, runs=10, seed=9)
+        p = sim.acceptance_probability(chain4_protocol, state)
+        a = sim.run_many(p, 50, runs=10, seed=9)
+        b = sim.run_many(p, 50, runs=10, seed=9)
         assert a == b
 
     def test_runs_are_independent_substreams(self, chain4_protocol):
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
-        five = sim.run_many(chain4_protocol, state, 200, runs=5, seed=9)
-        ten = sim.run_many(chain4_protocol, state, 200, runs=10, seed=9)
+        p = sim.acceptance_probability(chain4_protocol, state)
+        five = sim.run_many(p, 200, runs=5, seed=9)
+        ten = sim.run_many(p, 200, runs=10, seed=9)
         assert ten[:5] == five
 
     def test_monte_carlo_matches_exact(self, chain4_protocol):
@@ -365,7 +368,12 @@ class TestRunVerification:
     def test_invalid_test_count(self, chain4_protocol):
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.0))
         with pytest.raises(InputError):
-            sim.run_many(chain4_protocol, state, 0, runs=1, seed=1)
+            sim.run_many(sim.acceptance_probability(chain4_protocol, state), 0, runs=1, seed=1)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.1, float("nan")])
+    def test_invalid_pass_probability(self, p):
+        with pytest.raises(InputError, match="pass probability"):
+            sim.run_many(p, 10, runs=1, seed=1)
 
     def test_no_draws(self, chain4_protocol):
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.0))
@@ -399,7 +407,8 @@ class TestExactLaw:
         assert abs(q - 0.98) < 1e-3
         n, runs = 50, 2000
         level = 1e-3  # significance fixed before the draw
-        results = sim.run_many(chain4_protocol, state, n, runs=runs, seed=424242)
+        results = sim.run_many(sim.acceptance_probability(chain4_protocol, state), n,
+                               runs=runs, seed=424242)
         observed = np.bincount([r.n_passed for r in results], minlength=n + 1)
         expected = runs * truncated_geometric(q, n)
         # merge neighbouring bins until every expected count is at least 5
@@ -417,10 +426,11 @@ class TestExactLaw:
         stat = float(np.sum((obs_bins - exp_bins) ** 2 / exp_bins))
         assert stat < scipy.stats.chi2.isf(level, len(exp_bins) - 1)
 
-    @pytest.mark.parametrize("n", [1, sim.FIRST_BLOCK, sim.FIRST_BLOCK + 1])
+    @pytest.mark.parametrize("n", [1, 64, 65])
     def test_block_edges(self, chain4_protocol, noisy, n):
         state, q = noisy
-        results = sim.run_many(chain4_protocol, state, n, runs=400, seed=n)
+        results = sim.run_many(sim.acceptance_probability(chain4_protocol, state), n,
+                               runs=400, seed=n)
         for r in results:
             assert 0 <= r.n_passed <= n and r.n_tests == n
             assert r.accepted == (r.n_passed == n)
@@ -432,16 +442,26 @@ class TestExactLaw:
 
     def test_ground_state_block_edges(self, chain4_protocol):
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.0))
-        for n in (1, sim.FIRST_BLOCK, sim.FIRST_BLOCK + 1, 3 * sim.MAX_BLOCK + 1):
-            (r,) = sim.run_many(chain4_protocol, state, n, runs=1, seed=0)
+        p = sim.acceptance_probability(chain4_protocol, state)
+        for n in (1, 64, 65, 3 * sim.MAX_BLOCK + 1):
+            (r,) = sim.run_many(p, n, runs=1, seed=0)
             assert r.accepted and r.n_passed == n
 
+    def test_sure_pass_accepts_every_run(self):
+        for n in (1, 65, 3 * sim.MAX_BLOCK + 1):
+            results = sim.run_many(1.0, n, runs=20, seed=n)
+            assert all(r.accepted and r.n_passed == n for r in results)
 
-class TestSharedSampler:
-    def test_estimate_and_runs_share_one_table(self, chain4_protocol, monkeypatch):
-        """The pass-rate estimate and the runs on one state build one sampler,
-        and the runs read the tests the estimate tabled without evaluating
-        them again; a new state gets a new sampler."""
+    def test_sure_failure_passes_no_test(self):
+        for n in (1, 65, 3 * sim.MAX_BLOCK + 1):
+            results = sim.run_many(0.0, n, runs=20, seed=n)
+            assert all(r.n_passed == 0 and not r.accepted for r in results)
+
+
+class TestEstimateSampler:
+    def test_estimate_evaluates_each_test_once(self, chain4_protocol, monkeypatch):
+        """The pass-rate estimate builds one sampler, and its tables evaluate
+        each distinct design test once."""
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
         built, evaluated = [], []
         build, evaluate = sim._TestSampler.__init__, sim._TestSampler.pass_probability
@@ -450,20 +470,16 @@ class TestSharedSampler:
             built.append(args)
             build(self, *args)
 
-        def counting_evaluate(self, *args):
-            evaluated.append(args)
-            return evaluate(self, *args)
+        def counting_evaluate(self, tests):
+            evaluated.append(tuple(id(plan) for plan, _ in tests))
+            return evaluate(self, tests)
 
         monkeypatch.setattr(sim._TestSampler, "__init__", counting_build)
         monkeypatch.setattr(sim._TestSampler, "pass_probability", counting_evaluate)
         sim.estimate_pass_rate(chain4_protocol, state, 20000, seed=1)
-        tabled = len(evaluated)
-        assert len(built) == 1 and tabled == 288  # every icosahedron pair of 2 matchings
-        expected = sim.run_many(chain4_protocol, state, 100, runs=20, seed=2)
-        assert len(built) == 1 and len(evaluated) == tabled
-        other = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
-        assert sim.run_many(chain4_protocol, other, 100, runs=20, seed=2) == expected
-        assert len(built) == 2
+        assert len(built) == 1
+        # every icosahedron pair of 2 matchings, each evaluated once
+        assert len(evaluated) == len(set(evaluated)) == 288
 
 
 class TestUnmemoizedTests:
@@ -474,11 +490,17 @@ class TestUnmemoizedTests:
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
         memo = sim.estimate_pass_rate(chain4_protocol, state, 1000, seed=8)
         monkeypatch.setattr(sim, "MEMO_TABLE_LIMIT", 100)  # chain 4 tables hold 144
-        # a fresh state, so that its sampler is built under the patched limit
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
+        calls = []
+        evaluate = sim._TestSampler.pass_probability
+
+        def counting(self, tests):
+            calls.append(tests)
+            return evaluate(self, tests)
+
+        monkeypatch.setattr(sim._TestSampler, "pass_probability", counting)
         # the same draws, each evaluated exactly without a table
         assert sim.estimate_pass_rate(chain4_protocol, state, 1000, seed=8) == memo
-        assert not sim._sampler(chain4_protocol, state).memoized
+        assert len(calls) == 1000
 
     def test_isotropic_block_matches_single_tests(self, chain4):
         """A block of isotropic draws, compiled with one bond_tests call per
@@ -527,20 +549,21 @@ class TestUnmemoizedTests:
         rate, stderr = sim.estimate_pass_rate(p, state, 2000, seed=4)
         assert abs(rate - exact) < 4 * stderr
 
-    def test_runs_evaluate_no_test_past_a_failure(self, chain4, monkeypatch):
-        p = proto.build_protocol(chain4, G.edge_coloring(chain4.graph), None)
-        state = sim.prepare_state(p, sim.NoiseSpec("worst_case", 0.3))
+    def test_cli_runs_evaluate_no_test(self, monkeypatch, capsys):
+        """`ffv simulate` draws its runs from the geometric law: the only test
+        it evaluates is the pass-rate estimate's one draw."""
         calls = []
         evaluate = sim._TestSampler.pass_probability
 
-        def counting(self, *args, **kwargs):
-            calls.append(args)
-            return evaluate(self, *args, **kwargs)
+        def counting(self, tests):
+            calls.append(tests)
+            return evaluate(self, tests)
 
         monkeypatch.setattr(sim._TestSampler, "pass_probability", counting)
-        results = sim.run_many(p, state, 100, runs=4, seed=3)
-        assert not all(r.accepted for r in results)
-        assert len(calls) == sum(r.n_passed + (not r.accepted) for r in results)
+        assert cli.main(["simulate", "--chain", "4", "--closed", "--design", "isotropic",
+                         "--runs", "50", "--tests", "100", "--pass-draws", "1"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
 
 class TestBondTestsBuiltOnce:
@@ -577,6 +600,24 @@ class TestBondTestsBuiltOnce:
         built = self.projectors_built(monkeypatch, capsys, "--runs", "20",
                                       "--pass-draws", "2000")
         assert 0 < built <= 48
+
+
+class TestCliRunsFromPrintedProbability:
+    @pytest.mark.parametrize("flags", [("--noise", m) for m in sim.NOISE_MODES]
+                             + [("--design", "isotropic")], ids=" ".join)
+    def test_per_run_follows_exact_pass_probability(self, capsys, flags):
+        """`ffv simulate` draws its runs from the pass probability it prints."""
+        import json
+
+        assert cli.main(["simulate", "--chain", "4", "--closed", "--noise-epsilon", "0.3",
+                         "--runs", "30", "--tests", "10", "--pass-draws", "10",
+                         "--seed", "11", *flags]) == 0
+        data = json.loads(capsys.readouterr().out)
+        expected = sim.run_many(data["exact_pass_probability"], 10, 30, 11)
+        assert data["per_run"] == [{"run": i, "n_tests": r.n_tests, "n_passed": r.n_passed,
+                                    "accepted": r.accepted, "seed": r.seed}
+                                   for i, r in enumerate(expected)]
+        assert 0 < data["accepted"] < 30  # the runs are neither all passed nor all failed
 
 
 class TestAggregate:
