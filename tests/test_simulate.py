@@ -403,12 +403,11 @@ class TestExactLaw:
     def test_histogram_chi_square(self, chain4_protocol, noisy):
         import scipy.stats
 
-        state, q = noisy
+        _, q = noisy
         assert abs(q - 0.98) < 1e-3
         n, runs = 50, 2000
         level = 1e-3  # significance fixed before the draw
-        results = sim.run_many(sim.acceptance_probability(chain4_protocol, state), n,
-                               runs=runs, seed=424242)
+        results = sim.run_many(q, n, runs=runs, seed=424242)
         observed = np.bincount([r.n_passed for r in results], minlength=n + 1)
         expected = runs * truncated_geometric(q, n)
         # merge neighbouring bins until every expected count is at least 5
@@ -428,9 +427,8 @@ class TestExactLaw:
 
     @pytest.mark.parametrize("n", [1, 64, 65])
     def test_block_edges(self, chain4_protocol, noisy, n):
-        state, q = noisy
-        results = sim.run_many(sim.acceptance_probability(chain4_protocol, state), n,
-                               runs=400, seed=n)
+        _, q = noisy
+        results = sim.run_many(q, n, runs=400, seed=n)
         for r in results:
             assert 0 <= r.n_passed <= n and r.n_tests == n
             assert r.accepted == (r.n_passed == n)
@@ -443,13 +441,9 @@ class TestExactLaw:
     def test_ground_state_block_edges(self, chain4_protocol):
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.0))
         p = sim.acceptance_probability(chain4_protocol, state)
+        assert p == 1.0  # a sure pass, which draws no first failure
         for n in (1, 64, 65, 3 * sim.MAX_BLOCK + 1):
-            (r,) = sim.run_many(p, n, runs=1, seed=0)
-            assert r.accepted and r.n_passed == n
-
-    def test_sure_pass_accepts_every_run(self):
-        for n in (1, 65, 3 * sim.MAX_BLOCK + 1):
-            results = sim.run_many(1.0, n, runs=20, seed=n)
+            results = sim.run_many(p, n, runs=20, seed=n)
             assert all(r.accepted and r.n_passed == n for r in results)
 
     def test_sure_failure_passes_no_test(self):
