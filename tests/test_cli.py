@@ -328,6 +328,11 @@ GOLDEN_COMMANDS = (
      "--seed", "5", "--runs", "3", "--tests", "50", "--pass-draws", "200"),
     ("simulate", "--honeycomb", "2x1", "--noise", "coherent_rotation", "--noise-epsilon",
      "0.5", "--seed", "5", "--runs", "3", "--tests", "50", "--pass-draws", "200"),
+    # open chain 5: worst_case and depolarizing away from the closed chain.  Its
+    # spin-1/2 ends pair into the valence-bond state, so its ground rank is 1,
+    # as on every AKLT graph tried; test_simulate covers a degenerate one
+    ("simulate", "--chain", "5", "--noise", "worst_case", "--seed", "5", "--runs", "3"),
+    ("simulate", "--chain", "5", "--noise", "depolarizing", "--seed", "5", "--runs", "3"),
 )
 GOLDEN_PATH = Path(__file__).parent / "data" / "cli_golden.json"
 #: absolute tolerance on a printed non-integer number
