@@ -412,12 +412,16 @@ class Sector:
             return out / np.linalg.norm(out)
 
         full = self.lift(kernel)
-        lowered = np.column_stack([sum(plan(v) for plan in down) for v in full.T])
-        # <a| S^+ S^- |b> = <S^- a|S^- b>
+        lowered = np.zeros_like(full)  # S^- is real in the S_z basis
+        for i, plan in itertools.product(range(full.shape[1]), down):
+            lowered[:, i] += plan(full[:, i])  # one plan output at a time
+        # <a| S^+ S^- |b> = <S^- a|S^- b>; then only the rotated lift is kept
         vals, rot = eigh(lowered.conj().T @ lowered)
+        del lowered
+        full = full @ rot
         m0 = self.twice_m / 2
         basis = []
-        for val, member in zip(vals, (full @ rot).T):
+        for val, member in zip(vals, full.T):
             spin = math.sqrt(max(val, 0.0) + (m0 - 0.5) ** 2) - 0.5
             twice_s = 2 * round(spin - m0) + self.twice_m
             if abs(val - (twice_s / 2 + m0) * (twice_s / 2 - m0 + 1)) > SPIN_CLUSTER_TOL:
@@ -541,8 +545,9 @@ def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
     of the closed chain of 6 (d = 141, k = 2) ends its LANCZOS_MAX_RESTARTS
     restarts with the pair at theta ~ -4e-16 still at an estimate of 3e-17.
     The basis starts from the first vector of a fixed start stream
-    (`_start_vector`), and an invariant subspace continues from the stream's
-    next vector, made orthogonal to the basis.  Running out of
+    (`_start_vector`); its next vector, made orthogonal to the basis, goes on
+    only when no Gram-Schmidt pass keeps 0.717 of the remainder before it,
+    else the last remainder, rounding residue or not, does.  Running out of
     LANCZOS_MAX_RESTARTS restarts, or a NaN or infinite operator output, is a
     ResourceError.
     """

@@ -44,20 +44,20 @@ class Protocol:
         extra = set(self.bond_ops) - set(h.graph.edges)
         if extra:
             raise InputError(f"bond operators for unknown edges {sorted(extra)}")
-        ops = {}
         for e in h.graph.edges:
             if e not in self.bond_ops:
                 raise InputError(f"no bond operator for edge {e}")
             op = self.bond_ops[e]
             if op.edge != e:
                 raise InputError(f"bond operator for {op.edge} filed under {e}")
-            q = op.bond.ground_projector
+            q = np.eye(len(h.projectors[e])) - h.projectors[e]  # onto ker P_e
+            if op.matrix.shape != q.shape:
+                raise InputError(f"bond operator on {e}: shape {op.matrix.shape}, not {q.shape}")
             defect = linalg.operator_norm(op.matrix @ q - q)
             if defect > 1e-10:
-                raise InputError(
-                    f"bond operator on {e} moves the target subspace ({defect:.2e})")
-            ops[e] = op
-        object.__setattr__(self, "bond_ops", ops)
+                raise InputError(f"bond operator on {e} moves the kernel of H's projector "
+                                 f"({defect:.2e}): its tests could fail a ground state")
+        object.__setattr__(self, "bond_ops", {e: self.bond_ops[e] for e in h.graph.edges})
 
     @property
     def nu_e(self) -> float:

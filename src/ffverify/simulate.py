@@ -1,7 +1,8 @@
 """Statistical simulation of the verification procedure.
 
-States are carried as pure-state ensembles plus a weight on I/d, so single
-tests cost a handful of small tensor contractions and never a d x d matrix.
+States are carried as a pure-state ensemble and a weight on I/d; the weight
+they leave over is the target-space part, which passes every test surely, so
+single tests cost a few small tensor contractions and never a d x d matrix.
 Each test passes with probability p = tr(Omega sigma) on a fresh copy of the
 state, independently of the others, so a run's first failure is geometric in
 1 - p: `run_many` draws it from that law.  The per-test sampler serves the
@@ -24,6 +25,7 @@ from . import linalg
 from .errors import InputError
 from .hamiltonian import ground_space
 from .protocol import Protocol, top_excited_pair
+from .tolerances import PROB_SUM_TOL
 
 NOISE_MODES = ("worst_case", "depolarizing", "coherent_rotation")
 
@@ -44,50 +46,48 @@ class NoiseSpec:
 
 @dataclass(frozen=True, eq=False)
 class PreparedState:
-    """Density operator sum_i w_i |v_i><v_i| + white * I/dim: a pure-state
-    ensemble plus a weight on the maximally mixed state, so no production
-    path needs a dim x dim matrix."""
+    """sum_i w_i |v_i><v_i| + white * I/dim + rest * Q0/rank, Q0 the ground
+    projector and rest = 1 - white - sum_i w_i: a target part that every test
+    passes surely (`Protocol` checks it), held as no vector."""
 
     dim: int
     ensemble: tuple[tuple[float, np.ndarray], ...]
     white: float = 0.0
 
+    def __post_init__(self):
+        weights = (self.white, *(w for w, _ in self.ensemble))
+        if not (min(weights) >= 0 and sum(weights) <= 1.0 + PROB_SUM_TOL):  # refuses NaN
+            raise InputError(f"state weights {weights} must be nonnegative, summing to <= 1")
+
     def expectation(self, apply_op, normalized_trace: float) -> float:
-        """tr(A sigma) for an operator given by its action on vectors and its
-        normalized trace tr(A)/dim, which the white-noise part contributes."""
-        total = self.white * normalized_trace
+        """tr(A sigma), clamped into [0, 1], for a test or Omega A (which fix
+        the ground space) given by its action on vectors and tr(A)/dim."""
+        total = 1.0 - self.white - sum(w for w, _ in self.ensemble)
+        total += self.white * normalized_trace
         for w, v in self.ensemble:
             total += w * float(np.real(np.vdot(v, apply_op(v))))
-        return total
-
-
-def _ground_density(basis: np.ndarray) -> tuple[tuple[float, np.ndarray], ...]:
-    rank = basis.shape[1]
-    return tuple((1.0 / rank, np.ascontiguousarray(basis[:, i])) for i in range(rank))
+        return min(max(total, 0.0), 1.0)
 
 
 def prepare_state(protocol: Protocol, spec: NoiseSpec) -> PreparedState:
     """Prepare a state with target-subspace weight 1 - epsilon.
 
-    worst_case mixes the ground state with the top excited eigenvector of the
-    verification operator, saturating the pass-probability law exactly;
-    depolarizing mixes in white noise calibrated to the same infidelity;
-    coherent_rotation rotates one node by the least angle that reaches it.
+    worst_case puts weight eps on Omega's top excited eigenvector, saturating
+    the pass-probability law exactly; depolarizing puts white noise calibrated
+    to the same infidelity, the rest being the target part; coherent_rotation
+    rotates one node of a ground vector by the least angle that reaches it.
     """
     h = protocol.hamiltonian
     d = h.dim
-    _, basis = ground_space(h)
     eps = spec.epsilon
     if eps == 0:
-        return PreparedState(d, _ground_density(basis))
+        return PreparedState(d, ())
 
     if spec.mode == "worst_case":
-        _, phi = top_excited_pair(protocol)
-        parts = tuple((w * (1.0 - eps), v) for w, v in _ground_density(basis))
-        return PreparedState(d, parts + ((eps, phi),))
+        return PreparedState(d, ((eps, top_excited_pair(protocol)[1]),))
 
     if spec.mode == "depolarizing":
-        rank = basis.shape[1]
+        rank, _ = ground_space(h)
         if rank == d:
             raise InputError("depolarizing noise cannot lower the fidelity: the "
                              "ground space is the whole space (H = 0)")
@@ -95,11 +95,11 @@ def prepare_state(protocol: Protocol, spec: NoiseSpec) -> PreparedState:
         w = eps * d / (d - rank)
         if not 0 <= w <= 1:
             raise InputError(f"infidelity {eps} unreachable by depolarizing noise")
-        parts = tuple((x * (1.0 - w), v) for x, v in _ground_density(basis))
-        return PreparedState(d, parts, white=w)
+        return PreparedState(d, (), white=w)
 
     # coherent_rotation: exp(-i theta S_x) on the first node takes psi = basis[:, 0]
     # to sum_k exp(-i theta s_k) Pi_k psi, Pi_k the node's S_x eigenprojectors
+    _, basis = ground_space(h)
     first = h.node_order[0]
     spins, axes = linalg.eigh(linalg.spin_operators(h.node_dims[first] - 1)[0])
     parts = np.stack([linalg.make_plan(np.outer(a, a.conj()), (first,), h.node_order,
@@ -141,20 +141,15 @@ def _solve_rotation_angle(overlaps: np.ndarray, spins: np.ndarray, eps: float) -
 
 
 def acceptance_probability(protocol: Protocol, state: PreparedState) -> float:
-    """Exact average pass probability tr(Omega sigma), clamped into [0, 1]
-    against rounding."""
+    """Exact average pass probability tr(Omega sigma).  The white noise sees
+    tr(Omega)/d: each test's trace factorizes over its disjoint bonds, and the
+    nodes it leaves alone contribute a factor 1."""
     if state.dim != protocol.hamiltonian.dim:
         raise InputError("state dimension does not match the protocol")
-    q = state.expectation(protocol.apply_omega, _normalized_omega_trace(protocol))
-    return min(max(q, 0.0), 1.0)
-
-
-def _normalized_omega_trace(protocol: Protocol) -> float:
-    """tr(Omega)/d: each test's trace factorizes over its disjoint bonds, and
-    the nodes it leaves alone contribute a factor 1."""
     ops = protocol.bond_ops
-    return sum(p * math.prod(ops[e].trace / ops[e].bond.dim for e in m)
-               for m, p in zip(protocol.cover.matchings, protocol.cover.probabilities))
+    trace = sum(p * math.prod(ops[e].trace / ops[e].bond.dim for e in m)
+                for m, p in zip(protocol.cover.matchings, protocol.cover.probabilities))
+    return state.expectation(protocol.apply_omega, trace)
 
 
 @dataclass(frozen=True)
@@ -244,8 +239,7 @@ class _TestSampler:
             return v
 
         # tr(test)/d is a product over the disjoint bonds
-        q = self.state.expectation(apply_all, math.prod(t for _, t in tests))
-        return min(max(q, 0.0), 1.0)
+        return self.state.expectation(apply_all, math.prod(t for _, t in tests))
 
     def draw_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw `size` i.i.d. tests and return their exact pass probabilities."""

@@ -71,7 +71,7 @@ def max_dim() -> int:
 
 
 def check_dim(d: int, what: str) -> None:
-    """Refuse `what` (e.g. "dense Hamiltonian") of dimension d above the cap."""
+    """Refuse `what` (e.g. "low-spectrum solve") of dimension d above the cap."""
     cap = max_dim()
     if d > cap:
         raise ResourceError(f"{what} of dimension {d} exceeds FFV_MAX_DIM={cap}; "

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ffverify import aklt, graph
+from ffverify import aklt, graph, hamiltonian
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +39,12 @@ def random_direction_distribution(rng: np.random.Generator, n_points: int):
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((3, 3)))
     return q * np.sign(np.diag(r))
+
+
+def open_spin_one_chain(n: int) -> hamiltonian.FFHamiltonian:
+    """AKLT projectors on an open chain of spin-1 sites: the two free edge
+    spins-1/2 leave a rank-4 ground space."""
+    g = graph.chain(n)
+    p = aklt.coupled_spin_projector(2, 2)
+    projectors = {e: p for e in g.edges}
+    return hamiltonian.FFHamiltonian(g, projectors, {v: 3 for v in g.vertices})

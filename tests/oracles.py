@@ -3,13 +3,17 @@
 The package computes every quantity matrix-free; each has one dense
 counterpart here: H and its ground projector, products of embedded local
 operators (test operators, bond-test products), Omega, nu from dense Omega
-and Q0, a bond operator summed one direction at a time, the density matrix of a prepared state, the two reference forms of
-the bond overlap trace, and the spin-coherent states by eigh.  They are
-built on `linalg.embed` and numpy/scipy only, so they stay independent of
-the apply plans and Lanczos solves they check.  Keeping the dimension small
-is the caller's job.  `basis_rotated` copies of a Hamiltonian keep its
-spectrum but fail the SU(2) check, so the package solves them in the full
-space: the oracle of the sector solves at sizes beyond dense H.
+and Q0, a bond operator summed one direction at a time, the density matrix
+of a prepared state (its ground part from the dense ground projector), the
+two reference forms of the bond overlap trace, and the spin-coherent states
+by eigh.  They are built on `linalg.embed` and numpy/scipy only, so they
+stay independent of the apply plans and Lanczos solves they check.  Keeping
+the dimension small is the caller's job.  `planted_kernel` draws
+frustration-free instances whose kernel holds a planted span of product
+states, for differential tests of the low-spectrum solve.  `basis_rotated`
+copies of a Hamiltonian keep its spectrum but fail the SU(2) check, so the
+package solves them in the full space: the oracle of the sector solves at
+sizes beyond dense H.
 """
 
 import functools
@@ -20,6 +24,8 @@ import scipy.linalg
 
 from ffverify import aklt, linalg
 from ffverify.errors import InputError
+from ffverify.graph import Hypergraph
+from ffverify.hamiltonian import FFHamiltonian
 from ffverify.tolerances import GROUND_TOL
 
 
@@ -76,12 +82,50 @@ def nu(omega_dense: np.ndarray, q0: np.ndarray) -> float:
     return 1.0 - np.linalg.norm(comp @ omega_dense @ comp, 2)
 
 
-def density_matrix(state) -> np.ndarray:
-    """sum_i w_i |v_i><v_i| + white * I/dim of a PreparedState."""
+def density_matrix(h, state) -> np.ndarray:
+    """sum_i w_i |v_i><v_i| + white * I/dim + rest * Q0/rank of a PreparedState
+    of h, rest = 1 - white - sum_i w_i, with Q0 the dense `ground_projector`."""
+    q0 = ground_projector(h)
+    rest = 1.0 - state.white - sum(w for w, _ in state.ensemble)
     out = np.eye(state.dim, dtype=complex) * (state.white / state.dim)
+    out += q0 * (rest / round(np.real(np.trace(q0))))
     for w, v in state.ensemble:
         out += w * np.outer(v, v.conj())
     return out
+
+
+def planted_kernel(seed: int, r: int, real: bool, max_dim: int):
+    """A frustration-free instance whose kernel holds the span of r random
+    product states, real or complex, on 4-7 nodes of dimension 2-3 (redrawn
+    until d <= max_dim): chain edges, closed or not, plus up to two random
+    3-node edges.  Each edge's projector is the complement of the span of the
+    states' factors on it, so it vanishes only where r reaches the edge's
+    dimension; the kernel may be larger than the planted span."""
+    rng = np.random.default_rng(seed)
+    dims = [max_dim + 1]
+    while math.prod(dims) > max_dim:
+        dims = [int(d) for d in rng.integers(2, 4, int(rng.integers(4, 8)))]
+    n = len(dims)
+    edges = {(i, i + 1) for i in range(n - 1)}
+    if rng.random() < 0.5:
+        edges.add((0, n - 1))
+    for _ in range(int(rng.integers(0, 3))):
+        edges.add(tuple(sorted(int(v) for v in rng.choice(n, 3, replace=False))))
+
+    def draw(d):
+        v = rng.standard_normal((r, d))
+        return v if real else v + 1j * rng.standard_normal((r, d))
+
+    factors = [draw(d) for d in dims]
+    projectors = {}
+    for e in sorted(edges):
+        local = functools.reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(r, -1),
+                                 [factors[v] for v in e])
+        u, sv, _ = np.linalg.svd(local.T)
+        comp = u[:, int(np.sum(sv > 1e-10 * sv[0])):]  # the complement of the span
+        projectors[e] = comp @ comp.conj().T
+    return FFHamiltonian(Hypergraph(tuple(range(n)), tuple(sorted(edges))), projectors,
+                         dict(enumerate(dims)))
 
 
 def overlap_trace_binomial(twice_se: int, c: float) -> float:

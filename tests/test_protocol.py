@@ -381,6 +381,30 @@ class TestProtocolValidation:
         with pytest.raises(InputError):
             proto.Protocol(chain4, cover, broken)
 
+    @pytest.mark.parametrize("design", ["icosahedron", "isotropic"])
+    def test_aklt_tests_refused_over_another_hamiltonian(self, chain4, design):
+        """AKLT bond operators fix the kernel of the AKLT projector, not that
+        of a basis-rotated copy's projector or of H = 0's: their tests could
+        fail a ground state of those, so the protocol is refused."""
+        mu = None if design == "isotropic" else aklt.design_catalog(design)
+        zero = ham.FFHamiltonian(chain4.graph, {e: np.zeros((9, 9)) for e in chain4.graph.edges},
+                                 chain4.node_dims)
+        for h in (oracles.basis_rotated(chain4, seed=1), zero):
+            with pytest.raises(InputError, match=r"bond operator on \(0, 1\) moves the kernel "
+                                                 r"of H's projector .*could fail a ground state"):
+                proto.build_protocol(h, G.edge_coloring(h.graph), mu)
+            # and a ground state of h does fail an AKLT bond test
+            q0 = oracles.ground_projector(h)
+            r = oracles.embedded(h, aklt.bond_test_projector(aklt.bond(h, (0, 1)), [0, 0, 1]),
+                                 (0, 1))
+            assert linalg.operator_norm(r @ q0 - q0) > 0.1
+
+    def test_bond_operator_of_another_dimension(self, chain4):
+        ops = {e: aklt.isotropic_bond_operator(aklt.bond(chain4, e)) for e in chain4.graph.edges}
+        ops[(0, 1)] = aklt.isotropic_bond_operator(aklt.Bond((0, 1), 1, 2))
+        with pytest.raises(InputError, match=r"on \(0, 1\): shape \(6, 6\), not \(9, 9\)"):
+            proto.Protocol(chain4, G.edge_coloring(chain4.graph), ops)
+
 
 class TestGapReport:
     def test_chain_report(self, chain4_protocol):

@@ -6,7 +6,7 @@ from ffverify import cli, simulate as sim
 from ffverify.errors import InputError
 
 import oracles
-from conftest import random_unit_vector
+from conftest import open_spin_one_chain, random_unit_vector
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +67,7 @@ class TestPrepareState:
     def test_zero_epsilon_is_ground_state(self, chain4, chain4_protocol):
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.0))
         _, basis = ham.ground_space(chain4)
-        sigma = oracles.density_matrix(state)
+        sigma = oracles.density_matrix(chain4, state)
         expected = np.outer(basis[:, 0], basis[:, 0].conj())
         assert np.max(np.abs(sigma - expected)) < 1e-10
 
@@ -75,7 +75,7 @@ class TestPrepareState:
     def test_density_matrix_and_fidelity(self, chain4, chain4_protocol, mode):
         eps = 0.07
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec(mode, eps))
-        sigma = oracles.density_matrix(state)
+        sigma = oracles.density_matrix(chain4, state)
         assert abs(np.trace(sigma).real - 1) < 1e-10
         vals = np.linalg.eigvalsh(sigma)
         assert vals[0] > -1e-10
@@ -97,21 +97,25 @@ class TestPrepareState:
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("depolarizing", eps))
         _, basis = ham.ground_space(chain4)
         q0 = basis @ basis.conj().T
-        assert abs(np.real(np.trace(q0 @ oracles.density_matrix(state))) - (1 - eps)) < 1e-10
+        sigma = oracles.density_matrix(chain4, state)
+        assert abs(np.real(np.trace(q0 @ sigma)) - (1 - eps)) < 1e-10
 
-    def test_depolarizing_zero_hamiltonian(self, icosahedron):
+    def test_depolarizing_zero_hamiltonian(self):
+        # over H = 0 only identity bond operators pass every ground state surely
         g = G.chain(3)
         dims = {0: 2, 1: 3, 2: 2}
         zero = {e: np.zeros((dims[e[0]] * dims[e[1]],) * 2) for e in g.edges}
         h = ham.FFHamiltonian(g, zero, dims)
-        p = proto.build_protocol(h, G.edge_coloring(g), icosahedron)
+        ops = {e: aklt.BondOperator(aklt.bond(h, e), np.eye(len(zero[e])), None)
+               for e in g.edges}
+        p = proto.Protocol(h, G.edge_coloring(g), ops)
         with pytest.raises(InputError, match="ground space is the whole space"):
             sim.prepare_state(p, sim.NoiseSpec("depolarizing", 0.1))
 
     def test_coherent_rotation_is_pure(self, chain4_protocol):
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("coherent_rotation", 0.03))
         assert state.ensemble is not None and len(state.ensemble) == 1
-        sigma = oracles.density_matrix(state)
+        sigma = oracles.density_matrix(chain4_protocol.hamiltonian, state)
         purity = float(np.real(np.trace(sigma @ sigma)))
         assert abs(purity - 1) < 1e-9
 
@@ -225,6 +229,87 @@ class TestAcceptanceProbability:
                                        sim.PreparedState(4, (), white=1.0))
 
 
+class TestPreparedStateWeights:
+    """The weight left over is the target-space part, so the weights must
+    leave a nonnegative one."""
+
+    @pytest.mark.parametrize("ensemble, white", [
+        (((-0.1, np.ones(4) / 2),), 0.0), ((), -0.1), (((0.6, np.ones(4) / 2),), 0.5),
+        ((), float("nan"))], ids=["negative-vector", "negative-white", "above-1", "nan"])
+    def test_refused(self, ensemble, white):
+        with pytest.raises(InputError, match="must be nonnegative, summing to <= 1"):
+            sim.PreparedState(4, ensemble, white=white)
+
+    def test_target_part_passes_surely(self):
+        def never(v):
+            raise AssertionError("the target part needs no operator apply")
+
+        assert sim.PreparedState(4, ()).expectation(never, 0.3) == 1.0
+        assert sim.PreparedState(4, (), white=0.25).expectation(never, 0.5) == 0.875
+
+    def test_worst_case_and_noiseless_need_no_ground_basis(self, chain4_protocol,
+                                                           monkeypatch):
+        def forbidden(h):
+            raise AssertionError("ground_space called")
+
+        monkeypatch.setattr(sim, "ground_space", forbidden)
+        for mode in sim.NOISE_MODES:
+            assert sim.prepare_state(chain4_protocol, sim.NoiseSpec(mode, 0.0)).ensemble == ()
+        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.1))
+        assert [w for w, _ in state.ensemble] == [0.1] and state.white == 0.0
+
+
+#: instances whose every bond test must fix the dense ground projector; the
+#: open spin-1 chain's ground space has rank 4
+INVARIANT_INSTANCES = {
+    "closed-chain-4": lambda: aklt.aklt_hamiltonian(G.chain(4, closed=True)),
+    "open-chain-5": lambda: aklt.aklt_hamiltonian(G.chain(5)),
+    "honeycomb-2x1": lambda: aklt.aklt_hamiltonian(G.honeycomb_lattice(2, 1)),
+    "open-spin-1-chain-4": lambda: open_spin_one_chain(4),
+}
+
+
+class TestTargetPartPassesSurely:
+    """The invariant a prepared state's target part rests on, against the dense
+    ground projector: every bond test fixes it, so the target part passes
+    every test and Omega surely."""
+
+    @pytest.fixture(scope="class", params=sorted(INVARIANT_INSTANCES))
+    def instance(self, request):
+        h = INVARIANT_INSTANCES[request.param]()
+        return h, oracles.ground_projector(h)
+
+    def test_every_bond_test_fixes_the_ground_space(self, instance, icosahedron):
+        h, q0 = instance
+        rng = np.random.default_rng(17)
+        for e in h.graph.edges:
+            isotropic = rng.standard_normal((20, 3))
+            directions = np.concatenate(
+                [icosahedron.points, isotropic / np.linalg.norm(isotropic, axis=1, keepdims=True)])
+            for r in aklt.bond_test_projector(aklt.bond(h, e), directions):
+                assert np.linalg.norm(oracles.embedded(h, r, e) @ q0 - q0, 2) < 1e-12
+
+    @pytest.mark.parametrize("design", ["icosahedron", "isotropic"])
+    def test_noiseless_state_passes_surely(self, instance, design):
+        h, _ = instance
+        mu = None if design == "isotropic" else aklt.design_catalog(design)
+        p = proto.build_protocol(h, G.edge_coloring(h.graph), mu)
+        state = sim.prepare_state(p, sim.NoiseSpec("worst_case", 0.0))
+        assert state.ensemble == () and state.white == 0.0
+        assert sim.acceptance_probability(p, state) == 1.0
+        assert sim.estimate_pass_rate(p, state, 100, seed=1)[0] == 1.0
+
+    @pytest.mark.parametrize("mode", ["worst_case", "depolarizing"])
+    def test_acceptance_probability_against_dense(self, instance, icosahedron, mode):
+        h, q0 = instance
+        p = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
+        state = sim.prepare_state(p, sim.NoiseSpec(mode, 0.1))
+        sigma = oracles.density_matrix(h, state)
+        assert abs(np.real(np.trace(q0 @ sigma)) - 0.9) < 1e-12
+        expected = float(np.real(np.trace(oracles.omega(p) @ sigma)))
+        assert abs(sim.acceptance_probability(p, state) - expected) < 1e-12
+
+
 class TestDenseOracle:
     """The matrix-free pass probabilities against tr(A sigma) from dense
     operators and the dense density matrix."""
@@ -238,13 +323,15 @@ class TestDenseOracle:
     def test_acceptance_probability(self, protocol, mode):
         state = sim.prepare_state(protocol, sim.NoiseSpec(mode, 0.1))
         omega = oracles.omega(protocol)
-        expected = float(np.real(np.trace(omega @ oracles.density_matrix(state))))
+        sigma = oracles.density_matrix(protocol.hamiltonian, state)
+        expected = float(np.real(np.trace(omega @ sigma)))
         assert abs(sim.acceptance_probability(protocol, state) - expected) < 1e-12
 
     @pytest.mark.parametrize("mode", sim.NOISE_MODES)
     def test_pass_probability(self, protocol, mode):
         state = sim.prepare_state(protocol, sim.NoiseSpec(mode, 0.1))
         sampler = sim._TestSampler(protocol, state)
+        sigma = oracles.density_matrix(protocol.hamiltonian, state)
         rng = np.random.default_rng(3)
         for l, matching in enumerate(protocol.cover.matchings):
             dist = protocol.bond_ops[matching[0]].distribution
@@ -270,7 +357,7 @@ class TestDenseOracle:
                 t = oracles.local_product(protocol.hamiltonian, [
                     (aklt.bond_test_projector(protocol.bond_ops[e].bond, r), e)
                     for e, r in zip(matching, directions)])
-                expected = float(np.real(np.trace(t @ oracles.density_matrix(state))))
+                expected = float(np.real(np.trace(t @ sigma)))
                 assert abs(q - expected) < 1e-12
 
 
@@ -297,7 +384,7 @@ class TestMixedMatching:
     def test_pass_probability(self, mixed, state, icosahedron):
         sampler = sim._TestSampler(mixed, state)
         rng = np.random.default_rng(12)
-        density = oracles.density_matrix(state)
+        density = oracles.density_matrix(mixed.hamiltonian, state)
         for e, f in mixed.cover.matchings:  # e carries the design, f is isotropic
             for _ in range(3):
                 i = int(rng.integers(len(icosahedron)))

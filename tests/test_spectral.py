@@ -12,21 +12,13 @@ from ffverify.errors import DegenerateSpectrum, ResourceError
 from ffverify.tolerances import DENSE_EIG_LIMIT, GROUND_TOL
 
 import oracles
+from conftest import open_spin_one_chain
 
 
 def dense_low_spectrum(vals: np.ndarray) -> tuple[int, float]:
     """Ground rank and gamma from a full ascending eigenvalue list."""
     rank = int(np.sum(vals < GROUND_TOL))
     return rank, float(vals[rank])
-
-
-def open_spin_one_chain(n: int) -> ham.FFHamiltonian:
-    """AKLT projectors on an open chain of spin-1 sites: the two free edge
-    spins-1/2 leave a rank-4 ground space."""
-    g = G.chain(n)
-    p = aklt.coupled_spin_projector(2, 2)
-    projectors = {e: p for e in g.edges}
-    return ham.FFHamiltonian(g, projectors, {v: 3 for v in g.vertices})
 
 
 def sparse_chain_hamiltonian(h) -> scipy.sparse.csr_matrix:
@@ -319,7 +311,7 @@ class TestDimensionCap:
         monkeypatch.setenv("FFV_MAX_DIM", "50")
         state = sim.prepare_state(protocol, sim.NoiseSpec("depolarizing", 0.1))
         exact = sim.acceptance_probability(protocol, state)
-        expected = np.trace(oracles.omega(protocol) @ oracles.density_matrix(state))
+        expected = np.trace(oracles.omega(protocol) @ oracles.density_matrix(h, state))
         assert abs(exact - float(np.real(expected))) < 1e-12
 
     def test_edgeless_refused_before_allocation(self, monkeypatch):
@@ -332,3 +324,25 @@ class TestDimensionCap:
         monkeypatch.setattr(np, "eye", no_eye)
         with pytest.raises(ResourceError, match="dimension 64 exceeds FFV_MAX_DIM=50"):
             ham.ground_space(h)
+
+
+class TestPlantedKernels:
+    """`low_spectrum` on planted-kernel instances (`oracles.planted_kernel`,
+    d <= 300, 1-6 planted states, real and complex) against the dense
+    spectrum: the right rank and gamma, or a ResourceError, never a wrong
+    number."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_rank_and_gamma_or_refusal(self, seed):
+        h = oracles.planted_kernel(seed, r=1 + seed % 6, real=seed // 6 % 2 == 0, max_dim=300)
+        vals = np.linalg.eigvalsh(oracles.hamiltonian(h))
+        rank = int(np.sum(vals < GROUND_TOL))
+        try:
+            got_rank, basis, gamma = ham.low_spectrum(h)
+        except ResourceError:
+            return  # refused: allowed, and counted in CHANGES.md
+        assert got_rank == rank == basis.shape[1]
+        if rank == h.dim:
+            assert gamma is None
+        else:
+            assert abs(gamma - vals[rank]) < 1e-8

@@ -247,10 +247,9 @@ def test_gap_stays_in_the_sector(icosahedron, full_space_calls):
 
 
 def test_worst_case_state_lifts_once(icosahedron, full_space_calls):
-    """The worst-case state needs the full ground basis and Omega's top
-    eigenvector in the full space: one `multiplets` call, which lifts H's
-    sector kernel, and one lift of the eigenvector, however often either is
-    read."""
+    """The worst-case state needs Omega's top eigenvector in the full space and
+    no ground basis, since its target part passes every test surely: one lift
+    of the eigenvector, however often it is read, and no `multiplets` call."""
     from ffverify import aklt, graph, protocol, simulate
 
     h = aklt.aklt_hamiltonian(graph.chain(6, closed=True))
@@ -260,9 +259,9 @@ def test_worst_case_state_lifts_once(icosahedron, full_space_calls):
     simulate.prepare_state(p, spec)
     protocol.measured_gap(p)
     sector_dim = h.local.sector.dim
-    assert [c for c in full_space_calls if c[0] != "make_plan"] == [
-        ("multiplets", (sector_dim, 1)), ("lift", (sector_dim, 1)), ("lift", (sector_dim,))]
-    assert state.ensemble[-1][1] is protocol.top_excited_pair(p)[1]
+    assert [c for c in full_space_calls if c[0] != "make_plan"] == [("lift", (sector_dim,))]
+    (weight, phi), = state.ensemble
+    assert weight == 0.1 and phi is protocol.top_excited_pair(p)[1]
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.9995])
