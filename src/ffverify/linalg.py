@@ -268,38 +268,36 @@ class SectorPlan:
     """Precompiled application of one local operator, which conserves its
     support's total S_z, to sector vectors.
 
-    `perm` lists the sector's states grouped by the S_z of the support;
-    within a group, local state major and the rest of the state minor, so the
-    group is a (local states, rest states) matrix that one block multiplies in
-    place, and `inverse` gathers the result back to sector order.  Both are
-    the support's layout, shared by every plan on it.  1 x 1 blocks scale,
-    and a group whose block is 1 is left out."""
+    `perm`, the support's layout shared by every plan on it, lists the
+    sector's positions grouped by the S_z of the support; a group's rows are
+    a (local states, rest states) view of it.  A call copies its input once
+    and rewrites each group's rows in place with its block; 1 x 1 blocks
+    scale, and a group whose block is 1 is left out, its rows as copied."""
 
     perm: np.ndarray        # (sector dim,)
-    inverse: np.ndarray     # (sector dim,) the inverse permutation
-    groups: tuple[tuple[np.ndarray, int, int], ...]  # ((n, n) block, start, stop)
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]  # ((n, n) block, (n, rest) rows)
     dtype: np.dtype
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
         """The operator on a sector vector, or on each column of an (n, b)
         block of them."""
-        x = vec.astype(np.result_type(self.dtype, vec.dtype), copy=False)[self.perm]
-        for block, start, stop in self.groups:
-            # a block's columns ride along as the minor part of the rest states
-            part = x[start:stop].reshape(len(block), -1)
-            if len(block) == 1:
-                part *= block
-            else:
-                part[...] = block @ part
-        return x[self.inverse]
+        x = vec.astype(np.result_type(self.dtype, vec.dtype), order="C")
+        # x's rows (an entry, or a block's b columns) as opaque items: 1-D indexing
+        item = np.dtype((np.void, x.nbytes // len(x)))
+        items = x.view(item).reshape(len(x))
+        for block, rows in self.groups:
+            part = items[rows].view(x.dtype)  # the columns ride along in the rest
+            part = part * block if len(block) == 1 else block @ part
+            items[rows] = part.view(item)
+        return x
 
 
 class _Layout(NamedTuple):
-    """A Sector's grouping of its states by the total S_z of one support."""
+    """A Sector's grouping of its states by the total S_z of one support, in
+    one int64 array of the sector's length that each group slices."""
 
     perm: np.ndarray      # sector positions, grouped as in SectorPlan
-    inverse: np.ndarray   # the inverse permutation
-    groups: tuple[tuple[np.ndarray, int, int], ...]  # (local states, start, stop)
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]  # (local states, their slice of perm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,17 +358,16 @@ class Sector:
             rank[by_sum] = np.arange(len(by_sum))
             perm = np.argsort(rank[local] * math.prod(self.shape) + rest)
             counts = np.bincount(local_sum[local], minlength=local_sum.max() + 1)
-            groups, start = [], 0
-            for total in np.flatnonzero(counts):
-                states = by_sum[local_sum[by_sum] == total]
-                groups.append((states, start, start + int(counts[total])))
-                start += int(counts[total])
-            self._layouts[support] = _Layout(perm, np.argsort(perm), tuple(groups))
+            totals = np.flatnonzero(counts)
+            groups = tuple((by_sum[local_sum[by_sum] == total], positions) for total, positions
+                           in zip(totals, np.split(perm, np.cumsum(counts[totals])[:-1])))
+            self._layouts[support] = _Layout(perm, groups)
         return self._layouts[support]
 
     def plan(self, matrix: np.ndarray, support: Sequence[int]) -> SectorPlan:
         """Compile one local operator that conserves its support's total S_z.
-        The matrix is stored through `real_if_close`, as in `make_plan`."""
+        The matrix is stored through `real_if_close`, as in `make_plan`, and
+        the plan indexes through the support's layout, built once."""
         matrix, support, dims = _check_support(matrix, support, self.node_order,
                                                dict(zip(self.node_order, self.shape)))
         matrix = real_if_close(matrix)
@@ -379,10 +376,10 @@ class Sector:
         if leak > COMMUTE_TOL:
             raise InputError(f"operator on {support} changes S_z ({leak:.2e})")
         layout = self._layout(support)
-        groups = tuple((matrix[np.ix_(states, states)], start, stop)
-                       for states, start, stop in layout.groups
+        groups = tuple((matrix[np.ix_(states, states)], positions.reshape(len(states), -1))
+                       for states, positions in layout.groups
                        if len(states) > 1 or matrix[states[0], states[0]] != 1)
-        return SectorPlan(layout.perm, layout.inverse, groups, matrix.dtype)
+        return SectorPlan(layout.perm, groups, matrix.dtype)
 
     def lift(self, vecs: np.ndarray) -> np.ndarray:
         """Sector vectors (or the columns of a matrix of them) in the full space."""

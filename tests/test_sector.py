@@ -208,14 +208,58 @@ class TestSector:
                  for k, sup in enumerate(supports)]
         plans = [sector.plan(m, sup) for m, sup in terms]
         assert {plan.dtype for plan in plans} == {np.dtype(float), np.dtype(complex)}
-        assert plans[3].perm is plans[4].perm and plans[3].inverse is plans[4].inverse
+        assert plans[3].perm is plans[4].perm
         for plan in plans:
-            assert plan.perm.shape == plan.inverse.shape == (sector.dim,)
-            assert all(block.ndim == 2 for block, _, _ in plan.groups)
+            assert plan.perm.shape == (sector.dim,)
+            for block, rows in plan.groups:
+                # a local block, and its rows a view of the layout: perm is
+                # the plan's one sector-length array
+                assert block.shape == (len(rows), len(rows)) and rows.base is plan.perm
         vec = rng.standard_normal(sector.dim)
         full = sum(linalg.make_plan(m, sup, order, self.NODE_DIMS)(sector.lift(vec))
                    for m, sup in terms)
         got = sum(plan(vec) for plan in plans)
+        assert np.max(np.abs(got - full[sector.index])) < 1e-12
+
+    def test_index_bytes_are_one_layout_per_support(self, icosahedron):
+        """H's P_e and Omega's Omega_e on an edge share its one int64 layout,
+        so all sector plans together index 8 bytes per sector state per edge."""
+        h = aklt.aklt_hamiltonian(G.chain(8, closed=True))
+        protocol = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
+        sector = h.local.sector
+        assert sector.dim == 1107 and protocol.local.sector is sector
+        vec = np.zeros(sector.dim)
+        owners = {}
+        for plan in [*h.local.plans(vec).values(), *protocol.local.plans(vec).values()]:
+            for array in [plan.perm, *(rows for _, rows in plan.groups)]:
+                owner = array if array.base is None else array.base
+                owners[id(owner)] = owner
+        assert sum(a.nbytes for a in owners.values()) == 8 * sector.dim * len(h.graph.edges)
+
+    @pytest.mark.parametrize("columns, memory", [((), "C"), ((3,), "C"), ((3,), "F")],
+                             ids=["vector", "block", "fortran-block"])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_call_leaves_its_input_unchanged(self, columns, memory, real):
+        """Groups rewritten in place write to the call's own copy: on a
+        matrix with a 1 x 1 group scaled by 0.5 and one left out (exactly 1),
+        a read-only input stays as it was, and the output is the operator's."""
+        rng = np.random.default_rng(7)
+        node_dims = {0: 2, 1: 2, 2: 3}
+        order = tuple(node_dims)
+        sector = linalg.Sector.of(order, node_dims)
+        matrix = self.conserving(rng, [2, 2], real=real)
+        matrix[0, 0], matrix[3, 3] = 0.5, 1.0
+        plan = sector.plan(matrix, (0, 1))
+        assert sorted(block.size for block, _ in plan.groups) == [1, 4]
+        vec = rng.standard_normal((sector.dim,) + columns)
+        if not real:
+            vec = vec + 1j * rng.standard_normal(vec.shape)
+        vec = np.asarray(vec, order=memory)
+        before = vec.copy()
+        vec.setflags(write=False)
+        got = plan(vec)
+        assert np.array_equal(vec, before)
+        full = linalg.make_plan(matrix, (0, 1), order, node_dims)(sector.lift(vec))
         assert np.max(np.abs(got - full[sector.index])) < 1e-12
 
     def test_plan_refuses_sz_changing_operator(self):
