@@ -5,11 +5,12 @@ they leave over is the target-space part, which passes every test surely, so
 single tests cost a few small tensor contractions and never a d x d matrix.
 Each test passes with probability p = tr(Omega sigma) on a fresh copy of the
 state, independently of the others, so a run's first failure is geometric in
-1 - p: `run_many` draws it from that law.  The per-test sampler serves the
-Monte-Carlo pass-rate estimate: each test draws a matching, then one
-direction per bond; the test passes iff every bond test passes, and the joint
-pass probability is evaluated exactly before a single Bernoulli draw.  Runs
-come back as `RunResult`s, which `aggregate` summarizes and `cli` prints.
+1 - p: `run_many` draws it from that law.  The Monte-Carlo pass-rate estimate
+checks that the drawn tests average to Omega.  A test draws a matching, then
+one direction per bond, and passes iff every bond test passes; the estimate
+draws how often each design test comes up, evaluates its pass probability
+exactly once and draws its passes as one binomial.  Runs come back as
+`RunResult`s, which `aggregate` summarizes and `cli` prints.
 Every noise model is calibrated to its infidelity in closed form.
 """
 
@@ -186,119 +187,67 @@ def run_many(pass_probability: float, n_tests: int, runs: int,
     return results
 
 
-# the estimate draws its tests in blocks of at most this many, which keeps
-# the per-block arrays small
-MAX_BLOCK = 4096
-
-# a matching whose design combinations exceed this many entries is evaluated
-# test by test: its table would cost memory and would rarely be hit
-MEMO_TABLE_LIMIT = 1 << 20
-
-# isotropic draws compiled into bond tests at a time: a whole MAX_BLOCK would
-# hold 4096 plans and test matrices per bond, and a few hundred run as fast
+# isotropic draws compiled into bond tests at a time: a branch of many draws
+# would hold that many plans and test matrices per bond, and a few hundred run
+# as fast
 COMPILE_SLICE = 256
 
 
-class _TestSampler:
-    """Draws blocks of tests for `estimate_pass_rate` and evaluates their
-    exact pass probabilities.
+def _pass_probability(state: PreparedState, tests) -> float:
+    """Exact pass probability of one test, given as its bond tests
+    (plan, tr(R)/d_e) on disjoint bonds."""
 
-    A test is one bond test (plan, tr(R)/d_e) per bond of its matching. Bonds
-    with a finite direction distribution draw support-point indices and reuse
-    the bond tests of `Protocol.design_tests`; isotropic bonds draw unit
-    vectors and build their bond tests per slice of COMPILE_SLICE draws, from
-    one `Protocol.bond_tests` call per bond. A matching whose bonds all
-    draw indices keeps a table of pass probabilities indexed by them (one
-    axis per bond), lazily filled and NaN meaning not yet computed, so blocks
-    of repeated tests cost a handful of array operations.
-    """
+    def apply_all(v):
+        for plan, _ in tests:
+            v = plan(v)
+        return v
 
-    def __init__(self, protocol: Protocol, state: PreparedState):
-        self.protocol = protocol
-        self.state = state
-        self.matchings = protocol.cover.matchings
-        self._cum_matching = np.cumsum(protocol.cover.probabilities)
-        self._cum_weights = {e: np.cumsum(op.distribution.weights)
-                             for e, op in protocol.bond_ops.items()
-                             if op.distribution is not None}
-        self._tables = []  # per matching: probability table, or None
-        for matching in self.matchings:
-            shape = tuple(len(self._cum_weights[e]) for e in matching
-                          if e in self._cum_weights)
-            # an empty matching has no draws to index a table by
-            memo = 0 < len(shape) == len(matching) and math.prod(shape) <= MEMO_TABLE_LIMIT
-            self._tables.append(np.full(shape, np.nan) if memo else None)
-
-    def pass_probability(self, tests) -> float:
-        """Exact pass probability of one test, given as its bond tests
-        (plan, tr(R)/d_e) on disjoint bonds."""
-
-        def apply_all(v):
-            for plan, _ in tests:
-                v = plan(v)
-            return v
-
-        # tr(test)/d is a product over the disjoint bonds
-        return self.state.expectation(apply_all, math.prod(t for _, t in tests))
-
-    def draw_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw `size` i.i.d. tests and return their exact pass probabilities."""
-        ls = np.searchsorted(self._cum_matching, rng.random(size), side="right")
-        # clamp draws past a cumulative sum that ends just below 1
-        np.minimum(ls, len(self.matchings) - 1, out=ls)
-        q = np.empty(size)
-        for l, matching in enumerate(self.matchings):
-            idx = np.flatnonzero(ls == l)
-            if idx.size:
-                q[idx] = self._matching_block(l, matching, rng, idx.size)
-        return q
-
-    def _matching_block(self, l: int, matching, rng: np.random.Generator,
-                        count: int) -> np.ndarray:
-        draws = []  # per bond: direction indices, or unit vectors if isotropic
-        for e in matching:
-            cum = self._cum_weights.get(e)
-            if cum is None:  # isotropic bond: continuous draws
-                v = rng.standard_normal((count, 3))
-                draws.append(v / np.linalg.norm(v, axis=1, keepdims=True))
-            else:
-                i = np.searchsorted(cum, rng.random(count), side="right")
-                draws.append(np.minimum(i, len(cum) - 1))
-        design = self.protocol.design_tests
-        table = self._tables[l]
-        if table is None:  # nothing to memoize: evaluate test by test
-            q = np.empty(count)
-            for start in range(0, count, COMPILE_SLICE):
-                part = slice(start, start + COMPILE_SLICE)
-                per_bond = [[design[e][i] for i in d[part]] if e in design else
-                            self.protocol.bond_tests(e, d[part]) for e, d in zip(matching, draws)]
-                q[part] = [self.pass_probability([tests[t] for tests in per_bond])
-                           for t in range(q[part].size)]
-            return q
-        q = table[tuple(draws)]
-        missing = np.isnan(q)
-        if missing.any():
-            # the missing keys as a set of index tuples: the first np.unique call
-            # of a job would add ~1.6 MB to its peak RSS
-            for key in set(zip(*(d[missing].tolist() for d in draws))):
-                table[key] = self.pass_probability(
-                    [design[e][i] for e, i in zip(matching, key)])
-            q = table[tuple(draws)]
-        return q
+    # tr(test)/d is a product over the disjoint bonds
+    return state.expectation(apply_all, math.prod(t for _, t in tests))
 
 
 def estimate_pass_rate(protocol: Protocol, state: PreparedState, n_draws: int,
                        seed: int) -> tuple[float, float]:
-    """Monte-Carlo single-test pass rate and its standard error."""
+    """Monte-Carlo single-test pass rate and its standard error.
+
+    Draws how often each test comes up rather than the tests one by one: a
+    multinomial splits the draws over the matchings, and each count further
+    over each design bond's support points, so every distinct design test
+    appears once with its count and its passes are one binomial draw.  Bonds
+    with isotropic directions draw them per slice of COMPILE_SLICE draws,
+    compiled with one `Protocol.bond_tests` call per bond, and one Bernoulli
+    draw per test."""
     if n_draws < 1:
         raise InputError("need at least one draw")
-    sampler = _TestSampler(protocol, state)
+    if state.dim != protocol.hamiltonian.dim:
+        raise InputError("state dimension does not match the protocol")
+    design = protocol.design_tests
     rng = np.random.default_rng(seed)
     hits = 0
-    for start in range(0, n_draws, MAX_BLOCK):
-        size = min(MAX_BLOCK, n_draws - start)
-        q = sampler.draw_block(rng, size)
-        hits += int(np.count_nonzero(rng.random(size) < q))
+    # weights may sum to 1 +- PROB_SUM_TOL, and numpy refuses any p above 1
+    probs = np.asarray(protocol.cover.probabilities)
+    for matching, count in zip(protocol.cover.matchings,
+                               rng.multinomial(n_draws, probs / probs.sum())):
+        branches = [({}, count)] if count else []  # (design bond tests, draws)
+        for e in (e for e in matching if e in design):
+            w = protocol.bond_ops[e].distribution.weights
+            branches = [({**fixed, e: design[e][i]}, c) for fixed, n in branches
+                        for i, c in enumerate(rng.multinomial(n, w / w.sum())) if c]
+        isotropic = [e for e in matching if e not in design]
+        for fixed, n in branches:
+            if not isotropic:
+                q = _pass_probability(state, [fixed[e] for e in matching])
+                hits += int(rng.binomial(n, q))
+                continue
+            for start in range(0, n, COMPILE_SLICE):
+                size = min(COMPILE_SLICE, n - start)
+                drawn = {}
+                for e in isotropic:
+                    v = rng.standard_normal((size, 3))
+                    drawn[e] = protocol.bond_tests(e, v / np.linalg.norm(v, axis=1, keepdims=True))
+                q = [_pass_probability(state, [fixed[e] if e in fixed else drawn[e][t]
+                                               for e in matching]) for t in range(size)]
+                hits += int(np.count_nonzero(rng.random(size) < q))
     rate = hits / n_draws
     stderr = math.sqrt(max(rate * (1.0 - rate), 1e-12) / n_draws)
     return rate, stderr

@@ -228,6 +228,13 @@ class TestAcceptanceProbability:
             sim.acceptance_probability(chain4_protocol,
                                        sim.PreparedState(4, (), white=1.0))
 
+    def test_estimate_refuses_a_foreign_state(self, chain4_protocol):
+        foreign = sim.PreparedState(4, ((0.5, np.full(4, 0.5)),))
+        with pytest.raises(InputError, match="state dimension does not match the protocol"):
+            sim.acceptance_probability(chain4_protocol, foreign)
+        with pytest.raises(InputError, match="state dimension does not match the protocol"):
+            sim.estimate_pass_rate(chain4_protocol, foreign, 100, seed=1)
+
 
 class TestPreparedStateWeights:
     """The weight left over is the target-space part, so the weights must
@@ -330,40 +337,30 @@ class TestDenseOracle:
     @pytest.mark.parametrize("mode", sim.NOISE_MODES)
     def test_pass_probability(self, protocol, mode):
         state = sim.prepare_state(protocol, sim.NoiseSpec(mode, 0.1))
-        sampler = sim._TestSampler(protocol, state)
         sigma = oracles.density_matrix(protocol.hamiltonian, state)
         rng = np.random.default_rng(3)
-        for l, matching in enumerate(protocol.cover.matchings):
-            dist = protocol.bond_ops[matching[0]].distribution
-            if dist is None:  # isotropic: continuous directions, no table
-                directions = [v / np.linalg.norm(v)
-                              for v in rng.standard_normal((len(matching), 3))]
-                q = sampler.pass_probability([protocol.bond_tests(e, [r])[0]
-                                              for e, r in zip(matching, directions)])
-                checked = [(directions, q)]
-            else:
-                block = sampler._matching_block(l, matching, rng, 16)
-                table = sampler._tables[l]
-                filled = [tuple(i) for i in np.argwhere(~np.isnan(table))]
-                assert 0 < len(filled) <= 16  # the drawn tests, filled in the table
-                assert set(block) == {table[i] for i in filled}
-                checked = []
-                for indices in filled:
-                    q = sampler.pass_probability([protocol.design_tests[e][i]
-                                                  for e, i in zip(matching, indices)])
-                    assert table[indices] == q
-                    checked.append(([dist.points[i] for i in indices], q))
-            for directions, q in checked:
+        for matching in protocol.cover.matchings:
+            for _ in range(4):
+                directions, tests = [], []
+                for e in matching:
+                    dist = protocol.bond_ops[e].distribution
+                    if dist is None:  # isotropic: a continuous direction
+                        directions.append(random_unit_vector(rng))
+                        tests.append(protocol.bond_tests(e, [directions[-1]])[0])
+                    else:
+                        i = int(rng.integers(len(dist)))
+                        directions.append(dist.points[i])
+                        tests.append(protocol.design_tests[e][i])
                 t = oracles.local_product(protocol.hamiltonian, [
                     (aklt.bond_test_projector(protocol.bond_ops[e].bond, r), e)
                     for e, r in zip(matching, directions)])
                 expected = float(np.real(np.trace(t @ sigma)))
-                assert abs(q - expected) < 1e-12
+                assert abs(sim._pass_probability(state, tests) - expected) < 1e-12
 
 
 class TestMixedMatching:
-    """Matchings that pair an icosahedron bond with an isotropic bond: untabled
-    tests mixing design bond tests with bond tests built per draw."""
+    """Matchings that pair an icosahedron bond with an isotropic bond: tests
+    mixing design bond tests with bond tests built per draw."""
 
     @pytest.fixture(scope="class")
     def mixed(self, chain4, icosahedron):
@@ -382,15 +379,14 @@ class TestMixedMatching:
         return sim.prepare_state(mixed, sim.NoiseSpec("worst_case", 0.3))
 
     def test_pass_probability(self, mixed, state, icosahedron):
-        sampler = sim._TestSampler(mixed, state)
         rng = np.random.default_rng(12)
         density = oracles.density_matrix(mixed.hamiltonian, state)
         for e, f in mixed.cover.matchings:  # e carries the design, f is isotropic
             for _ in range(3):
                 i = int(rng.integers(len(icosahedron)))
                 r = random_unit_vector(rng)
-                q = sampler.pass_probability([mixed.design_tests[e][i],
-                                              mixed.bond_tests(f, [r])[0]])
+                q = sim._pass_probability(state, [mixed.design_tests[e][i],
+                                                  mixed.bond_tests(f, [r])[0]])
                 t = oracles.local_product(mixed.hamiltonian, [
                     (aklt.bond_test_projector(mixed.bond_ops[e].bond, icosahedron.points[i]), e),
                     (aklt.bond_test_projector(mixed.bond_ops[f].bond, r), f)])
@@ -529,84 +525,102 @@ class TestExactLaw:
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.0))
         p = sim.acceptance_probability(chain4_protocol, state)
         assert p == 1.0  # a sure pass, which draws no first failure
-        for n in (1, 64, 65, 3 * sim.MAX_BLOCK + 1):
+        for n in (1, 64, 65, 12289):
             results = sim.run_many(p, n, runs=20, seed=n)
             assert all(r.accepted and r.n_passed == n for r in results)
 
     def test_sure_failure_passes_no_test(self):
-        for n in (1, 65, 3 * sim.MAX_BLOCK + 1):
+        for n in (1, 65, 12289):
             results = sim.run_many(0.0, n, runs=20, seed=n)
             assert all(r.n_passed == 0 and not r.accepted for r in results)
 
 
 class TestEstimateSampler:
     def test_estimate_evaluates_each_test_once(self, chain4_protocol, monkeypatch):
-        """The pass-rate estimate builds one sampler, and its tables evaluate
-        each distinct design test once."""
+        """The pass-rate estimate evaluates each distinct design test once."""
         state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
-        built, evaluated = [], []
-        build, evaluate = sim._TestSampler.__init__, sim._TestSampler.pass_probability
+        evaluated = []
+        evaluate = sim._pass_probability
 
-        def counting_build(self, *args):
-            built.append(args)
-            build(self, *args)
-
-        def counting_evaluate(self, tests):
+        def counting(state, tests):
             evaluated.append(tuple(id(plan) for plan, _ in tests))
-            return evaluate(self, tests)
+            return evaluate(state, tests)
 
-        monkeypatch.setattr(sim._TestSampler, "__init__", counting_build)
-        monkeypatch.setattr(sim._TestSampler, "pass_probability", counting_evaluate)
+        monkeypatch.setattr(sim, "_pass_probability", counting)
         sim.estimate_pass_rate(chain4_protocol, state, 20000, seed=1)
-        assert len(built) == 1
         # every icosahedron pair of 2 matchings, each evaluated once
         assert len(evaluated) == len(set(evaluated)) == 288
 
+    def test_a_billion_design_draws(self, chain4_protocol):
+        """Design draws cost by distinct test, not by draw."""
+        import time
+
+        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
+        exact = sim.acceptance_probability(chain4_protocol, state)
+        start = time.perf_counter()
+        rate, stderr = sim.estimate_pass_rate(chain4_protocol, state, 10**9, seed=3)
+        assert time.perf_counter() - start < 1.0
+        assert abs(rate - exact) < 4 * stderr
+
+
+class TestEstimateLaw:
+    """The estimate's hit count against Binomial(n, tr(Omega sigma)): its
+    mean and variance over fixed seeds, each by chi-square at level 1e-3."""
+
+    @pytest.mark.parametrize("design, mode, n_draws", [
+        ("icosahedron", "worst_case", 100), ("isotropic", "worst_case", 40),
+        ("icosahedron", "depolarizing", 100)])
+    def test_mean_and_variance_are_binomial(self, chain4, design, mode, n_draws):
+        import scipy.stats
+
+        mu = None if design == "isotropic" else aklt.design_catalog(design)
+        p = proto.build_protocol(chain4, G.edge_coloring(chain4.graph), mu)
+        state = sim.prepare_state(p, sim.NoiseSpec(mode, 0.9))
+        q = sim.acceptance_probability(p, state)
+        seeds, level = 80, 1e-3
+        hits = np.array([round(sim.estimate_pass_rate(p, state, n_draws, seed)[0] * n_draws)
+                         for seed in range(seeds)])
+        var = n_draws * q * (1 - q)
+        mean_stat = seeds * (hits.mean() - n_draws * q) ** 2 / var
+        assert mean_stat < scipy.stats.chi2.isf(level, 1)
+        var_stat = (seeds - 1) * hits.var(ddof=1) / var
+        assert (scipy.stats.chi2.ppf(level / 2, seeds - 1) < var_stat
+                < scipy.stats.chi2.isf(level / 2, seeds - 1))
+
+
+class TestToleranceEdge:
+    """Probabilities that validation admits, summing to just above 1."""
+
+    def test_cover_probabilities_above_one(self, chain4, icosahedron):
+        # 1 + 1e-12 itself sums to 1.00009e-12 above 1 and the cover refuses it
+        cover = G.MatchingCover((((0, 1), (2, 3)), ((0, 3), (1, 2))), (1 + 9e-13, 0.0))
+        p = proto.build_protocol(chain4, cover, icosahedron)
+        state = sim.prepare_state(p, sim.NoiseSpec("depolarizing", 0.3))
+        rate, stderr = sim.estimate_pass_rate(p, state, 2000, seed=1)
+        assert abs(rate - sim.acceptance_probability(p, state)) < 4 * stderr
+
+    def test_design_weights_above_one(self, chain4, tmp_path):
+        import json
+
+        path = tmp_path / "two_points.json"
+        path.write_text(json.dumps({"points": [[0, 0, 1], [1, 0, 0]],
+                                    "weights": [1 + 5e-13, 0.0]}))
+        mu = aklt.DirectionDistribution.from_file(path)
+        p = proto.build_protocol(chain4, G.edge_coloring(chain4.graph), mu)
+        state = sim.prepare_state(p, sim.NoiseSpec("depolarizing", 0.3))
+        rate, stderr = sim.estimate_pass_rate(p, state, 2000, seed=1)
+        assert abs(rate - sim.acceptance_probability(p, state)) < 4 * stderr
+
 
 class TestUnmemoizedTests:
-    """Tests outside the probability tables: isotropic bonds, and design bonds
-    whose combinations exceed MEMO_TABLE_LIMIT."""
+    """Tests drawn per slice (isotropic bonds), empty matchings, and the
+    tests `ffv simulate` evaluates."""
 
-    def test_oversized_tables_evaluate_per_test(self, chain4_protocol, monkeypatch):
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
-        memo = sim.estimate_pass_rate(chain4_protocol, state, 1000, seed=8)
-        monkeypatch.setattr(sim, "MEMO_TABLE_LIMIT", 100)  # chain 4 tables hold 144
-        calls = []
-        evaluate = sim._TestSampler.pass_probability
-
-        def counting(self, tests):
-            calls.append(tests)
-            return evaluate(self, tests)
-
-        monkeypatch.setattr(sim._TestSampler, "pass_probability", counting)
-        # the same draws, each evaluated exactly without a table
-        assert sim.estimate_pass_rate(chain4_protocol, state, 1000, seed=8) == memo
-        assert len(calls) == 1000
-
-    def test_isotropic_block_matches_single_tests(self, chain4):
-        """A block of isotropic draws, compiled with one bond_tests call per
-        bond, gives the pass probabilities of its tests compiled one by one."""
+    def test_isotropic_compiles_at_most_one_slice(self, chain4, monkeypatch):
+        """Isotropic draws are compiled slice by slice: every draw once per
+        bond, and no bond_tests call compiles more than COMPILE_SLICE."""
         p = proto.build_protocol(chain4, G.edge_coloring(chain4.graph), None)
         state = sim.prepare_state(p, sim.NoiseSpec("worst_case", 0.3))
-        sampler = sim._TestSampler(p, state)
-        matching = p.cover.matchings[0]
-        q = sampler._matching_block(0, matching, np.random.default_rng(5), 8)
-        rng = np.random.default_rng(5)  # the block's draws again
-        draws = [v / np.linalg.norm(v, axis=1, keepdims=True)
-                 for v in (rng.standard_normal((8, 3)) for _ in matching)]
-        assert list(q) == [sampler.pass_probability([p.bond_tests(e, d[t:t + 1])[0]
-                                                     for e, d in zip(matching, draws)])
-                           for t in range(8)]
-
-    def test_isotropic_slices_match_one_block(self, chain4, monkeypatch):
-        """A block of isotropic draws larger than COMPILE_SLICE is compiled
-        slice by slice, and gives the pass probabilities of the same draws
-        compiled at once."""
-        p = proto.build_protocol(chain4, G.edge_coloring(chain4.graph), None)
-        state = sim.prepare_state(p, sim.NoiseSpec("worst_case", 0.3))
-        sampler = sim._TestSampler(p, state)
-        matching = p.cover.matchings[0]
-        size, count = sim.COMPILE_SLICE, 2 * sim.COMPILE_SLICE + 3
         compiled = []
         bond_tests = proto.Protocol.bond_tests
 
@@ -615,11 +629,10 @@ class TestUnmemoizedTests:
             return bond_tests(self, e, directions)
 
         monkeypatch.setattr(proto.Protocol, "bond_tests", recording)
-        sliced = sampler._matching_block(0, matching, np.random.default_rng(5), count)
-        assert compiled == [size] * len(matching) * 2 + [3] * len(matching)
-        monkeypatch.setattr(sim, "COMPILE_SLICE", count)
-        whole = sampler._matching_block(0, matching, np.random.default_rng(5), count)
-        assert list(sliced) == list(whole)
+        n_draws = 4 * sim.COMPILE_SLICE + 3
+        sim.estimate_pass_rate(p, state, n_draws, seed=5)
+        assert sum(compiled) == 2 * n_draws  # two bonds per matching
+        assert max(compiled) == sim.COMPILE_SLICE
 
     def test_empty_matching(self, chain4, icosahedron):
         # a cover may hold an empty matching: its test passes surely
@@ -634,13 +647,13 @@ class TestUnmemoizedTests:
         """`ffv simulate` draws its runs from the geometric law: the only test
         it evaluates is the pass-rate estimate's one draw."""
         calls = []
-        evaluate = sim._TestSampler.pass_probability
+        evaluate = sim._pass_probability
 
-        def counting(self, tests):
+        def counting(state, tests):
             calls.append(tests)
-            return evaluate(self, tests)
+            return evaluate(state, tests)
 
-        monkeypatch.setattr(sim._TestSampler, "pass_probability", counting)
+        monkeypatch.setattr(sim, "_pass_probability", counting)
         assert cli.main(["simulate", "--chain", "4", "--closed", "--design", "isotropic",
                          "--runs", "50", "--tests", "100", "--pass-draws", "1"]) == 0
         capsys.readouterr()
@@ -649,12 +662,9 @@ class TestUnmemoizedTests:
 
 class TestBondTestsBuiltOnce:
     """Design bond tests come from Protocol.design_tests, built once per
-    protocol, whether or not their matchings are tabled."""
+    protocol."""
 
-    @staticmethod
-    def projectors_built(monkeypatch, capsys, *flags) -> int:
-        from ffverify import cli
-
+    def test_cli_simulate_projector_count(self, monkeypatch, capsys):
         calls = []
         build = proto.bond_test_projector
 
@@ -662,25 +672,13 @@ class TestBondTestsBuiltOnce:
             calls.append(b.edge)
             return build(b, direction)
 
-        # the sampler reaches bond test projectors only through the protocol
+        # the estimate reaches bond test projectors only through the protocol
         assert not hasattr(sim, "bond_test_projector")
         monkeypatch.setattr(proto, "bond_test_projector", counting)
-        code = cli.main(["simulate", "--chain", "4", "--closed", "--noise-epsilon", "0.3",
-                         *flags])
+        assert cli.main(["simulate", "--chain", "4", "--closed", "--noise-epsilon", "0.3",
+                         "--runs", "50", "--pass-draws", "20000"]) == 0
         capsys.readouterr()
-        assert code == 0
-        return len(calls)
-
-    def test_cli_simulate_projector_count(self, monkeypatch, capsys):
-        built = self.projectors_built(monkeypatch, capsys, "--runs", "50",
-                                      "--pass-draws", "20000")
-        assert 0 < built <= 48  # 4 edges x 12 icosahedron points
-
-    def test_untabled_projector_count(self, monkeypatch, capsys):
-        monkeypatch.setattr(sim, "MEMO_TABLE_LIMIT", 100)  # chain 4 tables hold 144
-        built = self.projectors_built(monkeypatch, capsys, "--runs", "20",
-                                      "--pass-draws", "2000")
-        assert 0 < built <= 48
+        assert 0 < len(calls) <= 48  # 4 edges x 12 icosahedron points
 
 
 class TestCliRunsFromPrintedProbability:
