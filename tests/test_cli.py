@@ -526,10 +526,13 @@ class TestStartup:
 
 
 def write_golden() -> None:
-    """Run GOLDEN_COMMANDS and write their exit codes and output to GOLDEN_PATH."""
+    """Run GOLDEN_COMMANDS, write their exit codes and output to GOLDEN_PATH,
+    and print the argv of each entry that differs from the file it replaces."""
     import contextlib
 
     os.environ.pop("FFV_MAX_DIM", None)
+    old = {tuple(entry["argv"]): entry for entry in json.loads(GOLDEN_PATH.read_text())} \
+        if GOLDEN_PATH.exists() else {}
     entries = []
     for argv in GOLDEN_COMMANDS:
         out, err = io.StringIO(), io.StringIO()
@@ -537,7 +540,10 @@ def write_golden() -> None:
             code = cli.main(list(argv))
         entries.append({"argv": list(argv), "code": code, "stdout": out.getvalue(),
                         "stderr": err.getvalue()})
+    changed = [" ".join(entry["argv"]) for entry in entries
+               if old.get(tuple(entry["argv"])) != entry]
     GOLDEN_PATH.write_text(json.dumps(entries, indent=1) + "\n")
+    print("\n".join(f"changed: {line}" for line in changed) or "no entry changed")
 
 
 if __name__ == "__main__":
