@@ -94,7 +94,11 @@ class Hypergraph:
     @classmethod
     def from_file(cls, path) -> "Hypergraph":
         with open(path) as fh:
-            return cls.from_json(fh.read())
+            text = fh.read()
+        try:
+            return cls.from_json(text)
+        except InputError as exc:
+            raise InputError(f"graph file {path}: {exc}") from exc
 
 
 def degree(g: Hypergraph, v: int) -> int:

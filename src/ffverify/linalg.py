@@ -38,7 +38,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -268,13 +268,12 @@ class SectorPlan:
     """Precompiled application of one local operator, which conserves its
     support's total S_z, to sector vectors.
 
-    `perm`, the support's layout shared by every plan on it, lists the
-    sector's positions grouped by the S_z of the support; a group's rows are
-    a (local states, rest states) view of it.  A call copies its input once
-    and rewrites each group's rows in place with its block; 1 x 1 blocks
-    scale, and a group whose block is 1 is left out, its rows as copied."""
+    A group's rows are its local states' sector positions, a (local states,
+    rest states) view of the support's layout, which every plan on the
+    support shares.  A call copies its input once and rewrites each group's
+    rows in place with its block; 1 x 1 blocks scale, and a group whose block
+    is 1 is left out, its rows as copied."""
 
-    perm: np.ndarray        # (sector dim,)
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]  # ((n, n) block, (n, rest) rows)
     dtype: np.dtype
 
@@ -290,14 +289,6 @@ class SectorPlan:
             part = part * block if len(block) == 1 else block @ part
             items[rows] = part.view(item)
         return x
-
-
-class _Layout(NamedTuple):
-    """A Sector's grouping of its states by the total S_z of one support, in
-    one int64 array of the sector's length that each group slices."""
-
-    perm: np.ndarray      # sector positions, grouped as in SectorPlan
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...]  # (local states, their slice of perm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,25 +334,29 @@ class Sector:
         """2 M0: 0, or 1 when sum_j (d_j - 1) is odd."""
         return sum(d - 1 for d in self.shape) % 2
 
-    def _layout(self, support: tuple[int, ...]) -> _Layout:
-        """The layout of every SectorPlan on `support`, built once."""
+    def _layout(self, support: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The layout of every SectorPlan on `support`, built once: for each
+        total S_z of the support, its local states and their slice of one
+        int64 array of sector positions."""
         if support not in self._layouts:
             axes = [self.node_order.index(v) for v in support]
             dims = [self.shape[a] for a in axes]
             strides = [math.prod(self.shape[a + 1:]) for a in axes]
             digits = [(self.index // s) % d for s, d in zip(strides, dims)]
             local = np.ravel_multi_index(digits, dims)
-            rest = self.index - sum(g * s for g, s in zip(digits, strides))
             local_sum = np.indices(dims).reshape(len(dims), -1).sum(axis=0)
             by_sum = np.argsort(local_sum, kind="stable")
-            rank = np.empty_like(by_sum)
+            rank = np.empty(len(by_sum), dtype=np.min_scalar_type(len(by_sum)))
             rank[by_sum] = np.arange(len(by_sum))
-            perm = np.argsort(rank[local] * math.prod(self.shape) + rest)
+            # index is sorted and the sort is stable, so each local state keeps its
+            # positions in sector order, which is the order of their rest states:
+            # the rows of a group's local states line up only because of it
+            positions = np.argsort(rank[local], kind="stable")
             counts = np.bincount(local_sum[local], minlength=local_sum.max() + 1)
             totals = np.flatnonzero(counts)
-            groups = tuple((by_sum[local_sum[by_sum] == total], positions) for total, positions
-                           in zip(totals, np.split(perm, np.cumsum(counts[totals])[:-1])))
-            self._layouts[support] = _Layout(perm, groups)
+            self._layouts[support] = tuple(
+                (by_sum[local_sum[by_sum] == total], part) for total, part
+                in zip(totals, np.split(positions, np.cumsum(counts[totals])[:-1])))
         return self._layouts[support]
 
     def plan(self, matrix: np.ndarray, support: Sequence[int]) -> SectorPlan:
@@ -375,11 +370,10 @@ class Sector:
         leak = np.abs(matrix[local_sum[:, None] != local_sum]).max(initial=0.0)
         if leak > COMMUTE_TOL:
             raise InputError(f"operator on {support} changes S_z ({leak:.2e})")
-        layout = self._layout(support)
         groups = tuple((matrix[np.ix_(states, states)], positions.reshape(len(states), -1))
-                       for states, positions in layout.groups
+                       for states, positions in self._layout(support)
                        if len(states) > 1 or matrix[states[0], states[0]] != 1)
-        return SectorPlan(layout.perm, groups, matrix.dtype)
+        return SectorPlan(groups, matrix.dtype)
 
     def lift(self, vecs: np.ndarray) -> np.ndarray:
         """Sector vectors (or the columns of a matrix of them) in the full space."""

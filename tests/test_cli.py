@@ -108,6 +108,13 @@ class TestGap:
         assert (code, out) == (2, "")
         assert err == f"error: design file {path}: {field} must be finite\n"
 
+    def test_malformed_graph_file(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"vertices": [0, 1]}')
+        code, out, err = run_cli(capsys, "gap", "--graph", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: graph file {path}: malformed graph JSON: 'edges'\n"
+
     def test_custom_design_file(self, capsys, tmp_path):
         from ffverify import aklt
         path = tmp_path / "mu.json"
@@ -531,8 +538,7 @@ def write_golden() -> None:
     import contextlib
 
     os.environ.pop("FFV_MAX_DIM", None)
-    old = {tuple(entry["argv"]): entry for entry in json.loads(GOLDEN_PATH.read_text())} \
-        if GOLDEN_PATH.exists() else {}
+    old = {tuple(entry["argv"]): entry for entry in json.loads(GOLDEN_PATH.read_text())}
     entries = []
     for argv in GOLDEN_COMMANDS:
         out, err = io.StringIO(), io.StringIO()

@@ -4,6 +4,7 @@ norm against the full-space solves of basis-rotated copies, which fail the
 SU(2) check."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -172,6 +173,12 @@ class TestSector:
             sector.multiplets((v / np.linalg.norm(v))[:, None])
 
     NODE_DIMS = {0: 3, 1: 2, 2: 4, 3: 3}
+    #: more node dimensions, by id prefix: a node of one state, an odd total
+    #: (M0 = 1/2), a node of five states
+    MORE_NODE_DIMS = {"one-state-": {0: 3, 1: 1, 2: 3, 3: 3},
+                      "half-": {0: 3, 1: 2, 2: 4, 3: 2},
+                      "five-state-": {0: 5, 1: 2, 2: 4, 3: 3}}
+    SUPPORTS = [(0, 1), (1, 3), (3, 0), (2,), (0, 2, 3)]
 
     @staticmethod
     def conserving(rng, dims, real=False) -> np.ndarray:
@@ -184,18 +191,41 @@ class TestSector:
         matrix[local_sum[:, None] != local_sum] = 0
         return matrix
 
-    @pytest.mark.parametrize("support", [(0, 1), (1, 3), (3, 0), (2,), (0, 2, 3)])
-    def test_plan_matches_full_space_plan(self, support):
+    @staticmethod
+    def layout_oracle(sector, support) -> np.ndarray:
+        """The sector positions sorted by (rank of the support's local state
+        by S_z, rest of the full-space index), as one composite key."""
+        axes = [sector.node_order.index(v) for v in support]
+        dims = [sector.shape[a] for a in axes]
+        digits = np.unravel_index(sector.index, sector.shape)
+        digits = [digits[a] for a in axes]
+        local = np.ravel_multi_index(digits, dims)
+        rest = sector.index - sum(g * math.prod(sector.shape[a + 1:])
+                                  for g, a in zip(digits, axes))
+        local_sum = np.indices(dims).reshape(len(dims), -1).sum(axis=0)
+        rank = np.argsort(np.argsort(local_sum, kind="stable"))
+        return np.argsort(rank[local] * math.prod(sector.shape) + rest)
+
+    @pytest.mark.parametrize("node_dims, support", [
+        pytest.param(dims, support, id=f"{name}support{i}")
+        for (name, dims), (i, support) in itertools.product(
+            {"": NODE_DIMS, **MORE_NODE_DIMS}.items(), enumerate(SUPPORTS))])
+    def test_plan_matches_full_space_plan(self, node_dims, support):
         """Any operator that conserves its support's S_z, on adjacent,
-        distant, reversed and three-node supports."""
+        distant, reversed and three-node supports; its rows are the layout,
+        each local state's positions ascending in sector order."""
         rng = np.random.default_rng(5)
-        order = tuple(self.NODE_DIMS)
-        sector = linalg.Sector.of(order, self.NODE_DIMS)
-        matrix = self.conserving(rng, [self.NODE_DIMS[v] for v in support])
+        order = tuple(node_dims)
+        sector = linalg.Sector.of(order, node_dims)
+        matrix = self.conserving(rng, [node_dims[v] for v in support])
+        plan = sector.plan(matrix, support)
         vec = rng.standard_normal(sector.dim)
-        full = linalg.make_plan(matrix, support, order, self.NODE_DIMS)(sector.lift(vec))
-        assert np.max(np.abs(sector.plan(matrix, support)(vec) - full[sector.index])) < 1e-12
+        full = linalg.make_plan(matrix, support, order, node_dims)(sector.lift(vec))
+        assert np.max(np.abs(plan(vec) - full[sector.index])) < 1e-12
         assert np.linalg.norm(np.delete(full, sector.index)) < 1e-12
+        (layout,) = {id(rows.base): rows.base for _, rows in plan.groups}.values()
+        assert np.array_equal(layout, self.layout_oracle(sector, support))
+        assert all((np.diff(rows, axis=1) > 0).all() for _, rows in plan.groups)
 
     def test_sum_of_plans_matches_full_space_sum(self):
         """A sum of one-term plans, real and complex, some on one support
@@ -208,13 +238,13 @@ class TestSector:
                  for k, sup in enumerate(supports)]
         plans = [sector.plan(m, sup) for m, sup in terms]
         assert {plan.dtype for plan in plans} == {np.dtype(float), np.dtype(complex)}
-        assert plans[3].perm is plans[4].perm
+        # a plan's rows all view one sector-length array, its support's layout
+        layouts = [{id(rows.base) for _, rows in plan.groups} for plan in plans]
+        assert all(len(ids) == 1 for ids in layouts) and layouts[3] == layouts[4]
         for plan in plans:
-            assert plan.perm.shape == (sector.dim,)
             for block, rows in plan.groups:
-                # a local block, and its rows a view of the layout: perm is
-                # the plan's one sector-length array
-                assert block.shape == (len(rows), len(rows)) and rows.base is plan.perm
+                assert block.shape == (len(rows), len(rows))
+                assert rows.base.shape == (sector.dim,)
         vec = rng.standard_normal(sector.dim)
         full = sum(linalg.make_plan(m, sup, order, self.NODE_DIMS)(sector.lift(vec))
                    for m, sup in terms)
@@ -229,11 +259,9 @@ class TestSector:
         sector = h.local.sector
         assert sector.dim == 1107 and protocol.local.sector is sector
         vec = np.zeros(sector.dim)
-        owners = {}
-        for plan in [*h.local.plans(vec).values(), *protocol.local.plans(vec).values()]:
-            for array in [plan.perm, *(rows for _, rows in plan.groups)]:
-                owner = array if array.base is None else array.base
-                owners[id(owner)] = owner
+        owners = {id(rows.base): rows.base
+                  for plan in [*h.local.plans(vec).values(), *protocol.local.plans(vec).values()]
+                  for _, rows in plan.groups}
         assert sum(a.nbytes for a in owners.values()) == 8 * sector.dim * len(h.graph.edges)
 
     @pytest.mark.parametrize("columns, memory", [((), "C"), ((3,), "C"), ((3,), "F")],
