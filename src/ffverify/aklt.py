@@ -123,7 +123,7 @@ def aklt_hamiltonian(g: Hypergraph) -> FFHamiltonian:
         if d < 1:
             raise InputError(f"vertex {v} is isolated")
         dims[v] = d + 1  # 2S_j + 1 with S_j = deg(j)/2
-    projectors = {(j, k): coupled_spin_projector(degree(g, j), degree(g, k))
+    projectors = {(j, k): coupled_spin_projector(dims[j] - 1, dims[k] - 1)
                   for j, k in g.edges}
     return FFHamiltonian(g, projectors, dims)
 
@@ -131,7 +131,7 @@ def aklt_hamiltonian(g: Hypergraph) -> FFHamiltonian:
 def bond(h: FFHamiltonian, e) -> Bond:
     """Bond view of an edge of an AKLT-style Hamiltonian."""
     e = tuple(sorted(int(v) for v in e))
-    if e not in set(h.graph.edges):
+    if e not in h.projectors:
         raise InputError(f"{e} is not an edge of the Hamiltonian")
     if len(e) != 2:
         raise InputError(f"{e} is not a bond: a bond joins two nodes")

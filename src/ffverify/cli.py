@@ -39,6 +39,10 @@ def _build_graph(args) -> graphs.Hypergraph:
     picked = [bool(args.chain), bool(args.honeycomb), bool(args.square), bool(args.graph)]
     if sum(picked) != 1:
         raise InputError("pick exactly one of --chain, --honeycomb, --square, --graph")
+    if args.closed and not args.chain:
+        raise InputError("--closed needs --chain")
+    if args.periodic and not (args.honeycomb or args.square):
+        raise InputError("--periodic needs --honeycomb or --square")
     if args.chain:
         return graphs.chain(args.chain, closed=args.closed)
     if args.honeycomb:
@@ -267,10 +271,10 @@ def _add_graph_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", choices=("uniform", "proportional"), default="uniform")
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_report_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of commands that size a sample count and write a report."""
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", metavar="FILE", help="write output to FILE")
 
@@ -284,13 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="measure a protocol gap and its lower bounds")
     _add_graph_flags(p)
-    _add_common_flags(p)
+    _add_report_flags(p)
+    # gap draws nothing at random; it accepts --seed because
+    # benchmarks/workloads.py (Workload.ffv_args) appends one to every job
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gamma", type=float, help="override the reported Hamiltonian "
                    "gap gamma (H is still solved for its ground space)")
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("samples", help="closed-form sample counts")
-    _add_common_flags(p)
+    _add_report_flags(p)
     p.add_argument("--nu", type=float, help="known verification gap")
     p.add_argument("--m", type=int, help="number of matchings")
     p.add_argument("--nu-e", dest="nu_e", type=float, help="minimum bond gap")
@@ -302,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_samples)
 
     p = sub.add_parser("compare", help="sample-cost comparison table on even closed chains")
-    _add_common_flags(p)
+    _add_report_flags(p)
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA_CHAIN)
     p.add_argument("--kappa", type=int, default=2)
     p.add_argument("--alpha", type=float, default=None)
@@ -312,13 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("check-bounds", help="run the invariant suites")
-    _add_common_flags(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=25)
     p.set_defaults(func=cmd_check_bounds)
 
     p = sub.add_parser("simulate", help="Monte-Carlo verification runs")
     _add_graph_flags(p)
-    _add_common_flags(p)
+    _add_report_flags(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", choices=sims.NOISE_MODES, default="worst_case")
     p.add_argument("--noise-epsilon", type=float, default=0.05,
                    help="infidelity of the prepared state")

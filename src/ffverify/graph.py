@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantViolation
@@ -70,16 +70,14 @@ class Hypergraph:
         """True iff every edge joins exactly two distinct vertices."""
         return all(len(e) == 2 for e in self.edges)
 
-    def incident_edges(self, v: int) -> tuple[Edge, ...]:
-        if v not in set(self.vertices):
-            raise InputError(f"unknown vertex {v}")
-        return tuple(e for e in self.edges if v in e)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        out = set()
-        for e in self.incident_edges(v):
-            out.update(u for u in e if u != v)
-        return tuple(sorted(out))
+    @cached_property
+    def incident(self) -> dict[int, tuple[Edge, ...]]:
+        """The edges at each vertex, in edge order: the graph's one adjacency."""
+        out: dict[int, list[Edge]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            for v in e:
+                out[v].append(e)
+        return {v: tuple(es) for v, es in out.items()}
 
     @classmethod
     def from_json(cls, text: str) -> "Hypergraph":
@@ -103,23 +101,18 @@ class Hypergraph:
 
 def degree(g: Hypergraph, v: int) -> int:
     """Number of distinct neighbors of v (vertices sharing an edge with v)."""
-    return len(g.neighbors(v))
+    if v not in g.incident:
+        raise InputError(f"unknown vertex {v}")
+    return len({u for e in g.incident[v] for u in e if u != v})
 
 
 def max_degree(g: Hypergraph) -> int:
-    if not g.vertices:
-        return 0
-    return max(degree(g, v) for v in g.vertices)
-
-
-def edges_adjacent(e: Edge, f: Edge) -> bool:
-    """Two distinct edges are adjacent iff they share a vertex."""
-    return e != f and bool(set(e) & set(f))
+    return max((degree(g, v) for v in g.vertices), default=0)
 
 
 def _is_matching(edges: Sequence[Edge]) -> bool:
-    """True iff the edges are pairwise vertex-disjoint."""
-    return all(not (set(a) & set(b)) for a, b in combinations(edges, 2))
+    """True iff the edges are pairwise vertex-disjoint: no vertex counted twice."""
+    return len({v for e in edges for v in e}) == sum(len(e) for e in edges)
 
 
 @dataclass(frozen=True)
@@ -175,31 +168,28 @@ class MatchingCover:
         return MatchingCover(self.matchings, tuple(len(m) / total for m in self.matchings))
 
 
-def _bipartition(g: Hypergraph) -> dict[int, int] | None:
-    """2-coloring of the vertices by BFS, or None if an odd cycle exists."""
+def _other(e: Edge, x: int) -> int:
+    return e[0] if e[1] == x else e[1]
+
+
+def _is_bipartite(g: Hypergraph) -> bool:
+    """Whether a simple graph 2-colors by depth-first search (no odd cycle)."""
     side: dict[int, int] = {}
-    adj = {v: set() for v in g.vertices}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
     for start in g.vertices:
         if start in side:
             continue
         side[start] = 0
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for e in g.incident[x]:
+                y = _other(e, x)
                 if y not in side:
                     side[y] = 1 - side[x]
-                    queue.append(y)
+                    stack.append(y)
                 elif side[y] == side[x]:
-                    return None
-    return side
-
-
-def _other(e: Edge, x: int) -> int:
-    return e[0] if e[1] == x else e[1]
+                    return False
+    return True
 
 
 class _EdgeColors:
@@ -208,10 +198,7 @@ class _EdgeColors:
 
     def __init__(self, g: Hypergraph, ncolors: int):
         self.ncolors = ncolors
-        self.incident: dict[int, list[Edge]] = {v: [] for v in g.vertices}
-        for e in g.edges:
-            for x in e:
-                self.incident[x].append(e)
+        self.incident = g.incident
         self.color: dict[Edge, int] = {}
 
     def _edge(self, x: int, c: int) -> Edge | None:
@@ -297,7 +284,7 @@ def _misra_gries(g: Hypergraph) -> dict[Edge, int]:
 
 def _greedy_hyperedge_coloring(g: Hypergraph) -> dict[Edge, int]:
     """Greedy coloring of the line graph, highest-adjacency edges first."""
-    adjacency = {e: [f for f in g.edges if edges_adjacent(e, f)] for e in g.edges}
+    adjacency = {e: {f for v in e for f in g.incident[v]} - {e} for e in g.edges}
     order = sorted(g.edges, key=lambda e: (-len(adjacency[e]), e))
     color: dict[Edge, int] = {}
     for e in order:
@@ -316,8 +303,7 @@ def edge_coloring(g: Hypergraph) -> MatchingCover:
     if not g.edges:
         raise InputError("cannot color an empty edge set")
     if g.is_simple_graph():
-        side = _bipartition(g)
-        color = _bipartite_edge_coloring(g) if side is not None else _misra_gries(g)
+        color = _bipartite_edge_coloring(g) if _is_bipartite(g) else _misra_gries(g)
     else:
         color = _greedy_hyperedge_coloring(g)
     ncolors = max(color.values()) + 1

@@ -127,19 +127,22 @@ class FFHamiltonian:
     def _pair_data(self) -> tuple[dict, dict]:
         """Nonunit singular values and noncommuting partners for all adjacent
         pairs, from both projectors embedded in their joint support."""
-        edges = self.graph.edges
+        edges, incident = self.graph.edges, self.graph.incident
+        position = {e: i for i, e in enumerate(edges)}
         pair_s: dict[frozenset, float] = {}
         noncomm: dict[Edge, list[Edge]] = {e: [] for e in edges}
-        for e, f in itertools.combinations(edges, 2):
-            if not set(e) & set(f):
-                continue  # disjoint supports commute exactly
-            nodes = tuple(sorted(set(e) | set(f)))
-            a = linalg.embed(self.projectors[e], e, nodes, self.node_dims)
-            b = linalg.embed(self.projectors[f], f, nodes, self.node_dims)
-            if linalg.commutator_norm(a, b) > COMMUTE_TOL:
-                noncomm[e].append(f)
-                noncomm[f].append(e)
-            pair_s[frozenset((e, f))] = linalg.largest_nonunit_singular_value(a @ b)
+        # pairs sharing a node, in `itertools.combinations(edges, 2)` order;
+        # disjoint supports commute exactly
+        for i, e in enumerate(edges):
+            later = {f for v in e for f in incident[v] if position[f] > i}
+            for f in sorted(later, key=position.__getitem__):
+                nodes = tuple(sorted(set(e) | set(f)))
+                a = linalg.embed(self.projectors[e], e, nodes, self.node_dims)
+                b = linalg.embed(self.projectors[f], f, nodes, self.node_dims)
+                if linalg.commutator_norm(a, b) > COMMUTE_TOL:
+                    noncomm[e].append(f)
+                    noncomm[f].append(e)
+                pair_s[frozenset((e, f))] = linalg.largest_nonunit_singular_value(a @ b)
         return pair_s, noncomm
 
 

@@ -59,7 +59,7 @@ class Protocol:
                                  f"({defect:.2e}): its tests could fail a ground state")
         object.__setattr__(self, "bond_ops", {e: self.bond_ops[e] for e in h.graph.edges})
 
-    @property
+    @cached_property
     def nu_e(self) -> float:
         """Minimum bond gap over all edges."""
         return min(op.gap for op in self.bond_ops.values())

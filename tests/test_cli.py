@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -265,6 +266,16 @@ class TestCheckBounds:
         _, out_b, _ = run_cli(capsys, "check-bounds", "--instances", "3", "--seed", "5")
         assert out_a == out_b
 
+    def test_out_flag_refused(self, capsys, tmp_path):
+        """check-bounds prints its lines; an --out it would ignore is refused
+        before anything runs."""
+        out_file = tmp_path / "r.txt"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check-bounds", "--out", str(out_file)])
+        assert exc.value.code == 2
+        assert not out_file.exists()
+        assert "--out" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_perfect_state_always_accepted(self, capsys):
@@ -407,6 +418,25 @@ class TestGolden:
 
 
 class TestParsing:
+    def test_each_command_takes_the_flags_it_reads(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {name: sorted(s for a in p._actions for s in a.option_strings
+                              if s not in ("-h", "--help"))
+                 for name, p in sub.choices.items()}
+        graph = ["--chain", "--closed", "--coloring", "--design", "--graph", "--honeycomb",
+                 "--p", "--periodic", "--square"]
+        report = ["--delta", "--epsilon", "--format", "--out"]
+        assert flags == {
+            "gap": sorted(graph + report + ["--gamma", "--seed"]),
+            "samples": sorted(report + ["--g", "--gamma", "--m", "--nu", "--nu-e", "--s"]),
+            "compare": sorted(report + ["--alpha", "--gamma", "--kappa", "--n-max", "--n-min",
+                                        "--n-step"]),
+            "check-bounds": ["--instances", "--seed"],
+            "simulate": sorted(graph + report + ["--noise", "--noise-epsilon", "--pass-draws",
+                                                 "--runs", "--seed", "--tests"]),
+        }
+
     @pytest.mark.parametrize("argv, flag", [
         (("simulate", "--chain", "4", "--closed", "--tests", "0"), "--tests"),
         (("simulate", "--chain", "4", "--closed", "--runs", "-1"), "--runs"),
@@ -417,8 +447,16 @@ class TestParsing:
         (("simulate", "--chain", "4", "--closed", "--runs", "2", "--tests", "5",
           "--pass-draws", "10", "--seed", "-3"), "--seed"),
         (("compare", "--n-min", "-4", "--n-max", "2", "--n-step", "2"), "--n-min"),
+        # a lattice flag on an instance it does not shape
+        (("gap", "--honeycomb", "2x1", "--closed"), "--closed"),
+        (("gap", "--square", "3x3", "--closed"), "--closed"),
+        (("simulate", "--graph", "g.json", "--closed"), "--closed"),
+        (("gap", "--chain", "6", "--periodic"), "--periodic"),
+        (("simulate", "--chain", "4", "--closed", "--periodic"), "--periodic"),
+        (("gap", "--graph", "g.json", "--periodic"), "--periodic"),
     ], ids=["tests", "runs", "instances", "n-step", "pass-draws", "seed-check-bounds",
-            "seed-simulate", "n-min"])
+            "seed-simulate", "n-min", "closed-honeycomb", "closed-square", "closed-graph",
+            "periodic-chain", "periodic-closed-chain", "periodic-graph"])
     def test_count_flag_below_its_floor(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

@@ -39,6 +39,26 @@ class TestDegree:
         assert G.degree(g, 1) == 2
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["graph", "hypergraph"]), st.integers(min_value=2, max_value=10),
+       st.data())
+def test_adjacency_matches_an_edge_scan(kind, n, data):
+    """incident, degree and max_degree against a scan over every edge, on
+    shuffled vertex and edge orders."""
+    sizes = (2, 2) if kind == "graph" else (1, 4)
+    edges = data.draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=sizes[0],
+                                             max_size=sizes[1]), max_size=20, unique=True))
+    g = G.Hypergraph(data.draw(st.permutations(range(n))), [tuple(e) for e in edges])
+    assert tuple(g.incident) == g.vertices
+    degrees = []
+    for v in g.vertices:
+        at_v = tuple(e for e in g.edges if v in e)
+        assert g.incident[v] == at_v
+        degrees.append(len({u for e in at_v for u in e} - {v}))
+        assert G.degree(g, v) == degrees[-1]
+    assert G.max_degree(g) == max(degrees)
+
+
 class TestIsMatching:
     """Which edge sets a MatchingCover takes as matchings of a graph."""
 

@@ -227,6 +227,53 @@ class TestSpectralProfile:
             assert ham.spectral_gap_gamma(h) > 0
 
 
+def _pair_data_by_all_pairs(h):
+    """`FFHamiltonian._pair_data` by a scan over every pair of edges, in
+    `itertools.combinations` order: the oracle of its keys, values and order."""
+    pair_s, noncomm = {}, {e: [] for e in h.graph.edges}
+    for e, f in itertools.combinations(h.graph.edges, 2):
+        if not set(e) & set(f):
+            continue
+        nodes = tuple(sorted(set(e) | set(f)))
+        a = linalg.embed(h.projectors[e], e, nodes, h.node_dims)
+        b = linalg.embed(h.projectors[f], f, nodes, h.node_dims)
+        if linalg.commutator_norm(a, b) > COMMUTE_TOL:
+            noncomm[e].append(f)
+            noncomm[f].append(e)
+        pair_s[frozenset((e, f))] = linalg.largest_nonunit_singular_value(a @ b)
+    return pair_s, noncomm
+
+
+def _random_three_node_instance(seed):
+    """Up to six random 3-node edges on 3 to 6 qubits, in random order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    triples = list(itertools.combinations(range(n), 3))
+    picked = rng.choice(len(triples), size=int(rng.integers(1, min(6, len(triples)) + 1)),
+                        replace=False)
+    edges = [tuple(int(v) for v in rng.permutation(triples[i])) for i in picked]
+    return ham.random_ff_instance(seed, range(n), [2] * n, edges, ground_rank=1)
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda seed=seed: _random_three_node_instance(seed) for seed in range(12)),
+    lambda: aklt.aklt_hamiltonian(G.chain(7, closed=True)),
+    lambda: aklt.aklt_hamiltonian(G.chain(6)),
+    lambda: aklt.aklt_hamiltonian(G.square_lattice(3, 3, periodic=True)),
+    lambda: aklt.aklt_hamiltonian(G.honeycomb_lattice(2, 2)),
+    lambda: aklt.aklt_hamiltonian(G.honeycomb_lattice(2, 2, periodic=True)),
+], ids=[*(f"three-node-{seed}" for seed in range(12)), "closed-chain-7", "open-chain-6",
+        "periodic-square-3x3", "honeycomb-2x2", "periodic-honeycomb-2x2"])
+def test_pair_data_matches_all_pairs_scan(make):
+    """Pairs found through the incidence map: the same keys, values and
+    insertion order as the scan over all pairs."""
+    h = make()
+    pair_s, noncomm = h._pair_data
+    want_s, want_noncomm = _pair_data_by_all_pairs(h)
+    assert list(pair_s.items()) == list(want_s.items())
+    assert list(noncomm.items()) == list(want_noncomm.items())
+
+
 def _pair_definitions(h):
     """Commutation flags by a dense commutator, and s_jk, for every pair of
     edges sharing a node, both on the pair's joint support (edges with
