@@ -193,7 +193,9 @@ class DirectionDistribution:
     @classmethod
     def uniform(cls, points) -> "DirectionDistribution":
         points = np.asarray(points, dtype=float)
-        return cls(points, np.full(len(points), 1.0 / len(points)))
+        # one weight per row; no rows (or no array) is left to __post_init__
+        weights = np.ones(points.shape[:1])
+        return cls(points, weights / weights.size)
 
     @classmethod
     def from_json(cls, text: str) -> "DirectionDistribution":
@@ -401,12 +403,12 @@ def bond_design_report(b: Bond, mu: DirectionDistribution) -> BondDesignReport:
     p = b.top_projector
     q = b.ground_projector
     closed = isotropic_bond_operator(b).matrix
-    matches = linalg.operator_norm(op.matrix - closed) < DESIGN_TOL
+    matches = linalg.norm_below(op.matrix - closed, DESIGN_TOL)
 
     # best homogeneous fit: lambda = tr[(Omega - Q) P] / tr P
     o = op.matrix - q
     lam = float(np.real(np.trace(o @ p))) / float(np.real(np.trace(p)))
-    homogeneous = linalg.operator_norm(op.matrix - q - lam * p) < DESIGN_TOL
+    homogeneous = linalg.norm_below(op.matrix - q - lam * p, DESIGN_TOL)
 
     design = is_design(mu, t)
     trace_sq = float(np.real(np.trace(o @ o)))

@@ -146,6 +146,13 @@ def _require_projector(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
+def _require_same_shape(named: dict[str, np.ndarray]) -> None:
+    """Refuse arrays whose shapes differ, naming each shape."""
+    if len({a.shape for a in named.values()}) > 1:
+        shapes = ", ".join(f"{name} {a.shape}" for name, a in named.items())
+        raise InputError(f"shapes do not match: {shapes}")
+
+
 def projector_pair_check(p: np.ndarray, q: np.ndarray, psi: np.ndarray) -> PairCheck:
     """Check the two-projector inequality on one vector.
 
@@ -154,6 +161,9 @@ def projector_pair_check(p: np.ndarray, q: np.ndarray, psi: np.ndarray) -> PairC
     p = _require_projector(p, "P")
     q = _require_projector(q, "Q")
     psi = np.asarray(psi, dtype=complex)
+    _require_same_shape({"P": p, "Q": q})
+    if psi.shape != p.shape[:1]:
+        raise InputError(f"state of shape {psi.shape}: expected ({len(p)},)")
     s = linalg.largest_nonunit_singular_value(p @ q)
     lhs = float(np.linalg.norm(p @ (psi - q @ psi)))
     rhs = float(np.linalg.norm(p @ psi) + s * np.linalg.norm(q @ psi))
@@ -182,13 +192,17 @@ def union_gap_check(projectors: Sequence[np.ndarray]) -> UnionGapCheck:
     equality replaces the bound at m = 2."""
     if len(projectors) < 2:
         raise InputError("need at least two projectors")
-    ps = [_require_projector(p, f"P_{i + 1}") for i, p in enumerate(projectors)]
+    named = {f"P_{i + 1}": _require_projector(p, f"P_{i + 1}") for i, p in enumerate(projectors)}
+    _require_same_shape(named)
+    ps = list(named.values())
     m = len(ps)
     mean = sum(ps) / m
     prod = ps[0]
     for p in ps[1:]:
         prod = prod @ p
-    gap = 1.0 - linalg.operator_norm(mean)
+    # the mean is Hermitian (exactly, when every P_i is), so its norm is its
+    # largest eigenvalue in absolute value
+    gap = 1.0 - float(np.abs(np.linalg.eigvalsh(mean)).max())
     product_norm = linalg.operator_norm(prod)
     rhs = (1.0 - product_norm) / (m * (1.0 + product_norm))
     return UnionGapCheck(gap=gap, rhs=rhs, product_norm=product_norm, m=m)

@@ -126,9 +126,17 @@ class FFHamiltonian:
     @cached_property
     def _pair_data(self) -> tuple[dict, dict]:
         """Nonunit singular values and noncommuting partners for all adjacent
-        pairs, from both projectors embedded in their joint support."""
-        edges, incident = self.graph.edges, self.graph.incident
+        pairs, from both projectors embedded in their joint support.
+
+        Two pairs alike up to node labels (equal projectors, equal node
+        dimensions on the joint support, and each edge's nodes at the same
+        places in it) embed to the same matrices, so each such class is
+        computed once."""
+        edges, incident, dims = self.graph.edges, self.graph.incident, self.node_dims
         position = {e: i for i, e in enumerate(edges)}
+        kinds: dict[bytes, int] = {}
+        kind = {e: kinds.setdefault(p.tobytes(), len(kinds)) for e, p in self.projectors.items()}
+        classes: dict[tuple, tuple[bool, float]] = {}
         pair_s: dict[frozenset, float] = {}
         noncomm: dict[Edge, list[Edge]] = {e: [] for e in edges}
         # pairs sharing a node, in `itertools.combinations(edges, 2)` order;
@@ -137,12 +145,18 @@ class FFHamiltonian:
             later = {f for v in e for f in incident[v] if position[f] > i}
             for f in sorted(later, key=position.__getitem__):
                 nodes = tuple(sorted(set(e) | set(f)))
-                a = linalg.embed(self.projectors[e], e, nodes, self.node_dims)
-                b = linalg.embed(self.projectors[f], f, nodes, self.node_dims)
-                if linalg.commutator_norm(a, b) > COMMUTE_TOL:
+                key = (kind[e], kind[f], tuple(dims[v] for v in nodes),
+                       tuple(map(nodes.index, e)), tuple(map(nodes.index, f)))
+                if key not in classes:
+                    a = linalg.embed(self.projectors[e], e, nodes, dims)
+                    b = linalg.embed(self.projectors[f], f, nodes, dims)
+                    ab = a @ b
+                    classes[key] = (not linalg.norm_below(ab - b @ a, COMMUTE_TOL),
+                                    linalg.largest_nonunit_singular_value(ab))
+                noncommuting, pair_s[frozenset((e, f))] = classes[key]
+                if noncommuting:
                     noncomm[e].append(f)
                     noncomm[f].append(e)
-                pair_s[frozenset((e, f))] = linalg.largest_nonunit_singular_value(a @ b)
         return pair_s, noncomm
 
 

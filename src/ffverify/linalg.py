@@ -10,7 +10,11 @@ matrix-free (Lanczos iteration) above DENSE_EIG_LIMIT; at or below it the
 operator is materialized by one apply to the identity.  The dense helpers
 (`embed`, `eigh`, the norms) serve small local spaces on numpy's LAPACK and
 refuse NaN and infinite entries; `embed` is also the kron oracle of
-`make_plan`.  Dense full-space oracles live with the tests.  Matrices real to
+`make_plan`.  A yes/no tolerance test (`norm_below`, and `is_projector`
+through it) is decided from the Frobenius norm F, since
+||A|| <= F <= sqrt(rank) ||A||, with an SVD only when F falls inside that
+bracket; a reported norm comes from an SVD or, for a Hermitian matrix, its
+eigenvalues.  Dense full-space oracles live with the tests.  Matrices real to
 REAL_TOL are applied and solved in real arithmetic, complex ones in complex.
 
 `LocalOperators`, local operators by support, is the one place that decides
@@ -200,17 +204,40 @@ def operator_norm(matrix: np.ndarray) -> float:
     return float(singular_values(matrix)[0])
 
 
-def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    return operator_norm(a @ b - b @ a)
+# relative margin by which the Frobenius norm must clear either end of
+# `norm_below`'s bracket, so rounding in it or in the SVD cannot split a decision
+_BRACKET_MARGIN = 1e-12
+
+
+def norm_below(matrix: np.ndarray, tol: float) -> bool:
+    """Whether the operator norm of a matrix is below tol, as
+    `operator_norm(matrix) < tol` decides it.
+
+    ||A|| <= F <= sqrt(r) ||A|| for the Frobenius norm F and r = min(shape),
+    so F < tol means yes and F >= tol sqrt(r) means no; only in between is
+    the SVD taken.
+    """
+    matrix = np.asarray(matrix)
+    if matrix.size == 0:
+        raise InputError("empty matrix")
+    _check_finite(matrix)
+    frobenius = float(np.linalg.norm(matrix))
+    if frobenius < tol * (1.0 - _BRACKET_MARGIN):
+        return True
+    if frobenius >= tol * math.sqrt(min(matrix.shape)) * (1.0 + _BRACKET_MARGIN):
+        return False
+    return operator_norm(matrix) < tol
 
 
 def is_projector(matrix: np.ndarray) -> bool:
-    """Hermitian and idempotent, each to PROJECTOR_TOL."""
+    """Square, Hermitian and idempotent, each to PROJECTOR_TOL."""
     matrix = np.asarray(matrix, dtype=complex)
     _check_finite(matrix)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        return False
     if hermiticity_defect(matrix) > PROJECTOR_TOL:
         return False
-    return operator_norm(matrix @ matrix - matrix) < PROJECTOR_TOL
+    return norm_below(matrix @ matrix - matrix, PROJECTOR_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -624,21 +651,25 @@ def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
 
 
 def _eigsh(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
-           which: str) -> tuple[np.ndarray, np.ndarray]:
+           which: str, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """k eigenpairs at the `which` end ("SA" or "LA") of a Hermitian operator
     given by its action, eigenvalues ascending; real if it keeps float64 real.
 
     Up to DENSE_EIG_LIMIT the operator is materialized by one apply to the
-    identity, a block of dim columns, and diagonalized by numpy's LAPACK.
-    Above it `_lanczos` runs thick-restart Lanczos within
-    LANCZOS_MAX_RESTARTS restarts; running out of restarts, or a NaN or
-    infinite operator output, is a ResourceError, as is asking for k >= dim - 1
-    pairs.  BLAS runs on the threads numpy started with.
+    identity, a block of dim columns, and diagonalized by numpy's LAPACK;
+    with `vectors` false only its eigenvalues are computed, and None stands
+    for the eigenvectors.  Above it `_lanczos` runs thick-restart Lanczos
+    within LANCZOS_MAX_RESTARTS restarts; running out of restarts, or a NaN
+    or infinite operator output, is a ResourceError, as is asking for
+    k >= dim - 1 pairs.  BLAS runs on the threads numpy started with.
     """
     if dim <= DENSE_EIG_LIMIT:
         matrix = matvec(np.eye(dim))
-        vals, vecs = np.linalg.eigh((matrix + matrix.conj().T) / 2)
+        matrix = (matrix + matrix.conj().T) / 2
         pick = slice(0, k) if which == "SA" else slice(max(dim - k, 0), dim)
+        if not vectors:
+            return np.linalg.eigvalsh(matrix)[pick], None
+        vals, vecs = np.linalg.eigh(matrix)
         return vals[pick], vecs[:, pick]
     if k >= dim - 1:
         raise ResourceError(
@@ -666,8 +697,10 @@ def largest_eigenpair(matvec: Callable[[np.ndarray], np.ndarray],
 
 
 def largest_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray], dim: int) -> float:
-    """Largest eigenvalue of a Hermitian operator given by its action."""
-    return largest_eigenpair(matvec, dim)[0]
+    """Largest eigenvalue of a Hermitian operator given by its action; a
+    dense solve computes no eigenvectors."""
+    vals, _ = _eigsh(matvec, dim, 1, "LA", vectors=False)
+    return float(vals[0])
 
 
 def product_operator_norm(apply_m: Callable[[np.ndarray], np.ndarray],

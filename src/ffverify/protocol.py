@@ -53,10 +53,11 @@ class Protocol:
             q = np.eye(len(h.projectors[e])) - h.projectors[e]  # onto ker P_e
             if op.matrix.shape != q.shape:
                 raise InputError(f"bond operator on {e}: shape {op.matrix.shape}, not {q.shape}")
-            defect = linalg.operator_norm(op.matrix @ q - q)
-            if defect > 1e-10:
+            moved = op.matrix @ q - q
+            if not linalg.norm_below(moved, 1e-10):
                 raise InputError(f"bond operator on {e} moves the kernel of H's projector "
-                                 f"({defect:.2e}): its tests could fail a ground state")
+                                 f"({linalg.operator_norm(moved):.2e}): its tests could "
+                                 "fail a ground state")
         object.__setattr__(self, "bond_ops", {e: self.bond_ops[e] for e in h.graph.edges})
 
     @cached_property

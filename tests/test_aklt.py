@@ -394,6 +394,11 @@ class TestDirectionDistributionValidation:
         with pytest.raises(InputError, match=r"points must be a nonempty \(n, 3\) array"):
             aklt.DirectionDistribution(np.zeros((0, 3)), np.zeros(0))
 
+    @pytest.mark.parametrize("points", [np.zeros((0, 3)), 5.0], ids=["empty", "scalar"])
+    def test_uniform_without_points(self, points):
+        with pytest.raises(InputError, match=r"points must be a nonempty \(n, 3\) array"):
+            aklt.DirectionDistribution.uniform(points)
+
     def test_non_unit_point(self):
         with pytest.raises(InputError):
             aklt.DirectionDistribution(np.array([[0, 0, 2.0]]), np.array([1.0]))

@@ -109,6 +109,14 @@ class TestGap:
         assert (code, out) == (2, "")
         assert err == f"error: design file {path}: {field} must be finite\n"
 
+    @pytest.mark.parametrize("points", ["[]", "5"], ids=["empty", "scalar"])
+    def test_design_file_without_points(self, capsys, tmp_path, points):
+        path = tmp_path / "mu.json"
+        path.write_text(f'{{"points": {points}}}')
+        code, out, err = run_cli(capsys, "gap", "--chain", "4", "--design", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: design file {path}: points must be a nonempty (n, 3) array\n"
+
     def test_malformed_graph_file(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text('{"vertices": [0, 1]}')
@@ -247,7 +255,8 @@ class TestCheckBounds:
         code, out, _ = run_cli(capsys, "check-bounds", "--instances", "4", "--seed", "3")
         assert code == 0
         assert "FAIL" not in out
-        assert "checks passed" in out
+        # 2 lines per instance plus 6, as the benchmark's check-bounds workload expects
+        assert out.splitlines()[-1] == "14/14 checks passed"
 
     def test_zero_instances(self, capsys):
         code, out, _ = run_cli(capsys, "check-bounds", "--instances", "0")

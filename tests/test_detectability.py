@@ -174,6 +174,14 @@ class TestProjectorPairCheck:
         with pytest.raises(InputError):
             dl.projector_pair_check(np.diag([0.5, 0.0]), np.eye(2), np.ones(2))
 
+    def test_projectors_of_different_shapes_rejected(self):
+        with pytest.raises(InputError, match=r"shapes do not match: P \(2, 2\), Q \(3, 3\)"):
+            dl.projector_pair_check(np.eye(2), np.eye(3), np.ones(2))
+
+    def test_state_of_wrong_length_rejected(self):
+        with pytest.raises(InputError, match=r"state of shape \(3,\): expected \(2,\)"):
+            dl.projector_pair_check(np.eye(2), np.eye(2), np.ones(3))
+
 
 class TestUnionGapCheck:
     def test_two_rank_one_projectors_equality(self):
@@ -209,6 +217,11 @@ class TestUnionGapCheck:
     def test_m_below_two_rejected(self):
         with pytest.raises(InputError):
             dl.union_gap_check([np.eye(2)])
+
+    def test_projectors_of_different_shapes_rejected(self):
+        with pytest.raises(InputError,
+                           match=r"shapes do not match: P_1 \(2, 2\), P_2 \(3, 3\)"):
+            dl.union_gap_check([np.eye(2), np.eye(3)])
 
     def test_random_tuples_hold(self):
         rng = np.random.default_rng(7)

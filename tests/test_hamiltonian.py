@@ -78,6 +78,14 @@ class TestValidation:
         with pytest.raises(NotFrustrationFree):
             ham.ground_space(h)
 
+    def test_projectors_validated_without_svd(self, monkeypatch):
+        def refusing(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", refusing)
+        h = aklt.aklt_hamiltonian(G.square_lattice(3, 3, periodic=True))
+        assert len(h.projectors) == 18
+
     def test_missing_node_dimension(self):
         with pytest.raises(InputError, match=r"no dimension for nodes \[1\]"):
             ham.FFHamiltonian(G.chain(2), {(0, 1): np.zeros((4, 4))}, {0: 2})
@@ -111,7 +119,7 @@ class TestGroundProjector:
         q0, _ = ground_projector(chain4)
         for e, p in chain4.projectors.items():
             pe = oracles.embedded(chain4, p, e)
-            assert linalg.commutator_norm(pe, q0) < 1e-9
+            assert linalg.norm_below(pe @ q0 - q0 @ pe, 1e-9)
 
     def test_aklt_chain_unique_ground_state(self, chain4):
         _, rank = ground_projector(chain4)
@@ -237,7 +245,7 @@ def _pair_data_by_all_pairs(h):
         nodes = tuple(sorted(set(e) | set(f)))
         a = linalg.embed(h.projectors[e], e, nodes, h.node_dims)
         b = linalg.embed(h.projectors[f], f, nodes, h.node_dims)
-        if linalg.commutator_norm(a, b) > COMMUTE_TOL:
+        if linalg.operator_norm(a @ b - b @ a) > COMMUTE_TOL:
             noncomm[e].append(f)
             noncomm[f].append(e)
         pair_s[frozenset((e, f))] = linalg.largest_nonunit_singular_value(a @ b)
@@ -272,6 +280,25 @@ def test_pair_data_matches_all_pairs_scan(make):
     want_s, want_noncomm = _pair_data_by_all_pairs(h)
     assert list(pair_s.items()) == list(want_s.items())
     assert list(noncomm.items()) == list(want_noncomm.items())
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_pair_data_embeds_each_class_once(n, monkeypatch):
+    """A closed AKLT chain's adjacent pairs fall into three classes up to node
+    labels (a bond and the next, and the two pairs through the closing bond),
+    whatever its length: each class embeds its two projectors once."""
+    embeds = []
+    embed = linalg.embed
+
+    def counting(*args):
+        embeds.append(args[1:3])
+        return embed(*args)
+
+    monkeypatch.setattr(linalg, "embed", counting)
+    pair_s, noncomm = aklt.aklt_hamiltonian(G.chain(n, closed=True))._pair_data
+    assert len(pair_s) == n
+    assert len(embeds) == 6
+    assert all(len(partners) == 2 for partners in noncomm.values())
 
 
 def _pair_definitions(h):

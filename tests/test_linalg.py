@@ -39,7 +39,7 @@ class TestEmbed:
         dims = {0: 2, 1: 3, 2: 2}
         a = linalg.embed(random_local(rng, (0,), dims), (0,), (0, 1, 2), dims)
         b = linalg.embed(random_local(rng, (2,), dims), (2,), (0, 1, 2), dims)
-        assert linalg.commutator_norm(a, b) < 1e-12
+        assert linalg.operator_norm(a @ b - b @ a) < 1e-12
 
     def test_permuted_order_matches_kron_oracle(self):
         rng = np.random.default_rng(1)
@@ -169,6 +169,9 @@ class TestEigh:
     def test_idempotent_non_hermitian_is_no_projector(self):
         assert not linalg.is_projector(np.array([[1, 1], [0, 0]], dtype=complex))
 
+    def test_non_square_is_no_projector(self):
+        assert not linalg.is_projector(np.ones((2, 3)))
+
 
 class TestNorms:
     def test_projector_norm_one(self):
@@ -202,7 +205,9 @@ class TestNorms:
         assert np.all(np.diff(sv) <= 0)
 
     @pytest.mark.parametrize("check", [linalg.singular_values, linalg.operator_norm,
-                                       linalg.is_projector])
+                                       linalg.is_projector,
+                                       pytest.param(lambda matrix: linalg.norm_below(
+                                           matrix, 1e-10), id="norm_below")])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
     def test_non_finite_rejected(self, check, bad):
         matrix = np.eye(3, dtype=complex)
@@ -215,6 +220,72 @@ class TestNorms:
             linalg.singular_values(np.zeros((0, 0)))
         with pytest.raises(InputError):
             linalg.eigh(np.zeros((0, 0)))
+        with pytest.raises(InputError):
+            linalg.norm_below(np.zeros((0, 0)), 1e-10)
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """The shape of every np.linalg.svd argument, in call order."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
+
+
+@pytest.fixture
+def no_svd(monkeypatch):
+    def refusing(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refusing)
+
+
+def _diagonal(shape, entries):
+    matrix = np.zeros(shape, dtype=complex)
+    matrix[np.arange(len(entries)), np.arange(len(entries))] = entries
+    return matrix
+
+
+TOL = 1e-10
+UNDER, OVER = TOL * (1 - 1e-6), TOL * (1 + 1e-6)
+#: (matrix, whether its norm is below TOL, SVDs norm_below takes): the
+#: Frobenius norm F below TOL, inside [TOL, TOL sqrt(r)) either way, and at
+#: or above TOL sqrt(r)
+NORM_BELOW_CASES = {
+    "F-below": (np.full((4, 4), 0.2 * TOL), True, 0),
+    "bracket-equal-entries": (_diagonal((6, 6), [UNDER] * 6), True, 1),
+    "bracket-unequal-under": (_diagonal((6, 6), [UNDER, UNDER / 2]), True, 1),
+    "bracket-unequal-over": (_diagonal((6, 6), [OVER, TOL / 2, TOL / 2]), False, 1),
+    "bracket-rectangular": (_diagonal((3, 7), [UNDER] * 3), True, 1),
+    "above-equal-entries": (_diagonal((6, 6), [OVER] * 6), False, 0),
+    "above-rectangular": (_diagonal((3, 7), [OVER] * 3), False, 0),
+    "above-order-one": (PAULI_X @ PAULI_Z - PAULI_Z @ PAULI_X, False, 0),
+}
+
+
+class TestNormBelow:
+    @pytest.mark.parametrize("name", sorted(NORM_BELOW_CASES))
+    def test_agrees_with_operator_norm(self, name, svd_shapes):
+        matrix, expected, svds = NORM_BELOW_CASES[name]
+        below = linalg.norm_below(matrix, TOL)
+        assert len(svd_shapes) == svds
+        assert below == expected == (linalg.operator_norm(matrix) < TOL)
+
+    def test_projector_validated_without_svd(self, no_svd):
+        v = np.array([1, 2, 2j]) / 3
+        assert linalg.is_projector(np.outer(v, v.conj()))
+        assert linalg.is_projector(np.kron(np.eye(3), np.diag([1.0, 0.0])))
+
+    def test_order_one_commutator_flagged_without_svd(self, no_svd):
+        p = np.diag([1.0, 0.0])         # onto |0>
+        q = np.full((2, 2), 0.5)        # onto |+>
+        assert not linalg.norm_below(p @ q - q @ p, TOL)
 
 
 class TestMatrixFree:

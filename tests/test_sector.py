@@ -57,9 +57,9 @@ def solve_dims(monkeypatch) -> list[int]:
     dims = []
     solver = linalg._eigsh
 
-    def recording(matvec, dim, k, which):
+    def recording(matvec, dim, k, which, **options):
         dims.append(dim)
-        return solver(matvec, dim, k, which)
+        return solver(matvec, dim, k, which, **options)
 
     monkeypatch.setattr(linalg, "_eigsh", recording)
     return dims
