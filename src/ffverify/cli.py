@@ -342,11 +342,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag, least in (("tests", 1), ("runs", 0), ("instances", 0), ("n_min", 1),
-                            ("n_step", 1), ("pass_draws", 1), ("seed", 0)):
+        # numpy's multinomial takes --pass-draws as a C long
+        for flag, least, most in (("tests", 1, None), ("runs", 0, None), ("instances", 0, None),
+                                  ("n_min", 1, None), ("n_step", 1, None),
+                                  ("pass_draws", 1, 2 ** 63 - 1), ("seed", 0, None)):
             value = getattr(args, flag, None)  # None in commands without the flag
-            if value is not None and value < least:
-                raise InputError(f"--{flag.replace('_', '-')} must be at least {least}")
+            if value is not None and not least <= value <= (most or value):
+                bound = f"at least {least}" if value < least else f"at most {most}"
+                raise InputError(f"--{flag.replace('_', '-')} must be {bound}")
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,8 +8,8 @@ H's projectors are a `linalg.LocalOperators`, which decides H's solve space:
 the lowest total-S_z sector when every projector is SU(2)-invariant (every
 AKLT Hamiltonian), else the full space.  The one cached solve stays there;
 gamma and the detectability product (`detectability.dl_norm_check`) read its
-kernel, and only `ground_space` and `low_spectrum` rebuild the full ground
-basis from it, on first call (`linalg.Sector.multiplets`).
+kernel, and only `ground_space` rebuilds the full ground basis from it, on
+first call (`linalg.Sector.multiplets`).
 """
 
 from __future__ import annotations
@@ -160,17 +160,11 @@ class FFHamiltonian:
         return pair_s, noncomm
 
 
-def low_spectrum(h: FFHamiltonian) -> tuple[int, np.ndarray, float | None]:
-    """Ground rank, orthonormal ground basis (dim x rank) and gamma (None when
-    the ground cluster fills the space), from one cached solve."""
-    basis = h._ground_basis
-    return basis.shape[1], basis, h._low_spectrum[1]
-
-
 def ground_space(h: FFHamiltonian) -> tuple[int, np.ndarray]:
-    """Rank and orthonormal basis (dim x rank) of the zero-energy eigenspace."""
-    rank, basis, _ = low_spectrum(h)
-    return rank, basis
+    """Rank and orthonormal basis (dim x rank) of the zero-energy eigenspace,
+    from H's one cached solve."""
+    basis = h._ground_basis
+    return basis.shape[1], basis
 
 
 def spectral_gap_gamma(h: FFHamiltonian) -> float:

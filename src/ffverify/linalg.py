@@ -26,14 +26,14 @@ for sector vectors without a full-space vector or a sparse matrix;
 `Sector.lift` and `Sector.multiplets` take sector vectors and kernels to the
 full space, for callers that ask for it.
 
-Every solve goes through `_eigsh`, which alone sets the solver policy:
-LANCZOS_TOL, fixed start vectors from a counter-based SplitMix64 stream (no
-random-number module is loaded), LANCZOS_MAX_RESTARTS, solver failures as
-ResourceError, and real or complex arithmetic as the operator returns it.
-Above the dense floor `_lanczos`, a thick-restart Lanczos on numpy alone,
-does the work; complex operators run it in complex arithmetic, Hermitian
-throughout.  BLAS threads are numpy's: set OPENBLAS_NUM_THREADS to change
-them.
+Every solve goes through `_eigsh`, which answers one question, the k lowest
+eigenpairs (a top pair is the lowest of -A), and alone sets the solver
+policy: the dense floor, LANCZOS_TOL, fixed start vectors from a
+counter-based SplitMix64 stream (no random-number module is loaded),
+LANCZOS_MAX_RESTARTS, solver failures as ResourceError, and real or complex
+arithmetic as the operator returns it.  Above the dense floor `_lanczos`, a
+thick-restart Lanczos on numpy alone, does the work, Hermitian throughout.
+BLAS threads are numpy's: set OPENBLAS_NUM_THREADS to change them.
 """
 
 from __future__ import annotations
@@ -542,10 +542,10 @@ def _start_vector(dim: int, block: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
-             which: str) -> tuple[np.ndarray, np.ndarray]:
-    """k eigenpairs at the `which` end ("SA" or "LA") of a Hermitian operator
-    of dimension dim > k + 1, eigenvalues ascending, by thick-restart Lanczos
+def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
+             k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenpairs of a Hermitian operator of dimension
+    dim > k + 1, eigenvalues ascending, by thick-restart Lanczos
     with full reorthogonalization (Wu & Simon, SIAM J. Matrix Anal. Appl. 22,
     602, 2000).
 
@@ -553,7 +553,7 @@ def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
     direction, in float64 unless the operator returns complex vectors.  A
     pair has converged when its Ritz residual estimate is at most
     LANCZOS_TOL max(|theta|, eps^(2/3)), ARPACK's test.  Each restart keeps
-    the Ritz vectors nearest the wanted end, rotated into the basis in place,
+    the lowest Ritz vectors, rotated into the basis in place,
     and the projected matrix becomes their Ritz values bordered by an arrow
     of couplings to the residual direction.  That matrix stays exactly
     tridiagonal plus the arrow: Gram-Schmidt's other coefficients, couplings
@@ -624,12 +624,10 @@ def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
         steps = np.arange(kept, m - 1)
         t[steps + 1, steps] = t[steps, steps + 1] = beta[kept:m - 1]
         theta, y = np.linalg.eigh(t)
-        wanted = slice(0, k) if which == "SA" else slice(m - k, m)
-        residual = np.abs(beta[m - 1] * y[m - 1])
-        converged = residual <= LANCZOS_TOL * np.maximum(np.abs(theta), eps23)
-        done = int(np.sum(converged[wanted]))
+        residual = np.abs(beta[m - 1] * y[m - 1, :k])
+        done = int(np.sum(residual <= LANCZOS_TOL * np.maximum(np.abs(theta[:k]), eps23)))
         if done == k:
-            return theta[wanted], basis[:m].T @ y[:, wanted]
+            return theta[:k], basis[:m].T @ y[:, :k]
         if restarts == LANCZOS_MAX_RESTARTS:
             raise ResourceError(
                 f"Lanczos did not converge within {LANCZOS_MAX_RESTARTS} restarts "
@@ -638,26 +636,24 @@ def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
         # keep the wanted pairs and half the others: keeping only the wanted
         # ones stalls on degenerate clusters, whose copies fall out of the basis
         kept = (m + k) // 2
-        keep = slice(0, kept) if which == "SA" else slice(m - kept, m)
-        rotation = y[:, keep]
         # rotate in column chunks: one chunk of temporaries, not kept x dim
         chunk = -(-dim // m)
         for first in range(0, dim, chunk):
             cols = slice(first, first + chunk)
-            basis[:kept, cols] = rotation.T @ basis[:m, cols]
+            basis[:kept, cols] = y[:, :kept].T @ basis[:m, cols]
         basis[kept] = basis[m]
-        diag[:kept] = theta[keep]
-        arrow = beta[m - 1] * y[m - 1, keep]
+        diag[:kept] = theta[:kept]
+        arrow = beta[m - 1] * y[m - 1, :kept]
 
 
 def _eigsh(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
-           which: str, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """k eigenpairs at the `which` end ("SA" or "LA") of a Hermitian operator
-    given by its action, eigenvalues ascending; real if it keeps float64 real.
+           vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """The k lowest eigenpairs of a Hermitian operator given by its action,
+    eigenvalues ascending; real if it keeps float64 real.
 
     Up to DENSE_EIG_LIMIT the operator is materialized by one apply to the
-    identity, a block of dim columns, and diagonalized by numpy's LAPACK;
-    with `vectors` false only its eigenvalues are computed, and None stands
+    identity, a block of dim columns, and diagonalized by numpy's LAPACK:
+    every pair comes back, whatever k, and with `vectors` false None stands
     for the eigenvectors.  Above it `_lanczos` runs thick-restart Lanczos
     within LANCZOS_MAX_RESTARTS restarts; running out of restarts, or a NaN
     or infinite operator output, is a ResourceError, as is asking for
@@ -666,48 +662,42 @@ def _eigsh(matvec: Callable[[np.ndarray], np.ndarray], dim: int, k: int,
     if dim <= DENSE_EIG_LIMIT:
         matrix = matvec(np.eye(dim))
         matrix = (matrix + matrix.conj().T) / 2
-        pick = slice(0, k) if which == "SA" else slice(max(dim - k, 0), dim)
-        if not vectors:
-            return np.linalg.eigvalsh(matrix)[pick], None
-        vals, vecs = np.linalg.eigh(matrix)
-        return vals[pick], vecs[:, pick]
+        return np.linalg.eigh(matrix) if vectors else (np.linalg.eigvalsh(matrix), None)
     if k >= dim - 1:
         raise ResourceError(
             f"{k} eigenpairs of dimension {dim} saturate the iterative eigensolver")
-    return _lanczos(matvec, dim, k, which)
+    return _lanczos(matvec, dim, k)
 
 
 def lowest_eigenpairs(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
                       below: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs below `below` plus the lowest at or above it (all if none is),
-    ascending; one dense solve up to DENSE_EIG_LIMIT, Lanczos k = 2, 4, 8... above."""
-    k = dim if dim <= DENSE_EIG_LIMIT else 2
+    ascending: `_eigsh` with k = 2, 4, 8... until they fit in what it returns."""
+    k = 2
     while True:
-        vals, vecs = _eigsh(matvec, dim, k, "SA")
+        vals, vecs = _eigsh(matvec, dim, k)
         count = int(np.sum(vals < below)) + 1
-        if count <= k or k == dim:
+        if count <= len(vals) or len(vals) == dim:
             return vals[:count], vecs[:, :count]
         k = min(2 * k, dim)
 
 
 def largest_eigenpair(matvec: Callable[[np.ndarray], np.ndarray],
                       dim: int) -> tuple[float, np.ndarray]:
-    vals, vecs = _eigsh(matvec, dim, 1, "LA")
-    return float(vals[0]), vecs[:, 0]
+    """Largest eigenpair of a Hermitian operator: the lowest of -A, negated."""
+    vals, vecs = _eigsh(lambda v: -matvec(v), dim, 1)
+    return -float(vals[0]), vecs[:, 0]
 
 
 def largest_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray], dim: int) -> float:
     """Largest eigenvalue of a Hermitian operator given by its action; a
     dense solve computes no eigenvectors."""
-    vals, _ = _eigsh(matvec, dim, 1, "LA", vectors=False)
-    return float(vals[0])
+    vals, _ = _eigsh(lambda v: -matvec(v), dim, 1, vectors=False)
+    return -float(vals[0])
 
 
 def product_operator_norm(apply_m: Callable[[np.ndarray], np.ndarray],
                           apply_m_adjoint: Callable[[np.ndarray], np.ndarray], dim: int) -> float:
     """Operator norm of M given the actions of M and M^dagger (via M^dagger M)."""
-    def gram(v):
-        return apply_m_adjoint(apply_m(v))
-
-    top = largest_eigenvalue(gram, dim)
+    top = largest_eigenvalue(lambda v: apply_m_adjoint(apply_m(v)), dim)
     return math.sqrt(max(top, 0.0))

@@ -199,12 +199,21 @@ def _check_confidence(epsilon: float, delta: float) -> None:
         raise InputError("epsilon and delta must lie in (0, 1)")
 
 
+def _count(rounding, numerator: float, denominator: float, gap: str, epsilon: float) -> int:
+    """rounding(numerator / denominator), the sample count at `gap` (a name
+    and its value) and epsilon, refused when it is not a finite float."""
+    quotient = numerator / denominator if denominator else math.inf
+    if not math.isfinite(quotient):
+        raise InputError(f"the sample count at {gap} and epsilon = {epsilon:.3g} is not finite")
+    return rounding(quotient)
+
+
 def sample_count(nu: float, epsilon: float, delta: float) -> int:
     """Tests needed at gap nu: ceil(ln delta / ln(1 - nu * epsilon))."""
     _check_confidence(epsilon, delta)
     if not (0 < nu <= 1):
         raise InputError("nu must lie in (0, 1]")
-    return math.ceil(math.log(delta) / math.log1p(-nu * epsilon))
+    return _count(math.ceil, math.log(delta), math.log1p(-nu * epsilon), f"nu = {nu:.3g}", epsilon)
 
 
 def sample_count_from_bounds(m: int, nu_e: float, epsilon: float, delta: float,
@@ -219,9 +228,8 @@ def sample_count_from_bounds(m: int, nu_e: float, epsilon: float, delta: float,
     if not (strong > 0 and weak > 0):
         raise InputError("gap bounds are not positive")
     log_inv = math.log(1.0 / delta)
-    n_strong = round(log_inv / (strong * epsilon))
-    n_weak = round(log_inv / (weak * epsilon))
-    return n_strong, n_weak
+    return (_count(round, log_inv, strong * epsilon, f"the strong bound {strong:.3g}", epsilon),
+            _count(round, log_inv, weak * epsilon, f"the weak bound {weak:.3g}", epsilon))
 
 
 @dataclass(frozen=True)
@@ -314,8 +322,9 @@ def aklt_protocol_bounds(g: Hypergraph, gamma: float, epsilon: float | None = No
     if epsilon is not None and delta is not None:
         _check_confidence(epsilon, delta)
         log_inv = math.log(1.0 / delta)
-        out["n_ceiling"] = math.ceil(log_inv / (epsilon * out["gap_floor"]))
-        out["large_degree_n"] = math.ceil(log_inv / (epsilon * out["large_degree_gap"]))
+        for count, gap in (("n_ceiling", "gap_floor"), ("large_degree_n", "large_degree_gap")):
+            out[count] = _count(math.ceil, log_inv, epsilon * out[gap],
+                                f"the {gap} {out[gap]:.3g}", epsilon)
     return out
 
 

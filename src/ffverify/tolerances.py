@@ -4,6 +4,7 @@ The underlying statements are exact; floating point needs explicit
 thresholds, collected here so every module classifies the same way.
 """
 
+import math
 import os
 
 from .errors import InputError, ResourceError
@@ -73,6 +74,7 @@ def max_dim() -> int:
 def check_dim(d: int, what: str) -> None:
     """Refuse `what` (e.g. "low-spectrum solve") of dimension d above the cap."""
     cap = max_dim()
-    if d > cap:
-        raise ResourceError(f"{what} of dimension {d} exceeds FFV_MAX_DIM={cap}; "
+    if d > cap:  # a d of 16 digits or more is named as a power of ten
+        size = d if d < 10 ** 15 else f"about 10^{math.log10(d):.1f}"
+        raise ResourceError(f"{what} of dimension {size} exceeds FFV_MAX_DIM={cap}; "
                             "use a smaller instance or raise the cap")

@@ -516,6 +516,37 @@ class TestParsing:
         assert "error" in err.lower()
 
 
+BOUND_FLAGS = ("--m", "2", "--nu-e", "1e-300", "--gamma", "0.35", "--s", "0.5", "--g", "2")
+
+
+class TestOutOfRangeNumbers:
+    """Sizes and counts past what an int's decimal string, a float or a C
+    long holds are refused in one short line that names them, not in a
+    traceback."""
+
+    @pytest.mark.parametrize("argv, code, names", [
+        (("gap", "--chain", "9100"), 3, "dimension about 10^4341.5"),
+        (("simulate", "--chain", "9100", "--closed"), 3, "dimension about 10^4341.8"),
+        (("gap", "--square", "60x60"), 3, "dimension about 10^2492.9"),
+        (("samples", "--nu", "1e-320"), 2, "nu = 1e-320 and epsilon = 0.01"),
+        (("gap", "--chain", "6", "--closed", "--epsilon", "1e-320"), 2, "epsilon = 1e-320"),
+        (("samples", *BOUND_FLAGS, "--epsilon", "1e-20"), 2, "strong bound"),
+        (("samples", "--nu", "1e-320", "--epsilon", "1e-30"), 2, "nu = 1e-320 and epsilon"),
+        (("samples", *BOUND_FLAGS, "--epsilon", "1e-30"), 2, "strong bound"),
+        (("simulate", "--chain", "4", "--closed", "--runs", "1",
+          "--pass-draws", "100000000000000000000"), 2, "--pass-draws"),
+    ], ids=["gap-chain-9100", "simulate-chain-9100", "gap-square-60x60", "samples-nu-overflow",
+            "gap-epsilon-overflow", "samples-bounds-overflow", "samples-nu-zero-division",
+            "samples-bounds-zero-division", "pass-draws-above-c-long"])
+    def test_refused_in_one_line(self, capsys, argv, code, names):
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert out == ""
+        prefix = "resource error: " if code == 3 else "error: "
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert "Traceback" not in err and len(err) <= 160 and names in err
+
+
 #: child process: runs `ffv` with its arguments after the first (none: import
 #: only) and prints the loaded modules whose names start with the first
 MODULE_PROBE = """

@@ -330,6 +330,29 @@ class TestMatrixFree:
         assert vecs.dtype == vec.dtype == np.float64
         assert np.allclose(vals, [2.0]) and abs(top - 2.0) < 1e-12
 
+    def test_dense_floor_returns_every_pair(self, monkeypatch):
+        """At or below the dense floor one `_eigsh` call asked for k = 2
+        returns all d pairs, so `lowest_eigenpairs` solves once, however many
+        eigenvalues lie below its cutoff."""
+        a = random_hermitian(np.random.default_rng(15), DENSE_EIG_LIMIT)
+        dense_vals = np.linalg.eigvalsh(a)
+        vals, vecs = linalg._eigsh(lambda v: a @ v, DENSE_EIG_LIMIT, 2)
+        assert vals.shape == (DENSE_EIG_LIMIT,) and vecs.shape == (DENSE_EIG_LIMIT,) * 2
+        assert np.allclose(vals, dense_vals, atol=1e-10)
+        solver, ks = linalg._eigsh, []
+
+        def recording(matvec, dim, k, **options):
+            ks.append(k)
+            return solver(matvec, dim, k, **options)
+
+        monkeypatch.setattr(linalg, "_eigsh", recording)
+        for below, count in (((dense_vals[39] + dense_vals[40]) / 2, 41),
+                             (np.inf, DENSE_EIG_LIMIT)):
+            ks.clear()
+            vals, vecs = linalg.lowest_eigenpairs(lambda v: a @ v, DENSE_EIG_LIMIT, below)
+            assert ks == [2] and vals.shape == (count,) and vecs.shape == (DENSE_EIG_LIMIT, count)
+            assert np.allclose(vals, dense_vals[:count], atol=1e-10)
+
     def test_saturating_request_is_a_resource_error(self):
         """Every eigenvalue of the zero operator lies below 1, so k doubles
         until it reaches dim - 1 pairs, more than Lanczos can deliver."""
@@ -355,39 +378,62 @@ def planted_cluster(rng, dim, field) -> np.ndarray:
 
 
 class TestLanczos:
-    """`linalg._lanczos` against np.linalg.eigh just above the dense floor."""
+    """`linalg._lanczos`, and the top pair as the lowest of -a, against
+    np.linalg.eigh just above the dense floor."""
 
     DIMS = (DENSE_EIG_LIMIT + 1, DENSE_EIG_LIMIT + 36)
 
     @staticmethod
-    def check(a, k, which):
+    def check(a, k):
         dim = len(a)
-        vals, vecs = linalg._lanczos(lambda v: a @ v, dim, k, which)
-        exact = np.linalg.eigvalsh(a)
-        exact = exact[:k] if which == "SA" else exact[dim - k:]
+        vals, vecs = linalg._lanczos(lambda v: a @ v, dim, k)
+        exact = np.linalg.eigvalsh(a)[:k]
         scale = np.abs(exact).max()
         assert vecs.shape == (dim, k) and vecs.dtype == np.result_type(float, a.dtype)
         assert np.abs(vals - exact).max() < 1e-11 * scale
         assert np.linalg.norm(a @ vecs - vecs * vals, axis=0).max() < 1e-9 * scale
         assert np.abs(vecs.conj().T @ vecs - np.eye(k)).max() < 1e-10
 
+    @staticmethod
+    def check_top(a):
+        """`largest_eigenpair` and `largest_eigenvalue`, the lowest of -a,
+        held to `check`'s tolerances at k = 1."""
+        dim = len(a)
+        top, vec = linalg.largest_eigenpair(lambda v: a @ v, dim)
+        exact = np.linalg.eigvalsh(a)[-1]
+        scale = abs(exact)
+        assert vec.shape == (dim,) and vec.dtype == np.result_type(float, a.dtype)
+        assert abs(top - exact) < 1e-11 * scale
+        assert abs(linalg.largest_eigenvalue(lambda v: a @ v, dim) - exact) < 1e-11 * scale
+        assert np.linalg.norm(a @ vec - top * vec) < 1e-9 * scale
+        assert abs(np.vdot(vec, vec) - 1.0) < 1e-10
+
+    # the ids name the end of the spectrum checked: SA the k lowest pairs from
+    # `_lanczos`, LA the top pair from `largest_eigenpair`, which takes no k
     @pytest.mark.parametrize("k", [1, 2, 4, 8])
-    @pytest.mark.parametrize("which", ["SA", "LA"])
+    @pytest.mark.parametrize("top", [False, True], ids=["SA", "LA"])
     @pytest.mark.parametrize("field", [float, complex], ids=["real", "complex"])
-    def test_random_hermitian(self, field, which, k):
+    def test_random_hermitian(self, field, top, k):
         for dim in self.DIMS:
             a = random_hermitian(np.random.default_rng(dim + k), dim)
-            self.check(a.real if field is float else a, k, which)
+            a = a.real if field is float else a
+            if top:
+                self.check_top(a)
+            else:
+                self.check(a, k)
 
     @pytest.mark.parametrize("k", [1, 2, 4, 8])
-    @pytest.mark.parametrize("which", ["SA", "LA"])
+    @pytest.mark.parametrize("top", [False, True], ids=["SA", "LA"])
     @pytest.mark.parametrize("field", [float, complex], ids=["real", "complex"])
-    def test_planted_degenerate_cluster(self, field, which, k):
+    def test_planted_degenerate_cluster(self, field, top, k):
         """Three copies of the end eigenvalue: single-vector Lanczos sees one
         in exact arithmetic, and the restarts recover the others."""
         for dim in self.DIMS:
             a = planted_cluster(np.random.default_rng(dim), dim, field)
-            self.check(a if which == "SA" else -a, k, which)
+            if top:
+                self.check_top(-a)
+            else:
+                self.check(a, k)
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_identity_breaks_down_at_once(self, k):
@@ -402,7 +448,7 @@ class TestLanczos:
             calls.append(1)
             return v  # the basis row itself: the solver must not write to it
 
-        vals, vecs = linalg._lanczos(identity, 100, k, "SA")
+        vals, vecs = linalg._lanczos(identity, 100, k)
         assert len(calls) == 20
         assert np.array_equal(vals, np.ones(k)) and vecs.dtype == np.float64
         assert np.abs(vecs.T @ vecs - np.eye(k)).max() < 1e-12
@@ -411,7 +457,7 @@ class TestLanczos:
     def test_solves_are_bitwise_reproducible(self, field):
         a = random_hermitian(np.random.default_rng(5), self.DIMS[1])
         a = a.real if field is float else a
-        first, second = (linalg._lanczos(lambda v: a @ v, len(a), 4, "SA") for _ in range(2))
+        first, second = (linalg._lanczos(lambda v: a @ v, len(a), 4) for _ in range(2))
         assert all(np.array_equal(x, y) for x, y in zip(first, second))
 
     def test_start_stream_is_splitmix64(self):
@@ -440,7 +486,7 @@ class TestLanczos:
             seen.append(v.copy())
             return np.zeros_like(v)
 
-        linalg._lanczos(zero, dim, 1, "SA")
+        linalg._lanczos(zero, dim, 1)
         assert len(seen) == 20
         stream = np.array([linalg._start_vector(dim, b) for b in range(len(seen))])
         assert np.array_equal(seen[0], stream[0])

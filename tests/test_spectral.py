@@ -54,7 +54,8 @@ class TestClosedChainsReal:
         h = aklt.aklt_hamiltonian(G.chain(n, closed=True))
         protocol = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
         assert h.local.dtype == np.float64 and protocol.local.dtype == np.float64
-        rank, basis, gamma = ham.low_spectrum(h)
+        rank, basis = ham.ground_space(h)
+        gamma = ham.spectral_gap_gamma(h)
         assert basis.dtype == np.float64
 
         vals, _ = linalg.eigh(oracles.hamiltonian(h))
@@ -71,19 +72,21 @@ class TestOpenChainsDegenerate:
     """Rank 4 (singlet + triplet) found by doubling k: in the full space on
     a basis-rotated copy, whose eigenpairs below gamma are 4 (k = 2, 4, 8),
     and in the S_z = 0 sector, which holds 2 of them (k = 2, 4; at n = 5 the
-    sector's 51 states are below the dense floor: one solve with k = d)."""
+    sector's 51 states are below the dense floor: one dense solve, asked for
+    k = 2, returns all 51 pairs)."""
 
     @staticmethod
     def check_doubling(chain, h, expected_ks, monkeypatch, rotations=None):
         ks = []
         solver = linalg._eigsh
 
-        def recording(matvec, dim, k, which):
+        def recording(matvec, dim, k):
             ks.append(k)
-            return solver(matvec, dim, k, which)
+            return solver(matvec, dim, k)
 
         monkeypatch.setattr(linalg, "_eigsh", recording)
-        rank, basis, gamma = ham.low_spectrum(h)
+        rank, basis = ham.ground_space(h)
+        gamma = ham.spectral_gap_gamma(h)
         oracle_rank, oracle_gamma = dense_low_spectrum(sector_spectrum(chain))
         assert ks == expected_ks
         assert rank == oracle_rank == 4
@@ -99,7 +102,7 @@ class TestOpenChainsDegenerate:
         self.check_doubling(chain, oracles.basis_rotated(chain, seed=3), [2, 4, 8],
                             monkeypatch, oracles.site_rotations(chain, seed=3))
 
-    @pytest.mark.parametrize("n, expected_ks", [(5, [51]), (6, [2, 4]), (7, [2, 4]),
+    @pytest.mark.parametrize("n, expected_ks", [(5, [2]), (6, [2, 4]), (7, [2, 4]),
                                                 (8, [2, 4])], ids=["5", "6", "7", "8"])
     def test_rank_four_found_in_the_sector(self, n, expected_ks, monkeypatch):
         chain = open_spin_one_chain(n)
@@ -132,7 +135,8 @@ class TestDenseFloorOneSolve:
 
         monkeypatch.setattr(ham.FFHamiltonian, "apply", counted_apply)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-        rank, basis, gamma = ham.low_spectrum(h)
+        rank, basis = ham.ground_space(h)
+        gamma = ham.spectral_gap_gamma(h)
         assert (applies, len(solves)) == ([(h.dim, h.dim)], 1)
         monkeypatch.undo()
         dense = oracles.hamiltonian(h)
@@ -155,7 +159,8 @@ class TestComplexInstance:
         h = complex_instance()
         assert h.dim > DENSE_EIG_LIMIT
         assert h.local.dtype == np.complex128
-        rank, basis, gamma = ham.low_spectrum(h)
+        rank, basis = ham.ground_space(h)
+        gamma = ham.spectral_gap_gamma(h)
         assert basis.dtype == np.complex128
         vals, _ = linalg.eigh(oracles.hamiltonian(h))
         dense_rank, dense_gamma = dense_low_spectrum(vals)
@@ -193,7 +198,8 @@ class TestAtTheFloor:
             raise AssertionError("Lanczos called at or below the dense floor")
 
         monkeypatch.setattr(linalg, "_lanczos", no_lanczos)
-        rank, basis, gamma = ham.low_spectrum(h)
+        rank, basis = ham.ground_space(h)
+        gamma = ham.spectral_gap_gamma(h)
         vals, _ = linalg.eigh(oracles.hamiltonian(h))
         dense_rank, dense_gamma = dense_low_spectrum(vals)
         assert rank == dense_rank == rank_expected
@@ -210,9 +216,9 @@ class TestOneSolve:
         calls = []
         lanczos = linalg._lanczos
 
-        def counting(matvec, dim, k, which):
+        def counting(matvec, dim, k):
             calls.append(k)
-            return lanczos(matvec, dim, k, which)
+            return lanczos(matvec, dim, k)
 
         monkeypatch.setattr(linalg, "_lanczos", counting)
         rank, _ = ham.ground_space(h)
@@ -228,9 +234,9 @@ class TestOneSolve:
         calls = []
         lanczos = linalg._lanczos
 
-        def counting(matvec, dim, k, which):
+        def counting(matvec, dim, k):
             calls.append(k)
-            return lanczos(matvec, dim, k, which)
+            return lanczos(matvec, dim, k)
 
         monkeypatch.setattr(linalg, "_lanczos", counting)
         state = sim.prepare_state(protocol, sim.NoiseSpec("worst_case", 0.1))
@@ -327,7 +333,7 @@ class TestDimensionCap:
 
 
 class TestPlantedKernels:
-    """`low_spectrum` on planted-kernel instances (`oracles.planted_kernel`,
+    """`ground_space` and gamma on planted-kernel instances (`oracles.planted_kernel`,
     d <= 300, 1-6 planted states, real and complex) against the dense
     spectrum: the right rank and gamma, or a ResourceError, never a wrong
     number."""
@@ -338,11 +344,12 @@ class TestPlantedKernels:
         vals = np.linalg.eigvalsh(oracles.hamiltonian(h))
         rank = int(np.sum(vals < GROUND_TOL))
         try:
-            got_rank, basis, gamma = ham.low_spectrum(h)
+            got_rank, basis = ham.ground_space(h)
         except ResourceError:
             return  # refused: allowed, and counted in CHANGES.md
         assert got_rank == rank == basis.shape[1]
         if rank == h.dim:
-            assert gamma is None
+            with pytest.raises(DegenerateSpectrum):
+                ham.spectral_gap_gamma(h)
         else:
-            assert abs(gamma - vals[rank]) < 1e-8
+            assert abs(ham.spectral_gap_gamma(h) - vals[rank]) < 1e-8

@@ -171,7 +171,7 @@ def test_sector_path_builds_no_full_space_plans(icosahedron):
 
     h = aklt.aklt_hamiltonian(graph.chain(6, closed=True))
     p = protocol.build_protocol(h, graph.edge_coloring(h.graph), icosahedron)
-    hamiltonian.low_spectrum(h)
+    hamiltonian.ground_space(h)
     protocol.measured_gap(p)
     detectability.dl_norm_check(h)
     assert h.local.sector is not None and p.local.sector is not None
