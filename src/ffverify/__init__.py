@@ -23,8 +23,7 @@ from .protocol import (GapReport, Protocol, aklt_protocol_bounds, build_protocol
                        coloring_gap_bound, gap_factor, gap_report,
                        matching_gap_bounds, measured_gap, sample_count,
                        sample_count_from_bounds)
-from .simulate import (NoiseSpec, PreparedState, RunResult,
-                       acceptance_probability, estimate_pass_rate, prepare_state,
-                       run_many)
+from .simulate import (PreparedState, acceptance_probability, estimate_pass_rate,
+                       prepare_state, run_many)
 
 __version__ = "0.1.0"

@@ -3,7 +3,9 @@
 Commands: gap, samples, compare, check-bounds, simulate.
 Exit codes: 0 success, 2 input error, 3 resource error, 4 invariant violation.
 Every output schema lives here: the CSV columns of each command, and
-`_emit`, the one writer of CSV and JSON.
+`_emit`, the one writer of CSV and JSON.  `gap` and `simulate` build their
+protocol from the graph flags through `_build_protocol`; `simulate` prints
+one row per run from the pass counts `simulate.run_many` returns.
 """
 
 from __future__ import annotations
@@ -70,8 +72,13 @@ def _load_design(name: str | None) -> aklt.DirectionDistribution | None:
     return aklt.DirectionDistribution.from_file(name)
 
 
-def _build_protocol(args, h: ham.FFHamiltonian, mu) -> proto.Protocol:
-    """The protocol the --coloring and --p flags pick, with bond operators from mu."""
+def _build_protocol(args) -> proto.Protocol:
+    """The protocol the graph flags pick: the AKLT Hamiltonian on the graph,
+    refused above FFV_MAX_DIM, and bond operators from --design on the cover
+    --coloring and --p pick."""
+    h = aklt.aklt_hamiltonian(_build_graph(args))
+    _check_dim(h)
+    mu = _load_design(args.design)
     g = h.graph
     cover = graphs.trivial_cover(g) if args.coloring == "trivial" else graphs.edge_coloring(g)
     if args.p == "proportional":
@@ -112,13 +119,12 @@ def _check_dim(h: ham.FFHamiltonian) -> None:
 
 
 def cmd_gap(args) -> int:
-    g = _build_graph(args)
-    h = aklt.aklt_hamiltonian(g)
-    _check_dim(h)
-    mu = _load_design(args.design)
+    protocol = _build_protocol(args)
+    ops = protocol.bond_ops.values()
+    mu = next(iter(ops)).distribution  # one design for every bond, or None
     # the effective (symmetrized) design order governs homogeneity
     order = None if mu is None else aklt.design_order(mu)
-    spins = {aklt.bond(h, e).twice_se for e in g.edges}
+    spins = {op.bond.twice_se for op in ops}
     twice_se_max = max(spins)
     if order is not None and twice_se_max > order:
         print(f"warning: design order {order} below 2*S_E = {twice_se_max}; "
@@ -128,8 +134,6 @@ def cmd_gap(args) -> int:
         listed = ", ".join(str(t / 2) for t in sorted(spins))
         print(f"note: bond total spins vary across edges ({listed}); "
               "nu_E is the minimum bond gap", file=sys.stderr)
-
-    protocol = _build_protocol(args, h, mu)
     _refuse_zero_gap(protocol)
     row = proto.gap_report(protocol, gamma=args.gamma).to_dict()
     row["N"] = proto.sample_count(row["nu_measured"], args.epsilon, args.delta)
@@ -233,27 +237,27 @@ def cmd_check_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    h = aklt.aklt_hamiltonian(_build_graph(args))
-    _check_dim(h)
-    protocol = _build_protocol(args, h, _load_design(args.design))
+    protocol = _build_protocol(args)
     if not args.tests:  # the sample count needs a gap
         _refuse_zero_gap(protocol)
-    spec = sims.NoiseSpec(args.noise, args.noise_epsilon)
-    state = sims.prepare_state(protocol, spec)
+    state = sims.prepare_state(protocol, args.noise, args.noise_epsilon)
 
     exact = sims.acceptance_probability(protocol, state)
     nu = proto.measured_gap(protocol)
     n_tests = args.tests or proto.sample_count(nu, args.epsilon, args.delta)
     rate, stderr = sims.estimate_pass_rate(protocol, state, args.pass_draws, args.seed)
-    runs = sims.run_many(exact, n_tests, args.runs, args.seed)
-    records = [{"run": i, "n_tests": r.n_tests, "n_passed": r.n_passed,
-                "accepted": r.accepted, "seed": r.seed} for i, r in enumerate(runs)]
+    passed = sims.run_many(exact, n_tests, args.runs, args.seed)
+    # CSV writes acceptance as 1 or 0, JSON as a boolean
+    flag = int if args.format == "csv" else bool
+    records = [{"run": i, "n_tests": n_tests, "n_passed": k,
+                "accepted": flag(k == n_tests), "seed": args.seed}
+               for i, k in enumerate(passed)]
     if args.format == "csv":
-        data = [{**r, "accepted": int(r["accepted"])} for r in records]
+        data = records
     else:
         data = {"nu": nu, "exact_pass_probability": exact, "empirical_pass_rate": rate,
                 "pass_rate_stderr": stderr, "n_tests": n_tests, "delta": args.delta,
-                **sims.aggregate(runs), "per_run": records}
+                **sims.aggregate(passed, n_tests), "per_run": records}
     _emit(args, data, RUN_COLUMNS)
     return 0
 

@@ -10,7 +10,7 @@ checks that the drawn tests average to Omega.  A test draws a matching, then
 one direction per bond, and passes iff every bond test passes; the estimate
 draws how often each design test comes up, evaluates its pass probability
 exactly once and draws its passes as one binomial.  Runs come back as
-`RunResult`s, which `aggregate` summarizes and `cli` prints.
+their pass counts, which `aggregate` summarizes and `cli` prints.
 Every noise model is calibrated to its infidelity in closed form.
 """
 
@@ -29,20 +29,6 @@ from .protocol import Protocol, top_excited_pair
 from .tolerances import PROB_SUM_TOL
 
 NOISE_MODES = ("worst_case", "depolarizing", "coherent_rotation")
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """How far from the target subspace the prepared state should sit."""
-
-    mode: str
-    epsilon: float
-
-    def __post_init__(self):
-        if self.mode not in NOISE_MODES:
-            raise InputError(f"unknown noise mode {self.mode!r}")
-        if not (0 <= self.epsilon < 1):
-            raise InputError("noise epsilon must lie in [0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,32 +56,37 @@ class PreparedState:
         return min(max(total, 0.0), 1.0)
 
 
-def prepare_state(protocol: Protocol, spec: NoiseSpec) -> PreparedState:
-    """Prepare a state with target-subspace weight 1 - epsilon.
+def prepare_state(protocol: Protocol, mode: str, epsilon: float) -> PreparedState:
+    """Prepare a state with target-subspace weight 1 - epsilon, by one of
+    NOISE_MODES.
 
-    worst_case puts weight eps on Omega's top excited eigenvector, saturating
-    the pass-probability law exactly; depolarizing puts white noise calibrated
-    to the same infidelity, the rest being the target part; coherent_rotation
-    rotates one node of a ground vector by the least angle that reaches it.
+    worst_case puts weight epsilon on Omega's top excited eigenvector,
+    saturating the pass-probability law exactly; depolarizing puts white noise
+    calibrated to the same infidelity, the rest being the target part;
+    coherent_rotation rotates one node of a ground vector by the least angle
+    that reaches it.
     """
+    if mode not in NOISE_MODES:
+        raise InputError(f"unknown noise mode {mode!r}")
+    if not (0 <= epsilon < 1):
+        raise InputError("noise epsilon must lie in [0, 1)")
     h = protocol.hamiltonian
     d = h.dim
-    eps = spec.epsilon
-    if eps == 0:
+    if epsilon == 0:
         return PreparedState(d, ())
 
-    if spec.mode == "worst_case":
-        return PreparedState(d, ((eps, top_excited_pair(protocol)[1]),))
+    if mode == "worst_case":
+        return PreparedState(d, ((epsilon, top_excited_pair(protocol)[1]),))
 
-    if spec.mode == "depolarizing":
+    if mode == "depolarizing":
         rank, _ = ground_space(h)
         if rank == d:
             raise InputError("depolarizing noise cannot lower the fidelity: the "
                              "ground space is the whole space (H = 0)")
-        # solve (1-w) + w * rank/d = 1 - eps for the mixing weight
-        w = eps * d / (d - rank)
+        # solve (1-w) + w * rank/d = 1 - epsilon for the mixing weight
+        w = epsilon * d / (d - rank)
         if not 0 <= w <= 1:
-            raise InputError(f"infidelity {eps} unreachable by depolarizing noise")
+            raise InputError(f"infidelity {epsilon} unreachable by depolarizing noise")
         return PreparedState(d, (), white=w)
 
     # coherent_rotation: exp(-i theta S_x) on the first node takes psi = basis[:, 0]
@@ -105,7 +96,7 @@ def prepare_state(protocol: Protocol, spec: NoiseSpec) -> PreparedState:
     spins, axes = linalg.eigh(linalg.spin_operators(h.node_dims[first] - 1)[0])
     parts = np.stack([linalg.make_plan(np.outer(a, a.conj()), (first,), h.node_order,
                                        h.node_dims)(basis[:, 0]) for a in axes.T], axis=1)
-    theta = _solve_rotation_angle(basis.conj().T @ parts, spins, eps)
+    theta = _solve_rotation_angle(basis.conj().T @ parts, spins, epsilon)
     return PreparedState(d, ((1.0, parts @ np.exp(-1j * theta * spins)),))
 
 
@@ -153,38 +144,19 @@ def acceptance_probability(protocol: Protocol, state: PreparedState) -> float:
     return state.expectation(protocol.apply_omega, trace)
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """One verification run: N tests, accept iff all passed."""
-
-    n_tests: int
-    n_passed: int
-    accepted: bool
-    seed: int
-
-    def __post_init__(self):
-        if not 0 <= self.n_passed <= self.n_tests:
-            raise InputError("passed count out of range")
-
-
-def run_many(pass_probability: float, n_tests: int, runs: int,
-             seed: int) -> list[RunResult]:
-    """Independent runs of n_tests tests, each passing with probability
-    `pass_probability`: a run passes the tests before its first failure,
-    drawn from the geometric law on a substream derived from (seed, index)."""
+def run_many(pass_probability: float, n_tests: int, runs: int, seed: int) -> list[int]:
+    """The tests passed in each of `runs` independent runs of n_tests tests,
+    each passing with probability `pass_probability`: a run passes the tests
+    before its first failure, drawn from the geometric law on a substream
+    derived from (seed, index), and accepts iff it passes all n_tests."""
     if n_tests < 1:
         raise InputError("need at least one test")
     if not 0 <= pass_probability <= 1:  # also refuses NaN
         raise InputError(f"pass probability {pass_probability!r} outside [0, 1]")
-    results = []
-    for i in range(runs):
-        passed = n_tests
-        if pass_probability < 1:  # numpy refuses geometric(0)
-            first_failure = np.random.default_rng([seed, i]).geometric(1.0 - pass_probability)
-            passed = min(int(first_failure) - 1, n_tests)
-        results.append(RunResult(n_tests=n_tests, n_passed=passed,
-                                 accepted=passed == n_tests, seed=seed))
-    return results
+    if pass_probability == 1:  # numpy refuses geometric(0)
+        return [n_tests] * runs
+    return [min(int(np.random.default_rng([seed, i]).geometric(1.0 - pass_probability)) - 1,
+                n_tests) for i in range(runs)]
 
 
 # isotropic draws compiled into bond tests at a time: a branch of many draws
@@ -253,15 +225,16 @@ def estimate_pass_rate(protocol: Protocol, state: PreparedState, n_draws: int,
     return rate, stderr
 
 
-def aggregate(results: Sequence[RunResult]) -> dict:
-    """Acceptance-rate summary of a batch of runs."""
-    if not results:
+def aggregate(passed: Sequence[int], n_tests: int) -> dict:
+    """Acceptance-rate summary of runs of n_tests tests, given the tests each
+    run passed."""
+    if not passed:
         return {"runs": 0, "accepted": 0, "acceptance_rate": None,
                 "mean_passed": None}
-    accepted = sum(1 for r in results if r.accepted)
+    accepted = sum(1 for k in passed if k == n_tests)
     return {
-        "runs": len(results),
+        "runs": len(passed),
         "accepted": accepted,
-        "acceptance_rate": accepted / len(results),
-        "mean_passed": sum(r.n_passed for r in results) / len(results),
+        "acceptance_rate": accepted / len(passed),
+        "mean_passed": sum(passed) / len(passed),
     }

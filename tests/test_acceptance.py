@@ -193,7 +193,7 @@ def test_criterion_10_statistical_law(chain4, icosahedron):
         delta = 0.01
         protocol = proto.build_protocol(chain4, G.edge_coloring(chain4.graph),
                                         icosahedron)
-        state = sim.prepare_state(protocol, sim.NoiseSpec("worst_case", epsilon))
+        state = sim.prepare_state(protocol, "worst_case", epsilon)
         nu = proto.measured_gap(protocol)
 
         exact = sim.acceptance_probability(protocol, state)
@@ -203,9 +203,9 @@ def test_criterion_10_statistical_law(chain4, icosahedron):
         assert abs(rate - exact) <= 3 * stderr
 
         n_tests = proto.sample_count(nu, epsilon, delta)
-        results = sim.run_many(sim.acceptance_probability(protocol, state), n_tests,
-                               runs=10_000, seed=2020)
-        acceptance = sim.aggregate(results)["acceptance_rate"]
+        passed = sim.run_many(sim.acceptance_probability(protocol, state), n_tests,
+                              runs=10_000, seed=2020)
+        acceptance = sim.aggregate(passed, n_tests)["acceptance_rate"]
         assert acceptance <= delta + 3 * math.sqrt(delta / 10_000)
 
 

@@ -51,21 +51,18 @@ def rotation_oracle(h):
     return infidelity
 
 
-class TestNoiseSpec:
-    def test_unknown_mode(self):
-        with pytest.raises(InputError):
-            sim.NoiseSpec("gaussian", 0.1)
-
-    def test_epsilon_range(self):
-        with pytest.raises(InputError):
-            sim.NoiseSpec("worst_case", 1.0)
-        with pytest.raises(InputError):
-            sim.NoiseSpec("worst_case", -0.1)
-
-
 class TestPrepareState:
+    def test_unknown_mode(self, chain4_protocol):
+        with pytest.raises(InputError, match="unknown noise mode 'gaussian'"):
+            sim.prepare_state(chain4_protocol, "gaussian", 0.1)
+
+    def test_epsilon_range(self, chain4_protocol):
+        for eps in (1.0, -0.1, float("nan")):
+            with pytest.raises(InputError, match=r"noise epsilon must lie in \[0, 1\)"):
+                sim.prepare_state(chain4_protocol, "worst_case", eps)
+
     def test_zero_epsilon_is_ground_state(self, chain4, chain4_protocol):
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.0))
+        state = sim.prepare_state(chain4_protocol, "worst_case", 0.0)
         _, basis = ham.ground_space(chain4)
         sigma = oracles.density_matrix(chain4, state)
         expected = np.outer(basis[:, 0], basis[:, 0].conj())
@@ -74,7 +71,7 @@ class TestPrepareState:
     @pytest.mark.parametrize("mode", sim.NOISE_MODES)
     def test_density_matrix_and_fidelity(self, chain4, chain4_protocol, mode):
         eps = 0.07
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec(mode, eps))
+        state = sim.prepare_state(chain4_protocol, mode, eps)
         sigma = oracles.density_matrix(chain4, state)
         assert abs(np.trace(sigma).real - 1) < 1e-10
         vals = np.linalg.eigvalsh(sigma)
@@ -87,14 +84,14 @@ class TestPrepareState:
 
     def test_worst_case_saturates_pass_law(self, chain4, chain4_protocol):
         eps = 0.05
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", eps))
+        state = sim.prepare_state(chain4_protocol, "worst_case", eps)
         nu = proto.measured_gap(chain4_protocol)
         exact = sim.acceptance_probability(chain4_protocol, state)
         assert abs(exact - (1 - nu * eps)) < 1e-10
 
     def test_depolarizing_calibration(self, chain4, chain4_protocol):
         eps = 0.2
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("depolarizing", eps))
+        state = sim.prepare_state(chain4_protocol, "depolarizing", eps)
         _, basis = ham.ground_space(chain4)
         q0 = basis @ basis.conj().T
         sigma = oracles.density_matrix(chain4, state)
@@ -110,10 +107,10 @@ class TestPrepareState:
                for e in g.edges}
         p = proto.Protocol(h, G.edge_coloring(g), ops)
         with pytest.raises(InputError, match="ground space is the whole space"):
-            sim.prepare_state(p, sim.NoiseSpec("depolarizing", 0.1))
+            sim.prepare_state(p, "depolarizing", 0.1)
 
     def test_coherent_rotation_is_pure(self, chain4_protocol):
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("coherent_rotation", 0.03))
+        state = sim.prepare_state(chain4_protocol, "coherent_rotation", 0.03)
         assert state.ensemble is not None and len(state.ensemble) == 1
         sigma = oracles.density_matrix(chain4_protocol.hamiltonian, state)
         purity = float(np.real(np.trace(sigma @ sigma)))
@@ -142,7 +139,7 @@ class TestPrepareState:
         while oracle([hi])[0] < eps:
             hi *= 2.0
         expected = scipy.optimize.brentq(lambda t: oracle([t])[0] - eps, 0.0, hi, xtol=1e-14)
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("coherent_rotation", eps))
+        state = sim.prepare_state(chain4_protocol, "coherent_rotation", eps)
         assert abs(rotation_angles[-1] - expected) < 1e-12
         assert np.abs(state.ensemble[0][1] - rotated(expected)).max() < 1e-12
 
@@ -155,7 +152,7 @@ class TestPrepareState:
         which peaks at pi."""
         h = aklt.aklt_hamiltonian(G.chain(4, closed=closed))
         p = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
-        state = sim.prepare_state(p, sim.NoiseSpec("coherent_rotation", eps))
+        state = sim.prepare_state(p, "coherent_rotation", eps)
         _, basis = ham.ground_space(h)
         v = state.ensemble[0][1]
         assert abs(1.0 - np.linalg.norm(basis.conj().T @ v) ** 2 - eps) < 1e-10
@@ -169,7 +166,7 @@ class TestPrepareState:
         p = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
         infidelity = rotation_oracle(h)
         for eps in (0.01, 0.2, 0.5, 0.9, 0.999):
-            sim.prepare_state(p, sim.NoiseSpec("coherent_rotation", eps))
+            sim.prepare_state(p, "coherent_rotation", eps)
             theta = rotation_angles[-1]
             assert abs(infidelity([theta])[0] - eps) < 1e-10
             assert infidelity(np.linspace(0.0, theta, 10**4 + 2)[1:-1]).max() < eps
@@ -182,8 +179,7 @@ class TestPrepareState:
                          "coherent_rotation", "--noise-epsilon", eps, "--runs", "1",
                          "--tests", "5", "--pass-draws", "10"]) == code
         assert capsys.readouterr().err == ""
-        state = sim.prepare_state(chain4_protocol,
-                                  sim.NoiseSpec("coherent_rotation", float(eps)))
+        state = sim.prepare_state(chain4_protocol, "coherent_rotation", float(eps))
         _, basis = ham.ground_space(chain4)
         v = state.ensemble[0][1]
         assert abs(1.0 - np.linalg.norm(basis.conj().T @ v) ** 2 - float(eps)) < 1e-10
@@ -199,18 +195,18 @@ class TestPrepareState:
         p = proto.build_protocol(h, G.edge_coloring(g), icosahedron)
         with pytest.raises(InputError, match="cannot reach infidelity 0.9: its maximum over "
                                              "one period is ") as info:
-            sim.prepare_state(p, sim.NoiseSpec("coherent_rotation", 0.9))
+            sim.prepare_state(p, "coherent_rotation", 0.9)
         assert abs(float(str(info.value).rsplit(" ", 1)[1]) - 8 / 9) < 1e-12
 
 
 class TestAcceptanceProbability:
     def test_ground_state_passes_surely(self, chain4, chain4_protocol):
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.0))
+        state = sim.prepare_state(chain4_protocol, "worst_case", 0.0)
         assert abs(sim.acceptance_probability(chain4_protocol, state) - 1) < 1e-10
 
     def test_affine_in_mixtures(self, chain4, chain4_protocol):
-        a = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.1))
-        b = sim.prepare_state(chain4_protocol, sim.NoiseSpec("depolarizing", 0.1))
+        a = sim.prepare_state(chain4_protocol, "worst_case", 0.1)
+        b = sim.prepare_state(chain4_protocol, "depolarizing", 0.1)
         pa = sim.acceptance_probability(chain4_protocol, a)
         pb = sim.acceptance_probability(chain4_protocol, b)
         assert a.white == 0 and b.white > 0
@@ -261,8 +257,8 @@ class TestPreparedStateWeights:
 
         monkeypatch.setattr(sim, "ground_space", forbidden)
         for mode in sim.NOISE_MODES:
-            assert sim.prepare_state(chain4_protocol, sim.NoiseSpec(mode, 0.0)).ensemble == ()
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.1))
+            assert sim.prepare_state(chain4_protocol, mode, 0.0).ensemble == ()
+        state = sim.prepare_state(chain4_protocol, "worst_case", 0.1)
         assert [w for w, _ in state.ensemble] == [0.1] and state.white == 0.0
 
 
@@ -301,7 +297,7 @@ class TestTargetPartPassesSurely:
         h, _ = instance
         mu = None if design == "isotropic" else aklt.design_catalog(design)
         p = proto.build_protocol(h, G.edge_coloring(h.graph), mu)
-        state = sim.prepare_state(p, sim.NoiseSpec("worst_case", 0.0))
+        state = sim.prepare_state(p, "worst_case", 0.0)
         assert state.ensemble == () and state.white == 0.0
         assert sim.acceptance_probability(p, state) == 1.0
         assert sim.estimate_pass_rate(p, state, 100, seed=1)[0] == 1.0
@@ -310,7 +306,7 @@ class TestTargetPartPassesSurely:
     def test_acceptance_probability_against_dense(self, instance, icosahedron, mode):
         h, q0 = instance
         p = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
-        state = sim.prepare_state(p, sim.NoiseSpec(mode, 0.1))
+        state = sim.prepare_state(p, mode, 0.1)
         sigma = oracles.density_matrix(h, state)
         assert abs(np.real(np.trace(q0 @ sigma)) - 0.9) < 1e-12
         expected = float(np.real(np.trace(oracles.omega(p) @ sigma)))
@@ -328,7 +324,7 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("mode", sim.NOISE_MODES)
     def test_acceptance_probability(self, protocol, mode):
-        state = sim.prepare_state(protocol, sim.NoiseSpec(mode, 0.1))
+        state = sim.prepare_state(protocol, mode, 0.1)
         omega = oracles.omega(protocol)
         sigma = oracles.density_matrix(protocol.hamiltonian, state)
         expected = float(np.real(np.trace(omega @ sigma)))
@@ -336,7 +332,7 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("mode", sim.NOISE_MODES)
     def test_pass_probability(self, protocol, mode):
-        state = sim.prepare_state(protocol, sim.NoiseSpec(mode, 0.1))
+        state = sim.prepare_state(protocol, mode, 0.1)
         sigma = oracles.density_matrix(protocol.hamiltonian, state)
         rng = np.random.default_rng(3)
         for matching in protocol.cover.matchings:
@@ -376,7 +372,7 @@ class TestMixedMatching:
 
     @pytest.fixture(scope="class")
     def state(self, mixed):
-        return sim.prepare_state(mixed, sim.NoiseSpec("worst_case", 0.3))
+        return sim.prepare_state(mixed, "worst_case", 0.3)
 
     def test_pass_probability(self, mixed, state, icosahedron):
         rng = np.random.default_rng(12)
@@ -400,56 +396,54 @@ class TestMixedMatching:
 
 class TestRunVerification:
     def test_ground_state_always_accepted(self, chain4_protocol):
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.0))
+        state = sim.prepare_state(chain4_protocol, "worst_case", 0.0)
         p = sim.acceptance_probability(chain4_protocol, state)
-        for result in sim.run_many(p, 200, runs=3, seed=0):
-            assert result.accepted
-            assert result.n_passed == result.n_tests == 200
+        assert sim.run_many(p, 200, runs=3, seed=0) == [200] * 3
 
     def test_deterministic_given_seed(self, chain4_protocol):
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
+        state = sim.prepare_state(chain4_protocol, "worst_case", 0.3)
         p = sim.acceptance_probability(chain4_protocol, state)
         a = sim.run_many(p, 100, runs=10, seed=42)
         b = sim.run_many(p, 100, runs=10, seed=42)
         other = sim.run_many(p, 100, runs=10, seed=43)
         assert a == b
-        assert [r.n_passed for r in a] != [r.n_passed for r in other]
+        assert a != other
 
     def test_run_many_deterministic(self, chain4_protocol):
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
+        state = sim.prepare_state(chain4_protocol, "worst_case", 0.3)
         p = sim.acceptance_probability(chain4_protocol, state)
         a = sim.run_many(p, 50, runs=10, seed=9)
         b = sim.run_many(p, 50, runs=10, seed=9)
         assert a == b
 
     def test_runs_are_independent_substreams(self, chain4_protocol):
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
+        state = sim.prepare_state(chain4_protocol, "worst_case", 0.3)
         p = sim.acceptance_probability(chain4_protocol, state)
         five = sim.run_many(p, 200, runs=5, seed=9)
         ten = sim.run_many(p, 200, runs=10, seed=9)
         assert ten[:5] == five
 
     def test_monte_carlo_matches_exact(self, chain4_protocol):
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
+        state = sim.prepare_state(chain4_protocol, "worst_case", 0.3)
         exact = sim.acceptance_probability(chain4_protocol, state)
         rate, stderr = sim.estimate_pass_rate(chain4_protocol, state, 20000, seed=5)
         assert abs(rate - exact) < 3 * stderr + 1e-6
 
     def test_isotropic_bonds_simulable(self, chain4):
         p = proto.build_protocol(chain4, G.trivial_cover(chain4.graph), None)
-        state = sim.prepare_state(p, sim.NoiseSpec("worst_case", 0.2))
+        state = sim.prepare_state(p, "worst_case", 0.2)
         exact = sim.acceptance_probability(p, state)
         rate, stderr = sim.estimate_pass_rate(p, state, 4000, seed=6)
         assert abs(rate - exact) < 4 * stderr + 5e-3
 
     def test_depolarized_state_simulable(self, chain4_protocol):
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("depolarizing", 0.3))
+        state = sim.prepare_state(chain4_protocol, "depolarizing", 0.3)
         exact = sim.acceptance_probability(chain4_protocol, state)
         rate, stderr = sim.estimate_pass_rate(chain4_protocol, state, 2000, seed=7)
         assert abs(rate - exact) < 4 * stderr + 1e-2
 
     def test_invalid_test_count(self, chain4_protocol):
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.0))
+        state = sim.prepare_state(chain4_protocol, "worst_case", 0.0)
         with pytest.raises(InputError):
             sim.run_many(sim.acceptance_probability(chain4_protocol, state), 0, runs=1, seed=1)
 
@@ -459,13 +453,9 @@ class TestRunVerification:
             sim.run_many(p, 10, runs=1, seed=1)
 
     def test_no_draws(self, chain4_protocol):
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.0))
+        state = sim.prepare_state(chain4_protocol, "worst_case", 0.0)
         with pytest.raises(InputError, match="need at least one draw"):
             sim.estimate_pass_rate(chain4_protocol, state, 0, seed=1)
-
-    def test_result_validation(self):
-        with pytest.raises(InputError):
-            sim.RunResult(n_tests=5, n_passed=6, accepted=True, seed=0)
 
 
 def truncated_geometric(q: float, n: int) -> np.ndarray:
@@ -480,7 +470,7 @@ class TestExactLaw:
 
     @pytest.fixture(scope="class")
     def noisy(self, chain4_protocol):
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
+        state = sim.prepare_state(chain4_protocol, "worst_case", 0.3)
         return state, sim.acceptance_probability(chain4_protocol, state)
 
     def test_histogram_chi_square(self, chain4_protocol, noisy):
@@ -490,8 +480,8 @@ class TestExactLaw:
         assert abs(q - 0.98) < 1e-3
         n, runs = 50, 2000
         level = 1e-3  # significance fixed before the draw
-        results = sim.run_many(q, n, runs=runs, seed=424242)
-        observed = np.bincount([r.n_passed for r in results], minlength=n + 1)
+        passed = sim.run_many(q, n, runs=runs, seed=424242)
+        observed = np.bincount(passed, minlength=n + 1)
         expected = runs * truncated_geometric(q, n)
         # merge neighbouring bins until every expected count is at least 5
         obs_bins, exp_bins, o, e = [], [], 0, 0.0
@@ -511,34 +501,30 @@ class TestExactLaw:
     @pytest.mark.parametrize("n", [1, 64, 65])
     def test_block_edges(self, chain4_protocol, noisy, n):
         _, q = noisy
-        results = sim.run_many(q, n, runs=400, seed=n)
-        for r in results:
-            assert 0 <= r.n_passed <= n and r.n_tests == n
-            assert r.accepted == (r.n_passed == n)
-        accepted = sum(r.accepted for r in results)
-        assert 0 < accepted < len(results)
+        passed = sim.run_many(q, n, runs=400, seed=n)
+        assert all(0 <= k <= n for k in passed)
+        accepted = passed.count(n)
+        assert 0 < accepted < len(passed)
         # acceptance rate q^n within 4 sigma
         p = q ** n
-        assert abs(accepted / len(results) - p) <= 4 * np.sqrt(p * (1 - p) / len(results))
+        assert abs(accepted / len(passed) - p) <= 4 * np.sqrt(p * (1 - p) / len(passed))
 
     def test_ground_state_block_edges(self, chain4_protocol):
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.0))
+        state = sim.prepare_state(chain4_protocol, "worst_case", 0.0)
         p = sim.acceptance_probability(chain4_protocol, state)
         assert p == 1.0  # a sure pass, which draws no first failure
         for n in (1, 64, 65, 12289):
-            results = sim.run_many(p, n, runs=20, seed=n)
-            assert all(r.accepted and r.n_passed == n for r in results)
+            assert sim.run_many(p, n, runs=20, seed=n) == [n] * 20
 
     def test_sure_failure_passes_no_test(self):
         for n in (1, 65, 12289):
-            results = sim.run_many(0.0, n, runs=20, seed=n)
-            assert all(r.n_passed == 0 and not r.accepted for r in results)
+            assert sim.run_many(0.0, n, runs=20, seed=n) == [0] * 20
 
 
 class TestEstimateSampler:
     def test_estimate_evaluates_each_test_once(self, chain4_protocol, monkeypatch):
         """The pass-rate estimate evaluates each distinct design test once."""
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
+        state = sim.prepare_state(chain4_protocol, "worst_case", 0.3)
         evaluated = []
         evaluate = sim._pass_probability
 
@@ -555,7 +541,7 @@ class TestEstimateSampler:
         """Design draws cost by distinct test, not by draw."""
         import time
 
-        state = sim.prepare_state(chain4_protocol, sim.NoiseSpec("worst_case", 0.3))
+        state = sim.prepare_state(chain4_protocol, "worst_case", 0.3)
         exact = sim.acceptance_probability(chain4_protocol, state)
         start = time.perf_counter()
         rate, stderr = sim.estimate_pass_rate(chain4_protocol, state, 10**9, seed=3)
@@ -575,7 +561,7 @@ class TestEstimateLaw:
 
         mu = None if design == "isotropic" else aklt.design_catalog(design)
         p = proto.build_protocol(chain4, G.edge_coloring(chain4.graph), mu)
-        state = sim.prepare_state(p, sim.NoiseSpec(mode, 0.9))
+        state = sim.prepare_state(p, mode, 0.9)
         q = sim.acceptance_probability(p, state)
         seeds, level = 80, 1e-3
         hits = np.array([round(sim.estimate_pass_rate(p, state, n_draws, seed)[0] * n_draws)
@@ -595,7 +581,7 @@ class TestToleranceEdge:
         # 1 + 1e-12 itself sums to 1.00009e-12 above 1 and the cover refuses it
         cover = G.MatchingCover((((0, 1), (2, 3)), ((0, 3), (1, 2))), (1 + 9e-13, 0.0))
         p = proto.build_protocol(chain4, cover, icosahedron)
-        state = sim.prepare_state(p, sim.NoiseSpec("depolarizing", 0.3))
+        state = sim.prepare_state(p, "depolarizing", 0.3)
         rate, stderr = sim.estimate_pass_rate(p, state, 2000, seed=1)
         assert abs(rate - sim.acceptance_probability(p, state)) < 4 * stderr
 
@@ -607,7 +593,7 @@ class TestToleranceEdge:
                                     "weights": [1 + 5e-13, 0.0]}))
         mu = aklt.DirectionDistribution.from_file(path)
         p = proto.build_protocol(chain4, G.edge_coloring(chain4.graph), mu)
-        state = sim.prepare_state(p, sim.NoiseSpec("depolarizing", 0.3))
+        state = sim.prepare_state(p, "depolarizing", 0.3)
         rate, stderr = sim.estimate_pass_rate(p, state, 2000, seed=1)
         assert abs(rate - sim.acceptance_probability(p, state)) < 4 * stderr
 
@@ -620,7 +606,7 @@ class TestUnmemoizedTests:
         """Isotropic draws are compiled slice by slice: every draw once per
         bond, and no bond_tests call compiles more than COMPILE_SLICE."""
         p = proto.build_protocol(chain4, G.edge_coloring(chain4.graph), None)
-        state = sim.prepare_state(p, sim.NoiseSpec("worst_case", 0.3))
+        state = sim.prepare_state(p, "worst_case", 0.3)
         compiled = []
         bond_tests = proto.Protocol.bond_tests
 
@@ -638,7 +624,7 @@ class TestUnmemoizedTests:
         # a cover may hold an empty matching: its test passes surely
         cover = G.MatchingCover((((0, 1), (2, 3)), ((0, 3), (1, 2)), ()), (0.4, 0.4, 0.2))
         p = proto.build_protocol(chain4, cover, icosahedron)
-        state = sim.prepare_state(p, sim.NoiseSpec("worst_case", 0.3))
+        state = sim.prepare_state(p, "worst_case", 0.3)
         exact = sim.acceptance_probability(p, state)
         rate, stderr = sim.estimate_pass_rate(p, state, 2000, seed=4)
         assert abs(rate - exact) < 4 * stderr
@@ -693,20 +679,19 @@ class TestCliRunsFromPrintedProbability:
                          "--seed", "11", *flags]) == 0
         data = json.loads(capsys.readouterr().out)
         expected = sim.run_many(data["exact_pass_probability"], 10, 30, 11)
-        assert data["per_run"] == [{"run": i, "n_tests": r.n_tests, "n_passed": r.n_passed,
-                                    "accepted": r.accepted, "seed": r.seed}
-                                   for i, r in enumerate(expected)]
+        assert data["per_run"] == [{"run": i, "n_tests": 10, "n_passed": k,
+                                    "accepted": k == 10, "seed": 11}
+                                   for i, k in enumerate(expected)]
         assert 0 < data["accepted"] < 30  # the runs are neither all passed nor all failed
 
 
 class TestAggregate:
     def test_empty(self):
-        out = sim.aggregate([])
+        out = sim.aggregate([], 10)
         assert out["runs"] == 0 and out["acceptance_rate"] is None
 
     def test_counts(self):
-        results = [sim.RunResult(10, 10, True, 0), sim.RunResult(10, 3, False, 1)]
-        out = sim.aggregate(results)
+        out = sim.aggregate([10, 3], 10)
         assert out["runs"] == 2
         assert out["accepted"] == 1
         assert out["acceptance_rate"] == 0.5
@@ -717,8 +702,8 @@ class TestRunSerialization:
     """simulate's per-run rows as `ffv simulate` prints them, for given runs."""
 
     @staticmethod
-    def printed(monkeypatch, capsys, results, *flags):
-        monkeypatch.setattr(sim, "run_many", lambda *args: results)
+    def printed(monkeypatch, capsys, passed, *flags):
+        monkeypatch.setattr(sim, "run_many", lambda *args: passed)
         assert cli.main(["simulate", "--chain", "4", "--closed", "--runs", "2",
                          "--tests", "5", "--pass-draws", "10", *flags]) == 0
         return capsys.readouterr().out
@@ -726,8 +711,7 @@ class TestRunSerialization:
     def test_csv(self, monkeypatch, capsys):
         import csv
         import io
-        results = [sim.RunResult(10, 10, True, 0), sim.RunResult(10, 3, False, 0)]
-        out = self.printed(monkeypatch, capsys, results, "--format", "csv")
+        out = self.printed(monkeypatch, capsys, [5, 3], "--format", "csv")
         assert out.splitlines()[0] == "run,n_tests,n_passed,accepted,seed"
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 2
@@ -736,8 +720,7 @@ class TestRunSerialization:
 
     def test_json(self, monkeypatch, capsys):
         import json
-        results = [sim.RunResult(5, 5, True, 7), sim.RunResult(5, 2, False, 7)]
-        records = json.loads(self.printed(monkeypatch, capsys, results))["per_run"]
+        records = json.loads(self.printed(monkeypatch, capsys, [5, 2], "--seed", "7"))["per_run"]
         # printed with sorted keys
         assert list(records[0]) == ["accepted", "n_passed", "n_tests", "run", "seed"]
         assert records[0] == {"run": 0, "n_tests": 5, "n_passed": 5, "accepted": True,

@@ -239,7 +239,7 @@ class TestOneSolve:
             return lanczos(matvec, dim, k)
 
         monkeypatch.setattr(linalg, "_lanczos", counting)
-        state = sim.prepare_state(protocol, sim.NoiseSpec("worst_case", 0.1))
+        state = sim.prepare_state(protocol, "worst_case", 0.1)
         nu = proto.measured_gap(protocol)
         assert calls == [1]
         lam, phi = proto.top_excited_pair(protocol)
@@ -315,7 +315,7 @@ class TestDimensionCap:
         protocol = proto.build_protocol(h, G.edge_coloring(h.graph), icosahedron)
         ham.ground_space(h)  # the H solve, under the default cap
         monkeypatch.setenv("FFV_MAX_DIM", "50")
-        state = sim.prepare_state(protocol, sim.NoiseSpec("depolarizing", 0.1))
+        state = sim.prepare_state(protocol, "depolarizing", 0.1)
         exact = sim.acceptance_probability(protocol, state)
         expected = np.trace(oracles.omega(protocol) @ oracles.density_matrix(h, state))
         assert abs(exact - float(np.real(expected))) < 1e-12

@@ -254,9 +254,8 @@ def test_worst_case_state_lifts_once(icosahedron, full_space_calls):
 
     h = aklt.aklt_hamiltonian(graph.chain(6, closed=True))
     p = protocol.build_protocol(h, graph.edge_coloring(h.graph), icosahedron)
-    spec = simulate.NoiseSpec("worst_case", 0.1)
-    state = simulate.prepare_state(p, spec)
-    simulate.prepare_state(p, spec)
+    state = simulate.prepare_state(p, "worst_case", 0.1)
+    simulate.prepare_state(p, "worst_case", 0.1)
     protocol.measured_gap(p)
     sector_dim = h.local.sector.dim
     assert [c for c in full_space_calls if c[0] != "make_plan"] == [("lift", (sector_dim,))]
@@ -275,5 +274,5 @@ def test_coherent_rotation_compiles_one_plan_per_spin_state(icosahedron, full_sp
     p = protocol.build_protocol(h, graph.edge_coloring(h.graph), icosahedron)
     hamiltonian.ground_space(h)
     full_space_calls.clear()
-    simulate.prepare_state(p, simulate.NoiseSpec("coherent_rotation", eps))
+    simulate.prepare_state(p, "coherent_rotation", eps)
     assert [c for c in full_space_calls if c[0] == "make_plan"] == [("make_plan", (3, 3))] * 3
