@@ -22,12 +22,11 @@ from . import aklt, detectability, graph as graphs, hamiltonian as ham
 from . import protocol as proto
 from . import simulate as sims
 from .errors import InputError, InvariantViolation, ResourceError
-from .tolerances import GROUND_TOL, check_dim
+from .tolerances import GROUND_TOL, check_dim, check_nodes
 
-#: documented gap defaults for large lattices (finite-size gaps are never
+#: the documented gap of the infinite AKLT chain (finite-size gaps are never
 #: extrapolated; pass --gamma explicitly for anything else)
 DEFAULT_GAMMA_CHAIN = 0.350
-DEFAULT_GAMMA_HONEYCOMB = 0.10
 
 #: the documented CSV schemas: rows of gap and samples, rows of compare, and
 #: simulate's per-run rows
@@ -45,15 +44,18 @@ def _build_graph(args) -> graphs.Hypergraph:
         raise InputError("--closed needs --chain")
     if args.periodic and not (args.honeycomb or args.square):
         raise InputError("--periodic needs --honeycomb or --square")
+    if args.graph:
+        return graphs.Hypergraph.from_file(args.graph)
+    lattice = args.honeycomb or args.square
+    w, h = _parse_wh(lattice) if lattice else (args.chain, 1)
+    # every AKLT node has dimension 2 or more: refuse too many nodes before
+    # building them (sizes below 1 are left to the constructors to refuse)
+    check_nodes((2 if args.honeycomb else 1) * max(w, 0) * max(h, 0))
     if args.chain:
         return graphs.chain(args.chain, closed=args.closed)
     if args.honeycomb:
-        w, h = _parse_wh(args.honeycomb)
         return graphs.honeycomb_lattice(w, h, periodic=args.periodic)
-    if args.square:
-        w, h = _parse_wh(args.square)
-        return graphs.square_lattice(w, h, periodic=args.periodic)
-    return graphs.Hypergraph.from_file(args.graph)
+    return graphs.square_lattice(w, h, periodic=args.periodic)
 
 
 def _parse_wh(text: str) -> tuple[int, int]:
@@ -306,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="number of matchings")
     p.add_argument("--nu-e", dest="nu_e", type=float, help="minimum bond gap")
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA_CHAIN,
-                   help=f"Hamiltonian gap (default {DEFAULT_GAMMA_CHAIN} for chains; "
-                        f"use {DEFAULT_GAMMA_HONEYCOMB} for honeycomb lattices)")
+                   help=f"Hamiltonian gap (default {DEFAULT_GAMMA_CHAIN}, the infinite "
+                        "chain's)")
     p.add_argument("--s", type=float, help="largest nonunit pair singular value")
     p.add_argument("--g", type=int, help="max number of noncommuting neighbors")
     p.set_defaults(func=cmd_samples)

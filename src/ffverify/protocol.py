@@ -199,13 +199,15 @@ def _check_confidence(epsilon: float, delta: float) -> None:
         raise InputError("epsilon and delta must lie in (0, 1)")
 
 
-def _count(rounding, numerator: float, denominator: float, gap: str, epsilon: float) -> int:
+def _count(rounding, numerator: float, denominator: float, gap: str, epsilon: float):
     """rounding(numerator / denominator), the sample count at `gap` (a name
-    and its value) and epsilon, refused when it is not a finite float."""
+    and its value) and epsilon, refused when the quotient or the count is not
+    a finite float."""
     quotient = numerator / denominator if denominator else math.inf
-    if not math.isfinite(quotient):
+    count = rounding(quotient) if math.isfinite(quotient) else quotient
+    if not math.isfinite(count):
         raise InputError(f"the sample count at {gap} and epsilon = {epsilon:.3g} is not finite")
-    return rounding(quotient)
+    return count
 
 
 def sample_count(nu: float, epsilon: float, delta: float) -> int:
@@ -336,8 +338,9 @@ def hkse_cost(edge_count: int, gamma: float, epsilon: float, delta: float) -> fl
     if not (edge_count >= 1 and gamma > 0 and math.isfinite(gamma)):
         raise InputError("edge count and gamma must be positive and finite")
     _check_confidence(epsilon, delta)
-    lead = edge_count ** 3 / (2.0 * gamma ** 2 * epsilon ** 2)
-    return lead * math.log(-(edge_count + 1) / math.log1p(-delta))
+    log_term = math.log(-(edge_count + 1) / math.log1p(-delta))
+    return _count(lambda lead: lead * log_term, edge_count ** 3,
+                  2.0 * gamma ** 2 * epsilon ** 2, f"gamma = {gamma:.3g}", epsilon)
 
 
 def hkse_cost_approx(edge_count: int, gamma: float, epsilon: float, delta: float) -> float:
@@ -345,8 +348,9 @@ def hkse_cost_approx(edge_count: int, gamma: float, epsilon: float, delta: float
     if not (edge_count >= 1 and gamma > 0 and math.isfinite(gamma)):
         raise InputError("edge count and gamma must be positive and finite")
     _check_confidence(epsilon, delta)
-    lead = edge_count ** 3 / (2.0 * gamma ** 2 * epsilon ** 2)
-    return lead * math.log(edge_count / delta)
+    log_term = math.log(edge_count / delta)
+    return _count(lambda lead: lead * log_term, edge_count ** 3,
+                  2.0 * gamma ** 2 * epsilon ** 2, f"gamma = {gamma:.3g}", epsilon)
 
 
 def bhsre_lower(n: int, gamma: float, epsilon: float, delta: float,
@@ -361,7 +365,9 @@ def bhsre_lower(n: int, gamma: float, epsilon: float, delta: float,
         raise InputError("n and gamma must be positive and finite")
     _check_confidence(epsilon, delta)
     factor = 1.0 if alpha is None else (alpha * kappa) ** 2
-    return factor * n ** 2 / (2.0 * gamma ** 2 * epsilon ** 2) * math.log((kappa + 1) / delta)
+    log_term = math.log((kappa + 1) / delta)
+    return _count(lambda lead: lead * log_term, factor * n ** 2,
+                  2.0 * gamma ** 2 * epsilon ** 2, f"gamma = {gamma:.3g}", epsilon)
 
 
 def tm_lower(n: int, r: float) -> float:
@@ -377,6 +383,7 @@ def gkea_costs(modes: int, epsilon: float, delta: float) -> tuple[int, int]:
         raise InputError("need at least two modes")
     _check_confidence(epsilon, delta)
     log_term = math.log(2.0 / delta)
-    general = math.ceil(2.0 * modes ** 4 * log_term / epsilon ** 2)
-    gapped = math.ceil(modes ** 2 * math.log(modes) ** 2 * log_term / (2.0 * epsilon ** 2))
-    return general, gapped
+    at = f"{modes} modes"
+    return (_count(math.ceil, 2.0 * modes ** 4 * log_term, epsilon ** 2, at, epsilon),
+            _count(math.ceil, modes ** 2 * math.log(modes) ** 2 * log_term,
+                   2.0 * epsilon ** 2, at, epsilon))

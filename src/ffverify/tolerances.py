@@ -57,6 +57,16 @@ BOUND_CHECK_TOL = 1e-9
 PROJECTOR_INEQ_TOL = 1e-10
 
 
+def _echo(value: str) -> str:
+    """value quoted, or its first 20 characters and its length when longer."""
+    return repr(value) if len(value) <= 20 else f"{value[:20]!r}... ({len(value)} characters)"
+
+
+def _magnitude(n: int) -> int | str:
+    """n, or n named as a power of ten when it has 16 digits or more."""
+    return n if n < 10 ** 15 else f"about 10^{math.log10(n):.1f}"
+
+
 def max_dim() -> int:
     """Hard cap on Hilbert-space dimension, overridable via FFV_MAX_DIM."""
     value = os.environ.get("FFV_MAX_DIM")
@@ -65,16 +75,26 @@ def max_dim() -> int:
     try:
         parsed = int(value)
     except ValueError:
-        raise InputError(f"FFV_MAX_DIM must be an integer, got {value!r}") from None
+        raise InputError(f"FFV_MAX_DIM must be an integer, got {_echo(value)}") from None
     if parsed <= 0:
-        raise InputError(f"FFV_MAX_DIM must be positive, got {value!r}")
+        raise InputError(f"FFV_MAX_DIM must be positive, got {_echo(value)}")
     return parsed
 
 
 def check_dim(d: int, what: str) -> None:
     """Refuse `what` (e.g. "low-spectrum solve") of dimension d above the cap."""
     cap = max_dim()
-    if d > cap:  # a d of 16 digits or more is named as a power of ten
-        size = d if d < 10 ** 15 else f"about 10^{math.log10(d):.1f}"
-        raise ResourceError(f"{what} of dimension {size} exceeds FFV_MAX_DIM={cap}; "
-                            "use a smaller instance or raise the cap")
+    if d > cap:
+        raise ResourceError(f"{what} of dimension {_magnitude(d)} exceeds "
+                            f"FFV_MAX_DIM={_magnitude(cap)}; use a smaller instance or raise the cap")
+
+
+def check_nodes(n: int) -> None:
+    """Refuse, before it is built, a space of n nodes of dimension at least 2
+    each: its dimension of 2^n or more exceeds the cap once n reaches the
+    cap's bit length."""
+    cap = max_dim()
+    if n >= cap.bit_length():
+        raise ResourceError(f"a Hilbert space of {_magnitude(n)} nodes of dimension 2 or more "
+                            f"exceeds FFV_MAX_DIM={_magnitude(cap)}; use a smaller instance "
+                            "or raise the cap")

@@ -525,9 +525,9 @@ class TestOutOfRangeNumbers:
     traceback."""
 
     @pytest.mark.parametrize("argv, code, names", [
-        (("gap", "--chain", "9100"), 3, "dimension about 10^4341.5"),
-        (("simulate", "--chain", "9100", "--closed"), 3, "dimension about 10^4341.8"),
-        (("gap", "--square", "60x60"), 3, "dimension about 10^2492.9"),
+        (("gap", "--chain", "9100"), 3, "9100 nodes"),
+        (("simulate", "--chain", "9100", "--closed"), 3, "9100 nodes"),
+        (("gap", "--square", "60x60"), 3, "3600 nodes"),
         (("samples", "--nu", "1e-320"), 2, "nu = 1e-320 and epsilon = 0.01"),
         (("gap", "--chain", "6", "--closed", "--epsilon", "1e-320"), 2, "epsilon = 1e-320"),
         (("samples", *BOUND_FLAGS, "--epsilon", "1e-20"), 2, "strong bound"),
@@ -535,16 +535,78 @@ class TestOutOfRangeNumbers:
         (("samples", *BOUND_FLAGS, "--epsilon", "1e-30"), 2, "strong bound"),
         (("simulate", "--chain", "4", "--closed", "--runs", "1",
           "--pass-draws", "100000000000000000000"), 2, "--pass-draws"),
+        (("compare", "--epsilon", "1e-170"), 2, "gamma = 0.35 and epsilon = 1e-170"),
     ], ids=["gap-chain-9100", "simulate-chain-9100", "gap-square-60x60", "samples-nu-overflow",
             "gap-epsilon-overflow", "samples-bounds-overflow", "samples-nu-zero-division",
-            "samples-bounds-zero-division", "pass-draws-above-c-long"])
+            "samples-bounds-zero-division", "pass-draws-above-c-long",
+            "compare-epsilon-zero-division"])
     def test_refused_in_one_line(self, capsys, argv, code, names):
-        got, out, err = run_cli(capsys, *argv)
-        assert got == code
-        assert out == ""
-        prefix = "resource error: " if code == 3 else "error: "
-        assert err.startswith(prefix) and err.count("\n") == 1
-        assert "Traceback" not in err and len(err) <= 160 and names in err
+        assert_refused(capsys, argv, code, names)
+
+    def test_full_dimension_named_as_power_of_ten(self, capsys, monkeypatch):
+        """Past the node count, the exact dimension 3^9100 is refused; it and
+        a cap of 2740 digits are named as powers of ten."""
+        monkeypatch.setenv("FFV_MAX_DIM", str(2 ** 9101))
+        assert_refused(capsys, ("gap", "--chain", "9100"), 3,
+                       "dimension about 10^4341.5 exceeds FFV_MAX_DIM=about 10^2739.")
+
+    @pytest.mark.parametrize("value", ["9" * 5000, "-" + "9" * 4000],
+                             ids=["5000-nines", "minus-4000-nines"])
+    def test_long_cap_clipped(self, capsys, monkeypatch, value):
+        """A cap past int's 4300 digits, or a negative one, is echoed as its
+        first 20 characters and its length."""
+        monkeypatch.setenv("FFV_MAX_DIM", value)
+        assert_refused(capsys, ("gap", "--chain", "4", "--closed"), 2,
+                       f"got {value[:20]!r}... ({len(value)} characters)")
+
+
+def assert_refused(capsys, argv, code, names):
+    """`ffv argv` exits with `code` and one stderr line of at most 160
+    characters that contains `names`, printing nothing to stdout."""
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert out == ""
+    prefix = "resource error: " if code == 3 else "error: "
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert "Traceback" not in err and len(err) <= 160 and names in err
+
+
+class TestRefusedBeforeBuilding:
+    """Every AKLT node has dimension 2 or more, so a lattice of at least
+    FFV_MAX_DIM.bit_length() nodes is refused before any graph is built."""
+
+    @pytest.fixture
+    def no_lattice(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a lattice was built")
+
+        for name in ("chain", "square_lattice", "honeycomb_lattice"):
+            monkeypatch.setattr(cli.graphs, name, fail)
+
+    @pytest.mark.parametrize("argv, names", [
+        (("gap", "--chain", "200000"), "200000 nodes"),
+        (("simulate", "--chain", "14", "--closed"), "14 nodes"),
+        (("gap", "--square", "4x4"), "16 nodes"),
+        (("gap", "--honeycomb", "1x7"), "14 nodes"),
+        (("gap", "--honeycomb", "1x100000000000000000000"), "about 10^20.3 nodes"),
+    ], ids=["chain-200000", "simulate-chain-14", "square-4x4", "honeycomb-1x7",
+            "honeycomb-1x1e20"])
+    def test_refused(self, capsys, monkeypatch, no_lattice, argv, names):
+        monkeypatch.delenv("FFV_MAX_DIM", raising=False)
+        assert_refused(capsys, argv, 3, names + " of dimension 2 or more exceeds "
+                                                "FFV_MAX_DIM=8192")
+
+    @pytest.mark.parametrize("cap, nodes", [("8192", "13"), ("65536", "16")])
+    def test_below_the_bit_length_is_built(self, monkeypatch, no_lattice, cap, nodes):
+        monkeypatch.setenv("FFV_MAX_DIM", cap)
+        with pytest.raises(AssertionError, match="a lattice was built"):
+            cli.main(["gap", "--chain", nodes, "--closed"])
+
+    def test_chain_10_still_checks_its_dimension(self, capsys, monkeypatch):
+        # 10 nodes pass the count at the default cap; 3^10 = 59049 does not
+        monkeypatch.delenv("FFV_MAX_DIM", raising=False)
+        assert_refused(capsys, ("gap", "--chain", "10", "--closed"), 3,
+                       "dimension 59049 exceeds FFV_MAX_DIM=8192")
 
 
 #: child process: runs `ffv` with its arguments after the first (none: import

@@ -317,6 +317,23 @@ class TestCompetitors:
         with pytest.raises(InputError, match=message):
             cost()
 
+    @pytest.mark.parametrize("cost", [
+        lambda: proto.hkse_cost(10, 0.35, 1e-170, 0.01),
+        lambda: proto.hkse_cost_approx(10, 0.35, 1e-170, 0.01),
+        lambda: proto.bhsre_lower(10, 0.35, 1e-170, 0.01, kappa=2),
+        lambda: proto.gkea_costs(4, 1e-170, 0.01),
+        # the lead term 1.02e307 is finite; its product with ln(|E|/delta) is not
+        lambda: proto.hkse_cost_approx(10, 0.35, 2e-152, 1e-300),
+        # epsilon^2 = 1e-320 is subnormal, not zero; the quotient overflows
+        lambda: proto.gkea_costs(4, 1e-160, 0.01),
+    ], ids=["hkse", "hkse-approx", "bhsre", "gkea", "hkse-approx-overflow", "gkea-overflow"])
+    def test_non_finite_cost_refused(self, cost):
+        """2 gamma^2 epsilon^2 (epsilon^2 for GKEA) underflows to 0 at epsilon
+        = 1e-170, and a finite divisor can still overflow the cost: either is
+        refused as not finite."""
+        with pytest.raises(InputError, match="is not finite"):
+            cost()
+
 
 class TestAkltProtocolBounds:
     def test_chain_floor(self):
