@@ -333,14 +333,20 @@ def aklt_protocol_bounds(g: Hypergraph, gamma: float, epsilon: float | None = No
 # ---------------------------------------------------------------------------
 # competitor sample costs
 
+def _lead_cost(numerator: float, gamma: float, epsilon: float, log_term: float) -> float:
+    """numerator / (2 gamma^2 epsilon^2) * log_term, the form of the HKSE and
+    BHSRE costs, refused when it is not finite."""
+    return _count(lambda lead: lead * log_term, numerator, 2.0 * gamma ** 2 * epsilon ** 2,
+                  f"gamma = {gamma:.3g}", epsilon)
+
+
 def hkse_cost(edge_count: int, gamma: float, epsilon: float, delta: float) -> float:
     """|E|^3 / (2 gamma^2 eps^2) * ln[-(|E|+1)/ln(1-delta)]."""
     if not (edge_count >= 1 and gamma > 0 and math.isfinite(gamma)):
         raise InputError("edge count and gamma must be positive and finite")
     _check_confidence(epsilon, delta)
-    log_term = math.log(-(edge_count + 1) / math.log1p(-delta))
-    return _count(lambda lead: lead * log_term, edge_count ** 3,
-                  2.0 * gamma ** 2 * epsilon ** 2, f"gamma = {gamma:.3g}", epsilon)
+    return _lead_cost(edge_count ** 3, gamma, epsilon,
+                      math.log(-(edge_count + 1) / math.log1p(-delta)))
 
 
 def hkse_cost_approx(edge_count: int, gamma: float, epsilon: float, delta: float) -> float:
@@ -348,9 +354,7 @@ def hkse_cost_approx(edge_count: int, gamma: float, epsilon: float, delta: float
     if not (edge_count >= 1 and gamma > 0 and math.isfinite(gamma)):
         raise InputError("edge count and gamma must be positive and finite")
     _check_confidence(epsilon, delta)
-    log_term = math.log(edge_count / delta)
-    return _count(lambda lead: lead * log_term, edge_count ** 3,
-                  2.0 * gamma ** 2 * epsilon ** 2, f"gamma = {gamma:.3g}", epsilon)
+    return _lead_cost(edge_count ** 3, gamma, epsilon, math.log(edge_count / delta))
 
 
 def bhsre_lower(n: int, gamma: float, epsilon: float, delta: float,
@@ -365,9 +369,7 @@ def bhsre_lower(n: int, gamma: float, epsilon: float, delta: float,
         raise InputError("n and gamma must be positive and finite")
     _check_confidence(epsilon, delta)
     factor = 1.0 if alpha is None else (alpha * kappa) ** 2
-    log_term = math.log((kappa + 1) / delta)
-    return _count(lambda lead: lead * log_term, factor * n ** 2,
-                  2.0 * gamma ** 2 * epsilon ** 2, f"gamma = {gamma:.3g}", epsilon)
+    return _lead_cost(factor * n ** 2, gamma, epsilon, math.log((kappa + 1) / delta))
 
 
 def tm_lower(n: int, r: float) -> float:

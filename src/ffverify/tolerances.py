@@ -85,8 +85,8 @@ def check_dim(d: int, what: str) -> None:
     """Refuse `what` (e.g. "low-spectrum solve") of dimension d above the cap."""
     cap = max_dim()
     if d > cap:
-        raise ResourceError(f"{what} of dimension {_magnitude(d)} exceeds "
-                            f"FFV_MAX_DIM={_magnitude(cap)}; use a smaller instance or raise the cap")
+        raise ResourceError(f"{what} of dimension {_magnitude(d)} exceeds FFV_MAX_DIM="
+                            f"{_magnitude(cap)}; use a smaller instance or raise the cap")
 
 
 def check_nodes(n: int) -> None:
