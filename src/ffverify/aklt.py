@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError, InvariantViolation
-from .graph import Hypergraph, Edge, degree
+from .graph import Hypergraph, degree
 from .hamiltonian import FFHamiltonian
 from .tolerances import DESIGN_TOL, PROB_SUM_TOL, SPIN_CLUSTER_TOL, UNIT_VECTOR_TOL
 
@@ -87,9 +87,9 @@ def coupled_spin_projector(twice_sj: int, twice_sk: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Bond:
-    """An edge of an AKLT Hamiltonian together with its two node spins."""
+    """The two node spins of an AKLT bond, lower node first: every bond
+    operator and bond test depends on the edge only through them."""
 
-    edge: Edge
     twice_sj: int
     twice_sk: int
 
@@ -129,14 +129,14 @@ def aklt_hamiltonian(g: Hypergraph) -> FFHamiltonian:
 
 
 def bond(h: FFHamiltonian, e) -> Bond:
-    """Bond view of an edge of an AKLT-style Hamiltonian."""
+    """The spin pair of an edge of an AKLT-style Hamiltonian."""
     e = tuple(sorted(int(v) for v in e))
     if e not in h.projectors:
         raise InputError(f"{e} is not an edge of the Hamiltonian")
     if len(e) != 2:
         raise InputError(f"{e} is not a bond: a bond joins two nodes")
     j, k = e
-    return Bond(e, h.node_dims[j] - 1, h.node_dims[k] - 1)
+    return Bond(h.node_dims[j] - 1, h.node_dims[k] - 1)
 
 
 def _aligned_extremes(b: Bond, directions) -> tuple[np.ndarray, np.ndarray]:
@@ -304,11 +304,11 @@ def design_catalog(name: str) -> DirectionDistribution:
 
 @dataclass(frozen=True, eq=False)
 class BondOperator:
-    """Average of bond tests for one edge; None distribution means isotropic."""
+    """Average of the bond tests on one spin pair over a direction
+    distribution; a protocol shares one per bond class among its edges."""
 
     bond: Bond
     matrix: np.ndarray
-    distribution: DirectionDistribution | None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -316,10 +316,6 @@ class BondOperator:
             raise InputError("bond operator has the wrong dimension")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def edge(self) -> Edge:
-        return self.bond.edge
 
     @property
     def gap(self) -> float:
@@ -338,7 +334,7 @@ def bond_operator(b: Bond, mu: DirectionDistribution) -> BondOperator:
     stacked = np.concatenate(_aligned_extremes(b, mu.points))
     weights = np.concatenate([mu.weights, mu.weights])
     omega = np.eye(b.dim) - (stacked.T * weights) @ stacked.conj()
-    return BondOperator(b, omega, mu)
+    return BondOperator(b, omega)
 
 
 def isotropic_bond_operator(b: Bond) -> BondOperator:
@@ -346,7 +342,7 @@ def isotropic_bond_operator(b: Bond) -> BondOperator:
     Q_e + (2S_e - 1)/(2S_e + 1) P_e, with gap 2/(2S_e + 1)."""
     t = b.twice_se
     omega = b.ground_projector + ((t - 1) / (t + 1)) * b.top_projector
-    return BondOperator(b, omega, None)
+    return BondOperator(b, omega)
 
 
 def isotropic_gap(twice_se: int) -> float:

@@ -122,11 +122,10 @@ def _check_dim(h: ham.FFHamiltonian) -> None:
 
 def cmd_gap(args) -> int:
     protocol = _build_protocol(args)
-    ops = protocol.bond_ops.values()
-    mu = next(iter(ops)).distribution  # one design for every bond, or None
+    mu = protocol.design
     # the effective (symmetrized) design order governs homogeneity
     order = None if mu is None else aklt.design_order(mu)
-    spins = {op.bond.twice_se for op in ops}
+    spins = {op.bond.twice_se for op in protocol.bond_ops.values()}
     twice_se_max = max(spins)
     if order is not None and twice_se_max > order:
         print(f"warning: design order {order} below 2*S_E = {twice_se_max}; "

@@ -13,7 +13,7 @@ Results are numbers and `GapReport.to_dict` rows; `cli` prints them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -31,39 +31,44 @@ from .tolerances import BOUND_CHECK_TOL
 
 @dataclass(frozen=True, eq=False)
 class Protocol:
-    """Matching cover plus one bond verification operator per edge."""
+    """A matching cover of H's edges and one direction distribution, the
+    design, that every bond test draws from (None: isotropic directions).
+
+    `bond_ops` maps each edge to its bond operator.  A bond class, edges
+    with equal spin pairs and equal projectors, shares one operator, built
+    and checked against the kernel of its projector once."""
 
     hamiltonian: FFHamiltonian
     cover: MatchingCover
-    bond_ops: dict[Edge, BondOperator]
+    design: DirectionDistribution | None
+    bond_ops: dict[Edge, BondOperator] = field(init=False)
 
     def __post_init__(self):
         h = self.hamiltonian
         if not self.cover.covers(h.graph):
             raise InputError("cover does not match the Hamiltonian's edge set")
-        extra = set(self.bond_ops) - set(h.graph.edges)
-        if extra:
-            raise InputError(f"bond operators for unknown edges {sorted(extra)}")
+        classes: dict[tuple, BondOperator] = {}  # by (spin pair, projector bytes)
+        ops = {}
         for e in h.graph.edges:
-            if e not in self.bond_ops:
-                raise InputError(f"no bond operator for edge {e}")
-            op = self.bond_ops[e]
-            if op.edge != e:
-                raise InputError(f"bond operator for {op.edge} filed under {e}")
-            q = np.eye(len(h.projectors[e])) - h.projectors[e]  # onto ker P_e
-            if op.matrix.shape != q.shape:
-                raise InputError(f"bond operator on {e}: shape {op.matrix.shape}, not {q.shape}")
-            moved = op.matrix @ q - q
-            if not linalg.norm_below(moved, 1e-10):
-                raise InputError(f"bond operator on {e} moves the kernel of H's projector "
-                                 f"({linalg.operator_norm(moved):.2e}): its tests could "
-                                 "fail a ground state")
-        object.__setattr__(self, "bond_ops", {e: self.bond_ops[e] for e in h.graph.edges})
+            b = bond(h, e)
+            key = (b, h.projectors[e].tobytes())
+            if key not in classes:
+                op = isotropic_bond_operator(b) if self.design is None else \
+                    bond_operator(b, self.design)
+                q = np.eye(b.dim) - h.projectors[e]  # onto ker P_e
+                moved = op.matrix @ q - q
+                if not linalg.norm_below(moved, 1e-10):
+                    raise InputError(f"bond operator on {e} moves the kernel of H's projector "
+                                     f"({linalg.operator_norm(moved):.2e}): its tests could "
+                                     "fail a ground state")
+                classes[key] = op
+            ops[e] = classes[key]
+        object.__setattr__(self, "bond_ops", ops)
 
     @cached_property
     def nu_e(self) -> float:
-        """Minimum bond gap over all edges."""
-        return min(op.gap for op in self.bond_ops.values())
+        """Minimum bond gap over the distinct bond operators."""
+        return min(op.gap for op in set(self.bond_ops.values()))
 
     @cached_property
     def local(self) -> linalg.LocalOperators:
@@ -84,10 +89,11 @@ class Protocol:
 
     @cached_property
     def design_tests(self) -> dict[Edge, tuple[tuple[ApplyPlan, float], ...]]:
-        """bond_tests at the support points of each finitely supported bond
-        distribution; state-independent, so built once per protocol."""
-        return {e: self.bond_tests(e, op.distribution.points)
-                for e, op in self.bond_ops.items() if op.distribution is not None}
+        """bond_tests at the design's support points on every edge, none for
+        isotropic tests; state-independent, so built once per protocol."""
+        if self.design is None:
+            return {}
+        return {e: self.bond_tests(e, self.design.points) for e in self.bond_ops}
 
     def apply_test(self, matching: Sequence[Edge], vec: np.ndarray) -> np.ndarray:
         """The test operator of a matching on a full-space vector or, when
@@ -295,13 +301,9 @@ def gap_report(protocol: Protocol, gamma: float | None = None) -> GapReport:
 
 def build_protocol(h: FFHamiltonian, cover: MatchingCover,
                    mu: DirectionDistribution | None) -> Protocol:
-    """Bond operators from one shared direction distribution (isotropic when
-    mu is None), assembled into a protocol."""
-    ops = {}
-    for e in h.graph.edges:
-        b = bond(h, e)
-        ops[e] = isotropic_bond_operator(b) if mu is None else bond_operator(b, mu)
-    return Protocol(h, cover, ops)
+    """The protocol on cover whose bond tests all draw their directions from
+    mu (isotropic when mu is None)."""
+    return Protocol(h, cover, mu)
 
 
 def aklt_protocol_bounds(g: Hypergraph, gamma: float, epsilon: float | None = None,

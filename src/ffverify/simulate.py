@@ -79,10 +79,8 @@ def prepare_state(protocol: Protocol, mode: str, epsilon: float) -> PreparedStat
         return PreparedState(d, ((epsilon, top_excited_pair(protocol)[1]),))
 
     if mode == "depolarizing":
+        # `Protocol` refuses H = 0, so the ground space is not the whole space
         rank, _ = ground_space(h)
-        if rank == d:
-            raise InputError("depolarizing noise cannot lower the fidelity: the "
-                             "ground space is the whole space (H = 0)")
         # solve (1-w) + w * rank/d = 1 - epsilon for the mixing weight
         w = epsilon * d / (d - rank)
         if not 0 <= w <= 1:
@@ -183,43 +181,42 @@ def estimate_pass_rate(protocol: Protocol, state: PreparedState, n_draws: int,
     """Monte-Carlo single-test pass rate and its standard error.
 
     Draws how often each test comes up rather than the tests one by one: a
-    multinomial splits the draws over the matchings, and each count further
-    over each design bond's support points, so every distinct design test
-    appears once with its count and its passes are one binomial draw.  Bonds
-    with isotropic directions draw them per slice of COMPILE_SLICE draws,
+    multinomial splits the draws over the matchings.  With a design, each
+    count splits further over each bond's design points, so every distinct
+    test appears once with its count and its passes are one binomial draw.
+    Isotropic tests draw their directions per slice of COMPILE_SLICE draws,
     compiled with one `Protocol.bond_tests` call per bond, and one Bernoulli
     draw per test."""
     if n_draws < 1:
         raise InputError("need at least one draw")
     if state.dim != protocol.hamiltonian.dim:
         raise InputError("state dimension does not match the protocol")
-    design = protocol.design_tests
+    mu, design = protocol.design, protocol.design_tests
     rng = np.random.default_rng(seed)
     hits = 0
     # weights may sum to 1 +- PROB_SUM_TOL, and numpy refuses any p above 1
     probs = np.asarray(protocol.cover.probabilities)
     for matching, count in zip(protocol.cover.matchings,
                                rng.multinomial(n_draws, probs / probs.sum())):
-        branches = [({}, count)] if count else []  # (design bond tests, draws)
-        for e in (e for e in matching if e in design):
-            w = protocol.bond_ops[e].distribution.weights
-            branches = [({**fixed, e: design[e][i]}, c) for fixed, n in branches
-                        for i, c in enumerate(rng.multinomial(n, w / w.sum())) if c]
-        isotropic = [e for e in matching if e not in design]
-        for fixed, n in branches:
-            if not isotropic:
-                q = _pass_probability(state, [fixed[e] for e in matching])
-                hits += int(rng.binomial(n, q))
-                continue
-            for start in range(0, n, COMPILE_SLICE):
-                size = min(COMPILE_SLICE, n - start)
-                drawn = {}
-                for e in isotropic:
+        if mu is None and matching:
+            for start in range(0, count, COMPILE_SLICE):
+                size = min(COMPILE_SLICE, count - start)
+                drawn = []
+                for e in matching:
                     v = rng.standard_normal((size, 3))
-                    drawn[e] = protocol.bond_tests(e, v / np.linalg.norm(v, axis=1, keepdims=True))
-                q = [_pass_probability(state, [fixed[e] if e in fixed else drawn[e][t]
-                                               for e in matching]) for t in range(size)]
+                    drawn.append(protocol.bond_tests(e, v / np.linalg.norm(v, axis=1,
+                                                                           keepdims=True)))
+                q = [_pass_probability(state, tests) for tests in zip(*drawn)]
                 hits += int(np.count_nonzero(rng.random(size) < q))
+            continue
+        # a design's tests, or an empty matching's: (bond tests, draws)
+        branches = [((), count)] if count else []
+        for e in matching:
+            branches = [(fixed + (design[e][i],), c) for fixed, n in branches
+                        for i, c in enumerate(rng.multinomial(n, mu.weights / mu.weights.sum()))
+                        if c]
+        for tests, n in branches:
+            hits += int(rng.binomial(n, _pass_probability(state, tests)))
     rate = hits / n_draws
     stderr = math.sqrt(max(rate * (1.0 - rate), 1e-12) / n_draws)
     return rate, stderr

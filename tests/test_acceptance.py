@@ -119,7 +119,7 @@ def test_criterion_06_overlap_trace_identity():
     with criterion(6, "overlap-trace closed form vs matrices", budget_seconds=5.0):
         rng = np.random.default_rng(606)
         for twice_sj, twice_sk in ((1, 1), (1, 2), (2, 2), (3, 3)):
-            b = aklt.Bond((0, 1), twice_sj, twice_sk)
+            b = aklt.Bond(twice_sj, twice_sk)
             for _ in range(20):
                 r, s = random_unit_vector(rng), random_unit_vector(rng)
                 direct = oracles.overlap_trace_matrix(b, r, s)

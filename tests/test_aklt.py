@@ -223,13 +223,13 @@ class TestBondOperator:
     @pytest.mark.parametrize("name", sorted(aklt.CATALOG_ORDERS))
     @pytest.mark.parametrize("twice_sj, twice_sk", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 4)])
     def test_gram_product_matches_sum_of_tests(self, name, twice_sj, twice_sk):
-        b = aklt.Bond((0, 1), twice_sj, twice_sk)
+        b = aklt.Bond(twice_sj, twice_sk)
         mu = aklt.design_catalog(name)
         op = aklt.bond_operator(b, mu)
         assert np.max(np.abs(op.matrix - oracles.bond_operator(b, mu))) < 1e-14
 
     def test_block_of_tests_matches_single_tests(self):
-        b = aklt.Bond((0, 1), 2, 3)
+        b = aklt.Bond(2, 3)
         points = aklt.design_catalog("dodecahedron").points
         tests = aklt.bond_test_projector(b, points)
         assert tests.shape == (len(points), b.dim, b.dim)
@@ -299,7 +299,7 @@ class TestBondOperator:
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(InputError, match="bond operator has the wrong dimension"):
-            aklt.BondOperator(aklt.Bond((0, 1), 2, 2), np.eye(3), None)
+            aklt.BondOperator(aklt.Bond(2, 2), np.eye(3))
 
 
 class TestIsotropic:
@@ -439,7 +439,7 @@ class TestOverlapTrace:
     @pytest.mark.parametrize("spins", [(1, 1), (1, 2), (2, 2), (3, 3)])
     def test_matrix_agreement(self, spins):
         rng = np.random.default_rng(sum(spins))
-        b = aklt.Bond((0, 1), *spins)
+        b = aklt.Bond(*spins)
         for _ in range(5):
             r, s = random_unit_vector(rng), random_unit_vector(rng)
             direct = oracles.overlap_trace_matrix(b, r, s)

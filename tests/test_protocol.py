@@ -68,11 +68,8 @@ class TestDesignTests:
 
 class TestVerificationOperator:
     def test_single_matching_cover(self, chain4, icosahedron):
-        cover = G.MatchingCover((((0, 1), (2, 3)),), (1.0,))
         p = proto.Protocol(chain4, G.MatchingCover(
-            (((0, 1), (2, 3)), ((1, 2), (0, 3))), (1.0, 0.0)),
-            {e: aklt.bond_operator(aklt.bond(chain4, e), icosahedron)
-             for e in chain4.graph.edges})
+            (((0, 1), (2, 3)), ((1, 2), (0, 3))), (1.0, 0.0)), icosahedron)
         omega = oracles.omega(p)
         t = oracles.matching_operator(p, [(0, 1), (2, 3)])
         assert np.max(np.abs(omega - t)) < 1e-12
@@ -362,41 +359,19 @@ class TestAkltProtocolBounds:
 class TestProtocolValidation:
     def test_cover_mismatch(self, chain4, icosahedron):
         cover = G.MatchingCover((((0, 1),),), (1.0,))
-        ops = {e: aklt.bond_operator(aklt.bond(chain4, e), icosahedron)
-               for e in chain4.graph.edges}
         with pytest.raises(InputError):
-            proto.Protocol(chain4, cover, ops)
+            proto.Protocol(chain4, cover, icosahedron)
 
-    def test_missing_bond_operator(self, chain4, icosahedron):
-        cover = G.edge_coloring(chain4.graph)
-        ops = {e: aklt.bond_operator(aklt.bond(chain4, e), icosahedron)
-               for e in chain4.graph.edges[:-1]}
-        with pytest.raises(InputError):
-            proto.Protocol(chain4, cover, ops)
-
-    def test_bond_operators_for_unknown_edges(self, chain4, icosahedron):
-        cover = G.edge_coloring(chain4.graph)
-        ops = {e: aklt.bond_operator(aklt.bond(chain4, e), icosahedron)
-               for e in chain4.graph.edges}
-        op = ops[(0, 1)]
-        with pytest.raises(InputError, match=r"unknown edges \[\(3, 4\), \(7, 9\)\]"):
-            proto.Protocol(chain4, cover, {**ops, (3, 4): op, (7, 9): op})
-
-    def test_operator_filed_under_another_edge(self, chain4, icosahedron):
-        ops = {e: aklt.bond_operator(aklt.bond(chain4, e), icosahedron)
-               for e in chain4.graph.edges}
-        ops[(0, 1)] = ops[(1, 2)]
-        with pytest.raises(InputError, match=r"bond operator for \(1, 2\) filed under \(0, 1\)"):
-            proto.Protocol(chain4, G.edge_coloring(chain4.graph), ops)
-
-    def test_operator_must_fix_subspace(self, chain4):
-        cover = G.edge_coloring(chain4.graph)
-        broken = {}
-        for e in chain4.graph.edges:
-            b = aklt.bond(chain4, e)
-            broken[e] = aklt.BondOperator(b, 0.5 * np.eye(9), None)
-        with pytest.raises(InputError):
-            proto.Protocol(chain4, cover, broken)
+    def test_operator_must_fix_subspace(self, chain4, icosahedron):
+        """The kernel check runs once per bond class, on every class: a
+        rotated projector on (1, 2) alone puts that edge in a class of its
+        own, and that class is refused."""
+        u = np.linalg.qr(np.random.default_rng(2).standard_normal((9, 9)))[0]
+        projectors = dict(chain4.projectors)
+        projectors[(1, 2)] = u @ projectors[(1, 2)] @ u.T
+        h = ham.FFHamiltonian(chain4.graph, projectors, chain4.node_dims)
+        with pytest.raises(InputError, match=r"bond operator on \(1, 2\) moves the kernel"):
+            proto.Protocol(h, G.edge_coloring(h.graph), icosahedron)
 
     @pytest.mark.parametrize("design", ["icosahedron", "isotropic"])
     def test_aklt_tests_refused_over_another_hamiltonian(self, chain4, design):
@@ -416,11 +391,30 @@ class TestProtocolValidation:
                                  (0, 1))
             assert linalg.operator_norm(r @ q0 - q0) > 0.1
 
-    def test_bond_operator_of_another_dimension(self, chain4):
-        ops = {e: aklt.isotropic_bond_operator(aklt.bond(chain4, e)) for e in chain4.graph.edges}
-        ops[(0, 1)] = aklt.isotropic_bond_operator(aklt.Bond((0, 1), 1, 2))
-        with pytest.raises(InputError, match=r"on \(0, 1\): shape \(6, 6\), not \(9, 9\)"):
-            proto.Protocol(chain4, G.edge_coloring(chain4.graph), ops)
+
+class TestBondClasses:
+    """A protocol builds one bond operator per bond class, edges with equal
+    spin pairs and projectors, and files it under every edge of the class."""
+
+    @pytest.mark.parametrize("g, classes", [
+        (G.chain(6), 3), (G.chain(100, closed=True), 1), (G.square_lattice(3, 3), 4),
+    ], ids=["open-chain-6", "closed-chain-100", "open-square-3x3"])
+    def test_one_operator_per_class(self, monkeypatch, icosahedron, g, classes):
+        calls = []
+        build = proto.bond_operator
+
+        def counting(b, mu):
+            calls.append(b)
+            return build(b, mu)
+
+        monkeypatch.setattr(proto, "bond_operator", counting)
+        h = aklt.aklt_hamiltonian(g)
+        p = proto.build_protocol(h, G.edge_coloring(g), icosahedron)
+        assert len(calls) == len(set(calls)) == classes
+        by_class = {}
+        for e, op in p.bond_ops.items():
+            assert by_class.setdefault((aklt.bond(h, e), h.projectors[e].tobytes()), op) is op
+        assert len(by_class) == classes
 
 
 class TestGapReport:

@@ -97,18 +97,6 @@ class TestPrepareState:
         sigma = oracles.density_matrix(chain4, state)
         assert abs(np.real(np.trace(q0 @ sigma)) - (1 - eps)) < 1e-10
 
-    def test_depolarizing_zero_hamiltonian(self):
-        # over H = 0 only identity bond operators pass every ground state surely
-        g = G.chain(3)
-        dims = {0: 2, 1: 3, 2: 2}
-        zero = {e: np.zeros((dims[e[0]] * dims[e[1]],) * 2) for e in g.edges}
-        h = ham.FFHamiltonian(g, zero, dims)
-        ops = {e: aklt.BondOperator(aklt.bond(h, e), np.eye(len(zero[e])), None)
-               for e in g.edges}
-        p = proto.Protocol(h, G.edge_coloring(g), ops)
-        with pytest.raises(InputError, match="ground space is the whole space"):
-            sim.prepare_state(p, "depolarizing", 0.1)
-
     def test_coherent_rotation_is_pure(self, chain4_protocol):
         state = sim.prepare_state(chain4_protocol, "coherent_rotation", 0.03)
         assert state.ensemble is not None and len(state.ensemble) == 1
@@ -339,7 +327,7 @@ class TestDenseOracle:
             for _ in range(4):
                 directions, tests = [], []
                 for e in matching:
-                    dist = protocol.bond_ops[e].distribution
+                    dist = protocol.design
                     if dist is None:  # isotropic: a continuous direction
                         directions.append(random_unit_vector(rng))
                         tests.append(protocol.bond_tests(e, [directions[-1]])[0])
@@ -352,46 +340,6 @@ class TestDenseOracle:
                     for e, r in zip(matching, directions)])
                 expected = float(np.real(np.trace(t @ sigma)))
                 assert abs(sim._pass_probability(state, tests) - expected) < 1e-12
-
-
-class TestMixedMatching:
-    """Matchings that pair an icosahedron bond with an isotropic bond: tests
-    mixing design bond tests with bond tests built per draw."""
-
-    @pytest.fixture(scope="class")
-    def mixed(self, chain4, icosahedron):
-        cover = G.edge_coloring(chain4.graph)
-        assert all(len(m) == 2 for m in cover.matchings)
-        design_edges = {m[0] for m in cover.matchings}
-        ops = {}
-        for e in chain4.graph.edges:
-            b = aklt.bond(chain4, e)
-            ops[e] = (aklt.bond_operator(b, icosahedron) if e in design_edges
-                      else aklt.isotropic_bond_operator(b))
-        return proto.Protocol(chain4, cover, ops)
-
-    @pytest.fixture(scope="class")
-    def state(self, mixed):
-        return sim.prepare_state(mixed, "worst_case", 0.3)
-
-    def test_pass_probability(self, mixed, state, icosahedron):
-        rng = np.random.default_rng(12)
-        density = oracles.density_matrix(mixed.hamiltonian, state)
-        for e, f in mixed.cover.matchings:  # e carries the design, f is isotropic
-            for _ in range(3):
-                i = int(rng.integers(len(icosahedron)))
-                r = random_unit_vector(rng)
-                q = sim._pass_probability(state, [mixed.design_tests[e][i],
-                                                  mixed.bond_tests(f, [r])[0]])
-                t = oracles.local_product(mixed.hamiltonian, [
-                    (aklt.bond_test_projector(mixed.bond_ops[e].bond, icosahedron.points[i]), e),
-                    (aklt.bond_test_projector(mixed.bond_ops[f].bond, r), f)])
-                assert abs(q - float(np.real(np.trace(t @ density)))) < 1e-12
-
-    def test_estimate_pass_rate(self, mixed, state):
-        exact = sim.acceptance_probability(mixed, state)
-        rate, stderr = sim.estimate_pass_rate(mixed, state, 3000, seed=13)
-        assert abs(rate - exact) < 4 * stderr
 
 
 class TestRunVerification:
@@ -655,7 +603,7 @@ class TestBondTestsBuiltOnce:
         build = proto.bond_test_projector
 
         def counting(b, direction):
-            calls.append(b.edge)
+            calls.append(len(direction))
             return build(b, direction)
 
         # the estimate reaches bond test projectors only through the protocol
