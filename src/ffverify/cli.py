@@ -166,12 +166,13 @@ def cmd_samples(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    """Sample costs on even closed chains: constant for the coloring protocol,
-    polynomial growth for the competitors."""
-    sizes = [n for n in range(args.n_min, args.n_max + 1, args.n_step) if n % 2 == 0]
+    """Sample costs on even closed chains of 4 or more nodes (a closed chain
+    needs 3): constant for the coloring protocol, polynomial growth for the
+    competitors."""
+    sizes = [n for n in range(args.n_min, args.n_max + 1, args.n_step) if n % 2 == 0 and n >= 4]
     if not sizes:
         raise InputError(f"--n-min {args.n_min} to --n-max {args.n_max} in steps of "
-                         f"{args.n_step} holds no even chain length")
+                         f"{args.n_step} holds no even chain length of 4 or more")
     rows = []
     n_strong, _ = proto.sample_count_from_bounds(
         m=2, nu_e=2.0 / 5.0, epsilon=args.epsilon, delta=args.delta,
@@ -357,14 +358,23 @@ def main(argv=None) -> int:
                 raise InputError(f"--{flag.replace('_', '-')} must be {bound}")
         return args.func(args)
     except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose("error", exc)
         return 2
     except ResourceError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
+        _diagnose("resource error", exc)
         return 3
     except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
+        _diagnose("invariant violation", exc)
         return 4
+
+
+def _diagnose(kind: str, exc: Exception) -> None:
+    """Print the one diagnostic line, `kind: message`.  Past 160 characters
+    (a long path, say) it keeps its first 100 and last 55 around " ... "."""
+    line = f"{kind}: {exc}"
+    if len(line) > 160:
+        line = f"{line[:100]} ... {line[-55:]}"
+    print(line, file=sys.stderr)
 
 
 if __name__ == "__main__":

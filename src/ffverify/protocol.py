@@ -347,8 +347,11 @@ def hkse_cost(edge_count: int, gamma: float, epsilon: float, delta: float) -> fl
     if not (edge_count >= 1 and gamma > 0 and math.isfinite(gamma)):
         raise InputError("edge count and gamma must be positive and finite")
     _check_confidence(epsilon, delta)
-    return _lead_cost(edge_count ** 3, gamma, epsilon,
-                      math.log(-(edge_count + 1) / math.log1p(-delta)))
+    ratio = -(edge_count + 1) / math.log1p(-delta)
+    if not ratio > 1:
+        raise InputError(f"the HKSE cost at |E| = {edge_count} and delta = {delta:.3g} is not "
+                         "positive: ln[-(|E|+1)/ln(1-delta)] <= 0")
+    return _lead_cost(edge_count ** 3, gamma, epsilon, math.log(ratio))
 
 
 def hkse_cost_approx(edge_count: int, gamma: float, epsilon: float, delta: float) -> float:
@@ -375,10 +378,15 @@ def bhsre_lower(n: int, gamma: float, epsilon: float, delta: float,
 
 
 def tm_lower(n: int, r: float) -> float:
-    """32 R^2 n^5 + 2^11 n^15 R^4 ln 2 (verification at precision 1/n)."""
+    """32 R^2 n^5 + 2^11 n^15 R^4 ln 2 (verification at precision 1/n), in
+    float products, which overflow to inf rather than raise; refused when
+    not finite."""
     if not (n >= 1 and r > 0 and math.isfinite(r)):
         raise InputError("n and R must be positive and finite")
-    return 32.0 * r ** 2 * n ** 5 + 2.0 ** 11 * n ** 15 * r ** 4 * math.log(2.0)
+    x = float(min(n, 2 ** 1023))  # from 2^1023 on the cost is inf for every R
+    r2, n5 = r * r, x * x * x * x * x
+    return _count(float, 32.0 * r2 * n5 + 2.0 ** 11 * n5 * n5 * n5 * r2 * r2 * math.log(2.0),
+                  1.0, f"R = {r:.3g}", 1 / n)
 
 
 def gkea_costs(modes: int, epsilon: float, delta: float) -> tuple[int, int]:

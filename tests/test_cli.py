@@ -536,12 +536,26 @@ class TestOutOfRangeNumbers:
         (("simulate", "--chain", "4", "--closed", "--runs", "1",
           "--pass-draws", "100000000000000000000"), 2, "--pass-draws"),
         (("compare", "--epsilon", "1e-170"), 2, "gamma = 0.35 and epsilon = 1e-170"),
+        (("compare", "--delta", "0.999", "--n-min", "4", "--n-max", "4"), 2,
+         "HKSE cost at |E| = 4 and delta = 0.999 is not positive"),
+        (("compare", "--n-min", "2", "--n-max", "3"), 2, "no even chain length of 4 or more"),
     ], ids=["gap-chain-9100", "simulate-chain-9100", "gap-square-60x60", "samples-nu-overflow",
             "gap-epsilon-overflow", "samples-bounds-overflow", "samples-nu-zero-division",
             "samples-bounds-zero-division", "pass-draws-above-c-long",
-            "compare-epsilon-zero-division"])
+            "compare-epsilon-zero-division", "compare-hkse-log-not-positive",
+            "compare-below-4"])
     def test_refused_in_one_line(self, capsys, argv, code, names):
         assert_refused(capsys, argv, code, names)
+
+    def test_compare_lists_no_chain_below_4(self, capsys):
+        """A closed chain needs 3 nodes, so n = 2 is skipped, not tabulated
+        with a negative HKSE cost."""
+        code, out, err = run_cli(capsys, "compare", "--delta", "0.99", "--n-min", "2",
+                                 "--n-max", "4", "--n-step", "2", "--format", "csv")
+        assert (code, err) == (0, "")
+        header, *rows = out.splitlines()
+        assert [row.split(",")[0] for row in rows] == ["4"]
+        assert all(float(cell) > 0 for cell in rows[0].split(","))
 
     def test_full_dimension_named_as_power_of_ten(self, capsys, monkeypatch):
         """Past the node count, the exact dimension 3^9100 is refused; it and

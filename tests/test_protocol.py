@@ -304,12 +304,15 @@ class TestCompetitors:
         (lambda: proto.hkse_cost_approx(10, math.inf, 0.01, 0.01), "edge count and gamma"),
         (lambda: proto.bhsre_lower(0, 0.35, 0.01, 0.01, 2), "n and gamma"),
         (lambda: proto.tm_lower(5, 0), "n and R"),
+        # -(|E|+1)/ln(1-delta) = 0.72 < 1: the log factor and the cost are negative
+        (lambda: proto.hkse_cost(4, 0.35, 0.01, 0.999),
+         r"HKSE cost at \|E\| = 4 and delta = 0.999 is not positive"),
         (lambda: proto.gkea_costs(1, 0.01, 0.01), "at least two modes"),
         (lambda: proto.aklt_protocol_bounds(G.chain(4), 0.0), "gamma must be positive"),
         (lambda: proto.aklt_protocol_bounds(G.Hypergraph((0, 1), ()), 0.35),
          "graph has no edges"),
     ], ids=["hkse-no-edges", "hkse-approx-infinite-gamma", "bhsre-n-0", "tm-r-0",
-            "gkea-one-mode", "aklt-gamma-0", "aklt-no-edges"])
+            "hkse-log-not-positive", "gkea-one-mode", "aklt-gamma-0", "aklt-no-edges"])
     def test_out_of_range(self, cost, message):
         with pytest.raises(InputError, match=message):
             cost()
@@ -323,11 +326,15 @@ class TestCompetitors:
         lambda: proto.hkse_cost_approx(10, 0.35, 2e-152, 1e-300),
         # epsilon^2 = 1e-320 is subnormal, not zero; the quotient overflows
         lambda: proto.gkea_costs(4, 1e-160, 0.01),
-    ], ids=["hkse", "hkse-approx", "bhsre", "gkea", "hkse-approx-overflow", "gkea-overflow"])
+        # n^15 = 1e375 overflows a float; an int past 2^1024 does not convert
+        lambda: proto.tm_lower(10 ** 25, 1.0),
+        lambda: proto.tm_lower(10 ** 400, 1.0),
+    ], ids=["hkse", "hkse-approx", "bhsre", "gkea", "hkse-approx-overflow", "gkea-overflow",
+            "tm-overflow", "tm-past-float"])
     def test_non_finite_cost_refused(self, cost):
         """2 gamma^2 epsilon^2 (epsilon^2 for GKEA) underflows to 0 at epsilon
         = 1e-170, and a finite divisor can still overflow the cost: either is
-        refused as not finite."""
+        refused as not finite, as is a TM cost past the float range."""
         with pytest.raises(InputError, match="is not finite"):
             cost()
 
