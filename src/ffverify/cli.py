@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: gap, samples, compare, check-bounds, simulate.
-Exit codes: 0 success, 2 input error, 3 resource error, 4 invariant violation.
+Exit codes: 0 success, 2 input error, 3 resource error, 4 invariant violation,
+each refusal with one diagnostic line of at most 160 characters (`_diagnose`).
 Every output schema lives here: the CSV columns of each command, and
 `_emit`, the one writer of CSV and JSON.  `gap` and `simulate` build their
 protocol from the graph flags through `_build_protocol`; `simulate` prints

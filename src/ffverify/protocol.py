@@ -2,11 +2,16 @@
 closed-form lower bounds, sample counts, and the sample costs of the
 competing schemes, one function per formula.
 
-Omega's bond operators are a `linalg.LocalOperators` that shares H's sector
-when both are SU(2)-invariant.  nu is solved and read in Omega's solve space;
+A `Protocol` is H, a matching cover and one design: every bond test draws
+its direction from the same distribution, or isotropically, so a protocol
+holds one bond operator per bond class (equal spin pairs and projectors),
+shared by the class's edges; there are no mixed protocols.  Omega's bond
+operators are a `linalg.LocalOperators` that shares H's sector when both are
+SU(2)-invariant.  nu is solved and read in Omega's solve space;
 `top_excited_pair` lifts the eigenvector to the full space, once.  Bond tests
 are compiled per block of directions (`Protocol.bond_tests`), for the design
-points once per protocol and for isotropic draws once per block of draws.
+points once per edge and protocol, and for isotropic draws once per block
+of draws.
 Results are numbers and `GapReport.to_dict` rows; `cli` prints them.
 """
 
@@ -53,8 +58,8 @@ class Protocol:
             b = bond(h, e)
             key = (b, h.projectors[e].tobytes())
             if key not in classes:
-                op = isotropic_bond_operator(b) if self.design is None else \
-                    bond_operator(b, self.design)
+                op = (isotropic_bond_operator(b) if self.design is None
+                      else bond_operator(b, self.design))
                 q = np.eye(b.dim) - h.projectors[e]  # onto ker P_e
                 moved = op.matrix @ q - q
                 if not linalg.norm_below(moved, 1e-10):

@@ -7,9 +7,10 @@ Each test passes with probability p = tr(Omega sigma) on a fresh copy of the
 state, independently of the others, so a run's first failure is geometric in
 1 - p: `run_many` draws it from that law.  The Monte-Carlo pass-rate estimate
 checks that the drawn tests average to Omega.  A test draws a matching, then
-one direction per bond, and passes iff every bond test passes; the estimate
-draws how often each design test comes up, evaluates its pass probability
-exactly once and draws its passes as one binomial.  Runs come back as
+one direction per bond from the protocol's one design (or isotropically),
+and passes iff every bond test passes; with a design, the estimate draws how
+often each test comes up, evaluates its pass probability exactly once and
+draws its passes as one binomial.  Runs come back as
 their pass counts, which `aggregate` summarizes and `cli` prints.
 Every noise model is calibrated to its infidelity in closed form.
 """

@@ -547,6 +547,14 @@ class TestOutOfRangeNumbers:
     def test_refused_in_one_line(self, capsys, argv, code, names):
         assert_refused(capsys, argv, code, names)
 
+    def test_long_path_clipped(self, capsys, tmp_path):
+        """A diagnostic past 160 characters keeps its head and tail."""
+        path = tmp_path / ("g" * 200 + ".json")
+        code, out, err = run_cli(capsys, "gap", "--graph", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 2] No such file or directory: ")
+        assert err.endswith("g.json'\n") and " ... " in err and len(err) == 161
+
     def test_compare_lists_no_chain_below_4(self, capsys):
         """A closed chain needs 3 nodes, so n = 2 is skipped, not tabulated
         with a negative HKSE cost."""

@@ -128,8 +128,7 @@ def files(tmp_path):
 
 
 @settings(max_examples=1100, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture,
-                                 HealthCheck.too_slow])
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_exit_contract(data, files, capsys, monkeypatch):
     argv, cap = data.draw(invocations(files))
