@@ -52,7 +52,9 @@ class FFHamiltonian:
         extra = set(self.projectors) - set(self.graph.edges)
         if extra:
             raise InputError(f"projectors for unknown edges {sorted(extra)}")
+        # one array per bond class (equal projector and node dims): readers key by its id
         projs = {}
+        classes: dict[tuple, np.ndarray] = {}
         for e in self.graph.edges:
             if e not in self.projectors:
                 raise InputError(f"no projector for edge {e}")
@@ -60,10 +62,13 @@ class FFHamiltonian:
             d_e = math.prod(dims[v] for v in e)
             if p.shape != (d_e, d_e):
                 raise InputError(f"projector on {e} has shape {p.shape}, not ({d_e}, {d_e})")
-            if not linalg.is_projector(p):
-                raise InputError(f"operator on {e} is not a projector")
-            p.setflags(write=False)
-            projs[e] = p
+            key = (p.tobytes(), tuple(dims[v] for v in e))
+            if key not in classes:
+                if not linalg.is_projector(p):
+                    raise InputError(f"operator on {e} is not a projector")
+                p.setflags(write=False)
+                classes[key] = p
+            projs[e] = classes[key]
         object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "node_dims", dims)
 
@@ -128,14 +133,11 @@ class FFHamiltonian:
         """Nonunit singular values and noncommuting partners for all adjacent
         pairs, from both projectors embedded in their joint support.
 
-        Two pairs alike up to node labels (equal projectors, equal node
-        dimensions on the joint support, and each edge's nodes at the same
-        places in it) embed to the same matrices, so each such class is
-        computed once."""
+        Two pairs alike up to node labels (each edge in the same bond class,
+        and each edge's nodes at the same places in the joint support) embed
+        to the same matrices, so each such class is computed once."""
         edges, incident, dims = self.graph.edges, self.graph.incident, self.node_dims
         position = {e: i for i, e in enumerate(edges)}
-        kinds: dict[bytes, int] = {}
-        kind = {e: kinds.setdefault(p.tobytes(), len(kinds)) for e, p in self.projectors.items()}
         classes: dict[tuple, tuple[bool, float]] = {}
         pair_s: dict[frozenset, float] = {}
         noncomm: dict[Edge, list[Edge]] = {e: [] for e in edges}
@@ -145,7 +147,7 @@ class FFHamiltonian:
             later = {f for v in e for f in incident[v] if position[f] > i}
             for f in sorted(later, key=position.__getitem__):
                 nodes = tuple(sorted(set(e) | set(f)))
-                key = (kind[e], kind[f], tuple(dims[v] for v in nodes),
+                key = (id(self.projectors[e]), id(self.projectors[f]),
                        tuple(map(nodes.index, e)), tuple(map(nodes.index, f)))
                 if key not in classes:
                     a = linalg.embed(self.projectors[e], e, nodes, dims)

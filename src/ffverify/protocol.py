@@ -52,12 +52,12 @@ class Protocol:
         h = self.hamiltonian
         if not self.cover.covers(h.graph):
             raise InputError("cover does not match the Hamiltonian's edge set")
-        classes: dict[tuple, BondOperator] = {}  # by (spin pair, projector bytes)
+        classes: dict[int, BondOperator] = {}  # by the id of H's one array per bond class
         ops = {}
         for e in h.graph.edges:
-            b = bond(h, e)
-            key = (b, h.projectors[e].tobytes())
+            key = id(h.projectors[e])
             if key not in classes:
+                b = bond(h, e)
                 op = (isotropic_bond_operator(b) if self.design is None
                       else bond_operator(b, self.design))
                 q = np.eye(b.dim) - h.projectors[e]  # onto ker P_e

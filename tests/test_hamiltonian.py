@@ -68,6 +68,56 @@ class TestValidation:
         p[3, 3] = 0  # the caller's array stays writable and H keeps its copy
         assert stored[3, 3] == 1
 
+    @pytest.mark.parametrize("g, classes", [
+        (G.chain(100, closed=True), 1),
+        (G.chain(6), 3),
+        (G.square_lattice(3, 3), 4),
+    ], ids=["closed-chain-100", "open-chain-6", "open-square-3x3"])
+    def test_one_stored_array_per_bond_class(self, g, classes, monkeypatch):
+        """Edges with equal projectors and node dimensions share one stored
+        array, checked as a projector once."""
+        checked = []
+        is_projector = linalg.is_projector
+
+        def counting(matrix):
+            checked.append(matrix)
+            return is_projector(matrix)
+
+        monkeypatch.setattr(linalg, "is_projector", counting)
+        h = aklt.aklt_hamiltonian(g)
+        assert len({id(p) for p in h.projectors.values()}) == classes
+        assert len(checked) == classes
+
+    def test_equal_arrays_share_one_stored_array(self):
+        g = G.chain(3)
+        h = ham.FFHamiltonian(g, {e: np.diag([0.0, 0.0, 0.0, 1.0]) for e in g.edges},
+                              {v: 2 for v in g.vertices})
+        assert h.projectors[(0, 1)] is h.projectors[(1, 2)]
+
+    def test_equal_projector_on_swapped_dimensions_is_two_classes(self):
+        """One 6x6 projector on (2, 3) edges and on (3, 2) edges acts on
+        different factors, so it makes two classes; the pairs through nodes
+        of dimension 3 and 2 then stay apart in `_pair_data`."""
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 2)))
+        p = q @ q.T
+        g = G.chain(5)
+        h = ham.FFHamiltonian(g, {e: p for e in g.edges}, {0: 2, 1: 3, 2: 2, 3: 3, 4: 2})
+        stored = h.projectors
+        assert stored[(0, 1)] is stored[(2, 3)] and stored[(1, 2)] is stored[(3, 4)]
+        assert stored[(0, 1)] is not stored[(1, 2)]
+        assert np.array_equal(stored[(0, 1)], stored[(1, 2)])
+        pair_s, noncomm = h._pair_data
+        want_s, want_noncomm = _pair_data_by_all_pairs(h)
+        assert list(pair_s.items()) == list(want_s.items())
+        assert list(noncomm.items()) == list(want_noncomm.items())
+
+    def test_refusal_names_the_first_edge_of_its_class(self):
+        g = G.chain(4)
+        ok, bad = np.diag([0.0, 0.0, 0.0, 1.0]), 0.5 * np.eye(4)
+        with pytest.raises(InputError, match=r"operator on \(1, 2\) is not a projector"):
+            ham.FFHamiltonian(g, {(0, 1): ok, (1, 2): bad, (2, 3): bad},
+                              {v: 2 for v in g.vertices})
+
     def test_not_frustration_free_detected(self):
         g = G.Hypergraph((0,), ((0,),))
         # P and its complement share no null vector: H = 1
