@@ -38,23 +38,26 @@ RUN_COLUMNS = ("run", "n_tests", "n_passed", "accepted", "seed")
 
 
 def _build_graph(args) -> graphs.Hypergraph:
-    picked = [bool(args.chain), bool(args.honeycomb), bool(args.square), bool(args.graph)]
+    picked = [f is not None for f in (args.chain, args.honeycomb, args.square, args.graph)]
     if sum(picked) != 1:
         raise InputError("pick exactly one of --chain, --honeycomb, --square, --graph")
-    if args.closed and not args.chain:
+    if args.closed and args.chain is None:
         raise InputError("--closed needs --chain")
-    if args.periodic and not (args.honeycomb or args.square):
+    if args.periodic and args.honeycomb is None and args.square is None:
         raise InputError("--periodic needs --honeycomb or --square")
-    if args.graph:
-        return graphs.Hypergraph.from_file(args.graph)
-    lattice = args.honeycomb or args.square
-    w, h = _parse_wh(lattice) if lattice else (args.chain, 1)
-    # every AKLT node has dimension 2 or more: refuse too many nodes before
-    # building them (sizes below 1 are left to the constructors to refuse)
-    check_nodes((2 if args.honeycomb else 1) * max(w, 0) * max(h, 0))
-    if args.chain:
+    # every AKLT node has dimension 2 or more, or is refused as isolated:
+    # refuse too many nodes before building H, and a lattice before building
+    # its graph (sizes below 1 are left to the constructors to refuse)
+    if args.graph is not None:
+        g = graphs.Hypergraph.from_file(args.graph)
+        check_nodes(g.n_vertices)
+        return g
+    lattice = args.square if args.honeycomb is None else args.honeycomb
+    w, h = (args.chain, 1) if args.chain is not None else _parse_wh(lattice)
+    check_nodes((2 if args.honeycomb is not None else 1) * max(w, 0) * max(h, 0))
+    if args.chain is not None:
         return graphs.chain(args.chain, closed=args.closed)
-    if args.honeycomb:
+    if args.honeycomb is not None:
         return graphs.honeycomb_lattice(w, h, periodic=args.periodic)
     return graphs.square_lattice(w, h, periodic=args.periodic)
 

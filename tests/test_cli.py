@@ -515,6 +515,19 @@ class TestParsing:
         assert code == 2
         assert "error" in err.lower()
 
+    @pytest.mark.parametrize("argv, names", [
+        (("gap", "--chain", "0", "--square", "2x2"), "pick exactly one of"),
+        (("gap", "--chain", "0"), "chain needs at least 2 vertices"),
+        (("gap", "--graph="), "No such file or directory: ''"),
+        (("gap", "--graph=", "--chain", "4", "--closed"), "pick exactly one of"),
+        (("gap", "--honeycomb="), "expected WxH, got ''"),
+    ], ids=["chain-0-and-square", "chain-0", "empty-graph", "empty-graph-and-chain",
+            "empty-honeycomb"])
+    def test_graph_flag_given_as_zero_or_empty(self, capsys, argv, names):
+        """A graph flag counts as given whatever its value, and its value is
+        refused as such."""
+        assert_refused(capsys, argv, 2, names)
+
 
 BOUND_FLAGS = ("--m", "2", "--nu-e", "1e-300", "--gamma", "0.35", "--s", "0.5", "--g", "2")
 
@@ -623,6 +636,20 @@ class TestRefusedBeforeBuilding:
         monkeypatch.setenv("FFV_MAX_DIM", cap)
         with pytest.raises(AssertionError, match="a lattice was built"):
             cli.main(["gap", "--chain", nodes, "--closed"])
+
+    def test_graph_file_refused_before_h_is_built(self, capsys, monkeypatch, tmp_path):
+        """A graph file's nodes are counted as a lattice's are: a star of 400
+        leaves is refused without building its Hamiltonian."""
+        def fail(*args, **kwargs):
+            raise AssertionError("a Hamiltonian was built")
+
+        monkeypatch.setattr(cli.aklt, "aklt_hamiltonian", fail)
+        monkeypatch.delenv("FFV_MAX_DIM", raising=False)
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps({"vertices": list(range(401)),
+                                    "edges": [[0, leaf] for leaf in range(1, 401)]}))
+        assert_refused(capsys, ("gap", "--graph", str(path)), 3,
+                       "401 nodes of dimension 2 or more exceeds FFV_MAX_DIM=8192")
 
     def test_chain_10_still_checks_its_dimension(self, capsys, monkeypatch):
         # 10 nodes pass the count at the default cap; 3^10 = 59049 does not
