@@ -14,7 +14,10 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -155,3 +158,28 @@ def test_exit_contract(data, files, capsys, monkeypatch):
             out = out_file.read_text()
         numbers = _printed_numbers(out, _flag(argv, "--format", "json"))
         assert numbers and all(math.isfinite(x) and x >= 0 for x in numbers), out
+
+
+#: a property test that fails on its first example
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x != x
+"""
+
+
+def test_failing_property_is_reported_as_a_failure(tmp_path):
+    """Under this repository's pytest settings a failing property test ends
+    in a failure report, not in INTERNALERROR."""
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    (tmp_path / "test_failing_property.py").write_text(FAILING_PROPERTY)
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(config), "--rootdir", str(tmp_path),
+                          "test_failing_property.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed" in run.stdout
