@@ -36,8 +36,10 @@ class FFHamiltonian:
     """Sum of local projectors, one per hyperedge, sharing a null vector.
 
     `projectors` maps each edge to its projector's matrix, whose tensor
-    factors follow the edge's ascending node order; each is stored as a
-    read-only complex copy.
+    factors follow the edge's ascending node order, stored as a read-only
+    complex copy.  A bond class, the edges with equal projectors and equal
+    node dimensions, shares one stored array, checked as a projector once;
+    readers key a class by that array's id.
     """
 
     graph: Hypergraph

@@ -4,14 +4,14 @@ competing schemes, one function per formula.
 
 A `Protocol` is H, a matching cover and one design: every bond test draws
 its direction from the same distribution, or isotropically, so a protocol
-holds one bond operator per bond class (equal spin pairs and projectors),
-shared by the class's edges; there are no mixed protocols.  Omega's bond
-operators are a `linalg.LocalOperators` that shares H's sector when both are
-SU(2)-invariant.  nu is solved and read in Omega's solve space;
-`top_excited_pair` lifts the eigenvector to the full space, once.  Bond tests
-are compiled per block of directions (`Protocol.bond_tests`), for the design
-points once per edge and protocol, and for isotropic draws once per block
-of draws.
+holds one bond operator per bond class of H (the edges that share one stored
+projector array), shared by the class's edges; there are no mixed
+protocols.  Omega's bond operators are a `linalg.LocalOperators` that shares
+H's sector when both are SU(2)-invariant.  nu is solved and read in Omega's
+solve space; `top_excited_pair` lifts the eigenvector to the full space,
+once.  Bond tests are compiled per block of directions
+(`Protocol.bond_tests`), for the design points once per edge and protocol,
+and for isotropic draws once per block of draws.
 Results are numbers and `GapReport.to_dict` rows; `cli` prints them.
 """
 
@@ -39,9 +39,9 @@ class Protocol:
     """A matching cover of H's edges and one direction distribution, the
     design, that every bond test draws from (None: isotropic directions).
 
-    `bond_ops` maps each edge to its bond operator.  A bond class, edges
-    with equal spin pairs and equal projectors, shares one operator, built
-    and checked against the kernel of its projector once."""
+    `bond_ops` maps each edge to its bond operator.  A bond class of H,
+    the edges that share one stored projector array, shares one operator,
+    built and checked against the kernel of its projector once."""
 
     hamiltonian: FFHamiltonian
     cover: MatchingCover
